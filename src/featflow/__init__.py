@@ -18,6 +18,7 @@ from .fs import (
     make_path,
     make_restrictor,
     node,
+    quick_clash,
     restrict,
     restrict_many,
     subsumes,
@@ -52,7 +53,6 @@ from .firstfollow import (
     PairSet,
     RunStats,
     UnknownCategory,
-    add_with_subsumption,
     compare_modes,
     compute_first,
     compute_follow,

@@ -8,11 +8,12 @@ Subcommands
 ``validate``     static checks only
 ``bench``        naive versus active instrumentation on one or more files
 
-Exit codes: 0 success; 2 usage; 3 unreadable input or syntax errors;
-4 validation errors; 5 iteration/pair guard exceeded; 6 unknown category
-in ``string-first``.  Diagnostics go to stderr as ``file:line:col:
-severity: message``; with ``--format json`` the result document on stdout
-is byte-stable for identical inputs and flags.
+Exit codes: 0 success; 1 naive and active results differ in ``bench``;
+2 usage; 3 unreadable input or syntax errors; 4 validation errors;
+5 iteration/pair guard exceeded; 6 unknown category in ``string-first``.
+Diagnostics go to stderr as ``file:line:col: severity: message``; with
+``--format json`` the result document on stdout is byte-stable for
+identical inputs and flags.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from . import firstfollow as ff
 from . import grammar as gm
 
 EXIT_OK = 0
+EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_INPUT = 3
 EXIT_INVALID = 4
@@ -68,9 +70,9 @@ def _load(path: str, args) -> gm.Grammar:
         except ValueError as exc:
             raise _Failure(EXIT_USAGE, [f"--restrictor: {exc}"])
     overrides = {}
-    if getattr(args, "max_iterations", None):
+    if getattr(args, "max_iterations", None) is not None:
         overrides["max_iterations"] = args.max_iterations
-    if getattr(args, "max_pairs", None):
+    if getattr(args, "max_pairs", None) is not None:
         overrides["max_pairs"] = args.max_pairs
     return replace(g, **overrides) if overrides else g
 
@@ -251,6 +253,7 @@ def cmd_bench(args) -> int:
                         func: {
                             mode: {
                                 "attempts": stats[mode].attempts,
+                                "filtered": stats[mode].filtered,
                                 "events": stats[mode].events,
                                 "wall_time": stats[mode].wall_time,
                                 "iterations": _stats_json(stats[mode]),
@@ -270,7 +273,8 @@ def cmd_bench(args) -> int:
                 for mode in ff.MODES:
                     s = stats[mode]
                     print(
-                        f"  {func:<6} {mode:<6} attempts {s.attempts:>6}  events {s.events:>6}"
+                        f"  {func:<6} {mode:<6} attempts {s.attempts:>6}  filtered {s.filtered:>6}"
+                        f"  events {s.events:>6}"
                         f"  iterations {len(s.rows):>2}  wall {s.wall_time:.4f}s"
                     )
             print(
@@ -288,17 +292,27 @@ def cmd_bench(args) -> int:
                     f"  {row.attempts:>8}  {row.additions:>9}"
                 )
             failed |= not (rep.first_equivalent and rep.follow_equivalent)
-    return 1 if failed else EXIT_OK
+    return EXIT_MISMATCH if failed else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # argument plumbing
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def _common(sub):
     sub.add_argument("--mode", choices=ff.MODES, default="active")
     sub.add_argument("--restrictor", default=None, help="override the file's restrictor ('' clears it)")
-    sub.add_argument("--max-iterations", type=int, default=None)
-    sub.add_argument("--max-pairs", type=int, default=None)
+    sub.add_argument("--max-iterations", type=_positive_int, default=None)
+    sub.add_argument("--max-pairs", type=_positive_int, default=None)
     sub.add_argument("--format", choices=("text", "json"), default="text")
     sub.add_argument("--stats", action="store_true", help="include iteration statistics")
 

@@ -5,9 +5,9 @@ of *pairs*: the left side is a category (or a category string), the right
 side is a FIRST/FOLLOW value or an empty-string mark, and the two sides
 live in one shared node space so that bindings between them survive.
 
-Pairs are stored through the ``add_with_subsumption`` operator, which
-keeps the set an antichain: an incoming pair subsumed by a stored one is
-dropped, and an incoming pair that subsumes stored ones replaces them.
+Pairs are stored through ``PairSet.add``, which keeps the set an
+antichain: an incoming pair subsumed by a stored one is dropped, and an
+incoming pair that subsumes stored ones replaces them.
 Every stored pair has the grammar's restrictor applied first; that is
 what keeps the set finite for grammars whose raw category space is not.
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 from . import fs
 from .fs import Node, UnificationFailed, clone, clone_many
-from .grammar import Grammar, end_category, format_roots, is_preterminal
+from .grammar import Grammar, end_category, format_roots, is_preterminal, label_of
 
 MODES = ("naive", "active")
 
@@ -75,10 +75,12 @@ class Pair:
     ``lhs`` is a tuple of category roots (length one except for string
     queries), ``rhs`` is a category root or an EpsilonMark, and all roots
     live in one shared space.  ``origin_rule`` and ``serial`` exist for
-    agenda bookkeeping and deterministic output order.
+    agenda bookkeeping and deterministic output order.  ``key`` is the
+    signature plus the ``cat`` label of each comparison root (None where a
+    root has no atomic ``cat``); ``PairSet`` buckets pairs by it.
     """
 
-    __slots__ = ("serial", "lhs", "rhs", "origin_rule", "restricted", "events")
+    __slots__ = ("serial", "lhs", "rhs", "origin_rule", "restricted", "events", "key")
 
     def __init__(self, lhs, rhs, origin_rule=None, restricted=True):
         self.serial = next(_serials)
@@ -87,6 +89,7 @@ class Pair:
         self.origin_rule = origin_rule
         self.restricted = restricted
         self.events = 0
+        self.key = (self.signature(), tuple(label_of(r) for r in self.comparison_roots()))
 
     @property
     def is_epsilon(self) -> bool:
@@ -115,10 +118,17 @@ def pair_equivalent(p: Pair, q: Pair) -> bool:
 
 
 class PairSet:
-    """Subsumption antichain of pairs plus the active-pair registry."""
+    """Subsumption antichain of pairs plus the active-pair registry.
+
+    Stored pairs are also bucketed by ``Pair.key``.  A pair with an atomic
+    ``cat`` on some root subsumes, or is subsumed by, only pairs with the
+    same signature and either the same ``cat`` or none there, so ``add``
+    compares an incomer only with the buckets whose keys allow that.
+    """
 
     def __init__(self):
-        self.pairs = []
+        self.pairs = []  # insertion order, which is the output order
+        self._buckets = {}  # Pair.key -> stored pairs with that key
         self._tested = {}  # serial -> rule ids this pair was examined against
         self.added = 0
         self.rejected = 0
@@ -136,22 +146,43 @@ class PairSet:
         subsumes.  Replacements enter fully active."""
         if not p.restricted:
             raise ValueError("only restricted pairs may be stored")
-        for q in self.pairs:
-            if pair_subsumes(q, p):
-                self.rejected += 1
-                return False
-        doomed = [q for q in self.pairs if pair_subsumes(p, q)]
+        roots = p.comparison_roots()
+        for key in _general_keys(p.key):
+            for q in self._buckets.get(key, ()):
+                if fs.subsumes_many(q.comparison_roots(), roots):
+                    self.rejected += 1
+                    return False
+        doomed = [
+            q for q in self._specific_pairs(p.key) if fs.subsumes_many(roots, q.comparison_roots())
+        ]
         if doomed:
             dead = {q.serial for q in doomed}
             self.pairs = [q for q in self.pairs if q.serial not in dead]
             for q in doomed:
+                bucket = self._buckets[q.key]
+                bucket.remove(q)
+                if not bucket:
+                    del self._buckets[q.key]
                 self._tested.pop(q.serial, None)
                 self.retired_events += q.events
                 self.removed += 1
         self.pairs.append(p)
+        self._buckets.setdefault(p.key, []).append(p)
         self._tested[p.serial] = set()
         self.added += 1
         return True
+
+    def _specific_pairs(self, key):
+        """Stored pairs that a pair with this key could subsume."""
+        sig, labels = key
+        if None not in labels:
+            return self._buckets.get(key, ())
+        return [
+            q
+            for (qsig, qlabels), bucket in self._buckets.items()
+            if qsig == sig and all(a is None or a == b for a, b in zip(labels, qlabels))
+            for q in bucket
+        ]
 
     def untested(self, rule_id: int) -> list:
         return [p for p in self.pairs if rule_id not in self._tested[p.serial]]
@@ -163,8 +194,12 @@ class PairSet:
                 t.add(rule_id)
 
 
-def add_with_subsumption(s: PairSet, p: Pair) -> bool:
-    return s.add(p)
+def _general_keys(key) -> list:
+    """Keys of the pairs that could subsume a pair with this key: the key
+    itself with any of its labels replaced by None."""
+    sig, labels = key
+    choices = [(label, None) if label is not None else (None,) for label in labels]
+    return [(sig, combo) for combo in itertools.product(*choices)]
 
 
 # ---------------------------------------------------------------------------
@@ -187,6 +222,7 @@ class RunStats:
     events: int = 0  # (pair, rule) examination events
     wall_time: float = 0.0
     fixpoint: bool = False
+    filtered: int = 0  # attempts settled by fs.quick_clash, without a clone
 
 
 class _Recorder:
@@ -195,6 +231,7 @@ class _Recorder:
         self.rows = []
         self.attempts = 0
         self.events = 0
+        self.filtered = 0
         self._participants = None
         self._considered = []
         self._iter_attempts = 0
@@ -234,7 +271,9 @@ class _Recorder:
     def finish(self, fixpoint, wall):
         if self._participants is not None:
             self.end_visit()
-        return RunStats(self.mode, list(self.rows), self.attempts, self.events, wall, fixpoint)
+        return RunStats(
+            self.mode, list(self.rows), self.attempts, self.events, wall, fixpoint, self.filtered
+        )
 
     def abort(self, total):
         if self._participants is not None:
@@ -262,8 +301,13 @@ def _bind(roots, pos, pair, recorder):
     root at ``pos`` with the pair's left side.
 
     Returns (new_roots, bound_rhs) or None on failure.  The inputs are
-    never touched: all mutation happens inside the fresh clone.
+    never touched: all mutation happens inside the fresh clone.  A
+    top-level atom clash is caught before the clone and counted as filtered.
     """
+    recorder.attempt(pair)
+    if fs.quick_clash(roots[pos], pair.lhs[0]):
+        recorder.filtered += 1
+        return None
     extra = list(pair.lhs)
     if not pair.is_epsilon:
         extra.append(pair.rhs)
@@ -271,7 +315,6 @@ def _bind(roots, pos, pair, recorder):
     space = allroots[: len(roots)]
     lhs = allroots[len(roots)]
     rhs = allroots[-1] if not pair.is_epsilon else None
-    recorder.attempt(pair)
     try:
         fs.unify_in_place(space[pos], lhs)
     except UnificationFailed:
@@ -540,7 +583,7 @@ def query(result: PairSet, cat: Node) -> list:
     out = []
     have_eps = False
     for p in result.pairs:
-        if len(p.lhs) != 1:
+        if len(p.lhs) != 1 or fs.quick_clash(cat, p.lhs[0]):
             continue
         if p.is_epsilon:
             if have_eps:

@@ -185,7 +185,34 @@ def unify(a: Node, b: Node) -> Node:
     return unify_in_place(ca, cb)
 
 
+def quick_clash(a: Node, b: Node) -> bool:
+    """True when two nodes carry different atoms under a shared top-level
+    feature, which dooms their unification; nothing is copied.
+
+    Sound as a filter: unification never changes an atom and a clone keeps
+    the atoms of the nodes it copies, so when this reports a clash, unifying
+    the two nodes (or clones of them) fails.  False decides nothing.
+    """
+    a = deref(a)
+    b = deref(b)
+    if a.atom is not None or b.atom is not None:
+        return False
+    theirs = b.arcs
+    for feat, child in a.arcs.items():
+        other = theirs.get(feat)
+        if other is None:
+            continue
+        mine = deref(child).atom
+        if mine is not None:
+            got = deref(other).atom
+            if got is not None and got != mine:
+                return True
+    return False
+
+
 def unifiable(a: Node, b: Node) -> bool:
+    if quick_clash(a, b):
+        return False
     try:
         unify(a, b)
         return True
@@ -401,17 +428,3 @@ def has_path(root: Node, path) -> bool:
         n = deref(n)
     return True
 
-
-def reachable_nodes(roots) -> list:
-    """All distinct nodes of a space, depth first from the given roots."""
-    seen = {}
-    stack = [deref(r) for r in reversed(list(roots))]
-    while stack:
-        n = stack.pop()
-        if id(n) in seen:
-            continue
-        seen[id(n)] = n
-        if n.atom is None:
-            for child in reversed(list(n.arcs.values())):
-                stack.append(deref(child))
-    return list(seen.values())

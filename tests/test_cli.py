@@ -1,10 +1,20 @@
 """Command line surface: exit codes, formats, determinism, round trips."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
-from featflow.cli import fixture_path, main
+import pytest
+
+from featflow import firstfollow as ff
+from featflow.cli import EXIT_MISMATCH, fixture_path, main
 from featflow.firstfollow import Pair, compute_first, pair_equivalent
 from featflow.grammar import parse_category_sequence, parse_grammar
+
+GOLDENS = Path(__file__).parent / "goldens"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -175,3 +185,78 @@ def test_mode_flag_naive_matches_active(capsys):
     _, naive, _ = run(capsys, "first", fixture_path("bench13.gr"), "--mode", "naive")
     strip = lambda s: s.replace("mode: naive", "mode: active")
     assert strip(naive) == active
+
+
+@pytest.mark.parametrize("flag", ["--max-iterations", "--max-pairs"])
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_guard_flags_below_one_are_usage_errors(capsys, flag, value):
+    code, out, err = run(capsys, "first", fixture_path("fig1.gr"), flag, value)
+    assert code == 2
+    assert out == ""
+    assert "must be at least 1" in err
+
+
+def test_bench_mismatch_exit_code(capsys, monkeypatch):
+    monkeypatch.setattr(ff, "pair_sets_equivalent", lambda a, b: False)
+    code, out, _ = run(capsys, "bench", fixture_path("fig1.gr"))
+    assert code == EXIT_MISMATCH == 1
+    assert "[FAIL]" in out
+    code, out, _ = run(capsys, "bench", fixture_path("fig1.gr"), "--format", "json")
+    assert code == EXIT_MISMATCH
+    assert json.loads(out)[0]["equivalence"] == {"first": False, "follow": False}
+
+
+def test_bench_reports_filtered_attempts(capsys):
+    code, out, _ = run(capsys, "bench", fixture_path("bench21.gr"), "--format", "json")
+    assert code == 0
+    for func in ("first", "follow"):
+        for stats in json.loads(out)[0]["stats"][func].values():
+            assert 0 < stats["filtered"] < stats["attempts"]
+    code, out, _ = run(capsys, "bench", fixture_path("bench21.gr"))
+    assert out.count(" filtered ") == 4
+
+
+# Recorded with ``featflow first|follow NAME.gr --format json --stats`` run
+# from the fixtures directory (guard.gr with ``--restrictor orth``).  The
+# bytes pin the output order of the pair sets and the attempt counts.
+GOLDEN_RUNS = [
+    (name, function)
+    for name in ("fig1", "cf-intro", "agr", "guard", "bench13", "bench21")
+    for function in ("first", "follow")
+]
+
+
+@pytest.mark.parametrize("name,function", GOLDEN_RUNS)
+def test_json_output_matches_golden_bytes(capsys, monkeypatch, name, function):
+    monkeypatch.chdir(Path(fixture_path(f"{name}.gr")).parent)
+    extra = ["--restrictor", "orth"] if name == "guard" else []
+    code, out, _ = run(capsys, function, f"{name}.gr", "--format", "json", "--stats", *extra)
+    assert code == 0
+    assert out.encode("utf-8") == (GOLDENS / f"{name}.{function}.json").read_bytes()
+
+
+def _featflow(*argv, hashseed="0"):
+    env = dict(os.environ, PYTHONHASHSEED=hashseed)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "featflow", *argv],
+        cwd=Path(fixture_path("bench21.gr")).parent,
+        env=env,
+        capture_output=True,
+        timeout=120,
+    )
+
+
+def test_json_output_is_independent_of_the_hash_seed():
+    argv = ("follow", "bench21.gr", "--format", "json", "--stats")
+    runs = [_featflow(*argv, hashseed=seed) for seed in ("0", "1")]
+    for proc in runs:
+        assert proc.returncode == 0, proc.stderr
+    assert runs[0].stdout == runs[1].stdout
+    assert runs[0].stdout == (GOLDENS / "bench21.follow.json").read_bytes()
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = _featflow("first", "fig1.gr")
+    assert proc.returncode == 0, proc.stderr
+    assert b"pairs (8):" in proc.stdout

@@ -12,6 +12,7 @@ from featflow.firstfollow import (
     Pair,
     PairSet,
     UnknownCategory,
+    _bind,
     _eps_bindings,
     _Recorder,
     compare_modes,
@@ -90,6 +91,124 @@ def test_unrestricted_pair_rejected():
     p.restricted = False
     with pytest.raises(ValueError):
         PairSet().add(p)
+
+
+def test_pair_without_cat_rejects_labelled_incomers():
+    s = PairSet()
+    s.add(cat_pair("[agr=sg]", "det[]"))
+    s.add(cat_pair("np[]", "[ter=+]"))
+    s.add(cat_pair("[]", None))
+    assert not s.add(cat_pair("np[agr=sg]", "det[]"))
+    assert not s.add(cat_pair("np[]", "det[ter=+]"))
+    assert not s.add(cat_pair("vp[]", None))
+    assert s.add(cat_pair("np[agr=sg]", "n[]"))
+    assert len(s) == 4 and s.rejected == 3
+
+
+def test_pair_without_cat_replaces_labelled_pairs():
+    s = PairSet()
+    s.add(cat_pair("np[agr=sg]", "det[]"))
+    s.add(cat_pair("vp[agr=sg]", "det[agr=pl]"))
+    s.add(cat_pair("np[agr=sg]", "n[]"))
+    s.add(cat_pair("np[agr=pl]", "det[]"))
+    s.add(cat_pair("np[]", "det[ter=+]"))
+    assert s.add(cat_pair("[agr=sg]", "det[]"))
+    assert s.removed == 2
+    assert s.add(cat_pair("np[]", "[ter=+]"))
+    assert s.removed == 3
+    assert [format_pair(p) for p in s] == [
+        "(np[agr=sg] , n[])",
+        "(np[agr=pl] , det[])",
+        "([agr=sg] , det[])",
+        "(np[] , [ter=+])",
+    ]
+
+
+def test_pairs_differing_only_in_reentrancy_are_both_kept():
+    left = cat_pair("x[f=$1, g=[]]", "y[f=$1, g=[]]")
+    right = cat_pair("x[f=[], g=$1]", "y[f=[], g=$1]")
+    assert left.key == right.key
+    s = PairSet()
+    assert s.add(left) and s.add(right)
+    assert len(s) == 2
+
+
+def linear_antichain(pairs):
+    """What a scan over every stored pair keeps, in insertion order."""
+    kept = []
+    for p in pairs:
+        if not any(pair_subsumes(q, p) for q in kept):
+            kept = [q for q in kept if not pair_subsumes(p, q)] + [p]
+    return kept
+
+
+def test_bucketed_add_keeps_what_a_linear_scan_keeps():
+    rng = random.Random(23)
+
+    def rand_cat():
+        parts = [f"cat={rng.choice('ab')}"] if rng.random() < 0.7 else []
+        for f in ("f", "g"):
+            r = rng.random()
+            if r < 0.3:
+                parts.append(f"{f}={rng.choice('xy')}")
+            elif r < 0.45:
+                parts.append(f"{f}=$1")
+        return "[" + ", ".join(parts) + "]"
+
+    def rand_pair():
+        width = rng.choice((1, 1, 2))
+        roots = parse_category_sequence(" ".join(rand_cat() for _ in range(width + 1)))
+        if rng.random() < 0.2:
+            return Pair(tuple(roots[:width]), EPS)
+        return Pair(tuple(roots[:width]), roots[width])
+
+    for _ in range(60):
+        incoming = [rand_pair() for _ in range(rng.randint(4, 16))]
+        s = PairSet()
+        for p in incoming:
+            s.add(p)
+        expected = linear_antichain(incoming)
+        assert [p.serial for p in s] == [p.serial for p in expected]
+        assert s.added + s.rejected == len(incoming)
+        assert s.added - s.removed == len(expected)
+
+
+# ---------------------------------------------------------------------------
+# the quick check before each bind
+
+def bind_once(site, pair):
+    rec = _Recorder("test")
+    return _bind([site], 0, pair, rec), rec
+
+
+def test_top_level_clash_is_filtered_and_still_an_attempt():
+    got, rec = bind_once(parse_category("np[]"), cat_pair("vp[]", "det[]"))
+    assert got is None
+    assert rec.attempts == 1 and rec.filtered == 1
+
+
+def test_nested_clash_is_found_by_full_unification():
+    got, rec = bind_once(parse_category("np[agr=[num=sg]]"), cat_pair("np[agr=[num=pl]]", "det[]"))
+    assert got is None
+    assert rec.attempts == 1 and rec.filtered == 0
+
+
+def test_atoms_against_complex_nodes_reach_full_unification():
+    got, rec = bind_once(parse_category("np[agr=sg]"), cat_pair("np[agr=[num=sg]]", "det[]"))
+    assert got is None and rec.filtered == 0
+    got, rec = bind_once(parse_category("np[agr=sg]"), cat_pair("np[agr=$1:[]]", "det[agr=$1]"))
+    assert got is not None and rec.filtered == 0
+    assert fs.equivalent(got[1], parse_category("det[agr=sg]"))
+    got, rec = bind_once(atom("sg"), Pair((atom("pl"),), atom("pl")))
+    assert got is None and rec.attempts == 1 and rec.filtered == 0
+
+
+def test_run_stats_count_filtered_attempts():
+    g = load_fixture("bench21.gr")
+    first, fstats = compute_first(g)
+    _, ostats = compute_follow(g, first)
+    for stats in (fstats, ostats):
+        assert 0 < stats.filtered < stats.attempts
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +434,20 @@ def test_query_dedupes_coinciding_bound_values():
     out = query(s, parse_category("x[]"))
     assert len(out) == 1
     assert fs.equivalent(out[0], parse_category("a[]"))
+
+
+def test_query_dedupe_keeps_the_more_specific_value():
+    for texts in (
+        [("x[g=q]", "a[]"), ("x[h=r]", "a[f=p]")],
+        [("x[h=r]", "a[f=p]"), ("x[g=q]", "a[]")],
+    ):
+        s = PairSet()
+        for lhs, rhs in texts:
+            assert s.add(cat_pair(lhs, rhs))
+        out = query(s, parse_category("x[]"))
+        assert len(out) == 1
+        assert fs.equivalent(out[0], parse_category("a[f=p]"))
+        assert query(s, parse_category("y[]")) == []
 
 
 def test_query_includes_epsilon_and_dedupes():

@@ -17,6 +17,7 @@ from featflow.fs import (
     equivalent,
     generalize,
     node,
+    quick_clash,
     restrict,
     restrict_many,
     subsumes,
@@ -93,6 +94,52 @@ def test_unify_rejects_cycles_with_distinct_diagnostic():
     with pytest.raises(UnificationFailed) as err:
         unify(a, b)
     assert err.value.reason == "cycle"
+
+
+# ---------------------------------------------------------------------------
+# quick check
+
+def test_quick_clash_finds_any_top_level_atom_clash():
+    for a, b in (
+        (np(), node(cat=atom("vp"))),
+        (np(ter=atom("+")), np(ter=atom("-"))),
+        (np(agr=atom("sg")), np(agr=atom("pl"))),
+    ):
+        assert quick_clash(a, b) and quick_clash(b, a)
+        assert not fs.unifiable(a, b)
+        with pytest.raises(UnificationFailed) as err:
+            unify(a, b)
+        assert err.value.reason == "clash"
+
+
+def test_quick_clash_leaves_a_nested_clash_to_unification():
+    a = np(agr=node(num=atom("sg")))
+    b = np(agr=node(num=atom("pl")))
+    assert not quick_clash(a, b)
+    assert not fs.unifiable(a, b)
+    with pytest.raises(UnificationFailed) as err:
+        unify(a, b)
+    assert err.value.reason == "clash"
+
+
+def test_quick_clash_passes_atom_roots_and_atoms_against_complex_nodes():
+    for a, b, outcome in (
+        (atom("sg"), atom("pl"), False),
+        (atom("sg"), atom("sg"), True),
+        (atom("sg"), np(), False),
+        (atom("sg"), empty(), True),
+        (np(agr=atom("sg")), np(agr=node(num=atom("sg"))), False),
+        (np(agr=atom("sg")), np(agr=empty()), True),
+    ):
+        assert not quick_clash(a, b) and not quick_clash(b, a)
+        assert fs.unifiable(a, b) is outcome
+
+
+def test_quick_clash_reads_through_forwarding_pointers():
+    a = np(agr=empty())
+    unify_in_place(a.arcs["agr"], atom("sg"))
+    assert quick_clash(a, np(agr=atom("pl")))
+    assert not quick_clash(a, np(agr=atom("sg")))
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +415,14 @@ def test_random_transitivity_and_lub_dominance(a, b, c):
     assert subsumes(g, a) and subsumes(g, b)
     if subsumes(c, a) and subsumes(c, b):
         assert subsumes(c, g)
+
+
+@settings(max_examples=200, deadline=None)
+@given(structures(), structures())
+def test_random_quick_clash_is_sound(a, b):
+    if quick_clash(a, b):
+        assert lt.try_unify(a, b) is None
+        assert not fs.unifiable(a, b)
 
 
 @settings(max_examples=100, deadline=None)

@@ -129,6 +129,7 @@ class PairSet:
     def __init__(self):
         self.pairs = []  # insertion order, which is the output order
         self._buckets = {}  # Pair.key -> stored pairs with that key
+        self._wild = {}  # the keys in _buckets that hold None, as an ordered set
         self._tested = {}  # serial -> rule ids this pair was examined against
         self.added = 0
         self.rejected = 0
@@ -147,13 +148,14 @@ class PairSet:
         if not p.restricted:
             raise ValueError("only restricted pairs may be stored")
         roots = p.comparison_roots()
-        for key in _general_keys(p.key):
-            for q in self._buckets.get(key, ()):
-                if fs.subsumes_many(q.comparison_roots(), roots):
-                    self.rejected += 1
-                    return False
+        for q in self._compatible(p.key, covering=True):
+            if fs.subsumes_many(q.comparison_roots(), roots):
+                self.rejected += 1
+                return False
         doomed = [
-            q for q in self._specific_pairs(p.key) if fs.subsumes_many(roots, q.comparison_roots())
+            q
+            for q in self._compatible(p.key, covering=False)
+            if fs.subsumes_many(roots, q.comparison_roots())
         ]
         if doomed:
             dead = {q.serial for q in doomed}
@@ -163,26 +165,38 @@ class PairSet:
                 bucket.remove(q)
                 if not bucket:
                     del self._buckets[q.key]
+                    self._wild.pop(q.key, None)
                 self._tested.pop(q.serial, None)
                 self.retired_events += q.events
                 self.removed += 1
         self.pairs.append(p)
         self._buckets.setdefault(p.key, []).append(p)
+        if None in p.key[1]:
+            self._wild[p.key] = None
         self._tested[p.serial] = set()
         self.added += 1
         return True
 
-    def _specific_pairs(self, key):
-        """Stored pairs that a pair with this key could subsume."""
-        sig, labels = key
-        if None not in labels:
-            return self._buckets.get(key, ())
-        return [
-            q
-            for (qsig, qlabels), bucket in self._buckets.items()
-            if qsig == sig and all(a is None or a == b for a, b in zip(labels, qlabels))
-            for q in bucket
-        ]
+    def _compatible(self, key, covering: bool):
+        """Stored pairs that can subsume a pair keyed ``key`` (``covering``),
+        or that such a pair can subsume.
+
+        Besides an equal key, only a key holding None covers another.  So
+        the exact bucket is looked up, and ``_key_covers`` checks only the
+        keys in ``_wild`` when looking for subsumers, and every key only
+        when an incomer holding None looks for what it subsumes.  The cost
+        is bounded by the number of buckets, whatever the key's length.
+        """
+        yield from self._buckets.get(key, ())
+        if covering:
+            others = [k for k in self._wild if _key_covers(k, key)]
+        elif None in key[1]:
+            others = [k for k in self._buckets if _key_covers(key, k)]
+        else:
+            others = ()
+        for k in others:
+            if k != key:
+                yield from self._buckets[k]
 
     def untested(self, rule_id: int) -> list:
         return [p for p in self.pairs if rule_id not in self._tested[p.serial]]
@@ -194,12 +208,12 @@ class PairSet:
                 t.add(rule_id)
 
 
-def _general_keys(key) -> list:
-    """Keys of the pairs that could subsume a pair with this key: the key
-    itself with any of its labels replaced by None."""
-    sig, labels = key
-    choices = [(label, None) if label is not None else (None,) for label in labels]
-    return [(sig, combo) for combo in itertools.product(*choices)]
+def _key_covers(general, specific) -> bool:
+    """Whether a pair keyed ``general`` can subsume one keyed ``specific``:
+    same signature, and each label of ``general`` is None or the same."""
+    return general[0] == specific[0] and all(
+        a is None or a == b for a, b in zip(general[1], specific[1])
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -337,6 +337,17 @@ def test_string_first_single_np_includes_epsilon():
     assert got == {"det", "ε"}
 
 
+def test_string_first_of_a_long_labelled_string_finishes():
+    # no empty rules, so only position 0 binds; every result pair carries
+    # all 24 labelled categories on its left side
+    g = load_fixture("cf-intro.gr")
+    first, _ = compute_first(g)
+    out = first_of_string(first, g, parse_category_sequence(" ".join(["NP[] VP[]"] * 12)))
+    assert len(out) == 1
+    p = out.pairs[0]
+    assert len(p.lhs) == 24 and label_of(p.rhs) == "det"
+
+
 def test_string_first_unknown_category():
     g = load_fixture("fig1.gr")
     first, _ = compute_first(g)

@@ -9,7 +9,8 @@ Subcommands
 ``bench``        naive versus active instrumentation on one or more files
 
 Exit codes: 0 success; 1 naive and active results differ in ``bench``;
-2 usage; 3 unreadable input or syntax errors; 4 validation errors;
+2 usage; 3 unreadable input, syntax errors, or input nested too deeply
+for Python's recursion limit; 4 validation errors;
 5 iteration/pair guard exceeded; 6 unknown category in ``string-first``.
 Diagnostics go to stderr as ``file:line:col: severity: message``; with
 ``--format json`` the result document on stdout is byte-stable for
@@ -157,12 +158,17 @@ def _emit(doc: dict, args) -> None:
         print(f"  ({' '.join(p['lhs'])} , {rhs})")
     if "stats" in doc:
         print("stats:")
-        print("  iter  considered  total  attempts  additions")
-        for row in doc["stats"]:
-            print(
-                f"  {row['iteration']:>4}  {row['considered']:>10.3f}  {row['total']:>5}"
-                f"  {row['attempts']:>8}  {row['additions']:>9}"
-            )
+        _print_iterations(doc["stats"], "  ")
+
+
+def _print_iterations(rows, indent: str) -> None:
+    """The iteration table of ``_stats_json`` rows, as text."""
+    print(f"{indent}iter  considered  total  attempts  additions")
+    for row in rows:
+        print(
+            f"{indent}{row['iteration']:>4}  {row['considered']:>10.3f}  {row['total']:>5}"
+            f"  {row['attempts']:>8}  {row['additions']:>9}"
+        )
 
 
 def _limit_failure(g: gm.Grammar, exc: ff.LimitExceeded) -> _Failure:
@@ -239,7 +245,7 @@ def cmd_bench(args) -> int:
             reports.append((g, ff.compare_modes(g)))
         except ff.LimitExceeded as exc:
             raise _limit_failure(g, exc)
-    failed = False
+    failed = not all(rep.first_equivalent and rep.follow_equivalent for _, rep in reports)
     if args.format == "json":
         out = []
         for g, rep in reports:
@@ -264,7 +270,6 @@ def cmd_bench(args) -> int:
                     },
                 }
             )
-            failed |= not (rep.first_equivalent and rep.follow_equivalent)
         print(json.dumps(out, indent=2, sort_keys=True, ensure_ascii=False))
     else:
         for g, rep in reports:
@@ -285,13 +290,7 @@ def cmd_bench(args) -> int:
             print(f"  equivalence: first {'PASS' if rep.first_equivalent else 'FAIL'},"
                   f" follow {'PASS' if rep.follow_equivalent else 'FAIL'}  [{verdict}]")
             print("  active first iterations:")
-            print("    iter  considered  total  attempts  additions")
-            for row in rep.first_stats["active"].rows:
-                print(
-                    f"    {row.iteration:>4}  {row.considered:>10.3f}  {row.total:>5}"
-                    f"  {row.attempts:>8}  {row.additions:>9}"
-                )
-            failed |= not (rep.first_equivalent and rep.follow_equivalent)
+            _print_iterations(_stats_json(rep.first_stats["active"]), "    ")
     return EXIT_MISMATCH if failed else EXIT_OK
 
 
@@ -365,6 +364,11 @@ def main(argv=None) -> int:
         for message in exc.messages:
             print(message, file=sys.stderr)
         return exc.code
+    except RecursionError:
+        # the parser and the feature-structure algebra recurse on nesting
+        inputs = " ".join(args.grammars) if args.command == "bench" else args.grammar
+        print(f"{inputs}: error: input nested too deeply to process", file=sys.stderr)
+        return EXIT_INPUT
 
 
 if __name__ == "__main__":

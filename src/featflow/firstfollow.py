@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from . import fs
 from .fs import Node, UnificationFailed, clone, clone_many
@@ -118,7 +119,8 @@ def pair_equivalent(p: Pair, q: Pair) -> bool:
 
 
 class PairSet:
-    """Subsumption antichain of pairs plus the active-pair registry.
+    """Subsumption antichain of pairs, the active-pair registry, and the
+    label-indexed ``view`` that rule visits and lookups read.
 
     Stored pairs are also bucketed by ``Pair.key``.  A pair with an atomic
     ``cat`` on some root subsumes, or is subsumed by, only pairs with the
@@ -131,6 +133,7 @@ class PairSet:
         self._buckets = {}  # Pair.key -> stored pairs with that key
         self._wild = {}  # the keys in _buckets that hold None, as an ordered set
         self._tested = {}  # serial -> rule ids this pair was examined against
+        self._view = None  # the View of the current pairs, built on demand
         self.added = 0
         self.rejected = 0
         self.removed = 0
@@ -174,8 +177,21 @@ class PairSet:
         if None in p.key[1]:
             self._wild[p.key] = None
         self._tested[p.serial] = set()
+        self._view = None
         self.added += 1
         return True
+
+    def view(self) -> "View":
+        """The single-category pairs as immutable pools; a caller holding it
+        keeps seeing the set as it was, whatever is added later."""
+        if self._view is None:
+            single = [p for p in self.pairs if len(p.lhs) == 1]
+            self._view = View(
+                _Pool(single),
+                _Pool([p for p in single if p.is_epsilon]),
+                _Pool([p for p in single if not p.is_epsilon]),
+            )
+        return self._view
 
     def _compatible(self, key, covering: bool):
         """Stored pairs that can subsume a pair keyed ``key`` (``covering``),
@@ -206,6 +222,36 @@ class PairSet:
             t = self._tested.get(p.serial)
             if t is not None:
                 t.add(rule_id)
+
+
+class _Pool:
+    """Single-category pairs in insertion order, looked up by the ``cat``
+    label of the category they are to unify with.
+
+    A pair whose left side has an atomic ``cat`` other than that label
+    fails ``fs.quick_clash`` against it, so only pairs with the same label
+    or none are candidates; every pair is one when the label is None.
+    """
+
+    __slots__ = ("pairs", "serials", "_candidates")
+
+    def __init__(self, pairs):
+        self.pairs = tuple(pairs)
+        self.serials = frozenset(p.serial for p in self.pairs)
+        self._candidates = {None: self.pairs}
+
+    def candidates(self, label) -> tuple:
+        got = self._candidates.get(label)
+        if got is None:
+            got = tuple(p for p in self.pairs if p.key[1][0] in (None, label))
+            self._candidates[label] = got
+        return got
+
+
+class View(NamedTuple):
+    single: _Pool  # every single-category pair
+    eps: _Pool  # those with an empty-string right side
+    drivers: _Pool  # the others
 
 
 def _key_covers(general, specific) -> bool:
@@ -267,6 +313,18 @@ class _Recorder:
         self._iter_attempts += 1
         if self._participants is not None:
             self._participants.add(pair.serial)
+
+    def skip(self, pool, n):
+        """Charge ``n`` pairs of ``pool`` passed over for their label as
+        quick-check hits.  Every pair of the pool takes part in the visit,
+        whether tried or passed over."""
+        if not n:
+            return
+        self.attempts += n
+        self._iter_attempts += n
+        self.filtered += n
+        if self._participants is not None:
+            self._participants.update(pool.serials)
 
     def addition(self):
         self._iter_additions += 1
@@ -336,7 +394,21 @@ def _bind(roots, pos, pair, recorder):
     return space, rhs
 
 
-def _eps_bindings(roots, positions, eps_pairs, fresh, recorder):
+def _bind_each(space, pos, pool, rec):
+    """``_bind`` the root at ``pos`` to each pair of ``pool`` its label
+    allows, in insertion order; yields (pair, new_space, bound_rhs) for each
+    success.  The label is read from ``space``, where earlier bindings may
+    have set it."""
+    label = label_of(space[pos])
+    candidates = pool.candidates(label)
+    rec.skip(pool, len(pool.pairs) - len(candidates))
+    for p in candidates:
+        got = _bind(space, pos, p, rec)
+        if got is not None:
+            yield p, *got
+
+
+def _eps_bindings(roots, positions, eps_pool, fresh, recorder):
     """Enumerate every way to bind all listed positions, simultaneously,
     to empty-string pairs.  Yields (space, used_fresh)."""
 
@@ -344,12 +416,8 @@ def _eps_bindings(roots, positions, eps_pairs, fresh, recorder):
         if k == len(positions):
             yield space, used
             return
-        pos = positions[k]
-        for e in eps_pairs:
-            got = _bind(space, pos, e, recorder)
-            if got is None:
-                continue
-            yield from rec(got[0], k + 1, used or fresh is None or e.serial in fresh)
+        for e, new, _ in _bind_each(space, positions[k], eps_pool, recorder):
+            yield from rec(new, k + 1, used or fresh is None or e.serial in fresh)
 
     yield from rec(list(roots), 0, False)
 
@@ -407,8 +475,7 @@ def compute_first(g: Grammar, mode: str = "active"):
         for r in g.rules:
             offered = first.untested(r.rule_id) if mode == "active" else list(first.pairs)
             rec.begin_visit(offered)
-            fresh = {p.serial for p in offered} if mode == "active" else None
-            changed |= _first_visit(first, r, g, eps_mark, fresh, rec)
+            changed |= _first_visit(first, r, g, eps_mark, offered if mode == "active" else None, rec)
             if mode == "active":
                 first.mark_tested(offered, r.rule_id)
             rec.end_visit()
@@ -423,29 +490,27 @@ def compute_first(g: Grammar, mode: str = "active"):
     return first, rec.finish(True, time.perf_counter() - started)
 
 
-def _first_visit(first, rule, g, eps_mark, fresh, rec):
+def _first_visit(first, rule, g, eps_mark, offered, rec):
+    """One rule visit; ``offered`` is None in naive mode, else the pairs not
+    yet examined against the rule, and then a combination must use one."""
     if rule.is_epsilon:
         return _store(first, (rule.mother,), None, g, rule.rule_id, rec, eps_mark)
-    if fresh is not None and not fresh:
+    if offered is not None and not offered:
         return False
-    snapshot = list(first.pairs)
-    eps_pairs = [p for p in snapshot if p.is_epsilon and len(p.lhs) == 1]
-    drivers = [p for p in snapshot if not p.is_epsilon and len(p.lhs) == 1]
+    view = first.view()
+    fresh = None if offered is None else {p.serial for p in offered}
+    fresh_drivers = view.drivers if offered is None else _Pool([p for p in offered if not p.is_epsilon])
     base = rule.roots()
     k = len(rule.daughters)
     changed = False
     for i in range(k):
         prefix = list(range(1, 1 + i))
-        for space, used_fresh in _eps_bindings(base, prefix, eps_pairs, fresh, rec):
-            for drv in drivers:
-                if fresh is not None and not used_fresh and drv.serial not in fresh:
-                    continue
-                got = _bind(space, 1 + i, drv, rec)
-                if got is None:
-                    continue
-                changed |= _store(first, (got[0][0],), got[1], g, rule.rule_id, rec)
-    if eps_pairs:
-        for space, used_fresh in _eps_bindings(base, list(range(1, 1 + k)), eps_pairs, fresh, rec):
+        for space, used_fresh in _eps_bindings(base, prefix, view.eps, fresh, rec):
+            pool = view.drivers if used_fresh else fresh_drivers
+            for _, new, rhs in _bind_each(space, 1 + i, pool, rec):
+                changed |= _store(first, (new[0],), rhs, g, rule.rule_id, rec)
+    if view.eps.pairs:
+        for space, used_fresh in _eps_bindings(base, list(range(1, 1 + k)), view.eps, fresh, rec):
             if fresh is not None and not used_fresh:
                 continue
             changed |= _store(first, (space[0],), None, g, rule.rule_id, rec, eps_mark)
@@ -466,33 +531,25 @@ def first_of_string(first: PairSet, g: Grammar, cats) -> PairSet:
     cats = list(cats)
     if not cats:
         raise ValueError("empty category string")
+    view = first.view()
     for idx, c in enumerate(cats):
         if is_preterminal(c):
             continue
-        if not any(
-            len(p.lhs) == 1 and fs.unifiable(c, p.lhs[0]) for p in first.pairs
-        ):
+        if not any(fs.unifiable(c, p.lhs[0]) for p in view.single.candidates(label_of(c))):
             raise UnknownCategory(
                 f"position {idx + 1}: {format_roots([c])[0]} is neither preterminal "
                 "nor unifiable with any FIRST left side"
             )
-    eps_cat = epsilon_category(g)
-    eps_mark = EpsilonMark(eps_cat) if eps_cat is not None else None
     out = PairSet()
     rec = _Recorder("ondemand")
-    snapshot = list(first.pairs)
-    eps_pairs = [p for p in snapshot if p.is_epsilon and len(p.lhs) == 1]
-    drivers = [p for p in snapshot if not p.is_epsilon and len(p.lhs) == 1]
     n = len(cats)
     for i in range(n):
-        for space, _ in _eps_bindings(cats, list(range(i)), eps_pairs, None, rec):
-            for drv in drivers:
-                got = _bind(space, i, drv, rec)
-                if got is None:
-                    continue
-                _store(out, tuple(got[0]), got[1], g, None, rec)
-    if eps_pairs:
-        for space, _ in _eps_bindings(cats, list(range(n)), eps_pairs, None, rec):
+        for space, _ in _eps_bindings(cats, list(range(i)), view.eps, None, rec):
+            for _, new, rhs in _bind_each(space, i, view.drivers, rec):
+                _store(out, tuple(new), rhs, g, None, rec)
+    if view.eps.pairs:
+        eps_mark = view.eps.pairs[0].rhs  # the mark compute_first gave every empty pair
+        for space, _ in _eps_bindings(cats, list(range(n)), view.eps, None, rec):
             _store(out, tuple(space), None, g, None, rec, eps_mark)
     return out
 
@@ -514,9 +571,7 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
     rec = _Recorder(mode)
     started = time.perf_counter()
     _store(follow, (clone(g.start),), end_category(), g, None, rec)
-    fsnap = list(first.pairs)
-    eps_pairs = [p for p in fsnap if p.is_epsilon and len(p.lhs) == 1]
-    fdrivers = [p for p in fsnap if not p.is_epsilon and len(p.lhs) == 1]
+    fview = first.view()
     suffix_done = set()
     iteration = 0
     while True:
@@ -530,9 +585,7 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
         for r in g.rules:
             offered = follow.untested(r.rule_id) if mode == "active" else list(follow.pairs)
             rec.begin_visit(offered)
-            changed |= _follow_visit(
-                follow, r, g, eps_pairs, fdrivers, offered, rec, suffix_done, mode
-            )
+            changed |= _follow_visit(follow, r, g, fview, offered, rec, suffix_done, mode)
             if mode == "active":
                 follow.mark_tested(offered, r.rule_id)
             rec.end_visit()
@@ -547,7 +600,7 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
     return follow, rec.finish(True, time.perf_counter() - started)
 
 
-def _follow_visit(follow, rule, g, eps_pairs, fdrivers, offered, rec, suffix_done, mode):
+def _follow_visit(follow, rule, g, fview, offered, rec, suffix_done, mode):
     k = len(rule.daughters)
     if k == 0:
         return False
@@ -560,30 +613,20 @@ def _follow_visit(follow, rule, g, eps_pairs, fdrivers, offered, rec, suffix_don
         for i in range(k):
             for m in range(i + 1, k):
                 between = list(range(2 + i, 1 + m))
-                for space, _ in _eps_bindings(base, between, eps_pairs, None, rec):
-                    for drv in fdrivers:
-                        got = _bind(space, 1 + m, drv, rec)
-                        if got is None:
-                            continue
-                        changed |= _store(
-                            follow, (got[0][1 + i],), got[1], g, rule.rule_id, rec
-                        )
+                for space, _ in _eps_bindings(base, between, fview.eps, None, rec):
+                    for _, new, rhs in _bind_each(space, 1 + m, fview.drivers, rec):
+                        changed |= _store(follow, (new[1 + i],), rhs, g, rule.rule_id, rec)
     # the mother's FOLLOW flows to any daughter whose suffix is empty or
     # wholly derives the empty string
-    drivers = offered
-    if drivers:
+    if offered:
+        drivers = _Pool(offered)
         for i in range(k):
             tail = list(range(2 + i, 1 + k))
-            if tail and not eps_pairs:
+            if tail and not fview.eps.pairs:
                 continue
-            for space, _ in _eps_bindings(base, tail, eps_pairs, None, rec):
-                for fp in drivers:
-                    got = _bind(space, 0, fp, rec)
-                    if got is None:
-                        continue
-                    changed |= _store(
-                        follow, (got[0][1 + i],), got[1], g, rule.rule_id, rec
-                    )
+            for space, _ in _eps_bindings(base, tail, fview.eps, None, rec):
+                for _, new, rhs in _bind_each(space, 0, drivers, rec):
+                    changed |= _store(follow, (new[1 + i],), rhs, g, rule.rule_id, rec)
     return changed
 
 
@@ -596,8 +639,8 @@ def query(result: PairSet, cat: Node) -> list:
     equivalence, keeping the most specific of comparable values."""
     out = []
     have_eps = False
-    for p in result.pairs:
-        if len(p.lhs) != 1 or fs.quick_clash(cat, p.lhs[0]):
+    for p in result.view().single.candidates(label_of(cat)):
+        if fs.quick_clash(cat, p.lhs[0]):
             continue
         if p.is_epsilon:
             if have_eps:
@@ -616,10 +659,13 @@ def query(result: PairSet, cat: Node) -> list:
         except UnificationFailed:
             continue
         rhs = clone(roots[2])
+        label = label_of(rhs)
         placed = False
         for idx, have in enumerate(out):
             if isinstance(have, EpsilonMark):
                 continue
+            if label is not None and label_of(have) not in (None, label):
+                continue  # values with different atomic cats never subsume each other
             if fs.subsumes(rhs, have):
                 placed = True  # an equal or more specific value is kept
                 break
@@ -640,7 +686,8 @@ def pair_sets_equivalent(a: PairSet, b: PairSet) -> bool:
     matching is one-to-one whenever sizes agree)."""
     if len(a.pairs) != len(b.pairs):
         return False
-    return all(any(pair_equivalent(p, q) for q in b.pairs) for p in a.pairs)
+    # equivalent pairs have equal keys, so only b's bucket for p.key can match
+    return all(any(pair_equivalent(p, q) for q in b._buckets.get(p.key, ())) for p in a.pairs)
 
 
 @dataclass

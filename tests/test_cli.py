@@ -260,3 +260,14 @@ def test_python_dash_m_runs_the_cli():
     proc = _featflow("first", "fig1.gr")
     assert proc.returncode == 0, proc.stderr
     assert b"pairs (8):" in proc.stdout
+
+
+def test_deeply_nested_category_exits_3_without_a_traceback(tmp_path):
+    deep = tmp_path / "deep.gr"
+    deep.write_text("S[] -> x[f=" * 3000 + "a" + "]" * 3000 + ".\n", encoding="utf-8")
+    proc = _featflow("first", str(deep))
+    assert proc.returncode == 3
+    assert proc.stdout == b""
+    err = proc.stderr.decode("utf-8")
+    assert "Traceback" not in err
+    assert err.count("\n") == 1 and str(deep) in err

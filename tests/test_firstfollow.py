@@ -1,9 +1,11 @@
 """Engine behaviour: the antichain operator, fixpoints, modes, lookups."""
 
 import random
+import re
 
 import pytest
 
+from featflow import firstfollow as ff
 from featflow import fs
 from featflow.fs import atom, deref, node
 from featflow.firstfollow import (
@@ -12,6 +14,7 @@ from featflow.firstfollow import (
     Pair,
     PairSet,
     UnknownCategory,
+    MODES,
     _bind,
     _eps_bindings,
     _Recorder,
@@ -22,10 +25,18 @@ from featflow.firstfollow import (
     first_of_string,
     format_pair,
     pair_equivalent,
+    pair_sets_equivalent,
     pair_subsumes,
     query,
 )
-from featflow.grammar import label_of, parse_category, parse_category_sequence, parse_grammar
+from featflow.grammar import (
+    format_roots,
+    is_preterminal,
+    label_of,
+    parse_category,
+    parse_category_sequence,
+    parse_grammar,
+)
 from cf_oracle import (
     END,
     cf_first,
@@ -171,6 +182,24 @@ def test_bucketed_add_keeps_what_a_linear_scan_keeps():
         assert [p.serial for p in s] == [p.serial for p in expected]
         assert s.added + s.rejected == len(incoming)
         assert s.added - s.removed == len(expected)
+
+
+def test_pair_sets_equivalent_ignores_insertion_order():
+    texts = [("x[f=p]", "a[]"), ("y[]", None), ("[g=q]", "b[f=$1:[]]"), ("x[f=q]", "a[f=q]")]
+    a, b = PairSet(), PairSet()
+    for lhs, rhs in texts:
+        assert a.add(cat_pair(lhs, rhs))
+    for lhs, rhs in reversed(texts):
+        assert b.add(cat_pair(lhs, rhs))
+    assert pair_sets_equivalent(a, b) and pair_sets_equivalent(b, a)
+
+
+def test_pair_sets_differing_in_one_reentrancy_are_not_equivalent():
+    a, b = PairSet(), PairSet()
+    for s, (lhs, rhs) in ((a, ("x[f=$1]", "y[f=$1]")), (b, ("x[f=[]]", "y[f=[]]"))):
+        assert s.add(cat_pair("z[]", "w[]"))
+        assert s.add(cat_pair(lhs, rhs))
+    assert not pair_sets_equivalent(a, b) and not pair_sets_equivalent(b, a)
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +490,25 @@ def test_query_dedupe_keeps_the_more_specific_value():
         assert query(s, parse_category("y[]")) == []
 
 
+def test_query_dedupe_keeps_values_of_different_cat_side_by_side():
+    s = PairSet()
+    for lhs, rhs in (("x[f=p]", "a[]"), ("x[g=q]", "b[]"), ("x[h=r]", "a[k=s]")):
+        assert s.add(cat_pair(lhs, rhs))
+    out = query(s, parse_category("x[]"))
+    assert format_roots(out) == ["a[k=s]", "b[]"]
+
+
+def test_query_dedupe_compares_values_without_cat_with_labelled_ones():
+    for texts in (
+        [("x[g=q]", "[f=p]"), ("x[h=r]", "a[f=p]")],  # the labelled value replaces
+        [("x[h=r]", "a[f=p]"), ("x[g=q]", "[f=p]")],  # the labelled value absorbs
+    ):
+        s = PairSet()
+        for lhs, rhs in texts:
+            assert s.add(cat_pair(lhs, rhs))
+        assert format_roots(query(s, parse_category("x[]"))) == ["a[f=p]"]
+
+
 def test_query_includes_epsilon_and_dedupes():
     g = load_fixture("fig1.gr")
     first, _ = compute_first(g)
@@ -552,7 +600,7 @@ def test_mode_equivalence_on_random_feature_grammars():
 def test_choice_order_independence_of_prefix_bindings():
     g = load_fixture("fig1.gr")
     first, _ = compute_first(g)
-    eps_pairs = [p for p in first if p.is_epsilon]
+    eps_pairs = first.view().eps
     rule = g.rules[1]  # two leading NP daughters before the VP
     rec = _Recorder("probe")
     forward = [
@@ -677,3 +725,117 @@ def test_add_idempotent_over_fixpoint_clones():
             twin = Pair(tuple(roots[:-1]), roots[-1])
         assert not first.add(twin)
     assert len(first) == 8
+
+
+# ---------------------------------------------------------------------------
+# label-indexed pools against a full scan
+
+def full_scan_bind_each(space, pos, pool, rec):
+    """The loop the label index replaced: try every pair of the pool."""
+    for p in pool.pairs:
+        got = _bind(space, pos, p, rec)
+        if got is not None:
+            yield p, *got
+
+
+def full_scan_query(result, cat):
+    """``query`` as a scan over every stored pair, deduping each value
+    against every kept one."""
+    out = []
+    have_eps = False
+    for p in result.pairs:
+        if len(p.lhs) != 1 or fs.quick_clash(cat, p.lhs[0]):
+            continue
+        roots = fs.clone_many([cat, p.lhs[0]] + ([] if p.is_epsilon else [p.rhs]))
+        try:
+            fs.unify_in_place(roots[1], roots[0])
+        except fs.UnificationFailed:
+            continue
+        if p.is_epsilon:
+            if not have_eps:
+                out.append(p.rhs)
+                have_eps = True
+            continue
+        rhs = fs.clone(roots[2])
+        for idx, have in enumerate(out):
+            if isinstance(have, EpsilonMark):
+                continue
+            if fs.subsumes(rhs, have):
+                break
+            if fs.subsumes(have, rhs):
+                out[idx] = rhs
+                break
+        else:
+            out.append(rhs)
+    return out
+
+
+def full_scan_unknown(first, cats):
+    return any(
+        not is_preterminal(c)
+        and not any(len(p.lhs) == 1 and fs.unifiable(c, p.lhs[0]) for p in first.pairs)
+        for c in cats
+    )
+
+
+def loosely_labelled_grammar(rng):
+    """``random_feature_grammar`` with some categories unlabelled and some
+    given a complex ``cat``, whose pairs the pools treat as wildcards."""
+
+    def relabel(m):
+        r = rng.random()
+        if r < 0.2:
+            return "[" + (m.group(2) or "")
+        if r < 0.3:
+            return f"[cat=[k={m.group(1)}]" + ("]" if m.group(2) else ", ")
+        return m.group(0)
+
+    return re.sub(r"\b([xt]\d)\[(\])?", relabel, random_feature_grammar(rng))
+
+
+def rendered(values):
+    return ["ε" if isinstance(v, EpsilonMark) else format_roots([v])[0] for v in values]
+
+
+def stats_of(stats):
+    return stats.attempts, stats.filtered, stats.events, stats.rows, stats.fixpoint
+
+
+def string_first_or_unknown(first, g, cats):
+    try:
+        return [format_pair(p) for p in first_of_string(first, g, cats)]
+    except UnknownCategory:
+        return "unknown"
+
+
+def test_label_pools_match_a_full_scan(monkeypatch):
+    rng = random.Random(606)
+    grammars = [random_cf_grammar(rng)[0] for _ in range(8)]
+    grammars += [random_feature_grammar(rng) for _ in range(8)]
+    grammars += [loosely_labelled_grammar(rng) for _ in range(16)]
+    probes = parse_category_sequence("[] [cat=[k=x0]] [agr=sg] zz[] t0[ter=+]")
+    for text in grammars:
+        g = parse_grammar(text)
+        cats = [c for r in g.rules for c in r.roots()] + probes
+        strings = [[fs.clone(rng.choice(cats)) for _ in range(rng.randint(1, 3))] for _ in range(12)]
+        for mode in MODES:
+            runs = []
+            for bind_each, lookup in ((ff._bind_each, query), (full_scan_bind_each, full_scan_query)):
+                with monkeypatch.context() as m:
+                    m.setattr(ff, "_bind_each", bind_each)
+                    first, fstats = compute_first(g, mode)
+                    follow, ostats = compute_follow(g, first, mode)
+                    runs.append(
+                        (
+                            [format_pair(p) for p in first],
+                            [format_pair(p) for p in follow],
+                            stats_of(fstats),
+                            stats_of(ostats),
+                            [rendered(lookup(s, c)) for s in (first, follow) for c in cats],
+                            [string_first_or_unknown(first, g, w) for w in strings],
+                            [full_scan_unknown(first, w) for w in strings],
+                        )
+                    )
+            assert runs[0] == runs[1], text
+            answers, unknown = runs[0][5], runs[0][6]
+            assert [a == "unknown" for a in answers] == unknown, text

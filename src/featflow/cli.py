@@ -307,12 +307,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _common(sub):
-    sub.add_argument("--mode", choices=ff.MODES, default="active")
+def _shared(sub):
+    """Flags of every command that computes pair sets, ``bench`` included."""
     sub.add_argument("--restrictor", default=None, help="override the file's restrictor ('' clears it)")
     sub.add_argument("--max-iterations", type=_positive_int, default=None)
     sub.add_argument("--max-pairs", type=_positive_int, default=None)
     sub.add_argument("--format", choices=("text", "json"), default="text")
+
+
+def _common(sub):
+    sub.add_argument("--mode", choices=ff.MODES, default="active")
+    _shared(sub)
     sub.add_argument("--stats", action="store_true", help="include iteration statistics")
 
 
@@ -346,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("bench", help="compare naive and active modes")
     p.add_argument("grammars", nargs="+")
-    _common(p)
+    _shared(p)  # bench runs both modes and always reports their statistics
     p.set_defaults(run=cmd_bench)
 
     return parser

@@ -11,12 +11,16 @@ incoming pair that subsumes stored ones replaces them.
 Every stored pair has the grammar's restrictor applied first; that is
 what keeps the set finite for grammars whose raw category space is not.
 
-Two evaluation modes produce equivalent fixpoints:
+FIRST and FOLLOW run one fixpoint driver, ``_fixpoint``, whose rule
+visits enumerate only combinations that use a pair they are offered.  The
+two evaluation modes differ only in that offer, and give equivalent
+fixpoints:
 
-- ``naive``: every rule visit re-examines every stored pair.
-- ``active``: each (pair, rule) combination is examined exactly once; a
-  rule visit only enumerates combinations that involve at least one pair
-  it has not seen, and skips entirely when there are none.
+- ``naive``: every stored pair is offered on every visit.
+- ``active``: each pair is offered to each rule exactly once.
+
+FIRST of a span of positions, in a rule or in a category string, is one
+enumerator, ``_first_of_span``.
 """
 
 from __future__ import annotations
@@ -81,14 +85,13 @@ class Pair:
     root has no atomic ``cat``); ``PairSet`` buckets pairs by it.
     """
 
-    __slots__ = ("serial", "lhs", "rhs", "origin_rule", "restricted", "events", "key")
+    __slots__ = ("serial", "lhs", "rhs", "origin_rule", "events", "key")
 
-    def __init__(self, lhs, rhs, origin_rule=None, restricted=True):
+    def __init__(self, lhs, rhs, origin_rule=None):
         self.serial = next(_serials)
         self.lhs = tuple(lhs)
         self.rhs = rhs
         self.origin_rule = origin_rule
-        self.restricted = restricted
         self.events = 0
         self.key = (self.signature(), tuple(label_of(r) for r in self.comparison_roots()))
 
@@ -148,8 +151,6 @@ class PairSet:
     def add(self, p: Pair) -> bool:
         """Antichain addition: drop a subsumed incomer, else replace what it
         subsumes.  Replacements enter fully active."""
-        if not p.restricted:
-            raise ValueError("only restricted pairs may be stored")
         roots = p.comparison_roots()
         for q in self._compatible(p.key, covering=True):
             if fs.subsumes_many(q.comparison_roots(), roots):
@@ -296,6 +297,7 @@ class _Recorder:
         self._considered = []
         self._iter_attempts = 0
         self._iter_additions = 0
+        self._started = time.perf_counter()
 
     def begin_iteration(self):
         self._considered = []
@@ -340,17 +342,17 @@ class _Recorder:
             IterationRow(len(self.rows) + 1, mean, total, self._iter_attempts, self._iter_additions)
         )
 
-    def finish(self, fixpoint, wall):
+    def finish(self, fixpoint, total=None):
+        """The run's stats; closes an open visit and, given the set's size
+        ``total``, the open iteration."""
         if self._participants is not None:
             self.end_visit()
+        if total is not None:
+            self.end_iteration(total)
+        wall = time.perf_counter() - self._started
         return RunStats(
             self.mode, list(self.rows), self.attempts, self.events, wall, fixpoint, self.filtered
         )
-
-    def abort(self, total):
-        if self._participants is not None:
-            self.end_visit()
-        self.end_iteration(total)
 
 
 # ---------------------------------------------------------------------------
@@ -380,13 +382,10 @@ def _bind(roots, pos, pair, recorder):
     if fs.quick_clash(roots[pos], pair.lhs[0]):
         recorder.filtered += 1
         return None
-    extra = list(pair.lhs)
-    if not pair.is_epsilon:
-        extra.append(pair.rhs)
-    allroots = clone_many(list(roots) + extra)
+    allroots = clone_many([*roots, *pair.comparison_roots()])  # an empty-string rhs is not copied
     space = allroots[: len(roots)]
     lhs = allroots[len(roots)]
-    rhs = allroots[-1] if not pair.is_epsilon else None
+    rhs = None if pair.is_epsilon else allroots[-1]
     try:
         fs.unify_in_place(space[pos], lhs)
     except UnificationFailed:
@@ -410,16 +409,35 @@ def _bind_each(space, pos, pool, rec):
 
 def _eps_bindings(roots, positions, eps_pool, fresh, recorder):
     """Enumerate every way to bind all listed positions, simultaneously,
-    to empty-string pairs.  Yields (space, used_fresh)."""
+    to empty-string pairs.  Yields (space, used_fresh): whether some bound
+    pair's serial is in ``fresh``; every pair counts as fresh when ``fresh``
+    is None."""
 
     def rec(space, k, used):
         if k == len(positions):
             yield space, used
             return
         for e, new, _ in _bind_each(space, positions[k], eps_pool, recorder):
-            yield from rec(new, k + 1, used or fresh is None or e.serial in fresh)
+            yield from rec(new, k + 1, used or e.serial in fresh)
 
-    yield from rec(list(roots), 0, False)
+    yield from rec(list(roots), 0, fresh is None)
+
+
+def _first_of_span(space, span, view, rec, fresh=None, fresh_drivers=None):
+    """FIRST of the positions ``span`` of ``space`` under ``view``: for each
+    position, every way to bind the positions before it to empty pairs and
+    itself to a non-empty pair.  Yields (new_space, bound_rhs).
+
+    With ``fresh`` (a set of serials), a combination that binds no empty
+    pair from ``fresh`` takes its driver from ``fresh_drivers`` only, so
+    every combination uses a fresh pair.  That the whole span derives the
+    empty string is ``_eps_bindings`` over ``span``.
+    """
+    for j, pos in enumerate(span):
+        for bound, used in _eps_bindings(space, span[:j], view.eps, fresh, rec):
+            pool = view.drivers if used else fresh_drivers
+            for _, new, rhs in _bind_each(bound, pos, pool, rec):
+                yield new, rhs
 
 
 def _store(pset, lhs_roots, rhs, g, origin, recorder, eps_mark=None):
@@ -438,6 +456,46 @@ def _store(pset, lhs_roots, rhs, g, origin, recorder, eps_mark=None):
     return False
 
 
+def _fixpoint(g: Grammar, mode: str, seed, visit):
+    """The fixpoint loop of FIRST and FOLLOW; returns (PairSet, RunStats).
+
+    ``seed(store)`` stores the initial pairs.  Then each pass visits every
+    rule as ``visit(rule, offered, pairs, rec, store)``, which returns
+    whether it added a pair, until a pass adds none; ``pairs`` is the set
+    being built and ``rec`` its recorder.  ``offered`` are the pairs the
+    visit examines: every stored pair in naive mode, those not yet examined
+    against the rule in active mode.  ``store(lhs_roots, rhs,
+    origin, eps_mark=None)`` is ``_store`` into the set; the insertion that
+    takes the set past ``g.max_pairs`` raises LimitExceeded, as does a pass
+    beyond ``g.max_iterations``.
+    """
+    _check_mode(mode)
+    out = PairSet()
+    rec = _Recorder(mode)
+
+    def store(lhs_roots, rhs, origin, eps_mark=None):
+        added = _store(out, lhs_roots, rhs, g, origin, rec, eps_mark)
+        if len(out) > g.max_pairs:
+            raise LimitExceeded("pairs", g.max_pairs, rec.finish(False, len(out)))
+        return added
+
+    seed(store)
+    for iteration in itertools.count(1):
+        if iteration > g.max_iterations:
+            raise LimitExceeded("iterations", g.max_iterations, rec.finish(False))
+        rec.begin_iteration()
+        changed = False
+        for r in g.rules:
+            offered = out.untested(r.rule_id) if mode == "active" else list(out.pairs)
+            rec.begin_visit(offered)
+            changed |= visit(r, offered, out, rec, store)
+            out.mark_tested(offered, r.rule_id)
+            rec.end_visit()
+        rec.end_iteration(len(out))
+        if not changed:
+            return out, rec.finish(True)
+
+
 # ---------------------------------------------------------------------------
 # FIRST
 
@@ -450,71 +508,37 @@ def compute_first(g: Grammar, mode: str = "active"):
     contributes (X', a) whenever position i's daughter unifies with the
     left side of a stored non-empty pair while every earlier daughter
     simultaneously unifies with left sides of empty pairs, and (X', empty)
-    when all k daughters do.
+    when all k daughters do.  A combination must use an offered pair.
     """
-    _check_mode(mode)
     eps_cat = epsilon_category(g)
     eps_mark = EpsilonMark(eps_cat) if eps_cat is not None else None
-    first = PairSet()
-    rec = _Recorder(mode)
-    started = time.perf_counter()
-    for r in g.rules:
-        for d in r.daughters:
-            if is_preterminal(d):
-                root = clone(d)
-                _store(first, (root,), root, g, r.rule_id, rec)
-    iteration = 0
-    while True:
-        iteration += 1
-        if iteration > g.max_iterations:
-            raise LimitExceeded(
-                "iterations", g.max_iterations, rec.finish(False, time.perf_counter() - started)
-            )
-        rec.begin_iteration()
-        changed = False
+
+    def seed(store):
         for r in g.rules:
-            offered = first.untested(r.rule_id) if mode == "active" else list(first.pairs)
-            rec.begin_visit(offered)
-            changed |= _first_visit(first, r, g, eps_mark, offered if mode == "active" else None, rec)
-            if mode == "active":
-                first.mark_tested(offered, r.rule_id)
-            rec.end_visit()
-            if len(first) > g.max_pairs:
-                rec.abort(len(first))
-                raise LimitExceeded(
-                    "pairs", g.max_pairs, rec.finish(False, time.perf_counter() - started)
-                )
-        rec.end_iteration(len(first))
-        if not changed:
-            break
-    return first, rec.finish(True, time.perf_counter() - started)
+            for d in r.daughters:
+                if is_preterminal(d):
+                    root = clone(d)
+                    store((root,), root, r.rule_id)
 
+    def visit(rule, offered, first, rec, store):
+        if rule.is_epsilon:
+            return store((rule.mother,), None, rule.rule_id, eps_mark)
+        if not offered:
+            return False
+        view = first.view()
+        fresh = {p.serial for p in offered}
+        fresh_drivers = _Pool([p for p in offered if not p.is_epsilon])
+        base = rule.roots()
+        span = list(range(1, 1 + len(rule.daughters)))
+        changed = False
+        for new, rhs in _first_of_span(base, span, view, rec, fresh, fresh_drivers):
+            changed |= store((new[0],), rhs, rule.rule_id)
+        for space, used_fresh in _eps_bindings(base, span, view.eps, fresh, rec):
+            if used_fresh:
+                changed |= store((space[0],), None, rule.rule_id, eps_mark)
+        return changed
 
-def _first_visit(first, rule, g, eps_mark, offered, rec):
-    """One rule visit; ``offered`` is None in naive mode, else the pairs not
-    yet examined against the rule, and then a combination must use one."""
-    if rule.is_epsilon:
-        return _store(first, (rule.mother,), None, g, rule.rule_id, rec, eps_mark)
-    if offered is not None and not offered:
-        return False
-    view = first.view()
-    fresh = None if offered is None else {p.serial for p in offered}
-    fresh_drivers = view.drivers if offered is None else _Pool([p for p in offered if not p.is_epsilon])
-    base = rule.roots()
-    k = len(rule.daughters)
-    changed = False
-    for i in range(k):
-        prefix = list(range(1, 1 + i))
-        for space, used_fresh in _eps_bindings(base, prefix, view.eps, fresh, rec):
-            pool = view.drivers if used_fresh else fresh_drivers
-            for _, new, rhs in _bind_each(space, 1 + i, pool, rec):
-                changed |= _store(first, (new[0],), rhs, g, rule.rule_id, rec)
-    if view.eps.pairs:
-        for space, used_fresh in _eps_bindings(base, list(range(1, 1 + k)), view.eps, fresh, rec):
-            if fresh is not None and not used_fresh:
-                continue
-            changed |= _store(first, (space[0],), None, g, rule.rule_id, rec, eps_mark)
-    return changed
+    return _fixpoint(g, mode, seed, visit)
 
 
 # ---------------------------------------------------------------------------
@@ -542,15 +566,12 @@ def first_of_string(first: PairSet, g: Grammar, cats) -> PairSet:
             )
     out = PairSet()
     rec = _Recorder("ondemand")
-    n = len(cats)
-    for i in range(n):
-        for space, _ in _eps_bindings(cats, list(range(i)), view.eps, None, rec):
-            for _, new, rhs in _bind_each(space, i, view.drivers, rec):
-                _store(out, tuple(new), rhs, g, None, rec)
-    if view.eps.pairs:
+    span = list(range(len(cats)))
+    for new, rhs in _first_of_span(cats, span, view, rec):
+        _store(out, tuple(new), rhs, g, None, rec)
+    for space, _ in _eps_bindings(cats, span, view.eps, None, rec):
         eps_mark = view.eps.pairs[0].rhs  # the mark compute_first gave every empty pair
-        for space, _ in _eps_bindings(cats, list(range(n)), view.eps, None, rec):
-            _store(out, tuple(space), None, g, None, rec, eps_mark)
+        _store(out, tuple(space), None, g, None, rec, eps_mark)
     return out
 
 
@@ -564,70 +585,39 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
     the FIRST values of the suffix after i (computed inside the rule
     instance, so bindings thread through the mother) feed FOLLOW(Yi); and
     when that suffix is empty or wholly derives the empty string, every
-    stored (M, f) whose M unifies with X' contributes (Y'i, f).
+    offered (M, f) whose M unifies with X' contributes (Y'i, f).
     """
-    _check_mode(mode)
-    follow = PairSet()
-    rec = _Recorder(mode)
-    started = time.perf_counter()
-    _store(follow, (clone(g.start),), end_category(), g, None, rec)
     fview = first.view()
     suffix_done = set()
-    iteration = 0
-    while True:
-        iteration += 1
-        if iteration > g.max_iterations:
-            raise LimitExceeded(
-                "iterations", g.max_iterations, rec.finish(False, time.perf_counter() - started)
-            )
-        rec.begin_iteration()
+
+    def seed(store):
+        store((clone(g.start),), end_category(), None)
+
+    def visit(rule, offered, follow, rec, store):
+        k = len(rule.daughters)
+        if k == 0:
+            return False
+        base = rule.roots()
+        tails = [list(range(2 + i, 1 + k)) for i in range(k)]  # positions after daughter i
         changed = False
-        for r in g.rules:
-            offered = follow.untested(r.rule_id) if mode == "active" else list(follow.pairs)
-            rec.begin_visit(offered)
-            changed |= _follow_visit(follow, r, g, fview, offered, rec, suffix_done, mode)
-            if mode == "active":
-                follow.mark_tested(offered, r.rule_id)
-            rec.end_visit()
-            if len(follow) > g.max_pairs:
-                rec.abort(len(follow))
-                raise LimitExceeded(
-                    "pairs", g.max_pairs, rec.finish(False, time.perf_counter() - started)
-                )
-        rec.end_iteration(len(follow))
-        if not changed:
-            break
-    return follow, rec.finish(True, time.perf_counter() - started)
+        # FIRST of each proper suffix; its inputs never change, so the active
+        # mode only runs this on the rule's first visit
+        if mode == "naive" or rule.rule_id not in suffix_done:
+            suffix_done.add(rule.rule_id)
+            for i, tail in enumerate(tails):
+                for new, rhs in _first_of_span(base, tail, fview, rec):
+                    changed |= store((new[1 + i],), rhs, rule.rule_id)
+        # the mother's FOLLOW flows to any daughter whose suffix is empty or
+        # wholly derives the empty string
+        if offered:
+            drivers = _Pool(offered)
+            for i, tail in enumerate(tails):
+                for space, _ in _eps_bindings(base, tail, fview.eps, None, rec):
+                    for _, new, rhs in _bind_each(space, 0, drivers, rec):
+                        changed |= store((new[1 + i],), rhs, rule.rule_id)
+        return changed
 
-
-def _follow_visit(follow, rule, g, fview, offered, rec, suffix_done, mode):
-    k = len(rule.daughters)
-    if k == 0:
-        return False
-    base = rule.roots()
-    changed = False
-    # FIRST of each proper suffix; its inputs never change, so the active
-    # mode only runs this on the rule's first visit
-    if mode == "naive" or rule.rule_id not in suffix_done:
-        suffix_done.add(rule.rule_id)
-        for i in range(k):
-            for m in range(i + 1, k):
-                between = list(range(2 + i, 1 + m))
-                for space, _ in _eps_bindings(base, between, fview.eps, None, rec):
-                    for _, new, rhs in _bind_each(space, 1 + m, fview.drivers, rec):
-                        changed |= _store(follow, (new[1 + i],), rhs, g, rule.rule_id, rec)
-    # the mother's FOLLOW flows to any daughter whose suffix is empty or
-    # wholly derives the empty string
-    if offered:
-        drivers = _Pool(offered)
-        for i in range(k):
-            tail = list(range(2 + i, 1 + k))
-            if tail and not fview.eps.pairs:
-                continue
-            for space, _ in _eps_bindings(base, tail, fview.eps, None, rec):
-                for _, new, rhs in _bind_each(space, 0, drivers, rec):
-                    changed |= _store(follow, (new[1 + i],), rhs, g, rule.rule_id, rec)
-    return changed
+    return _fixpoint(g, mode, seed, visit)
 
 
 # ---------------------------------------------------------------------------
@@ -639,41 +629,25 @@ def query(result: PairSet, cat: Node) -> list:
     equivalence, keeping the most specific of comparable values."""
     out = []
     have_eps = False
-    for p in result.view().single.candidates(label_of(cat)):
-        if fs.quick_clash(cat, p.lhs[0]):
-            continue
+    for p, _, bound in _bind_each([cat], 0, result.view().single, _Recorder("query")):
         if p.is_epsilon:
-            if have_eps:
-                continue
-            roots = clone_many([cat, p.lhs[0]])
-            try:
-                fs.unify_in_place(roots[1], roots[0])
-            except UnificationFailed:
-                continue
-            out.append(p.rhs)
-            have_eps = True
+            if not have_eps:
+                out.append(p.rhs)
+                have_eps = True
             continue
-        roots = clone_many([cat, p.lhs[0], p.rhs])
-        try:
-            fs.unify_in_place(roots[1], roots[0])
-        except UnificationFailed:
-            continue
-        rhs = clone(roots[2])
+        rhs = clone(bound)
         label = label_of(rhs)
-        placed = False
         for idx, have in enumerate(out):
             if isinstance(have, EpsilonMark):
                 continue
             if label is not None and label_of(have) not in (None, label):
                 continue  # values with different atomic cats never subsume each other
             if fs.subsumes(rhs, have):
-                placed = True  # an equal or more specific value is kept
-                break
+                break  # an equal or more specific value is kept
             if fs.subsumes(have, rhs):
                 out[idx] = rhs
-                placed = True
                 break
-        if not placed:
+        else:
             out.append(rhs)
     return out
 

@@ -66,10 +66,6 @@ def node(**arcs: Node) -> Node:
     return Node(arcs=dict(arcs))
 
 
-def complex_node(arcs: dict) -> Node:
-    return Node(arcs=dict(arcs))
-
-
 def deref(n: Node) -> Node:
     while n.forward is not None:
         if n.forward.forward is not None:

@@ -206,6 +206,14 @@ def test_bench_mismatch_exit_code(capsys, monkeypatch):
     assert json.loads(out)[0]["equivalence"] == {"first": False, "follow": False}
 
 
+@pytest.mark.parametrize("flag", [["--mode", "naive"], ["--stats"]])
+def test_bench_rejects_flags_it_would_ignore(capsys, flag):
+    code, out, err = run(capsys, "bench", fixture_path("fig1.gr"), *flag)
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
 def test_bench_reports_filtered_attempts(capsys):
     code, out, _ = run(capsys, "bench", fixture_path("bench21.gr"), "--format", "json")
     assert code == 0

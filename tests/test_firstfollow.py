@@ -97,13 +97,6 @@ def test_epsilon_pairs_never_compare_with_category_pairs():
     assert len(s) == 2
 
 
-def test_unrestricted_pair_rejected():
-    p = cat_pair("np[]", "det[]")
-    p.restricted = False
-    with pytest.raises(ValueError):
-        PairSet().add(p)
-
-
 def test_pair_without_cat_rejects_labelled_incomers():
     s = PairSet()
     s.add(cat_pair("[agr=sg]", "det[]"))
@@ -543,6 +536,28 @@ def test_pair_limit_guard():
     with pytest.raises(LimitExceeded) as err:
         compute_first(g)
     assert err.value.kind == "pairs"
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_pair_guard_fires_on_the_seed_that_exceeds_it(mode):
+    g = parse_grammar("S[] -> A[].\n" + "".join(f"A[] -> t{i}[ter=+].\n" for i in range(60)))
+    g.max_pairs = 10
+    with pytest.raises(LimitExceeded) as err:
+        compute_first(g, mode)
+    assert err.value.kind == "pairs"
+    assert err.value.stats.rows[-1].total == g.max_pairs + 1
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_pair_guard_fires_inside_the_visit_that_exceeds_it(mode):
+    text = "S[] -> A[] B[].\nA[] -> a[ter=+].\n"
+    g = parse_grammar(text + "".join(f"B[] -> t{i}[ter=+].\n" for i in range(60)))
+    first, _ = compute_first(g, mode)
+    g.max_pairs = 10  # FOLLOW(A) gets all 60 terminals in one visit of the first rule
+    with pytest.raises(LimitExceeded) as err:
+        compute_follow(g, first, mode)
+    assert err.value.kind == "pairs"
+    assert err.value.stats.rows[-1].total == g.max_pairs + 1
 
 
 # ---------------------------------------------------------------------------

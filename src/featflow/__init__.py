@@ -25,6 +25,7 @@ from .fs import (
     subsumes_many,
     unifiable,
     unify,
+    unify_copy,
     unify_in_place,
 )
 from .grammar import (

@@ -315,9 +315,14 @@ def _shared(sub):
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def _common(sub):
+def _moded(sub):
+    """Flags of the commands that run one mode."""
     sub.add_argument("--mode", choices=ff.MODES, default="active")
     _shared(sub)
+
+
+def _common(sub):
+    _moded(sub)
     sub.add_argument("--stats", action="store_true", help="include iteration statistics")
 
 
@@ -341,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("string-first", help="FIRST of a category string")
     p.add_argument("grammar")
     p.add_argument("string", help="whitespace-separated AVMs, e.g. 'NP[] NP[] VP[]'")
-    _common(p)
+    _moded(p)  # string-first reports no statistics
     p.set_defaults(run=cmd_string_first)
 
     p = subs.add_parser("validate", help="static checks only")

@@ -10,6 +10,9 @@ antichain: an incoming pair subsumed by a stored one is dropped, and an
 incoming pair that subsumes stored ones replaces them.
 Every stored pair has the grammar's restrictor applied first; that is
 what keeps the set finite for grammars whose raw category space is not.
+A product of a binding is restricted as it is copied out of the bound
+space, by ``fs.unify_copy``, which also leaves the rule and the stored
+pair it bound as they were.
 
 FIRST and FOLLOW run one fixpoint driver, ``_fixpoint``, whose rule
 visits enumerate only combinations that use a pair they are offered.  The
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from . import fs
-from .fs import Node, UnificationFailed, clone, clone_many
+from .fs import Node, UnificationFailed
 from .grammar import Grammar, end_category, format_roots, is_preterminal, label_of
 
 MODES = ("naive", "active")
@@ -80,12 +83,17 @@ class Pair:
     ``lhs`` is a tuple of category roots (length one except for string
     queries), ``rhs`` is a category root or an EpsilonMark, and all roots
     live in one shared space.  ``origin_rule`` and ``serial`` exist for
-    agenda bookkeeping and deterministic output order.  ``key`` is the
-    signature plus the ``cat`` label of each comparison root (None where a
-    root has no atomic ``cat``); ``PairSet`` buckets pairs by it.
+    agenda bookkeeping and deterministic output order.  ``comparison_roots``
+    are the roots subsumption compares: ``lhs``, plus ``rhs`` unless it is
+    an EpsilonMark.  ``key`` is the signature ``(len(lhs), is_epsilon)``
+    plus the ``cat`` label of each comparison root (None where a root has
+    no atomic ``cat``); ``PairSet`` buckets pairs by it.  All are set once
+    here, and ``lhs`` and ``rhs`` are never reassigned.
     """
 
-    __slots__ = ("serial", "lhs", "rhs", "origin_rule", "events", "key")
+    __slots__ = (
+        "serial", "lhs", "rhs", "origin_rule", "events", "is_epsilon", "comparison_roots", "key"
+    )
 
     def __init__(self, lhs, rhs, origin_rule=None):
         self.serial = next(_serials)
@@ -93,18 +101,11 @@ class Pair:
         self.rhs = rhs
         self.origin_rule = origin_rule
         self.events = 0
-        self.key = (self.signature(), tuple(label_of(r) for r in self.comparison_roots()))
-
-    @property
-    def is_epsilon(self) -> bool:
-        return isinstance(self.rhs, EpsilonMark)
-
-    def comparison_roots(self) -> tuple:
+        self.is_epsilon = isinstance(rhs, EpsilonMark)
         # epsilon right-hand sides carry no bindings, so they do not compare
-        return self.lhs if self.is_epsilon else (*self.lhs, self.rhs)
-
-    def signature(self) -> tuple:
-        return (len(self.lhs), self.is_epsilon)
+        self.comparison_roots = self.lhs if self.is_epsilon else (*self.lhs, rhs)
+        signature = (len(self.lhs), self.is_epsilon)
+        self.key = (signature, tuple(label_of(r) for r in self.comparison_roots))
 
     def __repr__(self):
         return f"Pair({format_pair(self)})"
@@ -112,9 +113,7 @@ class Pair:
 
 def pair_subsumes(p: Pair, q: Pair) -> bool:
     """Joint subsumption over both sides, so cross-side sharing counts."""
-    return p.signature() == q.signature() and fs.subsumes_many(
-        p.comparison_roots(), q.comparison_roots()
-    )
+    return p.key[0] == q.key[0] and fs.subsumes_many(p.comparison_roots, q.comparison_roots)
 
 
 def pair_equivalent(p: Pair, q: Pair) -> bool:
@@ -151,15 +150,15 @@ class PairSet:
     def add(self, p: Pair) -> bool:
         """Antichain addition: drop a subsumed incomer, else replace what it
         subsumes.  Replacements enter fully active."""
-        roots = p.comparison_roots()
+        roots = p.comparison_roots
         for q in self._compatible(p.key, covering=True):
-            if fs.subsumes_many(q.comparison_roots(), roots):
+            if fs.subsumes_many(q.comparison_roots, roots):
                 self.rejected += 1
                 return False
         doomed = [
             q
             for q in self._compatible(p.key, covering=False)
-            if fs.subsumes_many(roots, q.comparison_roots())
+            if fs.subsumes_many(roots, q.comparison_roots)
         ]
         if doomed:
             dead = {q.serial for q in doomed}
@@ -370,63 +369,71 @@ def epsilon_category(g: Grammar) -> Node | None:
     return out
 
 
-def _bind(roots, pos, pair, recorder):
-    """Clone the working space jointly with a stored pair, then unify the
-    root at ``pos`` with the pair's left side.
+def _bind(roots, pos, pair, recorder, keep=None, restrictor=frozenset()):
+    """Unify the root at ``pos`` of a working space with a stored pair's
+    left side, and copy out the roots at the indices ``keep`` (every root
+    when None) together with the pair's right side, restricted by
+    ``restrictor``.
 
-    Returns (new_roots, bound_rhs) or None on failure.  The inputs are
-    never touched: all mutation happens inside the fresh clone.  A
-    top-level atom clash is caught before the clone and counted as filtered.
+    Returns (kept_roots, bound_rhs), with bound_rhs None for an empty-string
+    pair, or None on failure.  ``fs.unify_copy`` binds the inputs only for
+    the duration of the call, so they come back unchanged.  A top-level
+    atom clash is caught before anything is bound and counted as filtered.
     """
     recorder.attempt(pair)
     if fs.quick_clash(roots[pos], pair.lhs[0]):
         recorder.filtered += 1
         return None
-    allroots = clone_many([*roots, *pair.comparison_roots()])  # an empty-string rhs is not copied
-    space = allroots[: len(roots)]
-    lhs = allroots[len(roots)]
-    rhs = None if pair.is_epsilon else allroots[-1]
+    out = list(roots) if keep is None else [roots[i] for i in keep]
+    if not pair.is_epsilon:
+        out.append(pair.rhs)  # an empty-string rhs is not copied
     try:
-        fs.unify_in_place(space[pos], lhs)
+        out = fs.unify_copy(roots[pos], pair.lhs[0], out, restrictor)
     except UnificationFailed:
         return None
-    return space, rhs
+    if pair.is_epsilon:
+        return out, None
+    return out[:-1], out[-1]
 
 
-def _bind_each(space, pos, pool, rec):
+def _bind_each(space, pos, pool, rec, keep=None, restrictor=frozenset()):
     """``_bind`` the root at ``pos`` to each pair of ``pool`` its label
-    allows, in insertion order; yields (pair, new_space, bound_rhs) for each
-    success.  The label is read from ``space``, where earlier bindings may
-    have set it."""
+    allows, in insertion order; yields (pair, kept_roots, bound_rhs) for
+    each success.  The label is read from ``space``, where earlier bindings
+    may have set it."""
     label = label_of(space[pos])
     candidates = pool.candidates(label)
     rec.skip(pool, len(pool.pairs) - len(candidates))
     for p in candidates:
-        got = _bind(space, pos, p, rec)
+        got = _bind(space, pos, p, rec, keep, restrictor)
         if got is not None:
             yield p, *got
 
 
-def _eps_bindings(roots, positions, eps_pool, fresh, recorder):
+def _eps_bindings(roots, positions, eps_pool, fresh, recorder, keep=None, restrictor=frozenset()):
     """Enumerate every way to bind all listed positions, simultaneously,
     to empty-string pairs.  Yields (space, used_fresh): whether some bound
     pair's serial is in ``fresh``; every pair counts as fresh when ``fresh``
-    is None."""
+    is None.  The last binding keeps the roots ``keep``, restricted by
+    ``restrictor``, as ``_bind`` does; the spaces between keep every root,
+    unrestricted.  With no positions, ``roots`` are yielded as they are."""
 
     def rec(space, k, used):
         if k == len(positions):
             yield space, used
             return
-        for e, new, _ in _bind_each(space, positions[k], eps_pool, recorder):
+        copy_out = (keep, restrictor) if k + 1 == len(positions) else ()
+        for e, new, _ in _bind_each(space, positions[k], eps_pool, recorder, *copy_out):
             yield from rec(new, k + 1, used or e.serial in fresh)
 
     yield from rec(list(roots), 0, fresh is None)
 
 
-def _first_of_span(space, span, view, rec, fresh=None, fresh_drivers=None):
+def _first_of_span(space, span, view, rec, keep, restrictor, fresh=None, fresh_drivers=None):
     """FIRST of the positions ``span`` of ``space`` under ``view``: for each
     position, every way to bind the positions before it to empty pairs and
-    itself to a non-empty pair.  Yields (new_space, bound_rhs).
+    itself to a non-empty pair.  Yields (kept_roots, bound_rhs), copied out
+    of the bound space as ``_bind`` does with ``keep`` and ``restrictor``.
 
     With ``fresh`` (a set of serials), a combination that binds no empty
     pair from ``fresh`` takes its driver from ``fresh_drivers`` only, so
@@ -436,20 +443,22 @@ def _first_of_span(space, span, view, rec, fresh=None, fresh_drivers=None):
     for j, pos in enumerate(span):
         for bound, used in _eps_bindings(space, span[:j], view.eps, fresh, rec):
             pool = view.drivers if used else fresh_drivers
-            for _, new, rhs in _bind_each(bound, pos, pool, rec):
-                yield new, rhs
+            for _, kept, rhs in _bind_each(bound, pos, pool, rec, keep, restrictor):
+                yield kept, rhs
 
 
-def _store(pset, lhs_roots, rhs, g, origin, recorder, eps_mark=None):
-    """Restrict a product, canonicalize it, and add it through the
-    antichain operator.  Canonicalization prunes vacuous leftovers from
-    discarded rule context so equal claims collide under the operator."""
-    roots = list(lhs_roots) + ([rhs] if rhs is not None else [])
-    restricted = fs.prune_empty_leaves(fs.restrict_many(roots, g.restrictor))
+def _store(pset, lhs_roots, rhs, origin, recorder, eps_mark=None):
+    """Canonicalize a restricted product and add it through the antichain
+    operator.  The roots must be a fresh copy, already restricted: binds
+    restrict as they copy out, and seeds and empty-rule mothers go through
+    ``fs.restrict_many``.  Canonicalization prunes, in place, vacuous
+    leftovers from discarded rule context so equal claims collide under the
+    operator."""
+    roots = fs.prune_empty_leaves([*lhs_roots, rhs] if rhs is not None else lhs_roots)
     if rhs is not None:
-        p = Pair(tuple(restricted[:-1]), restricted[-1], origin)
+        p = Pair(tuple(roots[:-1]), roots[-1], origin)
     else:
-        p = Pair(tuple(restricted), eps_mark, origin)
+        p = Pair(tuple(roots), eps_mark, origin)
     if pset.add(p):
         recorder.addition()
         return True
@@ -464,17 +473,18 @@ def _fixpoint(g: Grammar, mode: str, seed, visit):
     whether it added a pair, until a pass adds none; ``pairs`` is the set
     being built and ``rec`` its recorder.  ``offered`` are the pairs the
     visit examines: every stored pair in naive mode, those not yet examined
-    against the rule in active mode.  ``store(lhs_roots, rhs,
-    origin, eps_mark=None)`` is ``_store`` into the set; the insertion that
-    takes the set past ``g.max_pairs`` raises LimitExceeded, as does a pass
-    beyond ``g.max_iterations``.
+    against the rule in active mode.  ``store(lhs_roots, rhs, origin,
+    eps_mark=None)`` is ``_store`` into the set, so it takes fresh,
+    restricted copies; the insertion that takes the set past
+    ``g.max_pairs`` raises LimitExceeded, as does a pass beyond
+    ``g.max_iterations``.
     """
     _check_mode(mode)
     out = PairSet()
     rec = _Recorder(mode)
 
     def store(lhs_roots, rhs, origin, eps_mark=None):
-        added = _store(out, lhs_roots, rhs, g, origin, rec, eps_mark)
+        added = _store(out, lhs_roots, rhs, origin, rec, eps_mark)
         if len(out) > g.max_pairs:
             raise LimitExceeded("pairs", g.max_pairs, rec.finish(False, len(out)))
         return added
@@ -517,12 +527,12 @@ def compute_first(g: Grammar, mode: str = "active"):
         for r in g.rules:
             for d in r.daughters:
                 if is_preterminal(d):
-                    root = clone(d)
+                    root = fs.restrict(d, g.restrictor)
                     store((root,), root, r.rule_id)
 
     def visit(rule, offered, first, rec, store):
         if rule.is_epsilon:
-            return store((rule.mother,), None, rule.rule_id, eps_mark)
+            return store((fs.restrict(rule.mother, g.restrictor),), None, rule.rule_id, eps_mark)
         if not offered:
             return False
         view = first.view()
@@ -531,11 +541,11 @@ def compute_first(g: Grammar, mode: str = "active"):
         base = rule.roots()
         span = list(range(1, 1 + len(rule.daughters)))
         changed = False
-        for new, rhs in _first_of_span(base, span, view, rec, fresh, fresh_drivers):
-            changed |= store((new[0],), rhs, rule.rule_id)
-        for space, used_fresh in _eps_bindings(base, span, view.eps, fresh, rec):
+        for mother, rhs in _first_of_span(base, span, view, rec, [0], g.restrictor, fresh, fresh_drivers):
+            changed |= store(mother, rhs, rule.rule_id)
+        for mother, used_fresh in _eps_bindings(base, span, view.eps, fresh, rec, [0], g.restrictor):
             if used_fresh:
-                changed |= store((space[0],), None, rule.rule_id, eps_mark)
+                changed |= store(mother, None, rule.rule_id, eps_mark)
         return changed
 
     return _fixpoint(g, mode, seed, visit)
@@ -567,11 +577,11 @@ def first_of_string(first: PairSet, g: Grammar, cats) -> PairSet:
     out = PairSet()
     rec = _Recorder("ondemand")
     span = list(range(len(cats)))
-    for new, rhs in _first_of_span(cats, span, view, rec):
-        _store(out, tuple(new), rhs, g, None, rec)
-    for space, _ in _eps_bindings(cats, span, view.eps, None, rec):
+    for string, rhs in _first_of_span(cats, span, view, rec, None, g.restrictor):
+        _store(out, string, rhs, None, rec)
+    for string, _ in _eps_bindings(cats, span, view.eps, None, rec, None, g.restrictor):
         eps_mark = view.eps.pairs[0].rhs  # the mark compute_first gave every empty pair
-        _store(out, tuple(space), None, g, None, rec, eps_mark)
+        _store(out, string, None, None, rec, eps_mark)
     return out
 
 
@@ -591,7 +601,8 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
     suffix_done = set()
 
     def seed(store):
-        store((clone(g.start),), end_category(), None)
+        start, end = fs.restrict_many([g.start, end_category()], g.restrictor)
+        store((start,), end, None)
 
     def visit(rule, offered, follow, rec, store):
         k = len(rule.daughters)
@@ -605,16 +616,16 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
         if mode == "naive" or rule.rule_id not in suffix_done:
             suffix_done.add(rule.rule_id)
             for i, tail in enumerate(tails):
-                for new, rhs in _first_of_span(base, tail, fview, rec):
-                    changed |= store((new[1 + i],), rhs, rule.rule_id)
+                for daughter, rhs in _first_of_span(base, tail, fview, rec, [1 + i], g.restrictor):
+                    changed |= store(daughter, rhs, rule.rule_id)
         # the mother's FOLLOW flows to any daughter whose suffix is empty or
         # wholly derives the empty string
         if offered:
             drivers = _Pool(offered)
             for i, tail in enumerate(tails):
                 for space, _ in _eps_bindings(base, tail, fview.eps, None, rec):
-                    for _, new, rhs in _bind_each(space, 0, drivers, rec):
-                        changed |= store((new[1 + i],), rhs, rule.rule_id)
+                    for _, daughter, rhs in _bind_each(space, 0, drivers, rec, [1 + i], g.restrictor):
+                        changed |= store(daughter, rhs, rule.rule_id)
         return changed
 
     return _fixpoint(g, mode, seed, visit)
@@ -629,13 +640,18 @@ def query(result: PairSet, cat: Node) -> list:
     equivalence, keeping the most specific of comparable values."""
     out = []
     have_eps = False
-    for p, _, bound in _bind_each([cat], 0, result.view().single, _Recorder("query")):
-        if p.is_epsilon:
-            if not have_eps:
-                out.append(p.rhs)
-                have_eps = True
+    rec = _Recorder("query")
+    for p in result.view().single.candidates(label_of(cat)):
+        if p.is_epsilon and have_eps:
+            continue  # only the first empty-string answer is kept; bind no more empty pairs
+        got = _bind([cat], 0, p, rec, ())
+        if got is None:
             continue
-        rhs = clone(bound)
+        if p.is_epsilon:
+            out.append(p.rhs)
+            have_eps = True
+            continue
+        rhs = got[1]
         label = label_of(rhs)
         for idx, have in enumerate(out):
             if isinstance(have, EpsilonMark):

@@ -9,9 +9,17 @@ subsumption, generalization and copying.
 
 Several operations work on *spaces*: collections of roots whose reachable
 graphs may share nodes (a rule's mother and daughters, or the two sides of
-a FIRST/FOLLOW pair).  Destructive unification propagates bindings through
-the whole space; on failure the space is trash and must be discarded.
-Fully built structures are treated as immutable and are safe to share.
+a FIRST/FOLLOW pair).  Destructive unification (``unify_in_place``)
+propagates bindings through the whole space; on failure the space is trash
+and must be discarded.
+
+``unify_copy`` unifies without copying first: it binds the two inputs in
+place, records every binding on an undo trail, copies out only the roots
+the caller keeps (restricted, if asked) and undoes the trail before it
+returns or raises.  The structures it is given, stored pairs and grammar
+rules included, are therefore bound during the call and restored before
+it returns.  They are safe to share between callers in one thread, but
+not across threads while such a call is running.
 """
 
 from __future__ import annotations
@@ -67,9 +75,12 @@ def node(**arcs: Node) -> Node:
 
 
 def deref(n: Node) -> Node:
+    """The node ``n`` stands for, following forwarding pointers.
+
+    Chains are never shortened: ``unify_copy`` undoes the pointers it set,
+    and a shortcut written across one of them would outlive the undo.
+    """
     while n.forward is not None:
-        if n.forward.forward is not None:
-            n.forward = n.forward.forward
         n = n.forward
     return n
 
@@ -100,7 +111,10 @@ def make_restrictor(paths) -> frozenset:
 # ---------------------------------------------------------------------------
 # unification
 
-def _union(a: Node, b: Node) -> None:
+def _union(a: Node, b: Node, trail: list) -> None:
+    """Merge two nodes and everything below them.  Each forward set goes on
+    ``trail`` as (node, None) and each arc added as (arcs dict, feature),
+    for ``_undo``."""
     a = deref(a)
     b = deref(b)
     if a is b:
@@ -109,29 +123,42 @@ def _union(a: Node, b: Node) -> None:
         if a.atom != b.atom:
             raise UnificationFailed("clash", f"{a.atom} / {b.atom}")
         a.forward = b
+        trail.append((a, None))
         return
     if a.atom is not None:
         if b.arcs:
             raise UnificationFailed("kind", f"atom {a.atom} against complex node")
         b.forward = a
+        trail.append((b, None))
         return
     if b.atom is not None:
         if a.arcs:
             raise UnificationFailed("kind", f"atom {b.atom} against complex node")
         a.forward = b
+        trail.append((a, None))
         return
     a.forward = b
-    pending = a.arcs
-    a.arcs = {}
-    for feat, child in pending.items():
+    trail.append((a, None))
+    # a is forwarded now, so nothing reads a.arcs or adds to it below
+    for feat, child in a.arcs.items():
         tgt = deref(b)
         if tgt.atom is not None:
             raise UnificationFailed("kind", f"atom {tgt.atom} against complex node")
-        have = tgt.arcs.get(feat)
+        arcs = tgt.arcs
+        have = arcs.get(feat)
         if have is None:
-            tgt.arcs[feat] = child
+            arcs[feat] = child
+            trail.append((arcs, feat))
         else:
-            _union(child, have)
+            _union(child, have, trail)
+
+
+def _undo(trail) -> None:
+    for target, feat in reversed(trail):
+        if feat is None:
+            target.forward = None
+        else:
+            del target[feat]
 
 
 def _cyclic(roots) -> bool:
@@ -162,23 +189,43 @@ def _cyclic(roots) -> bool:
     return False
 
 
-def unify_in_place(a: Node, b: Node) -> Node:
+def unify_in_place(a: Node, b: Node, trail=None) -> Node:
     """Destructively merge two nodes of one space; returns the merged node.
 
     Bindings propagate through everything reachable in the space.  On
-    failure the space is left partially merged: discard it.
+    failure the space is left partially merged: discard it.  Given a list
+    ``trail``, every binding is also appended to it, on failure too, so
+    that ``_undo(trail)`` can restore the space.
     """
-    _union(a, b)
+    _union(a, b, [] if trail is None else trail)
     merged = deref(a)
     if _cyclic([merged]):
         raise UnificationFailed("cycle", "unification produced a cyclic structure")
     return merged
 
 
+def unify_copy(a: Node, b: Node, keep, restrictor=frozenset()) -> list:
+    """Copies of the roots ``keep`` under the unification of ``a`` and
+    ``b``, restricted by ``restrictor`` as ``restrict_many`` does; raises
+    UnificationFailed when the two do not unify.  The inputs come back
+    unchanged.
+
+    Nothing is copied before unifying: ``a`` and ``b`` are merged in place
+    with their bindings on a trail, then only the kept roots are copied (so
+    ``keep=()`` is a unifiability test), and the trail is undone on every
+    exit, by return, UnificationFailed or RecursionError alike.
+    """
+    trail = []
+    try:
+        unify_in_place(a, b, trail)
+        return restrict_many(keep, restrictor)
+    finally:
+        _undo(trail)
+
+
 def unify(a: Node, b: Node) -> Node:
-    """Non-destructive unification; inputs are never mutated."""
-    ca, cb = clone_many([a, b])
-    return unify_in_place(ca, cb)
+    """Non-destructive unification; the inputs come back unchanged."""
+    return unify_copy(a, b, [a])[0]
 
 
 def quick_clash(a: Node, b: Node) -> bool:
@@ -210,7 +257,7 @@ def unifiable(a: Node, b: Node) -> bool:
     if quick_clash(a, b):
         return False
     try:
-        unify(a, b)
+        unify_copy(a, b, ())
         return True
     except UnificationFailed:
         return False
@@ -225,10 +272,16 @@ def clone_many(roots) -> list:
     Cross-root sharing is preserved because all roots go through one memo.
     Forwarding pointers are resolved away, so clones are always clean.
     """
+    return _copy(roots, {})
+
+
+def _copy(roots, cut) -> list:
+    """``clone_many`` leaving out the arcs in ``cut``, {id(node): features}."""
     memo = {}
 
     def cp(n):
-        n = deref(n)
+        while n.forward is not None:
+            n = n.forward
         got = memo.get(id(n))
         if got is not None:
             return got
@@ -238,8 +291,11 @@ def clone_many(roots) -> list:
             return new
         new = Node(arcs={})
         memo[id(n)] = new
+        drop = cut.get(id(n), ()) if cut else ()
+        arcs = new.arcs
         for feat, child in n.arcs.items():
-            new.arcs[feat] = cp(child)
+            if feat not in drop:
+                arcs[feat] = cp(child)
         return new
 
     return [cp(r) for r in roots]
@@ -351,22 +407,30 @@ def restrict_many(roots, restrictor) -> list:
     Each path is resolved from each root; deletion happens at whatever node
     the prefix reaches, so values reached through reentrancies disappear
     from every route at once.  Paths that do not resolve are ignored.
+    Paths apply one after another in sorted order, so a path whose prefix
+    runs through an arc an earlier path deleted does not resolve.  The
+    deletions are found on the source and left out of one copy.
     """
-    out = clone_many(roots)
+    return _copy(roots, _cuts(roots, restrictor))
+
+
+def _cuts(roots, restrictor) -> dict:
+    cut = {}
     for path in sorted(restrictor):
-        for root in out:
-            n = root
-            for seg in path[:-1]:
-                if n.atom is not None:
+        *prefix, last = path
+        for root in roots:
+            n = deref(root)
+            for seg in prefix:
+                if n.atom is not None or seg in cut.get(id(n), ()):
                     n = None
                     break
                 n = n.arcs.get(seg)
                 if n is None:
                     break
                 n = deref(n)
-            if n is not None and n.atom is None:
-                n.arcs.pop(path[-1], None)
-    return out
+            if n is not None and n.atom is None and last in n.arcs:
+                cut.setdefault(id(n), set()).add(last)
+    return cut
 
 
 def restrict(root: Node, restrictor) -> Node:

@@ -106,7 +106,7 @@ def end_category() -> Node:
 
 
 def instantiate(rule: Rule) -> Rule:
-    """Fresh copy of a rule; the algorithms never touch grammar-owned nodes."""
+    """Fresh copy of a rule, sharing no node with the grammar."""
     roots = clone_many(rule.roots())
     return Rule(rule.rule_id, roots[0], tuple(roots[1:]), rule.line)
 

@@ -13,6 +13,25 @@ def load_fixture(name, restrictor=None):
     return g
 
 
+def node_state(roots):
+    """Every node reachable from ``roots`` by arcs or forwarding pointers,
+    as {id: (atom, id of forward, ordered (feature, id of child) arcs)}:
+    equal before and after a call when it mutated nothing, even for a
+    moment it failed to undo."""
+    out = {}
+    stack = list(roots)
+    while stack:
+        n = stack.pop()
+        if id(n) in out:
+            continue
+        arcs = None if n.arcs is None else [(f, id(c)) for f, c in n.arcs.items()]
+        out[id(n)] = (n.atom, None if n.forward is None else id(n.forward), arcs)
+        if n.forward is not None:
+            stack.append(n.forward)
+        stack.extend((n.arcs or {}).values())
+    return out
+
+
 def project(pairset):
     """Collapse a pair set onto bare labels: {lhs label: set of rhs labels,
     EPSILON for empty marks, END for the end-of-input category}."""

@@ -214,6 +214,13 @@ def test_bench_rejects_flags_it_would_ignore(capsys, flag):
     assert "unrecognized arguments" in err
 
 
+def test_string_first_rejects_stats_it_would_ignore(capsys):
+    code, out, err = run(capsys, "string-first", fixture_path("fig1.gr"), "NP[]", "--stats")
+    assert code == 2
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
 def test_bench_reports_filtered_attempts(capsys):
     code, out, _ = run(capsys, "bench", fixture_path("bench21.gr"), "--format", "json")
     assert code == 0

@@ -45,7 +45,7 @@ from cf_oracle import (
     random_cf_grammar,
     random_feature_grammar,
 )
-from support import load_fixture, project
+from support import load_fixture, node_state, project
 
 EPS = EpsilonMark(node(cat=atom("np")))
 
@@ -460,6 +460,65 @@ def test_query_unknown_label_empty():
     assert query(first, parse_category("[cat=zzz]")) == []
 
 
+def test_seeds_and_empty_rule_mothers_are_stored_restricted():
+    g = parse_grammar("restrict orth. S[orth=s] -> B[] a[ter=+, orth=x]. B[orth=b] -> .")
+    first, _ = compute_first(g)
+    follow, _ = compute_follow(g, first)
+    for s in (first, follow):
+        assert len(s) > 0
+        for p in s:
+            assert not any(fs.has_path(r, ("orth",)) for r in p.comparison_roots), format_pair(p)
+
+
+def test_query_binds_no_empty_pair_after_the_first_empty_answer(monkeypatch):
+    g = parse_grammar("S[] -> X[] a[ter=+]. X[agr=sg] -> . X[agr=pl] -> .")
+    first, _ = compute_first(g)
+    assert sum(p.is_epsilon for p in first) == 2
+    calls = []
+    real = fs.unify_copy
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(fs, "unify_copy", counted)
+    out = query(first, parse_category("X[]"))
+    assert len(out) == 1 and isinstance(out[0], EpsilonMark)
+    assert len(calls) == 1
+
+
+def test_binds_leave_rules_stored_pairs_and_queries_unchanged():
+    # fig1.gr with a tag used before its value is given, so rule 1 holds a
+    # node with a forwarding pointer
+    g = parse_grammar(
+        """restrict slash.
+        S[] -> NP[agr=$1, slash=null] VP[slash=null, agr=$1:[num=sg]].
+        S[] -> NP[slash=null] NP[agr=$1, slash=null] VP[agr=$1, slash=$2:NP[]].
+        VP[agr=$1, slash=$2] -> Vtra[agr=$1, ter=+] NP[slash=$2].
+        NP[agr=$1, slash=null] -> Det[ter=+] N[agr=$1, ter=+].
+        NP[slash=NP[]] -> ."""
+    )
+    rules = [c for r in g.rules for c in r.roots()]
+    before = node_state(rules)
+    assert any(forward is not None for _, forward, _ in before.values())
+    first, _ = compute_first(g)
+    follow, _ = compute_follow(g, first)
+    assert node_state(rules) == before
+    stored = [r for s in (first, follow) for p in s for r in p.comparison_roots]
+    shown = [format_pair(p) for s in (first, follow) for p in s]
+    stored_before = node_state(stored)
+    cats = parse_category_sequence("NP[agr=$1] VP[agr=$1] S[]")
+    cats_before = node_state(cats)
+    assert len(first_of_string(first, g, cats[:2])) > 0
+    for s in (first, follow):
+        for c in cats:
+            query(s, c)
+    assert node_state(cats) == cats_before
+    assert node_state(stored) == stored_before
+    assert [format_pair(p) for s in (first, follow) for p in s] == shown
+    assert node_state(rules) == before
+
+
 def test_query_dedupes_coinciding_bound_values():
     s = PairSet()
     s.add(cat_pair("x[f=p]", "a[]"))
@@ -745,10 +804,10 @@ def test_add_idempotent_over_fixpoint_clones():
 # ---------------------------------------------------------------------------
 # label-indexed pools against a full scan
 
-def full_scan_bind_each(space, pos, pool, rec):
+def full_scan_bind_each(space, pos, pool, rec, *args):
     """The loop the label index replaced: try every pair of the pool."""
     for p in pool.pairs:
-        got = _bind(space, pos, p, rec)
+        got = _bind(space, pos, p, rec, *args)
         if got is not None:
             yield p, *got
 

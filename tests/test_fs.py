@@ -23,9 +23,12 @@ from featflow.fs import (
     subsumes,
     subsumes_many,
     unify,
+    unify_copy,
     unify_in_place,
 )
+from featflow.grammar import format_roots, parse_category
 import lattice_tools as lt
+from support import node_state
 
 
 def np(**extra):
@@ -434,3 +437,174 @@ def test_random_clone_and_restrict(a):
     assert not fs.has_path(out, ("f",))
     assert not fs.has_path(out, ("g", "h"))
     assert equivalent(out, restrict(out, phi))
+
+
+# ---------------------------------------------------------------------------
+# unify_copy against clone, unify and restrict done in turn
+
+RESTRICTOR_PATHS = (("f",), ("g",), ("f", "g"), ("g", "h"), ("h", "f", "g"))
+
+
+def restrict_by_deleting(roots, restrictor):
+    """Restriction as a copy followed by deleting each path's last arc, one
+    path after another in sorted order: the reference for restrict_many."""
+    out = clone_many(roots)
+    for path in sorted(restrictor):
+        for root in out:
+            n = root
+            for seg in path[:-1]:
+                if n.atom is not None:
+                    n = None
+                    break
+                n = n.arcs.get(seg)
+                if n is None:
+                    break
+                n = fs.deref(n)
+            if n is not None and n.atom is None:
+                n.arcs.pop(path[-1], None)
+    return out
+
+
+def clone_unify_restrict(space, a, b, keep, restrictor):
+    """What a bind did before unify_copy: clone the whole space, unify the
+    clones, restrict the kept roots.  Returns the copies, or the reason
+    unification failed."""
+    copies = clone_many(space)
+    twin = dict(zip(map(id, space), copies))
+    try:
+        unify_in_place(twin[id(a)], twin[id(b)])
+    except UnificationFailed as exc:
+        return exc.reason
+    return restrict_by_deleting([twin[id(k)] for k in keep], restrictor)
+
+
+def reachable(root):
+    out, stack = [], [root]
+    while stack:
+        n = fs.deref(stack.pop())
+        if all(m is not n for m in out):
+            out.append(n)
+            stack.extend((n.arcs or {}).values())
+    return out
+
+
+@st.composite
+def unify_cases(draw):
+    """A space of three roots sharing nodes, two of its nodes to unify, the
+    roots to keep and a restrictor.  The second node is drawn from inside
+    the first one's graph at times, which makes cycles; a parsed root holds
+    a tag node that carries a forwarding pointer."""
+    a = draw(structures())
+    inside = draw(st.integers(0, 3)) == 0
+    b = draw(st.sampled_from(reachable(a))) if inside else draw(structures())
+    if draw(st.booleans()):
+        a = node(g=a, h=parse_category("x[h=$1, f=$1:[g=y]]"))
+    c = node(f=a, g=b)
+    space = [a, b, c]
+    keep = draw(st.lists(st.sampled_from(space), max_size=3))
+    restrictor = frozenset(draw(st.sets(st.sampled_from(RESTRICTOR_PATHS), max_size=3)))
+    return space, a, b, keep, restrictor
+
+
+@settings(max_examples=300, deadline=None)
+@given(unify_cases())
+def test_random_unify_copy_matches_clone_unify_restrict(case):
+    space, a, b, keep, restrictor = case
+    before, shown = node_state(space), format_roots(space)
+    expected = clone_unify_restrict(space, a, b, keep, restrictor)
+    assert node_state(space) == before
+    try:
+        got = unify_copy(a, b, keep, restrictor)
+    except UnificationFailed as exc:
+        got = exc.reason
+    assert node_state(space) == before
+    assert format_roots(space) == shown
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        assert fs.equivalent_many(got, expected)
+        assert all(n.forward is None for r in got for n in reachable(r))
+
+
+@settings(max_examples=200, deadline=None)
+@given(structures(), st.sets(st.sampled_from(RESTRICTOR_PATHS), max_size=4))
+def test_random_restrict_many_matches_deleting_from_a_copy(a, paths):
+    space = [a, node(f=a, h=a), reachable(a)[-1]]
+    before = node_state(space)
+    got = restrict_many(space, frozenset(paths))
+    assert node_state(space) == before
+    assert fs.equivalent_many(got, restrict_by_deleting(space, frozenset(paths)))
+
+
+@pytest.mark.parametrize(
+    "a, b, reason",
+    [
+        ("x[f=[g=p]]", "x[f=[g=q]]", "clash"),
+        ("x[f=p]", "x[f=[g=q]]", "kind"),
+        ("x[h=$1, f=$1:[g=p]]", "x[h=[g=q]]", "clash"),
+    ],
+)
+def test_unify_copy_failure_leaves_inputs_as_they_were(a, b, reason):
+    a, b = parse_category(a), parse_category(b)
+    before = node_state([a, b])
+    with pytest.raises(UnificationFailed) as err:
+        unify_copy(a, b, [a, b])
+    assert err.value.reason == reason
+    assert node_state([a, b]) == before
+    assert not fs.unifiable(a, b)
+    assert node_state([a, b]) == before
+
+
+def test_unify_copy_leaves_a_forwarded_tag_node_as_it_was():
+    # h reaches the tag node, whose pointer leads to the node under f; the
+    # unification forwards that node in turn, so a deref that shortened
+    # chains would leave the tag node pointing past it after the undo
+    a = parse_category("x[h=$1, f=$1:[g=y]]")
+    b = parse_category("x[f=[k=z]]")
+    before = node_state([a, b])
+    (got,) = unify_copy(a, b, [a])
+    assert format_roots([got]) == ["x[f=#1:[g=y, k=z], h=#1]"]
+    assert node_state([a, b]) == before
+
+
+def test_unify_copy_cycle_leaves_inputs_as_they_were():
+    inner = empty()
+    a = node(f=node(g=inner))
+    before = node_state([a])
+    with pytest.raises(UnificationFailed) as err:
+        unify_copy(a, inner, [a])
+    assert err.value.reason == "cycle"
+    assert node_state([a]) == before
+
+
+def test_unify_copy_undoes_a_recursion_error():
+    a, b = atom("p"), empty()
+    for _ in range(5000):
+        a, b = node(f=a), node(f=b, g=atom("q"))
+    before = node_state([a, b])
+    with pytest.raises(RecursionError):
+        unify_copy(a, b, [a])
+    assert node_state([a, b]) == before
+
+
+def test_unify_copy_keeps_only_the_listed_roots_restricted():
+    a = parse_category("x[agr=$1, slash=[cat=np]]")
+    b = parse_category("x[agr=sg]")
+    other = node(link=a.arcs["agr"], slash=a.arcs["slash"])
+    (got,) = unify_copy(a, b, [other], fs.make_restrictor(["slash"]))
+    assert format_roots([got]) == ["[link=sg]"]
+    assert unify_copy(a, b, ()) == []
+    assert format_roots([a, b]) == ["x[agr=[], slash=np[]]", "x[agr=sg]"]
+
+
+def test_restrict_a_path_and_its_extension_through_a_shared_node():
+    # a.b goes through the arc that path a already cut, so it does not
+    # resolve, and the shared node keeps b under c
+    shared = node(b=atom("p"), d=atom("q"))
+    root = node(a=shared, c=shared)
+    phi = fs.make_restrictor(["a", "a.b"])
+    want = node(c=node(b=atom("p"), d=atom("q")))
+    assert equivalent(restrict(root, phi), want)
+    assert equivalent(restrict_by_deleting([root], phi)[0], want)
+    (got,) = unify_copy(root, empty(), [root], phi)
+    assert equivalent(got, want)

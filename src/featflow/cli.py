@@ -59,6 +59,8 @@ def _load(path: str, args) -> gm.Grammar:
             text = handle.read()
     except OSError as exc:
         raise _Failure(EXIT_INPUT, [f"{path}: cannot read: {exc.strerror or exc}"])
+    except UnicodeDecodeError as exc:
+        raise _Failure(EXIT_INPUT, [f"{path}: cannot read: not valid UTF-8 at byte offset {exc.start}"])
     try:
         g = gm.parse_grammar(text, name=path)
     except gm.GrammarSyntaxError as exc:

@@ -10,9 +10,9 @@ antichain: an incoming pair subsumed by a stored one is dropped, and an
 incoming pair that subsumes stored ones replaces them.
 Every stored pair has the grammar's restrictor applied first; that is
 what keeps the set finite for grammars whose raw category space is not.
-A product of a binding is restricted as it is copied out of the bound
-space, by ``fs.unify_copy``, which also leaves the rule and the stored
-pair it bound as they were.
+A product of a binding is restricted and pruned as it is copied out of
+the bound space, by ``fs.unify_copy``, which also leaves the rule and the
+stored pair it bound as they were.
 
 FIRST and FOLLOW run one fixpoint driver, ``_fixpoint``, whose rule
 visits enumerate only combinations that use a pair they are offered.  The
@@ -28,9 +28,11 @@ enumerator, ``_first_of_span``.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import time
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import NamedTuple
 
 from . import fs
@@ -83,7 +85,8 @@ class Pair:
     ``lhs`` is a tuple of category roots (length one except for string
     queries), ``rhs`` is a category root or an EpsilonMark, and all roots
     live in one shared space.  ``origin_rule`` and ``serial`` exist for
-    agenda bookkeeping and deterministic output order.  ``comparison_roots``
+    agenda bookkeeping and deterministic output order; a ``PairSet`` holds
+    its pairs in ascending ``serial``.  ``comparison_roots``
     are the roots subsumption compares: ``lhs``, plus ``rhs`` unless it is
     an EpsilonMark.  ``key`` is the signature ``(len(lhs), is_epsilon)``
     plus the ``cat`` label of each comparison root (None where a root has
@@ -92,7 +95,7 @@ class Pair:
     """
 
     __slots__ = (
-        "serial", "lhs", "rhs", "origin_rule", "events", "is_epsilon", "comparison_roots", "key"
+        "serial", "lhs", "rhs", "origin_rule", "events", "is_epsilon", "comparison_roots", "key", "_tree"
     )
 
     def __init__(self, lhs, rhs, origin_rule=None):
@@ -106,6 +109,14 @@ class Pair:
         self.comparison_roots = self.lhs if self.is_epsilon else (*self.lhs, rhs)
         signature = (len(self.lhs), self.is_epsilon)
         self.key = (signature, tuple(label_of(r) for r in self.comparison_roots))
+        self._tree = None
+
+    def lhs_is_tree(self) -> bool:
+        """``fs.is_tree`` of the first left root, worked out on the first
+        call: a bind skips the cycle check when it holds."""
+        if self._tree is None:
+            self._tree = fs.is_tree(self.lhs[0])
+        return self._tree
 
     def __repr__(self):
         return f"Pair({format_pair(self)})"
@@ -134,7 +145,7 @@ class PairSet:
         self.pairs = []  # insertion order, which is the output order
         self._buckets = {}  # Pair.key -> stored pairs with that key
         self._wild = {}  # the keys in _buckets that hold None, as an ordered set
-        self._tested = {}  # serial -> rule ids this pair was examined against
+        self._mark = {}  # rule id -> highest serial offered to that rule
         self._view = None  # the View of the current pairs, built on demand
         self.added = 0
         self.rejected = 0
@@ -169,14 +180,12 @@ class PairSet:
                 if not bucket:
                     del self._buckets[q.key]
                     self._wild.pop(q.key, None)
-                self._tested.pop(q.serial, None)
                 self.retired_events += q.events
                 self.removed += 1
         self.pairs.append(p)
         self._buckets.setdefault(p.key, []).append(p)
         if None in p.key[1]:
             self._wild[p.key] = None
-        self._tested[p.serial] = set()
         self._view = None
         self.added += 1
         return True
@@ -214,14 +223,19 @@ class PairSet:
             if k != key:
                 yield from self._buckets[k]
 
-    def untested(self, rule_id: int) -> list:
-        return [p for p in self.pairs if rule_id not in self._tested[p.serial]]
+    def offer(self, rule_id: int) -> list:
+        """The stored pairs not yet offered to rule ``rule_id``, which count
+        as offered from now on.
 
-    def mark_tested(self, pairs, rule_id: int) -> None:
-        for p in pairs:
-            t = self._tested.get(p.serial)
-            if t is not None:
-                t.add(rule_id)
+        ``pairs`` is in ascending serial order, since ``add`` appends each
+        new pair and only ever deletes others, so these are the suffix
+        above the rule's watermark: the highest serial offered to it.
+        """
+        mark = self._mark.get(rule_id, 0)
+        out = self.pairs[bisect.bisect_right(self.pairs, mark, key=attrgetter("serial")) :]
+        if out:
+            self._mark[rule_id] = out[-1].serial
+        return out
 
 
 class _Pool:
@@ -369,16 +383,19 @@ def epsilon_category(g: Grammar) -> Node | None:
     return out
 
 
-def _bind(roots, pos, pair, recorder, keep=None, restrictor=frozenset()):
+def _bind(roots, pos, pair, recorder, keep=None, restrictor=None):
     """Unify the root at ``pos`` of a working space with a stored pair's
     left side, and copy out the roots at the indices ``keep`` (every root
-    when None) together with the pair's right side, restricted by
-    ``restrictor``.
+    when None) together with the pair's right side.  With a ``restrictor``
+    (an empty one too) the copy is a product to store: restricted by it and
+    pruned.  Without one it is copied as it is.
 
     Returns (kept_roots, bound_rhs), with bound_rhs None for an empty-string
     pair, or None on failure.  ``fs.unify_copy`` binds the inputs only for
     the duration of the call, so they come back unchanged.  A top-level
     atom clash is caught before anything is bound and counted as filtered.
+    The working space must be acyclic and share no node with the pair: the
+    cycle check is skipped when the pair's left side is a tree.
     """
     recorder.attempt(pair)
     if fs.quick_clash(roots[pos], pair.lhs[0]):
@@ -388,7 +405,14 @@ def _bind(roots, pos, pair, recorder, keep=None, restrictor=frozenset()):
     if not pair.is_epsilon:
         out.append(pair.rhs)  # an empty-string rhs is not copied
     try:
-        out = fs.unify_copy(roots[pos], pair.lhs[0], out, restrictor)
+        out = fs.unify_copy(
+            roots[pos],
+            pair.lhs[0],
+            out,
+            restrictor or frozenset(),
+            prune=restrictor is not None,
+            tree=pair.lhs_is_tree(),
+        )
     except UnificationFailed:
         return None
     if pair.is_epsilon:
@@ -396,7 +420,7 @@ def _bind(roots, pos, pair, recorder, keep=None, restrictor=frozenset()):
     return out[:-1], out[-1]
 
 
-def _bind_each(space, pos, pool, rec, keep=None, restrictor=frozenset()):
+def _bind_each(space, pos, pool, rec, keep=None, restrictor=None):
     """``_bind`` the root at ``pos`` to each pair of ``pool`` its label
     allows, in insertion order; yields (pair, kept_roots, bound_rhs) for
     each success.  The label is read from ``space``, where earlier bindings
@@ -410,13 +434,14 @@ def _bind_each(space, pos, pool, rec, keep=None, restrictor=frozenset()):
             yield p, *got
 
 
-def _eps_bindings(roots, positions, eps_pool, fresh, recorder, keep=None, restrictor=frozenset()):
+def _eps_bindings(roots, positions, eps_pool, fresh, recorder, keep=None, restrictor=None):
     """Enumerate every way to bind all listed positions, simultaneously,
     to empty-string pairs.  Yields (space, used_fresh): whether some bound
     pair's serial is in ``fresh``; every pair counts as fresh when ``fresh``
-    is None.  The last binding keeps the roots ``keep``, restricted by
-    ``restrictor``, as ``_bind`` does; the spaces between keep every root,
-    unrestricted.  With no positions, ``roots`` are yielded as they are."""
+    is None.  The last binding copies out the roots ``keep`` as ``_bind``
+    does with ``keep`` and ``restrictor``; the spaces between keep every
+    root, as they are.  With no positions, ``roots`` are yielded as they
+    are."""
 
     def rec(space, k, used):
         if k == len(positions):
@@ -448,17 +473,14 @@ def _first_of_span(space, span, view, rec, keep, restrictor, fresh=None, fresh_d
 
 
 def _store(pset, lhs_roots, rhs, origin, recorder, eps_mark=None):
-    """Canonicalize a restricted product and add it through the antichain
-    operator.  The roots must be a fresh copy, already restricted: binds
-    restrict as they copy out, and seeds and empty-rule mothers go through
-    ``fs.restrict_many``.  Canonicalization prunes, in place, vacuous
-    leftovers from discarded rule context so equal claims collide under the
-    operator."""
-    roots = fs.prune_empty_leaves([*lhs_roots, rhs] if rhs is not None else lhs_roots)
-    if rhs is not None:
-        p = Pair(tuple(roots[:-1]), roots[-1], origin)
-    else:
-        p = Pair(tuple(roots), eps_mark, origin)
+    """Add a product through the antichain operator.
+
+    The roots must be a fresh copy, restricted and pruned as
+    ``fs.restrict_many`` does with ``prune``: binds do that as they copy
+    out, and seeds and empty-rule mothers go through it.  Pruning drops
+    vacuous leftovers from discarded rule context, so that equal claims
+    collide under the operator."""
+    p = Pair(tuple(lhs_roots), eps_mark if rhs is None else rhs, origin)
     if pset.add(p):
         recorder.addition()
         return True
@@ -475,7 +497,7 @@ def _fixpoint(g: Grammar, mode: str, seed, visit):
     visit examines: every stored pair in naive mode, those not yet examined
     against the rule in active mode.  ``store(lhs_roots, rhs, origin,
     eps_mark=None)`` is ``_store`` into the set, so it takes fresh,
-    restricted copies; the insertion that takes the set past
+    restricted and pruned copies; the insertion that takes the set past
     ``g.max_pairs`` raises LimitExceeded, as does a pass beyond
     ``g.max_iterations``.
     """
@@ -496,10 +518,9 @@ def _fixpoint(g: Grammar, mode: str, seed, visit):
         rec.begin_iteration()
         changed = False
         for r in g.rules:
-            offered = out.untested(r.rule_id) if mode == "active" else list(out.pairs)
+            offered = out.offer(r.rule_id) if mode == "active" else list(out.pairs)
             rec.begin_visit(offered)
             changed |= visit(r, offered, out, rec, store)
-            out.mark_tested(offered, r.rule_id)
             rec.end_visit()
         rec.end_iteration(len(out))
         if not changed:
@@ -527,12 +548,12 @@ def compute_first(g: Grammar, mode: str = "active"):
         for r in g.rules:
             for d in r.daughters:
                 if is_preterminal(d):
-                    root = fs.restrict(d, g.restrictor)
+                    root = fs.restrict(d, g.restrictor, prune=True)
                     store((root,), root, r.rule_id)
 
     def visit(rule, offered, first, rec, store):
         if rule.is_epsilon:
-            return store((fs.restrict(rule.mother, g.restrictor),), None, rule.rule_id, eps_mark)
+            return store((fs.restrict(rule.mother, g.restrictor, prune=True),), None, rule.rule_id, eps_mark)
         if not offered:
             return False
         view = first.view()
@@ -560,9 +581,10 @@ def first_of_string(first: PairSet, g: Grammar, cats) -> PairSet:
     The sequence lives in one fresh space, so bindings across positions
     and into the result are preserved.  Results are restricted and
     antichain-combined; the left side of every result pair is the whole
-    (possibly further bound) sequence.
+    (possibly further bound) sequence.  ``cats`` is copied first, so that it
+    shares no node with the pairs it binds, as ``_bind`` requires.
     """
-    cats = list(cats)
+    cats = fs.clone_many(cats)
     if not cats:
         raise ValueError("empty category string")
     view = first.view()
@@ -601,7 +623,7 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
     suffix_done = set()
 
     def seed(store):
-        start, end = fs.restrict_many([g.start, end_category()], g.restrictor)
+        start, end = fs.restrict_many([g.start, end_category()], g.restrictor, prune=True)
         store((start,), end, None)
 
     def visit(rule, offered, follow, rec, store):
@@ -637,7 +659,10 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
 def query(result: PairSet, cat: Node) -> list:
     """Right sides of every stored pair whose left side unifies with the
     category, with that unification's bindings applied; deduplicated up to
-    equivalence, keeping the most specific of comparable values."""
+    equivalence, keeping the most specific of comparable values.  ``cat``
+    is copied first, so that it shares no node with the pairs it binds, as
+    ``_bind`` requires, even when it is a node of ``result``."""
+    cat = fs.clone(cat)
     out = []
     have_eps = False
     rec = _Recorder("query")

@@ -20,6 +20,15 @@ returns or raises.  The structures it is given, stored pairs and grammar
 rules included, are therefore bound during the call and restored before
 it returns.  They are safe to share between callers in one thread, but
 not across threads while such a call is running.
+
+Unification checks its result for cycles, and fails with reason
+``cycle`` on one.  The check walks everything below the merged node, so
+a caller may skip it where no cycle can form: both inputs acyclic (the
+grammar parser rejects cyclic rules and category strings, and every
+unification result is checked or cannot be cyclic), their graphs
+disjoint, and one of them a tree (``is_tree``).  A stored FIRST/FOLLOW
+pair bound to a rule, or to a copy of a queried category, meets all three
+when its left side is a tree; everything else keeps the check.
 """
 
 from __future__ import annotations
@@ -189,36 +198,64 @@ def _cyclic(roots) -> bool:
     return False
 
 
-def unify_in_place(a: Node, b: Node, trail=None) -> Node:
+def unify_in_place(a: Node, b: Node, trail=None, tree=False) -> Node:
     """Destructively merge two nodes of one space; returns the merged node.
 
     Bindings propagate through everything reachable in the space.  On
     failure the space is left partially merged: discard it.  Given a list
     ``trail``, every binding is also appended to it, on failure too, so
     that ``_undo(trail)`` can restore the space.
+
+    The merged node is then checked for cycles, unless ``tree`` says that
+    no cycle can form: ``a`` and ``b`` lie in disjoint acyclic graphs and
+    one of the two is a tree (``is_tree``).  Then every path equation of the
+    result follows from those of the other side alone, so a cycle p = p.q
+    in the result would be one u = u.s in that side, which has none.
     """
     _union(a, b, [] if trail is None else trail)
     merged = deref(a)
-    if _cyclic([merged]):
+    if not tree and _cyclic([merged]):
         raise UnificationFailed("cycle", "unification produced a cyclic structure")
     return merged
 
 
-def unify_copy(a: Node, b: Node, keep, restrictor=frozenset()) -> list:
+def is_tree(root: Node) -> bool:
+    """True when no complex node below ``root`` is reachable by two paths.
+    Atoms may be shared: they have no arcs, so a cycle never runs through
+    one."""
+    seen = set()
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        while n.forward is not None:
+            n = n.forward
+        if n.atom is None:
+            if id(n) in seen:
+                return False
+            seen.add(id(n))
+            stack.extend(n.arcs.values())
+    return True
+
+
+def unify_copy(a: Node, b: Node, keep, restrictor=frozenset(), prune=False, tree=False) -> list:
     """Copies of the roots ``keep`` under the unification of ``a`` and
-    ``b``, restricted by ``restrictor`` as ``restrict_many`` does; raises
-    UnificationFailed when the two do not unify.  The inputs come back
-    unchanged.
+    ``b``, restricted by ``restrictor`` (and pruned, with ``prune``) as
+    ``restrict_many`` does; raises UnificationFailed when the two do not
+    unify.  The inputs come back unchanged.
 
     Nothing is copied before unifying: ``a`` and ``b`` are merged in place
     with their bindings on a trail, then only the kept roots are copied (so
     ``keep=()`` is a unifiability test), and the trail is undone on every
     exit, by return, UnificationFailed or RecursionError alike.
+
+    The result is checked for cycles as ``unify_in_place`` does: always,
+    unless the caller passes ``tree`` to say that ``a`` and ``b`` lie in
+    disjoint acyclic graphs one of which is a tree, where no cycle can form.
     """
     trail = []
     try:
-        unify_in_place(a, b, trail)
-        return restrict_many(keep, restrictor)
+        unify_in_place(a, b, trail, tree)
+        return restrict_many(keep, restrictor, prune)
     finally:
         _undo(trail)
 
@@ -275,15 +312,27 @@ def clone_many(roots) -> list:
     return _copy(roots, {})
 
 
-def _copy(roots, cut) -> list:
-    """``clone_many`` leaving out the arcs in ``cut``, {id(node): features}."""
+def _copy(roots, cut, prune=False) -> list:
+    """``clone_many`` leaving out the arcs in ``cut``, {id(node): features}.
+
+    With ``prune`` the copy comes out as ``prune_empty_leaves`` would leave
+    it, in the same walk: a complex copy all of whose arcs are candidates
+    goes in ``lone`` until the memo hands it out a second time, and every
+    arc to a member of ``lone`` is a candidate, listed children first.  Once
+    every reference has been seen, a candidate whose child is still in
+    ``lone`` and has no arcs left is deleted.
+    """
     memo = {}
+    lone = set()  # ids of copies that may end up empty, reached once so far
+    hollow = []  # candidate arcs as (arcs dict, feature, child), in post-order
 
     def cp(n):
         while n.forward is not None:
             n = n.forward
         got = memo.get(id(n))
         if got is not None:
+            if prune:
+                lone.discard(id(got))
             return got
         if n.atom is not None:
             new = Node(atom=n.atom)
@@ -293,12 +342,22 @@ def _copy(roots, cut) -> list:
         memo[id(n)] = new
         drop = cut.get(id(n), ()) if cut else ()
         arcs = new.arcs
+        candidates = 0
         for feat, child in n.arcs.items():
             if feat not in drop:
-                arcs[feat] = cp(child)
+                c = arcs[feat] = cp(child)
+                if id(c) in lone:
+                    hollow.append((arcs, feat, c))
+                    candidates += 1
+        if prune and candidates == len(arcs):
+            lone.add(id(new))
         return new
 
-    return [cp(r) for r in roots]
+    out = [cp(r) for r in roots]
+    for arcs, feat, child in hollow:
+        if id(child) in lone and not child.arcs:
+            del arcs[feat]
+    return out
 
 
 def clone(root: Node) -> Node:
@@ -401,7 +460,7 @@ def generalize(a: Node, b: Node) -> Node:
 # ---------------------------------------------------------------------------
 # restriction
 
-def restrict_many(roots, restrictor) -> list:
+def restrict_many(roots, restrictor, prune=False) -> list:
     """Copy a space, deleting the final arc of every restrictor path.
 
     Each path is resolved from each root; deletion happens at whatever node
@@ -409,9 +468,11 @@ def restrict_many(roots, restrictor) -> list:
     from every route at once.  Paths that do not resolve are ignored.
     Paths apply one after another in sorted order, so a path whose prefix
     runs through an arc an earlier path deleted does not resolve.  The
-    deletions are found on the source and left out of one copy.
+    deletions are found on the source and left out of one copy.  With
+    ``prune`` the copy is also pruned as ``prune_empty_leaves`` prunes, in
+    the same walk.
     """
-    return _copy(roots, _cuts(roots, restrictor))
+    return _copy(roots, _cuts(roots, restrictor), prune)
 
 
 def _cuts(roots, restrictor) -> dict:
@@ -433,8 +494,8 @@ def _cuts(roots, restrictor) -> dict:
     return cut
 
 
-def restrict(root: Node, restrictor) -> Node:
-    return restrict_many([root], restrictor)[0]
+def restrict(root: Node, restrictor, prune=False) -> Node:
+    return restrict_many([root], restrictor, prune)[0]
 
 
 def prune_empty_leaves(roots) -> list:
@@ -444,7 +505,10 @@ def prune_empty_leaves(roots) -> list:
     An arc to one is dropped unless the node is reachable more than once
     (a reentrancy) or is itself a root.  Vacuous leftovers from discarded
     context carry no information: they never affect a unification outcome,
-    so stored results are canonicalized this way.
+    so stored results are canonicalized this way.  Stored results are made
+    by a pruning copy (``restrict_many`` with ``prune``), which gives the
+    same structure in its one walk; this is the reference it is tested
+    against.
     """
     roots = [deref(r) for r in roots]
     refs = {}

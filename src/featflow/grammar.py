@@ -21,6 +21,7 @@ output reparses.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 
 from . import fs
@@ -475,9 +476,17 @@ def parse_category_sequence(text: str) -> list:
 
 
 def parse_restrictor(text: str) -> frozenset:
-    """Parse a comma/whitespace separated restrictor listing ('' is empty)."""
-    parts = [p for chunk in text.split(",") for p in chunk.split()]
-    return fs.make_restrictor(parts)
+    """Parse a comma/whitespace separated restrictor listing ('' is empty).
+
+    Raises ValueError naming the first malformed path and where it starts.
+    """
+    paths = set()
+    for m in re.finditer(r"[^,\s]+", text):
+        try:
+            paths.add(fs.make_path(m.group()))
+        except ValueError:
+            raise ValueError(f"malformed feature path {m.group()!r} at character {m.start() + 1}") from None
+    return frozenset(paths)
 
 
 # ---------------------------------------------------------------------------

@@ -37,6 +37,15 @@ def test_missing_file_diagnostic(capsys):
     assert "cannot read" in err
 
 
+def test_file_not_valid_utf8_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "latin1.gr"
+    path.write_bytes("S[] -> a[].\n% café\n".encode("latin-1"))
+    code, out, err = run(capsys, "first", str(path))
+    assert code == 3
+    assert out == ""
+    assert err == f"{path}: cannot read: not valid UTF-8 at byte offset 17\n"
+
+
 def test_parse_error_exit_code_and_location(capsys, tmp_path):
     bad = tmp_path / "bad.gr"
     bad.write_text("S -> ]\n")

@@ -137,6 +137,27 @@ def test_pairs_differing_only_in_reentrancy_are_both_kept():
     assert len(s) == 2
 
 
+def test_pairs_stay_in_serial_order_through_replacement():
+    s = PairSet()
+    for lhs, rhs in (("np[agr=sg]", "det[agr=sg]"), ("vp[]", "v[]"), ("np[agr=pl]", "det[agr=pl]")):
+        assert s.add(cat_pair(lhs, rhs))
+    assert s.offer(1) == s.pairs
+    assert s.add(cat_pair("np[]", "det[]"))
+    assert s.removed == 2
+    serials = [p.serial for p in s.pairs]
+    assert serials == sorted(serials)
+    assert [format_pair(p) for p in s.offer(1)] == ["(np[] , det[])"]
+    assert s.offer(1) == []
+    assert s.offer(2) == s.pairs
+    g = load_fixture("fig1.gr")
+    first, _ = compute_first(g)
+    follow, _ = compute_follow(g, first)
+    assert follow.removed == 1
+    for pset in (first, follow):
+        serials = [p.serial for p in pset]
+        assert serials == sorted(serials)
+
+
 def linear_antichain(pairs):
     """What a scan over every stored pair keeps, in insertion order."""
     kept = []
@@ -517,6 +538,34 @@ def test_binds_leave_rules_stored_pairs_and_queries_unchanged():
     assert node_state(stored) == stored_before
     assert [format_pair(p) for s in (first, follow) for p in s] == shown
     assert node_state(rules) == before
+
+
+def test_query_and_unify_keep_an_empty_node_shared_across_the_pair():
+    # the stored pair keeps #1 because both sides share it; a copy of the
+    # right side alone reaches it once, and neither query nor fs.unify
+    # prunes it away
+    g = parse_grammar("S[f=$1] -> A[g=$1, ter=+].")
+    first, _ = compute_first(g)
+    (pair,) = [p for p in first if label_of(p.lhs[0]) == "s"]
+    assert format_pair(pair) == "(s[f=#1:[]] , a[g=#1, ter=+])"
+    assert format_roots(query(first, parse_category("S[]"))) == ["a[g=[], ter=+]"]
+    assert format_roots([fs.unify(pair.rhs, parse_category("A[]"))]) == ["a[g=[], ter=+]"]
+
+
+def test_query_reads_a_node_of_the_pair_it_binds_as_a_value():
+    # the left side is a tree and the queried category is its own node
+    # under f; bound as that very node it would make x = x.f, a cycle
+    lhs, rhs = parse_category_sequence("x[f=$1] $1:x[]")
+    s = PairSet()
+    s.add(Pair((lhs,), rhs))
+    assert s.pairs[0].lhs_is_tree()
+    before = node_state([lhs])
+    assert format_roots(query(s, rhs)) == format_roots(query(s, parse_category("x[]"))) == ["x[]"]
+    g = parse_grammar("X[] -> .")
+    got = first_of_string(s, g, [rhs])
+    assert [format_pair(p) for p in got] == ["(x[f=#1:x[]] , #1)"]
+    assert [format_pair(p) for p in first_of_string(s, g, [parse_category("x[]")])] == ["(x[f=#1:x[]] , #1)"]
+    assert node_state([lhs]) == before
 
 
 def test_query_dedupes_coinciding_bound_values():

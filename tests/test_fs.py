@@ -26,7 +26,7 @@ from featflow.fs import (
     unify_copy,
     unify_in_place,
 )
-from featflow.grammar import format_roots, parse_category
+from featflow.grammar import format_roots, parse_category, parse_category_sequence
 import lattice_tools as lt
 from support import node_state
 
@@ -356,7 +356,9 @@ ATOM_NAMES = ("x", "y", "z")
 
 
 @st.composite
-def structures(draw, max_depth=4):
+def structures(draw, max_depth=4, tree=False):
+    """Random structures reusing earlier nodes at random; with ``tree``,
+    only atoms are reused."""
     pool = []
 
     def build(depth):
@@ -376,7 +378,8 @@ def structures(draw, max_depth=4):
                 else:
                     arcs[feat] = build(depth - 1)
             made = Node(arcs=arcs)
-        pool.append(made)
+        if made.atom is not None or not tree:
+            pool.append(made)
         return made
 
     return build(max_depth)
@@ -536,6 +539,42 @@ def test_random_restrict_many_matches_deleting_from_a_copy(a, paths):
     assert fs.equivalent_many(got, restrict_by_deleting(space, frozenset(paths)))
 
 
+@settings(max_examples=300, deadline=None)
+@given(unify_cases())
+def test_random_pruning_copy_matches_copy_then_prune(case):
+    space, a, b, keep, restrictor = case
+    before = node_state(space)
+    want = fs.prune_empty_leaves(restrict_by_deleting(space, restrictor))
+    got = restrict_many(space, restrictor, prune=True)
+    assert node_state(space) == before
+    assert fs.equivalent_many(got, want)
+    assert format_roots(got) == format_roots(want)
+    expected = clone_unify_restrict(space, a, b, keep, restrictor)
+    try:
+        got = unify_copy(a, b, keep, restrictor, prune=True)
+    except UnificationFailed as exc:
+        got = exc.reason
+    assert node_state(space) == before
+    if isinstance(expected, str):
+        assert got == expected
+    else:
+        want = fs.prune_empty_leaves(expected)
+        assert fs.equivalent_many(got, want)
+        assert format_roots(got) == format_roots(want)
+
+
+def test_only_the_pruning_copy_prunes():
+    # the node under f is empty: reached once in a copy of the first root
+    # alone, and pruned there; shared with the second root, and kept
+    space = parse_category_sequence("x[f=$1, g=[h=[]]] y[k=$1]")
+    assert format_roots(restrict_many(space[:1], frozenset(), prune=True)) == ["x[]"]
+    assert format_roots(restrict_many(space, frozenset(), prune=True)) == ["x[f=#1:[]]", "y[k=#1]"]
+    assert format_roots(restrict_many(space[:1], frozenset())) == ["x[f=[], g=[h=[]]]"]
+    assert format_roots([unify(space[0], parse_category("x[]"))]) == ["x[f=[], g=[h=[]]]"]
+    (got,) = unify_copy(space[1], parse_category("y[]"), [space[0]], prune=True)
+    assert format_roots([got]) == ["x[]"]
+
+
 @pytest.mark.parametrize(
     "a, b, reason",
     [
@@ -575,6 +614,54 @@ def test_unify_copy_cycle_leaves_inputs_as_they_were():
         unify_copy(a, inner, [a])
     assert err.value.reason == "cycle"
     assert node_state([a]) == before
+
+
+def test_unify_copy_tagged_cycle_in_one_space():
+    # f's tag node has a forwarding pointer; unifying it with the node
+    # that contains it under h makes $1 = $1.h
+    a = parse_category("x[f=$1:[k=z], g=[h=$1]]")
+    f, g = a.arcs["f"], a.arcs["g"]
+    assert fs.is_tree(g) and not fs.is_tree(a)
+    before = node_state([a])
+    with pytest.raises(UnificationFailed) as err:
+        unify_copy(f, g, [a])
+    assert err.value.reason == "cycle"
+    assert node_state([a]) == before
+
+
+def test_is_tree_allows_shared_atoms_only():
+    sg = atom("sg")
+    assert fs.is_tree(node(f=sg, g=node(h=sg), k=empty()))
+    sh = empty()
+    assert not fs.is_tree(node(f=sh, g=node(h=sh)))
+    assert fs.is_tree(parse_category("x[f=$1:[g=y], h=[k=z]]"))
+    assert not fs.is_tree(parse_category("x[h=$1, f=$1:[g=y]]"))
+
+
+@st.composite
+def disjoint_sides(draw):
+    """Two acyclic structures sharing no node, one of them a tree, in
+    either order; a parsed side holds a forwarded tag node at times."""
+    tree = draw(structures(tree=True))
+    other = draw(structures())
+    if draw(st.booleans()):
+        other = node(g=other, h=parse_category("x[h=$1, f=$1:[g=y]]"))
+    return (tree, other) if draw(st.booleans()) else (other, tree)
+
+
+@settings(max_examples=300, deadline=None)
+@given(disjoint_sides())
+def test_random_skipped_cycle_check_agrees_with_the_full_check(sides):
+    a, b = sides
+    assert fs.is_tree(a) or fs.is_tree(b)
+    results = []
+    for tree in (False, True):
+        try:
+            results.append(format_roots(unify_copy(a, b, [a, b], tree=tree)))
+        except UnificationFailed as exc:
+            results.append(exc.reason)
+    assert results[0] == results[1]
+    assert results[0] != "cycle"
 
 
 def test_unify_copy_undoes_a_recursion_error():

@@ -1,8 +1,11 @@
 """Grammar notation: parsing, printing, round trips, validation."""
 
 import random
+import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from featflow import fs
 from featflow.fs import atom, deref, node
@@ -139,8 +142,8 @@ def test_multi_segment_restrictor_paths():
 def test_parse_restrictor_text():
     assert parse_restrictor("") == frozenset()
     assert parse_restrictor("slash, agr.num") == frozenset({("slash",), ("agr", "num")})
-    with pytest.raises(ValueError):
-        parse_restrictor("9bad")
+    with pytest.raises(ValueError, match="'9bad' at character 4"):
+        parse_restrictor("a, 9bad")
 
 
 def test_labels_lowercased_and_quoted_atoms():
@@ -285,3 +288,38 @@ def test_validate_respects_restriction():
     g = parse_grammar(text)
     assert any(d.severity == "error" for d in validate(g))
     assert not any(d.severity == "error" for d in validate(g.with_restrictor(["slash"])))
+
+
+# ---------------------------------------------------------------------------
+# any text parses or is rejected with a position
+
+NOTATION_PIECES = (
+    *"SNPVabfgx[]=,.:$#%\"\\+- \n\t0123",
+    "->", "restrict ", "start ", "term ", "$1", "#2", "cat", "NP[", "].", "agr.num",
+)
+TEXTS = st.one_of(
+    st.text(max_size=60),
+    st.lists(st.sampled_from(NOTATION_PIECES), max_size=40).map("".join),
+)
+
+
+def assert_positioned(err, text):
+    assert err.issues
+    lines = text.count("\n") + 1
+    for issue in err.issues:
+        assert 1 <= issue.line <= lines and issue.col >= 1, (issue, text)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(TEXTS)
+def test_any_text_parses_or_raises_a_positioned_error(text):
+    for parse in (parse_grammar, parse_category_sequence):
+        try:
+            parse(text)
+        except GrammarSyntaxError as err:
+            assert_positioned(err, text)
+    try:
+        parse_restrictor(text)
+    except ValueError as err:
+        start = int(re.search(r"at character (\d+)$", str(err)).group(1))
+        assert 1 <= start <= len(text)

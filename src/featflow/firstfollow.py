@@ -394,8 +394,8 @@ def _bind(roots, pos, pair, recorder, keep=None, restrictor=None):
     pair, or None on failure.  ``fs.unify_copy`` binds the inputs only for
     the duration of the call, so they come back unchanged.  A top-level
     atom clash is caught before anything is bound and counted as filtered.
-    The working space must be acyclic and share no node with the pair: the
-    cycle check is skipped when the pair's left side is a tree.
+    The working space must be acyclic and share no complex node with the
+    pair: the cycle check is skipped when the pair's left side is a tree.
     """
     recorder.attempt(pair)
     if fs.quick_clash(roots[pos], pair.lhs[0]):

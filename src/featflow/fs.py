@@ -7,6 +7,12 @@ value.  Two paths that reach the same node form a reentrancy; reentrancy
 is part of a structure's identity and matters for unification,
 subsumption, generalization and copying.
 
+Atoms are values.  Nothing ever mutates an atom: unification forwards a
+variable to an atom but never an atom, and two atoms of one name count
+as one shared value everywhere (subsumption, generalization, printing).
+So copies share atoms: a copy makes fresh complex nodes and hands back
+the very atom objects of its source.
+
 Several operations work on *spaces*: collections of roots whose reachable
 graphs may share nodes (a rule's mother and daughters, or the two sides of
 a FIRST/FOLLOW pair).  Destructive unification (``unify_in_place``)
@@ -26,9 +32,11 @@ Unification checks its result for cycles, and fails with reason
 a caller may skip it where no cycle can form: both inputs acyclic (the
 grammar parser rejects cyclic rules and category strings, and every
 unification result is checked or cannot be cyclic), their graphs
-disjoint, and one of them a tree (``is_tree``).  A stored FIRST/FOLLOW
-pair bound to a rule, or to a copy of a queried category, meets all three
-when its left side is a tree; everything else keeps the check.
+sharing no complex node, and one of them a tree (``is_tree``).  Shared
+atoms do not count: an atom has no arcs and is never forwarded, so it
+links nothing.  A stored FIRST/FOLLOW pair bound to a rule, or to a copy
+of a queried category, meets all three when its left side is a tree;
+everything else keeps the check.
 """
 
 from __future__ import annotations
@@ -52,8 +60,9 @@ class UnificationFailed(Exception):
 class Node:
     """One graph node: ``atom`` set on leaves, ``arcs`` on complex nodes.
 
-    After destructive unification a node may carry a forwarding pointer;
-    ``deref`` must be applied before inspecting ``atom`` or ``arcs``.
+    After destructive unification a complex node may carry a forwarding
+    pointer; ``deref`` must be applied before inspecting ``atom`` or
+    ``arcs``.  An atom never carries one.
     """
 
     __slots__ = ("atom", "arcs", "forward")
@@ -123,18 +132,21 @@ def make_restrictor(paths) -> frozenset:
 def _union(a: Node, b: Node, trail: list) -> None:
     """Merge two nodes and everything below them.  Each forward set goes on
     ``trail`` as (node, None) and each arc added as (arcs dict, feature),
-    for ``_undo``."""
+    for ``_undo``.
+
+    Atoms are values: two atoms of one name unify as they are, and no atom
+    is ever forwarded (a variable is forwarded to the atom instead), so the
+    trail records no atom bindings.  Two atom children under one feature
+    are compared here, without a call."""
     a = deref(a)
     b = deref(b)
     if a is b:
         return
-    if a.atom is not None and b.atom is not None:
-        if a.atom != b.atom:
-            raise UnificationFailed("clash", f"{a.atom} / {b.atom}")
-        a.forward = b
-        trail.append((a, None))
-        return
     if a.atom is not None:
+        if b.atom is not None:
+            if a.atom != b.atom:
+                raise UnificationFailed("clash", f"{a.atom} / {b.atom}")
+            return
         if b.arcs:
             raise UnificationFailed("kind", f"atom {a.atom} against complex node")
         b.forward = a
@@ -158,6 +170,10 @@ def _union(a: Node, b: Node, trail: list) -> None:
         if have is None:
             arcs[feat] = child
             trail.append((arcs, feat))
+        elif child.atom is not None and have.atom is not None:
+            # an atom is never forwarded, so neither needs a deref
+            if child.atom != have.atom:
+                raise UnificationFailed("clash", f"{child.atom} / {have.atom}")
         else:
             _union(child, have, trail)
 
@@ -207,10 +223,11 @@ def unify_in_place(a: Node, b: Node, trail=None, tree=False) -> Node:
     that ``_undo(trail)`` can restore the space.
 
     The merged node is then checked for cycles, unless ``tree`` says that
-    no cycle can form: ``a`` and ``b`` lie in disjoint acyclic graphs and
-    one of the two is a tree (``is_tree``).  Then every path equation of the
-    result follows from those of the other side alone, so a cycle p = p.q
-    in the result would be one u = u.s in that side, which has none.
+    no cycle can form: ``a`` and ``b`` lie in acyclic graphs that share no
+    complex node, and one of the two is a tree (``is_tree``).  Then every
+    path equation of the result follows from those of the other side
+    alone, so a cycle p = p.q in the result would be one u = u.s in that
+    side, which has none.
     """
     _union(a, b, [] if trail is None else trail)
     merged = deref(a)
@@ -250,7 +267,8 @@ def unify_copy(a: Node, b: Node, keep, restrictor=frozenset(), prune=False, tree
 
     The result is checked for cycles as ``unify_in_place`` does: always,
     unless the caller passes ``tree`` to say that ``a`` and ``b`` lie in
-    disjoint acyclic graphs one of which is a tree, where no cycle can form.
+    acyclic graphs sharing no complex node, one of them a tree, where no
+    cycle can form.
     """
     trail = []
     try:
@@ -304,16 +322,20 @@ def unifiable(a: Node, b: Node) -> bool:
 # copying
 
 def clone_many(roots) -> list:
-    """Copy a whole space: same internal sharing, fresh node identities.
+    """Copy a whole space: same internal sharing, fresh complex nodes.
 
     Cross-root sharing is preserved because all roots go through one memo.
     Forwarding pointers are resolved away, so clones are always clean.
+    Atoms are shared with the source, not copied: they are never mutated.
     """
     return _copy(roots, {})
 
 
 def _copy(roots, cut, prune=False) -> list:
     """``clone_many`` leaving out the arcs in ``cut``, {id(node): features}.
+
+    An atom is returned as it is, so the memo and the pruning bookkeeping
+    below only ever hold complex nodes.
 
     With ``prune`` the copy comes out as ``prune_empty_leaves`` would leave
     it, in the same walk: a complex copy all of whose arcs are candidates
@@ -329,26 +351,28 @@ def _copy(roots, cut, prune=False) -> list:
     def cp(n):
         while n.forward is not None:
             n = n.forward
+        if n.atom is not None:
+            return n
         got = memo.get(id(n))
         if got is not None:
             if prune:
                 lone.discard(id(got))
             return got
-        if n.atom is not None:
-            new = Node(atom=n.atom)
-            memo[id(n)] = new
-            return new
         new = Node(arcs={})
         memo[id(n)] = new
         drop = cut.get(id(n), ()) if cut else ()
         arcs = new.arcs
         candidates = 0
         for feat, child in n.arcs.items():
-            if feat not in drop:
-                c = arcs[feat] = cp(child)
-                if id(c) in lone:
-                    hollow.append((arcs, feat, c))
-                    candidates += 1
+            if feat in drop:
+                continue
+            if child.atom is not None:
+                arcs[feat] = child
+                continue
+            c = arcs[feat] = cp(child)
+            if id(c) in lone:
+                hollow.append((arcs, feat, c))
+                candidates += 1
         if prune and candidates == len(arcs):
             lone.add(id(new))
         return new
@@ -384,20 +408,26 @@ def subsumes_many(gen_roots, spec_roots) -> bool:
     def walk(x, y):
         x = deref(x)
         y = deref(y)
+        if x.atom is not None:
+            return y.atom == x.atom
         prev = image.get(id(x))
         if prev is not None:
             if prev is y:
                 return True
             return prev.atom is not None and prev.atom == y.atom
         image[id(x)] = y
-        if x.atom is not None:
-            return y.atom == x.atom
         if x.arcs:
             if y.atom is not None:
                 return False
             for feat, child in x.arcs.items():
                 other = y.arcs.get(feat)
-                if other is None or not walk(child, other):
+                if other is None:
+                    return False
+                # an atom matches by name: all the image check asks of it
+                if child.atom is not None:
+                    if deref(other).atom != child.atom:
+                        return False
+                elif not walk(child, other):
                     return False
         return True
 

@@ -21,6 +21,8 @@ output reparses.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import re
 from dataclasses import dataclass, replace
 
@@ -107,7 +109,8 @@ def end_category() -> Node:
 
 
 def instantiate(rule: Rule) -> Rule:
-    """Fresh copy of a rule, sharing no node with the grammar."""
+    """Fresh copy of a rule, sharing no complex node with the grammar
+    (atoms are shared: nothing mutates them)."""
     roots = clone_many(rule.roots())
     return Rule(rule.rule_id, roots[0], tuple(roots[1:]), rule.line)
 
@@ -117,6 +120,7 @@ def instantiate(rule: Rule) -> Rule:
 
 _WORD_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _WORD_CHARS = _WORD_START | set("0123456789_")
+_NEWLINE_RE = re.compile("\n")
 
 
 @dataclass(frozen=True)
@@ -132,12 +136,14 @@ class _Lexer:
         self.text = text
         self.issues = []
         self.tokens = []
+        self._newlines = [m.start() for m in _NEWLINE_RE.finditer(text)]
         self._lex()
 
     def _pos(self, index):
-        line = self.text.count("\n", 0, index) + 1
-        last = self.text.rfind("\n", 0, index)
-        return line, index - last
+        # the newlines before index give the line, the last of them the column
+        before = bisect.bisect_left(self._newlines, index)
+        last = self._newlines[before - 1] if before else -1
+        return before + 1, index - last
 
     def _emit(self, kind, value, index):
         line, col = self._pos(index)
@@ -492,6 +498,7 @@ def parse_restrictor(text: str) -> frozenset:
 # ---------------------------------------------------------------------------
 # printing
 
+@functools.lru_cache(maxsize=4096)
 def _atom_text(name: str) -> str:
     if fs.valid_feature(name) or name in ("+", "-"):
         return name
@@ -514,10 +521,12 @@ def format_roots(roots, sigil: str = "#") -> list:
         n = deref(n)
         if n.atom is not None:
             return
-        counts[id(n)] = counts.get(id(n), 0) + 1
-        if counts[id(n)] == 1:
-            for _, child in sorted(n.arcs.items()):
-                count(child)
+        seen = counts.get(id(n), 0)
+        counts[id(n)] = seen + 1
+        if not seen:
+            for child in n.arcs.values():
+                if child.atom is None:
+                    count(child)
 
     for r in roots:
         count(r)
@@ -544,7 +553,10 @@ def format_roots(roots, sigil: str = "#") -> list:
         if cat_atom is not None and fs.valid_feature(cat_atom):
             label = cat_atom
             del rest["cat"]
-        parts = [f"{feat}={render(child)}" for feat, child in sorted(rest.items())]
+        parts = [
+            f"{feat}={_atom_text(child.atom) if child.atom is not None else render(child)}"
+            for feat, child in sorted(rest.items())
+        ]
         return f"{prefix}{label}[{', '.join(parts)}]"
 
     return [render(r) for r in roots]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from featflow import fs
+from featflow import fs, grammar
 from featflow.fs import (
     Node,
     UnificationFailed,
@@ -695,3 +695,204 @@ def test_restrict_a_path_and_its_extension_through_a_shared_node():
     assert equivalent(restrict_by_deleting([root], phi)[0], want)
     (got,) = unify_copy(root, empty(), [root], phi)
     assert equivalent(got, want)
+
+
+# ---------------------------------------------------------------------------
+# atoms are values: copies share them and unification never forwards them
+
+def forwarded_atoms(roots):
+    return [i for i, (name, forward, _) in node_state(roots).items() if name is not None and forward is not None]
+
+
+def assert_copied_out(inputs, outputs):
+    """The outputs hold fresh complex nodes only, no forwarding pointer,
+    and atoms that are atom objects of the inputs."""
+    before = node_state(inputs)
+    for i, (name, forward, _) in node_state(outputs).items():
+        assert forward is None
+        if name is None:
+            assert i not in before
+        else:
+            assert i in before and before[i][0] == name
+
+
+@pytest.mark.parametrize(
+    "a, b, reason",
+    [
+        # f reaches p through the tag node, which is forwarded to it
+        ("x[f=$1, g=$1:p]", "x[f=p, g=p, k=[h=q]]", None),
+        ("x[f=$1, g=$1:p, h=q]", "x[f=p, h=r]", "clash"),
+        ("x[f=$1, g=$1:p, h=q]", "x[f=p, h=[k=q]]", "kind"),
+        (atom("p"), atom("p"), None),
+        (atom("p"), atom("q"), "clash"),
+    ],
+)
+def test_no_atom_is_forwarded_whatever_the_outcome(a, b, reason):
+    a, b = (parse_category(x) if isinstance(x, str) else x for x in (a, b))
+    before = node_state([a, b])
+    trail = []
+    try:
+        unify_in_place(a, b, trail)
+        got = None
+    except UnificationFailed as exc:
+        got = exc.reason
+    assert got == reason
+    assert forwarded_atoms([a, b]) == []
+    fs._undo(trail)
+    assert node_state([a, b]) == before
+
+
+def test_no_atom_is_forwarded_on_a_cycle():
+    # f's tag node is bound to the node under g, which holds it under h;
+    # the z atom behind $2 meets the one under g's k before the cycle check
+    a = parse_category("x[f=$1:[k=$2], g=[h=$1, k=z], m=$2:z]")
+    before = node_state([a])
+    trail = []
+    with pytest.raises(UnificationFailed) as err:
+        unify_in_place(a.arcs["f"], a.arcs["g"], trail)
+    assert err.value.reason == "cycle"
+    assert forwarded_atoms([a]) == []
+    fs._undo(trail)
+    assert node_state([a]) == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(unify_cases())
+def test_random_unification_never_forwards_an_atom(case):
+    space, a, b, keep, restrictor = case
+    trail = []
+    try:
+        unify_in_place(a, b, trail)
+    except UnificationFailed:
+        pass
+    assert forwarded_atoms(space) == []
+    fs._undo(trail)
+    try:
+        got = unify_copy(a, b, keep, restrictor)
+    except UnificationFailed:
+        got = []
+    assert forwarded_atoms(space) == []
+    assert forwarded_atoms(got) == []
+
+
+@settings(max_examples=300, deadline=None)
+@given(unify_cases())
+def test_random_copies_share_atoms_and_no_complex_node(case):
+    space, a, b, keep, restrictor = case
+    assert_copied_out(space, clone_many(space))
+    assert_copied_out(space, restrict_many(space, restrictor))
+    assert_copied_out(space, restrict_many(space, restrictor, prune=True))
+    try:
+        got = unify_copy(a, b, keep, restrictor, prune=True)
+    except UnificationFailed:
+        return
+    assert_copied_out(space, got)
+
+
+def subsumes_by_image(gen_roots, spec_roots):
+    """Subsumption with every node of the general space, atoms included,
+    mapped to its image: the reference for subsumes_many."""
+    gen_roots = list(gen_roots)
+    spec_roots = list(spec_roots)
+    if len(gen_roots) != len(spec_roots):
+        return False
+    image = {}
+
+    def walk(x, y):
+        x = fs.deref(x)
+        y = fs.deref(y)
+        prev = image.get(id(x))
+        if prev is not None:
+            if prev is y:
+                return True
+            return prev.atom is not None and prev.atom == y.atom
+        image[id(x)] = y
+        if x.atom is not None:
+            return y.atom == x.atom
+        if x.arcs:
+            if y.atom is not None:
+                return False
+            for feat, child in x.arcs.items():
+                other = y.arcs.get(feat)
+                if other is None or not walk(child, other):
+                    return False
+        return True
+
+    return all(walk(x, y) for x, y in zip(gen_roots, spec_roots))
+
+
+def format_roots_by_visiting_atoms(roots, sigil="#"):
+    """format_roots with atoms visited like complex nodes when counting and
+    rendering: its reference."""
+    roots = [fs.deref(r) for r in roots]
+    counts = {}
+
+    def count(n):
+        n = fs.deref(n)
+        if n.atom is not None:
+            return
+        counts[id(n)] = counts.get(id(n), 0) + 1
+        if counts[id(n)] == 1:
+            for _, child in sorted(n.arcs.items()):
+                count(child)
+
+    for r in roots:
+        count(r)
+
+    tag_ids = {}
+
+    def render(n):
+        n = fs.deref(n)
+        if n.atom is not None:
+            return grammar._atom_text.__wrapped__(n.atom)
+        prefix = ""
+        if counts.get(id(n), 0) > 1:
+            known = tag_ids.get(id(n))
+            if known is not None:
+                return f"{sigil}{known}"
+            tag_ids[id(n)] = len(tag_ids) + 1
+            prefix = f"{sigil}{tag_ids[id(n)]}:"
+        cat = n.arcs.get("cat")
+        cat_atom = fs.deref(cat).atom if cat is not None else None
+        if not prefix and cat_atom == grammar.END_CATEGORY_ATOM and len(n.arcs) == 1:
+            return "$"
+        label = ""
+        rest = dict(n.arcs)
+        if cat_atom is not None and fs.valid_feature(cat_atom):
+            label = cat_atom
+            del rest["cat"]
+        parts = [f"{feat}={render(child)}" for feat, child in sorted(rest.items())]
+        return f"{prefix}{label}[{', '.join(parts)}]"
+
+    return [render(r) for r in roots]
+
+
+@settings(max_examples=300, deadline=None)
+@given(structures(), structures(), structures())
+def test_random_subsumption_matches_the_image_reference(a, b, c):
+    spaces = [[a], [b], [c], [generalize(a, b)], [clone(a)], [restrict(b, fs.make_restrictor(["g"]))]]
+    if fs.unifiable(a, b):
+        spaces.append([unify(a, b)])
+    for x in spaces:
+        for y in spaces:
+            assert subsumes_many(x, y) == subsumes_by_image(x, y)
+    pairs = [[a, node(f=a, g=b)], [b, node(f=b, g=b)], [c, node(f=c, g=c)], clone_many([a, node(f=a, g=b)])]
+    for x in pairs:
+        for y in pairs:
+            assert subsumes_many(x, y) == subsumes_by_image(x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unify_cases())
+def test_random_rendering_matches_the_atom_visiting_reference(case):
+    space, a, b, keep, restrictor = case
+    for sigil in ("#", "$"):
+        assert format_roots(space, sigil) == format_roots_by_visiting_atoms(space, sigil)
+    trail = []
+    try:
+        unify_in_place(a, b, trail)
+        assert format_roots(space) == format_roots_by_visiting_atoms(space)
+    except UnificationFailed:
+        pass
+    finally:
+        fs._undo(trail)

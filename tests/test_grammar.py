@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,6 +12,7 @@ from featflow import fs
 from featflow.fs import atom, deref, node
 from featflow.grammar import (
     GrammarSyntaxError,
+    _Lexer,
     format_grammar,
     format_node,
     format_roots,
@@ -323,3 +325,35 @@ def test_any_text_parses_or_raises_a_positioned_error(text):
     except ValueError as err:
         start = int(re.search(r"at character (\d+)$", str(err)).group(1))
         assert 1 <= start <= len(text)
+
+
+# ---------------------------------------------------------------------------
+# token positions
+
+class RescanningLexer(_Lexer):
+    """The lexer with positions found by rescanning the text up to each
+    token: the reference for the newline index."""
+
+    def _pos(self, index):
+        line = self.text.count("\n", 0, index) + 1
+        last = self.text.rfind("\n", 0, index)
+        return line, index - last
+
+
+@settings(max_examples=300, deadline=None)
+@given(TEXTS)
+def test_lexer_positions_match_rescanning_the_text(text):
+    got, want = _Lexer(text), RescanningLexer(text)
+    assert got.tokens == want.tokens
+    assert got.issues == want.issues
+    assert [got._pos(i) for i in range(len(text) + 1)] == [want._pos(i) for i in range(len(text) + 1)]
+
+
+def test_parsing_time_grows_linearly_with_the_text():
+    # 20,000 rules, 0.9 MB: a rescan of the text per token takes minutes
+    text = "".join(f"S{i}[agr=$1, f=[g=a]] -> A{i}[agr=$1] b[].\n" for i in range(20_000))
+    t0 = time.perf_counter()
+    g = parse_grammar(text)
+    elapsed = time.perf_counter() - t0
+    assert [r.line for r in g.rules[-2:]] == [19_999, 20_000]
+    assert elapsed < 15, f"parsing 20,000 rules took {elapsed:.1f} s"

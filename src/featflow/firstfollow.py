@@ -582,7 +582,7 @@ def first_of_string(first: PairSet, g: Grammar, cats) -> PairSet:
     and into the result are preserved.  Results are restricted and
     antichain-combined; the left side of every result pair is the whole
     (possibly further bound) sequence.  ``cats`` is copied first, so that it
-    shares no node with the pairs it binds, as ``_bind`` requires.
+    shares no node with the pairs it binds or tests, as ``_bind`` requires.
     """
     cats = fs.clone_many(cats)
     if not cats:
@@ -591,7 +591,8 @@ def first_of_string(first: PairSet, g: Grammar, cats) -> PairSet:
     for idx, c in enumerate(cats):
         if is_preterminal(c):
             continue
-        if not any(fs.unifiable(c, p.lhs[0]) for p in view.single.candidates(label_of(c))):
+        pairs = view.single.candidates(label_of(c))
+        if not any(fs.unifiable(c, p.lhs[0], tree=p.lhs_is_tree()) for p in pairs):
             raise UnknownCategory(
                 f"position {idx + 1}: {format_roots([c])[0]} is neither preterminal "
                 "nor unifiable with any FIRST left side"

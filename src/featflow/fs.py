@@ -308,11 +308,13 @@ def quick_clash(a: Node, b: Node) -> bool:
     return False
 
 
-def unifiable(a: Node, b: Node) -> bool:
+def unifiable(a: Node, b: Node, tree=False) -> bool:
+    """Whether ``a`` and ``b`` unify; nothing is copied and the inputs come
+    back unchanged.  ``tree`` skips the cycle check as in ``unify_copy``."""
     if quick_clash(a, b):
         return False
     try:
-        unify_copy(a, b, ())
+        unify_copy(a, b, (), tree=tree)
         return True
     except UnificationFailed:
         return False

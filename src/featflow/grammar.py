@@ -25,6 +25,7 @@ import bisect
 import functools
 import re
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from . import fs
 from .fs import Node, UnificationFailed, atom, clone, clone_many, deref
@@ -123,8 +124,7 @@ _WORD_CHARS = _WORD_START | set("0123456789_")
 _NEWLINE_RE = re.compile("\n")
 
 
-@dataclass(frozen=True)
-class _Tok:
+class _Tok(NamedTuple):
     kind: str
     value: str
     line: int
@@ -350,7 +350,8 @@ class _Parser:
             daughters.append(d)
         self.take()  # STOP
         roots = [mother, *daughters]
-        if fs._cyclic(roots):
+        # without a tag every node is made fresh and attached once: a tree
+        if tags and fs._cyclic(roots):
             self.issues.append(ParseIssue(line, 1, "rule builds a cyclic structure"))
             return
         self.rules.append(Rule(len(self.rules) + 1, mother, tuple(daughters), line))
@@ -474,7 +475,7 @@ def parse_category_sequence(text: str) -> list:
         pass
     if not p.issues and not cats:
         p.issues.append(ParseIssue(1, 1, "expected at least one category"))
-    if not p.issues and fs._cyclic(cats):
+    if not p.issues and tags and fs._cyclic(cats):
         p.issues.append(ParseIssue(1, 1, "cyclic structure"))
     if p.issues:
         raise GrammarSyntaxError(p.issues)
@@ -597,37 +598,75 @@ class Diagnostic:
         return f"{self.severity}: {where}{self.message}"
 
 
+class _Mothers:
+    """Restricted rule mothers, looked up by the ``cat`` label of the
+    category to test them against.
+
+    A mother whose restricted form has an atomic ``cat`` other than that
+    label fails ``fs.quick_clash`` against it, so only the mothers with
+    that label or none are candidates, in rule order; every mother is one
+    when the label is None (as ``firstfollow._Pool`` looks up pairs).
+    """
+
+    def __init__(self, roots):
+        self.roots = roots
+        self.trees = [fs.is_tree(m) for m in roots]
+        self._all = range(len(roots))
+        self._wild = []
+        self._by_label = {}
+        for i, m in enumerate(roots):
+            label = label_of(m)
+            if label is None:
+                self._wild.append(i)
+            else:
+                self._by_label.setdefault(label, []).append(i)
+        self._candidates = {}
+
+    def candidates(self, cat):
+        label = label_of(cat)
+        if label is None:
+            return self._all
+        got = self._candidates.get(label)
+        if got is None:
+            got = self._candidates[label] = sorted(self._by_label.get(label, []) + self._wild)
+        return got
+
+    def unifiable(self, i, cat) -> bool:
+        # a mother and a category are separate restricted copies of
+        # acyclic rules, so a tree mother needs no cycle check
+        return fs.unifiable(self.roots[i], cat, tree=self.trees[i])
+
+
 def validate(g: Grammar) -> list:
     """Static checks; errors make FIRST/FOLLOW computation unfounded.
 
     Every category that is not a preterminal must be rewritable, i.e. its
     restricted form must unify with some rule mother's restricted form.
+    Each mother and daughter is restricted once, and a category is tested
+    only against the mothers its label allows (``_Mothers``).  Reachability
+    is a worklist: the start category and then the daughters of each rule
+    reached, each tested once, against the mothers not reached yet.
     """
     out = []
-    mothers = [fs.restrict(r.mother, g.restrictor) for r in g.rules]
-    for r in g.rules:
-        for idx, d in enumerate(r.daughters, start=1):
+    mothers = _Mothers([fs.restrict(r.mother, g.restrictor) for r in g.rules])
+    daughters = [[fs.restrict(d, g.restrictor) for d in r.daughters] for r in g.rules]
+    for r, restricted in zip(g.rules, daughters):
+        for idx, (d, rd) in enumerate(zip(r.daughters, restricted), start=1):
             if is_preterminal(d):
                 continue
-            rd = fs.restrict(d, g.restrictor)
-            if not any(fs.unifiable(rd, m) for m in mothers):
+            if not any(mothers.unifiable(i, rd) for i in mothers.candidates(rd)):
                 out.append(
                     Diagnostic("error", f"daughter {idx} unifies with no rule mother", r.rule_id)
                 )
-    reachable = set()
+    reached = [False] * len(g.rules)
     frontier = [fs.restrict(g.start, g.restrictor)]
-    changed = True
-    while changed:
-        changed = False
-        for r, m in zip(g.rules, mothers):
-            if r.rule_id in reachable:
-                continue
-            if any(fs.unifiable(m, c) for c in frontier):
-                reachable.add(r.rule_id)
-                frontier.extend(fs.restrict(d, g.restrictor) for d in r.daughters)
-                changed = True
-    for r in g.rules:
-        if r.rule_id not in reachable:
+    for c in frontier:  # grows while it is walked
+        for i in mothers.candidates(c):
+            if not reached[i] and mothers.unifiable(i, c):
+                reached[i] = True
+                frontier.extend(daughters[i])
+    for r, is_reached in zip(g.rules, reached):
+        if not is_reached:
             out.append(Diagnostic("warning", "unreachable from the start category", r.rule_id))
         if r.is_epsilon and is_preterminal(r.mother):
             out.append(Diagnostic("warning", "empty rule with a preterminal mother", r.rule_id))

@@ -431,6 +431,14 @@ def test_random_quick_clash_is_sound(a, b):
         assert not fs.unifiable(a, b)
 
 
+@settings(max_examples=300, deadline=None)
+@given(structures(tree=True), structures())
+def test_random_unifiable_skipping_the_cycle_check_next_to_a_tree(a, b):
+    # two draws share no node, and one is a tree: no cycle can form
+    assert fs.unifiable(a, b, tree=True) == fs.unifiable(a, b)
+    assert fs.unifiable(b, a, tree=True) == fs.unifiable(b, a)
+
+
 @settings(max_examples=100, deadline=None)
 @given(structures())
 def test_random_clone_and_restrict(a):

@@ -11,8 +11,13 @@ from hypothesis import strategies as st
 from featflow import fs
 from featflow.fs import atom, deref, node
 from featflow.grammar import (
+    Diagnostic,
     GrammarSyntaxError,
+    ParseIssue,
+    Rule,
+    _Abort,
     _Lexer,
+    _Parser,
     format_grammar,
     format_node,
     format_roots,
@@ -25,8 +30,10 @@ from featflow.grammar import (
     parse_restrictor,
     validate,
 )
-from cf_oracle import random_feature_grammar
+from cf_oracle import random_cf_grammar, random_feature_grammar
 from support import load_fixture
+
+FIXTURES = ("fig1.gr", "cf-intro.gr", "agr.gr", "guard.gr", "bench13.gr", "bench21.gr")
 
 FIG1 = """
 restrict slash.
@@ -203,7 +210,7 @@ def test_format_node_round_trips_quoted_and_empty():
 
 
 def test_grammar_round_trip_fixtures():
-    for name in ("fig1.gr", "cf-intro.gr", "agr.gr", "guard.gr", "bench13.gr", "bench21.gr"):
+    for name in FIXTURES:
         g = load_fixture(name)
         again = parse_grammar(format_grammar(g), name=name)
         assert len(again.rules) == len(g.rules)
@@ -292,6 +299,137 @@ def test_validate_respects_restriction():
     assert not any(d.severity == "error" for d in validate(g.with_restrictor(["slash"])))
 
 
+def validate_by_rescanning(g):
+    """``validate`` as it was before the label index and the worklist: each
+    daughter restricted per check, and every unreached rule rescanned
+    against the whole frontier until nothing changes.  The reference for
+    ``validate``."""
+    out = []
+    mothers = [fs.restrict(r.mother, g.restrictor) for r in g.rules]
+    for r in g.rules:
+        for idx, d in enumerate(r.daughters, start=1):
+            if is_preterminal(d):
+                continue
+            rd = fs.restrict(d, g.restrictor)
+            if not any(fs.unifiable(rd, m) for m in mothers):
+                out.append(
+                    Diagnostic("error", f"daughter {idx} unifies with no rule mother", r.rule_id)
+                )
+    reachable = set()
+    frontier = [fs.restrict(g.start, g.restrictor)]
+    changed = True
+    while changed:
+        changed = False
+        for r, m in zip(g.rules, mothers):
+            if r.rule_id in reachable:
+                continue
+            if any(fs.unifiable(m, c) for c in frontier):
+                reachable.add(r.rule_id)
+                frontier.extend(fs.restrict(d, g.restrictor) for d in r.daughters)
+                changed = True
+    for r in g.rules:
+        if r.rule_id not in reachable:
+            out.append(Diagnostic("warning", "unreachable from the start category", r.rule_id))
+        if r.is_epsilon and is_preterminal(r.mother):
+            out.append(Diagnostic("warning", "empty rule with a preterminal mother", r.rule_id))
+    return out
+
+
+def loosely_validated_grammar(rng):
+    """A random grammar with the cases the label index must get right:
+    unlabelled categories, a complex ``cat``, labels without rules (so
+    daughters that unify with no mother), a start that leaves rules
+    unreachable, empty rules and tags shared across a rule."""
+    labels = [f"x{i}" for i in range(rng.randint(2, 6))]
+    ruled = labels[: rng.randint(1, len(labels))]
+
+    def category(label):
+        r = rng.random()
+        feats = []
+        if rng.random() < 0.4:
+            feats.append(f"agr={rng.choice(('sg', 'pl', '$1', '[num=sg]'))}")
+        if rng.random() < 0.2:
+            feats.append("ter=+")
+        if r < 0.15:
+            return f"[{', '.join(feats)}]"
+        if r < 0.25:
+            return f"[cat=[k={label}]{''.join(', ' + f for f in feats)}]"
+        if r < 0.3:
+            return f"[cat=$2{''.join(', ' + f for f in feats)}]"
+        return f"{label}[{', '.join(feats)}]"
+
+    lines = [f"start {rng.choice(labels)}."] if rng.random() < 0.5 else []
+    for _ in range(rng.randint(1, 9)):
+        mother = category(rng.choice(ruled))
+        rhs = [category(rng.choice(labels)) for _ in range(rng.randint(0, 3))]
+        lines.append(f"{mother} -> {' '.join(rhs)}.")
+    return "\n".join(lines) + "\n"
+
+
+RESTRICTORS = ((), ("cat",), ("agr",), ("agr.num",), ("cat", "agr"))
+
+
+def test_validate_matches_rescanning_on_fixtures():
+    for name in FIXTURES:
+        for restrictor in (None, *RESTRICTORS):
+            g = load_fixture(name, restrictor)
+            assert validate(g) == validate_by_rescanning(g), (name, restrictor)
+
+
+def test_validate_matches_rescanning_on_random_grammars():
+    rng = random.Random(808)
+    texts = [random_cf_grammar(rng)[0] for _ in range(40)]
+    texts += [random_feature_grammar(rng) for _ in range(40)]
+    texts += [loosely_validated_grammar(rng) for _ in range(300)]
+    seen = set()
+    for text in texts:
+        g = parse_grammar(text)
+        for restrictor in RESTRICTORS:
+            h = g.with_restrictor(restrictor)
+            got = validate(h)
+            assert got == validate_by_rescanning(h), (text, restrictor)
+            seen.update(re.sub(r"\d+", "N", d.message) for d in got)
+    assert seen == {
+        "daughter N unifies with no rule mother",
+        "unreachable from the start category",
+        "empty rule with a preterminal mother",
+    }
+
+
+def test_validate_label_index_keeps_wildcard_and_complex_cat_mothers():
+    g = parse_grammar(
+        "start s. s[] -> [agr=sg] np[] [cat=[k=v]]. [agr=sg] -> . [cat=[k=v]] -> . vp[agr=pl] -> ."
+    )
+    # np[] rewrites only by the unlabelled mother; vp[agr=pl] is reached by
+    # no daughter, though the unlabelled one is tested against it
+    assert [str(d) for d in validate(g)] == ["warning: rule 4: unreachable from the start category"]
+    assert validate(g) == validate_by_rescanning(g)
+
+
+def chain_grammar(n):
+    """``start l0.``, then rules listed bottom-up: each rule reaches only
+    the one listed before it, so a rescan finds one new rule per pass."""
+    lines = ["start l0.", f"L{n}[] -> t[ter=+]."]
+    lines += [f"L{i}[] -> L{i + 1}[] t[ter=+]." for i in range(n - 1, -1, -1)]
+    return "\n".join(lines) + "\n"
+
+
+def test_validate_time_grows_linearly_with_a_chain_grammar():
+    # rescanning every unreached rule per pass takes minutes here
+    g = parse_grammar(chain_grammar(1000))
+    t0 = time.perf_counter()
+    diags = validate(g)
+    elapsed = time.perf_counter() - t0
+    assert diags == []
+    assert elapsed < 2, f"validating a 1,001-rule chain took {elapsed:.1f} s"
+
+
+def test_validate_chain_grammar_matches_rescanning():
+    g = parse_grammar(chain_grammar(30).replace("L0[] -> L1[]", "L0[] -> L2[]"))
+    assert validate(g) == validate_by_rescanning(g)
+    assert [d.rule_id for d in validate(g)] == [30]  # L1's rule is cut off
+
+
 # ---------------------------------------------------------------------------
 # any text parses or is rejected with a position
 
@@ -325,6 +463,98 @@ def test_any_text_parses_or_raises_a_positioned_error(text):
     except ValueError as err:
         start = int(re.search(r"at character (\d+)$", str(err)).group(1))
         assert 1 <= start <= len(text)
+
+
+# ---------------------------------------------------------------------------
+# cycle checks in the parser
+
+class FullCycleCheckParser(_Parser):
+    """The parser checking every rule for cycles, tags or none: the
+    reference for checking only rules that use a tag."""
+
+    def rule_statement(self):
+        tags = {}
+        line = self.peek().line
+        mother = self.category(tags)
+        self.expect("ARROW", "'->'")
+        daughters = []
+        while self.peek().kind != "STOP":
+            if self.peek().kind == "EOF":
+                self.fail(self.peek(), "unknown syntax: unterminated rule")
+            preterminal_sugar = False
+            if self.peek().kind == "WORD" and self.peek().value == "term":
+                self.take()
+                preterminal_sugar = True
+            d = self.category(tags)
+            if preterminal_sugar:
+                self.mark_preterminal(d)
+            daughters.append(d)
+        self.take()  # STOP
+        roots = [mother, *daughters]
+        if fs._cyclic(roots):
+            self.issues.append(ParseIssue(line, 1, "rule builds a cyclic structure"))
+            return
+        self.rules.append(Rule(len(self.rules) + 1, mother, tuple(daughters), line))
+
+
+def sequence_with_full_cycle_check(text):
+    """``parse_category_sequence`` checking for cycles, tags or none."""
+    p = _Parser(text, "<category>")
+    cats = []
+    tags = {}
+    try:
+        while p.peek().kind != "EOF":
+            cats.append(p.category(tags, allow_end_mark=True))
+    except _Abort:
+        pass
+    if not p.issues and not cats:
+        p.issues.append(ParseIssue(1, 1, "expected at least one category"))
+    if not p.issues and fs._cyclic(cats):
+        p.issues.append(ParseIssue(1, 1, "cyclic structure"))
+    if p.issues:
+        raise GrammarSyntaxError(p.issues)
+    return cats
+
+
+def outcome(parse, text):
+    """What a parse gives: the printed grammar or categories, or the issues."""
+    try:
+        got = parse(text)
+    except GrammarSyntaxError as err:
+        return err.issues
+    if isinstance(got, list):
+        return format_roots(got)
+    return format_grammar(got), [r.line for r in got.rules], format_node(got.start)
+
+
+TAGGED_PIECES = (
+    "S", "a[ter=+]", "[", "]", "f=", "g=", ", ", " -> ", ". ", "$1", "$2", "$1:", "$2:", "x", "term ",
+)
+TAGGED_TEXTS = st.lists(st.sampled_from(TAGGED_PIECES), max_size=30).map("".join)
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(TEXTS, TAGGED_TEXTS))
+def test_cycle_check_only_on_tagged_statements_matches_a_full_check(text):
+    full = outcome(lambda t: FullCycleCheckParser(t, "<string>").parse(), text)
+    assert outcome(parse_grammar, text) == full
+    assert outcome(parse_category_sequence, text) == outcome(sequence_with_full_cycle_check, text)
+
+
+def test_cyclic_tags_still_rejected_and_tag_free_texts_parse():
+    for parse, text, message in (
+        (parse_grammar, "S[f=$1:[g=$1]] -> a[ter=+].", "rule builds a cyclic structure"),
+        (parse_grammar, "S[f=$1:[g=$2], h=$2:[k=$1]] -> a[ter=+].", "rule builds a cyclic structure"),
+        (parse_category_sequence, "[f=$1:[g=$1]]", "cycle"),
+        (parse_category_sequence, "[f=$1:[g=$2]] [h=$2:[k=$1]]", "cycle"),
+    ):
+        with pytest.raises(GrammarSyntaxError) as err:
+            parse(text)
+        assert any(message in i.message for i in err.value.issues), (text, err.value.issues)
+    g = parse_grammar("S[f=[g=[h=x]]] -> term A[f=[g=y]] B[]. A -> . B -> .")
+    assert len(g.rules) == 3 and not fs._cyclic(g.rules[0].roots())
+    cats = parse_category_sequence("[f=[g=x]] np[agr=sg] $")
+    assert len(cats) == 3 and not fs._cyclic(cats)
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ class Pair:
         # epsilon right-hand sides carry no bindings, so they do not compare
         self.comparison_roots = self.lhs if self.is_epsilon else (*self.lhs, rhs)
         signature = (len(self.lhs), self.is_epsilon)
-        self.key = (signature, tuple(label_of(r) for r in self.comparison_roots))
+        self.key = (signature, tuple(map(label_of, self.comparison_roots)))
         self._tree = None
 
     def lhs_is_tree(self) -> bool:
@@ -543,6 +543,7 @@ def compute_first(g: Grammar, mode: str = "active"):
     """
     eps_cat = epsilon_category(g)
     eps_mark = EpsilonMark(eps_cat) if eps_cat is not None else None
+    eps_done = set()
 
     def seed(store):
         for r in g.rules:
@@ -553,7 +554,12 @@ def compute_first(g: Grammar, mode: str = "active"):
 
     def visit(rule, offered, first, rec, store):
         if rule.is_epsilon:
-            return store((fs.restrict(rule.mother, g.restrictor, prune=True),), None, rule.rule_id, eps_mark)
+            # only the first store can be accepted, since a covered pair
+            # stays covered, so the active mode stores the mother once
+            if mode == "naive" or rule.rule_id not in eps_done:
+                eps_done.add(rule.rule_id)
+                return store((fs.restrict(rule.mother, g.restrictor, prune=True),), None, rule.rule_id, eps_mark)
+            return False
         if not offered:
             return False
         view = first.view()

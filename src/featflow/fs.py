@@ -37,10 +37,22 @@ atoms do not count: an atom has no arcs and is never forwarded, so it
 links nothing.  A stored FIRST/FOLLOW pair bound to a rule, or to a copy
 of a queried category, meets all three when its left side is a tree;
 everything else keeps the check.
+
+The kernels on the bind path (``_union``, ``_cyclic``, ``is_tree``,
+``quick_clash``, ``_cuts``, ``_copy`` and ``subsumes_many``) make no
+helper call per node.  The benchmark's products are a few nodes each, so
+the fixed Python cost of a call outweighs the graph work.  They follow
+``forward`` inline instead of calling ``deref``, key their memos by the
+node itself (it hashes by identity) rather than by ``id``, build nodes
+without ``Node.__init__``, and use no closure or generator per node.  The
+only per-node call left is a kernel's own recursion (``_union``,
+``_copy``).  ``deref`` stays the public way to read through forwarding
+pointers.
 """
 
 from __future__ import annotations
 
+import functools
 import re
 
 FeaturePath = tuple  # tuple[str, ...]
@@ -138,8 +150,10 @@ def _union(a: Node, b: Node, trail: list) -> None:
     is ever forwarded (a variable is forwarded to the atom instead), so the
     trail records no atom bindings.  Two atom children under one feature
     are compared here, without a call."""
-    a = deref(a)
-    b = deref(b)
+    while a.forward is not None:
+        a = a.forward
+    while b.forward is not None:
+        b = b.forward
     if a is b:
         return
     if a.atom is not None:
@@ -162,7 +176,9 @@ def _union(a: Node, b: Node, trail: list) -> None:
     trail.append((a, None))
     # a is forwarded now, so nothing reads a.arcs or adds to it below
     for feat, child in a.arcs.items():
-        tgt = deref(b)
+        tgt = b  # a union below may have forwarded b
+        while tgt.forward is not None:
+            tgt = tgt.forward
         if tgt.atom is not None:
             raise UnificationFailed("kind", f"atom {tgt.atom} against complex node")
         arcs = tgt.arcs
@@ -191,25 +207,28 @@ def _cyclic(roots) -> bool:
     done = set()
     on_path = set()
     for root in roots:
-        stack = [(deref(root), False)]
+        while root.forward is not None:
+            root = root.forward
+        stack = [(root, False)]
         while stack:
             n, leaving = stack.pop()
             if leaving:
-                on_path.discard(id(n))
-                done.add(id(n))
+                on_path.discard(n)
+                done.add(n)
                 continue
-            if id(n) in done:
+            if n in done:
                 continue
-            if id(n) in on_path:
+            if n in on_path:
                 return True
-            on_path.add(id(n))
+            on_path.add(n)
             stack.append((n, True))
             if n.atom is None:
-                for child in n.arcs.values():
-                    c = deref(child)
-                    if id(c) in on_path:
+                for c in n.arcs.values():
+                    while c.forward is not None:
+                        c = c.forward
+                    if c in on_path:
                         return True
-                    if id(c) not in done:
+                    if c not in done:
                         stack.append((c, False))
     return False
 
@@ -247,9 +266,9 @@ def is_tree(root: Node) -> bool:
         while n.forward is not None:
             n = n.forward
         if n.atom is None:
-            if id(n) in seen:
+            if n in seen:
                 return False
-            seen.add(id(n))
+            seen.add(n)
             stack.extend(n.arcs.values())
     return True
 
@@ -291,8 +310,10 @@ def quick_clash(a: Node, b: Node) -> bool:
     the atoms of the nodes it copies, so when this reports a clash, unifying
     the two nodes (or clones of them) fails.  False decides nothing.
     """
-    a = deref(a)
-    b = deref(b)
+    while a.forward is not None:
+        a = a.forward
+    while b.forward is not None:
+        b = b.forward
     if a.atom is not None or b.atom is not None:
         return False
     theirs = b.arcs
@@ -300,9 +321,13 @@ def quick_clash(a: Node, b: Node) -> bool:
         other = theirs.get(feat)
         if other is None:
             continue
-        mine = deref(child).atom
+        while child.forward is not None:
+            child = child.forward
+        mine = child.atom
         if mine is not None:
-            got = deref(other).atom
+            while other.forward is not None:
+                other = other.forward
+            got = other.atom
             if got is not None and got != mine:
                 return True
     return False
@@ -334,10 +359,11 @@ def clone_many(roots) -> list:
 
 
 def _copy(roots, cut, prune=False) -> list:
-    """``clone_many`` leaving out the arcs in ``cut``, {id(node): features}.
+    """``clone_many`` leaving out the arcs in ``cut``, {node: features}.
 
     An atom is returned as it is, so the memo and the pruning bookkeeping
-    below only ever hold complex nodes.
+    below only ever hold complex nodes.  They key by the node itself, which
+    hashes by identity, so no ``id`` call is needed.
 
     With ``prune`` the copy comes out as ``prune_empty_leaves`` would leave
     it, in the same walk: a complex copy all of whose arcs are candidates
@@ -347,23 +373,25 @@ def _copy(roots, cut, prune=False) -> list:
     ``lone`` and has no arcs left is deleted.
     """
     memo = {}
-    lone = set()  # ids of copies that may end up empty, reached once so far
+    lone = set()  # copies that may end up empty, reached once so far
     hollow = []  # candidate arcs as (arcs dict, feature, child), in post-order
+    new_node = object.__new__
 
     def cp(n):
         while n.forward is not None:
             n = n.forward
         if n.atom is not None:
             return n
-        got = memo.get(id(n))
+        got = memo.get(n)
         if got is not None:
             if prune:
-                lone.discard(id(got))
+                lone.discard(got)
             return got
-        new = Node(arcs={})
-        memo[id(n)] = new
-        drop = cut.get(id(n), ()) if cut else ()
-        arcs = new.arcs
+        new = new_node(Node)  # Node.__init__'s branching is not needed here
+        new.atom = new.forward = None
+        new.arcs = arcs = {}
+        memo[n] = new
+        drop = cut.get(n, ()) if cut else ()
         candidates = 0
         for feat, child in n.arcs.items():
             if feat in drop:
@@ -372,16 +400,18 @@ def _copy(roots, cut, prune=False) -> list:
                 arcs[feat] = child
                 continue
             c = arcs[feat] = cp(child)
-            if id(c) in lone:
+            if c in lone:
                 hollow.append((arcs, feat, c))
                 candidates += 1
         if prune and candidates == len(arcs):
-            lone.add(id(new))
+            lone.add(new)
         return new
 
-    out = [cp(r) for r in roots]
+    out = []
+    for r in roots:
+        out.append(cp(r))
     for arcs, feat, child in hollow:
-        if id(child) in lone and not child.arcs:
+        if child in lone and not child.arcs:
             del arcs[feat]
     return out
 
@@ -394,46 +424,59 @@ def clone(root: Node) -> Node:
 # subsumption
 
 def subsumes_many(gen_roots, spec_roots) -> bool:
-    """True when the first space is at least as general as the second.
+    """True when the first space is at least as general as the second; both
+    are sequences of roots.
 
     Every path defined in the general space must be defined in the specific
     one with a matching atom or a recursively subsuming value, and every
     shared node must stay shared.  Two atoms with the same name count as a
     shared target: sharing of fully determined values adds no information.
+
+    One loop over a stack of (general, specific) node pairs: each complex
+    general node is mapped to its image on first visit, and a second visit
+    must find the same image (or a same-named atom).  The outcome does not
+    depend on the visiting order, and depth costs no recursion.
     """
-    gen_roots = list(gen_roots)
-    spec_roots = list(spec_roots)
     if len(gen_roots) != len(spec_roots):
         return False
     image = {}
-
-    def walk(x, y):
-        x = deref(x)
-        y = deref(y)
+    stack = [*zip(gen_roots, spec_roots)]
+    pop = stack.pop
+    push = stack.append
+    while stack:
+        x, y = pop()
+        while x.forward is not None:
+            x = x.forward
+        while y.forward is not None:
+            y = y.forward
         if x.atom is not None:
-            return y.atom == x.atom
-        prev = image.get(id(x))
-        if prev is not None:
-            if prev is y:
-                return True
-            return prev.atom is not None and prev.atom == y.atom
-        image[id(x)] = y
-        if x.arcs:
-            if y.atom is not None:
+            if y.atom != x.atom:
                 return False
-            for feat, child in x.arcs.items():
-                other = y.arcs.get(feat)
-                if other is None:
+            continue
+        prev = image.get(x)
+        if prev is not None:
+            if prev is not y and (prev.atom is None or prev.atom != y.atom):
+                return False
+            continue
+        image[x] = y
+        if not x.arcs:
+            continue
+        if y.atom is not None:
+            return False
+        theirs = y.arcs
+        for feat, child in x.arcs.items():
+            other = theirs.get(feat)
+            if other is None:
+                return False
+            # an atom matches by name: all the image check asks of it
+            if child.atom is not None:
+                while other.forward is not None:
+                    other = other.forward
+                if other.atom != child.atom:
                     return False
-                # an atom matches by name: all the image check asks of it
-                if child.atom is not None:
-                    if deref(other).atom != child.atom:
-                        return False
-                elif not walk(child, other):
-                    return False
-        return True
-
-    return all(walk(x, y) for x, y in zip(gen_roots, spec_roots))
+            else:
+                push((child, other))
+    return True
 
 
 def subsumes(a: Node, b: Node) -> bool:
@@ -509,21 +552,32 @@ def restrict_many(roots, restrictor, prune=False) -> list:
 
 def _cuts(roots, restrictor) -> dict:
     cut = {}
-    for path in sorted(restrictor):
-        *prefix, last = path
-        for root in roots:
-            n = deref(root)
+    if not restrictor:
+        return cut
+    for prefix, last in _split_paths(frozenset(restrictor)):
+        for n in roots:
+            while n.forward is not None:
+                n = n.forward
             for seg in prefix:
-                if n.atom is not None or seg in cut.get(id(n), ()):
+                if n.atom is not None or seg in cut.get(n, ()):
                     n = None
                     break
                 n = n.arcs.get(seg)
                 if n is None:
                     break
-                n = deref(n)
+                while n.forward is not None:
+                    n = n.forward
             if n is not None and n.atom is None and last in n.arcs:
-                cut.setdefault(id(n), set()).add(last)
+                cut.setdefault(n, set()).add(last)
     return cut
+
+
+@functools.lru_cache(maxsize=256)
+def _split_paths(restrictor: frozenset) -> tuple:
+    """A restrictor's paths in the sorted order they apply in, each as
+    (prefix, last feature); a grammar has one restrictor, so this is
+    worked out once, not on every copy."""
+    return tuple((path[:-1], path[-1]) for path in sorted(restrictor))
 
 
 def restrict(root: Node, restrictor, prune=False) -> Node:

@@ -89,19 +89,30 @@ class Grammar:
 
 def is_preterminal(cat: Node) -> bool:
     """True iff the category carries ``ter`` with the atom ``+`` at its root."""
-    n = deref(cat)
-    if n.atom is not None:
+    while cat.forward is not None:
+        cat = cat.forward
+    if cat.atom is not None:
         return False
-    t = n.arcs.get("ter")
-    return t is not None and deref(t).atom == "+"
+    t = cat.arcs.get("ter")
+    if t is None:
+        return False
+    while t.forward is not None:
+        t = t.forward
+    return t.atom == "+"
 
 
 def label_of(cat: Node) -> str | None:
-    n = deref(cat)
-    if n.atom is not None:
+    # called on every bind and every stored pair: deref is inlined
+    while cat.forward is not None:
+        cat = cat.forward
+    if cat.atom is not None:
         return None
-    c = n.arcs.get("cat")
-    return deref(c).atom if c is not None else None
+    c = cat.arcs.get("cat")
+    if c is None:
+        return None
+    while c.forward is not None:
+        c = c.forward
+    return c.atom
 
 
 def end_category() -> Node:
@@ -447,9 +458,12 @@ class _Parser:
             try:
                 fs.unify_in_place(tag, constraint)
             except UnificationFailed as exc:
-                self.issues.append(
-                    ParseIssue(t.line, t.col, f"tag ${t.value} used with two incompatible value annotations ({exc})")
-                )
+                # the merge is complete when a cycle is found, and the
+                # rule's or sequence's own check reports it once
+                if exc.reason != "cycle":
+                    self.issues.append(
+                        ParseIssue(t.line, t.col, f"tag ${t.value} used with two incompatible value annotations ({exc})")
+                    )
         return deref(tag)
 
 
@@ -476,7 +490,7 @@ def parse_category_sequence(text: str) -> list:
     if not p.issues and not cats:
         p.issues.append(ParseIssue(1, 1, "expected at least one category"))
     if not p.issues and tags and fs._cyclic(cats):
-        p.issues.append(ParseIssue(1, 1, "cyclic structure"))
+        p.issues.append(ParseIssue(1, 1, "categories build a cycle"))
     if p.issues:
         raise GrammarSyntaxError(p.issues)
     return cats
@@ -507,6 +521,12 @@ def _atom_text(name: str) -> str:
     return f'"{escaped}"'
 
 
+@functools.lru_cache(maxsize=4096)
+def _is_label(name: str) -> bool:
+    """Whether a ``cat`` atom prints as the category's leading label."""
+    return fs.valid_feature(name)
+
+
 def format_roots(roots, sigil: str = "#") -> list:
     """Render a space as one string per root with shared tag numbering.
 
@@ -515,11 +535,11 @@ def format_roots(roots, sigil: str = "#") -> list:
     atoms are interchangeable).  The output reparses to an equivalent
     space via the AVM notation.
     """
-    roots = [deref(r) for r in roots]
     counts = {}
 
     def count(n):
-        n = deref(n)
+        while n.forward is not None:
+            n = n.forward
         if n.atom is not None:
             return
         seen = counts.get(id(n), 0)
@@ -535,7 +555,8 @@ def format_roots(roots, sigil: str = "#") -> list:
     tag_ids = {}
 
     def render(n):
-        n = deref(n)
+        while n.forward is not None:
+            n = n.forward
         if n.atom is not None:
             return _atom_text(n.atom)
         prefix = ""
@@ -546,12 +567,16 @@ def format_roots(roots, sigil: str = "#") -> list:
             tag_ids[id(n)] = len(tag_ids) + 1
             prefix = f"{sigil}{tag_ids[id(n)]}:"
         cat = n.arcs.get("cat")
-        cat_atom = deref(cat).atom if cat is not None else None
+        cat_atom = None
+        if cat is not None:
+            while cat.forward is not None:
+                cat = cat.forward
+            cat_atom = cat.atom
         if not prefix and cat_atom == END_CATEGORY_ATOM and len(n.arcs) == 1:
             return "$"
         label = ""
         rest = dict(n.arcs)
-        if cat_atom is not None and fs.valid_feature(cat_atom):
+        if cat_atom is not None and _is_label(cat_atom):
             label = cat_atom
             del rest["cat"]
         parts = [

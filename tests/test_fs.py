@@ -829,6 +829,96 @@ def subsumes_by_image(gen_roots, spec_roots):
     return all(walk(x, y) for x, y in zip(gen_roots, spec_roots))
 
 
+def subsumes_by_recursion(gen_roots, spec_roots):
+    """subsumes_many as a recursive walk that compares an atom child by
+    name: the reference for the iterative one."""
+    gen_roots = list(gen_roots)
+    spec_roots = list(spec_roots)
+    if len(gen_roots) != len(spec_roots):
+        return False
+    image = {}
+
+    def walk(x, y):
+        x = fs.deref(x)
+        y = fs.deref(y)
+        if x.atom is not None:
+            return y.atom == x.atom
+        prev = image.get(id(x))
+        if prev is not None:
+            if prev is y:
+                return True
+            return prev.atom is not None and prev.atom == y.atom
+        image[id(x)] = y
+        if x.arcs:
+            if y.atom is not None:
+                return False
+            for feat, child in x.arcs.items():
+                other = y.arcs.get(feat)
+                if other is None:
+                    return False
+                if child.atom is not None:
+                    if fs.deref(other).atom != child.atom:
+                        return False
+                elif not walk(child, other):
+                    return False
+        return True
+
+    return all(walk(x, y) for x, y in zip(gen_roots, spec_roots))
+
+
+def assert_subsumption_matches_the_references(spaces):
+    for x in spaces:
+        for y in spaces:
+            got = subsumes_many(x, y)
+            assert got == subsumes_by_recursion(x, y) == subsumes_by_image(x, y), (x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unify_cases())
+def test_random_iterative_subsumption_matches_the_recursive_walk(case):
+    space, a, b, keep, restrictor = case
+    spaces = [space, [a], [b], [space[2]], clone_many(space), restrict_many(space, restrictor, prune=True)]
+    if keep:
+        spaces.append(keep)
+    assert_subsumption_matches_the_references(spaces)
+    # merged spaces read through forwarding pointers, before the undo
+    trail = []
+    try:
+        unify_in_place(a, b, trail)
+    except UnificationFailed:
+        pass  # a partly merged space is still a graph to compare
+    try:
+        assert_subsumption_matches_the_references(spaces)
+    finally:
+        fs._undo(trail)
+
+
+def chain(depth, leaf):
+    """A path f.f.....f of ``depth`` arcs ending in ``leaf``."""
+    root = n = Node(arcs={})
+    for _ in range(depth - 1):
+        n.arcs["f"] = n = Node(arcs={})
+    n.arcs["f"] = leaf
+    return root
+
+
+def test_subsumption_of_deep_chains_needs_no_recursion():
+    depth = 5_000
+    general, specific = chain(depth, Node(arcs={})), chain(depth, atom("x"))
+    assert subsumes_many([general], [specific])
+    assert not subsumes_many([specific], [general])
+    assert subsumes_many([specific], [chain(depth, atom("x"))])
+    assert not subsumes_many([specific], [chain(depth, atom("y"))])
+    assert not subsumes_many([chain(depth + 1, atom("x"))], [specific])
+    # a forwarded node deep down is read through
+    deep = chain(depth, Node(arcs={}))
+    n = deep
+    for _ in range(depth):
+        n = n.arcs["f"]
+    n.forward = atom("x")
+    assert subsumes_many([specific], [deep]) and subsumes_many([deep], [specific])
+
+
 def format_roots_by_visiting_atoms(roots, sigil="#"):
     """format_roots with atoms visited like complex nodes when counting and
     rendering: its reference."""

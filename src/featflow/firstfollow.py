@@ -442,16 +442,21 @@ def _eps_bindings(roots, positions, eps_pool, fresh, recorder, keep=None, restri
     does with ``keep`` and ``restrictor``; the spaces between keep every
     root, as they are.  With no positions, ``roots`` are yielded as they
     are."""
+    return _eps_from(list(roots), 0, fresh is None, positions, eps_pool, fresh, recorder, keep, restrictor)
 
-    def rec(space, k, used):
-        if k == len(positions):
-            yield space, used
-            return
-        copy_out = (keep, restrictor) if k + 1 == len(positions) else ()
-        for e, new, _ in _bind_each(space, positions[k], eps_pool, recorder, *copy_out):
-            yield from rec(new, k + 1, used or e.serial in fresh)
 
-    yield from rec(list(roots), 0, fresh is None)
+def _eps_from(space, k, used, positions, eps_pool, fresh, recorder, keep, restrictor):
+    """``_eps_bindings`` from the ``k``-th listed position on, in ``space``
+    as the positions before it left it; ``used`` says whether they bound a
+    fresh pair."""
+    if k == len(positions):
+        yield space, used
+        return
+    copy_out = (keep, restrictor) if k + 1 == len(positions) else ()
+    for e, new, _ in _bind_each(space, positions[k], eps_pool, recorder, *copy_out):
+        yield from _eps_from(
+            new, k + 1, used or e.serial in fresh, positions, eps_pool, fresh, recorder, keep, restrictor
+        )
 
 
 def _first_of_span(space, span, view, rec, keep, restrictor, fresh=None, fresh_drivers=None):

@@ -45,9 +45,22 @@ the fixed Python cost of a call outweighs the graph work.  They follow
 ``forward`` inline instead of calling ``deref``, key their memos by the
 node itself (it hashes by identity) rather than by ``id``, build nodes
 without ``Node.__init__``, and use no closure or generator per node.  The
-only per-node call left is a kernel's own recursion (``_union``,
-``_copy``).  ``deref`` stays the public way to read through forwarding
-pointers.
+only per-node call left is a kernel's own recursion (``_union``, and
+``_copy``'s walk ``_cp``).  ``deref`` stays the public way to read through
+forwarding pointers.
+
+No nested function on the op path (parse, validate, FIRST, FOLLOW,
+rendering and the lookups) refers to itself.  Such a function is a
+reference cycle, function to closure cell to function, made anew on
+every call of the function around it.  It keeps all its closure holds
+(for a copy: the memo and every node copied) alive until CPython's
+cyclic collector runs, and that collector took about a fifth of each
+benchmark op when the walks below were closures.  So a recursive walk is
+a module-level function that takes its state as arguments (``_cp``,
+``firstfollow._eps_from``, ``grammar._count_refs`` and ``_render``) or a
+loop (``generalize``), and reference counting frees every temporary at
+once; ``tests/test_no_cycles.py`` checks that no op leaves cyclic
+garbage.
 """
 
 from __future__ import annotations
@@ -358,6 +371,9 @@ def clone_many(roots) -> list:
     return _copy(roots, {})
 
 
+_new_node = object.__new__  # makes a Node without running Node.__init__
+
+
 def _copy(roots, cut, prune=False) -> list:
     """``clone_many`` leaving out the arcs in ``cut``, {node: features}.
 
@@ -373,47 +389,48 @@ def _copy(roots, cut, prune=False) -> list:
     ``lone`` and has no arcs left is deleted.
     """
     memo = {}
-    lone = set()  # copies that may end up empty, reached once so far
+    lone = set() if prune else None  # copies that may end up empty, reached once so far
     hollow = []  # candidate arcs as (arcs dict, feature, child), in post-order
-    new_node = object.__new__
-
-    def cp(n):
-        while n.forward is not None:
-            n = n.forward
-        if n.atom is not None:
-            return n
-        got = memo.get(n)
-        if got is not None:
-            if prune:
-                lone.discard(got)
-            return got
-        new = new_node(Node)  # Node.__init__'s branching is not needed here
-        new.atom = new.forward = None
-        new.arcs = arcs = {}
-        memo[n] = new
-        drop = cut.get(n, ()) if cut else ()
-        candidates = 0
-        for feat, child in n.arcs.items():
-            if feat in drop:
-                continue
-            if child.atom is not None:
-                arcs[feat] = child
-                continue
-            c = arcs[feat] = cp(child)
-            if c in lone:
-                hollow.append((arcs, feat, c))
-                candidates += 1
-        if prune and candidates == len(arcs):
-            lone.add(new)
-        return new
-
     out = []
     for r in roots:
-        out.append(cp(r))
+        out.append(_cp(r, memo, cut, lone, hollow))
     for arcs, feat, child in hollow:
         if child in lone and not child.arcs:
             del arcs[feat]
     return out
+
+
+def _cp(n, memo, cut, lone, hollow):
+    """``_copy``'s walk: the copy of ``n``.  ``lone`` is None when the copy
+    is not pruned."""
+    while n.forward is not None:
+        n = n.forward
+    if n.atom is not None:
+        return n
+    got = memo.get(n)
+    if got is not None:
+        if lone is not None:
+            lone.discard(got)
+        return got
+    new = _new_node(Node)
+    new.atom = new.forward = None
+    new.arcs = arcs = {}
+    memo[n] = new
+    drop = cut.get(n, ()) if cut else ()
+    candidates = 0
+    for feat, child in n.arcs.items():
+        if feat in drop:
+            continue
+        if child.atom is not None:
+            arcs[feat] = child
+            continue
+        c = arcs[feat] = _cp(child, memo, cut, lone, hollow)
+        if lone is not None and c in lone:
+            hollow.append((arcs, feat, c))
+            candidates += 1
+    if lone is not None and candidates == len(arcs):
+        lone.add(new)
+    return new
 
 
 def clone(root: Node) -> Node:
@@ -500,36 +517,39 @@ def generalize(a: Node, b: Node) -> Node:
     Features survive only where both inputs agree; a result node is shared
     only where both inputs share.  Atoms key by name, since same-named
     atoms count as one shared target for subsumption.
+
+    One loop over a stack of (x, y, arcs, feature) entries, each asking for
+    the generalization of x and y under ``arcs[feature]``, so depth costs
+    no recursion.  A pair of complex nodes pushes its common features in
+    reverse: nodes are then met depth first in ``x``'s feature order, and
+    each result keeps that order.
     """
     memo = {}
-
-    def key_of(n):
-        return ("a", n.atom) if n.atom is not None else id(n)
-
-    def g(x, y):
+    top = {}
+    stack = [(a, b, top, None)]
+    while stack:
+        x, y, arcs, feat = stack.pop()
         x = deref(x)
         y = deref(y)
-        key = (key_of(x), key_of(y))
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if x.atom is not None:
-            out = Node(atom=x.atom) if x.atom == y.atom else Node()
+        key = (
+            ("a", x.atom) if x.atom is not None else id(x),
+            ("a", y.atom) if y.atom is not None else id(y),
+        )
+        out = memo.get(key)
+        if out is None:
+            if x.atom is not None:
+                out = Node(atom=x.atom) if x.atom == y.atom else Node()
+            elif y.atom is not None:
+                out = Node()
+            else:
+                out = Node(arcs={})
+                theirs = y.arcs
+                stack.extend(
+                    (child, theirs[f], out.arcs, f) for f, child in reversed(x.arcs.items()) if f in theirs
+                )
             memo[key] = out
-            return out
-        if y.atom is not None:
-            out = Node()
-            memo[key] = out
-            return out
-        out = Node(arcs={})
-        memo[key] = out
-        for feat, child in x.arcs.items():
-            other = y.arcs.get(feat)
-            if other is not None:
-                out.arcs[feat] = g(child, other)
-        return out
-
-    return g(a, b)
+        arcs[feat] = out
+    return top[None]
 
 
 # ---------------------------------------------------------------------------

@@ -536,56 +536,59 @@ def format_roots(roots, sigil: str = "#") -> list:
     space via the AVM notation.
     """
     counts = {}
-
-    def count(n):
-        while n.forward is not None:
-            n = n.forward
-        if n.atom is not None:
-            return
-        seen = counts.get(id(n), 0)
-        counts[id(n)] = seen + 1
-        if not seen:
-            for child in n.arcs.values():
-                if child.atom is None:
-                    count(child)
-
     for r in roots:
-        count(r)
-
+        _count_refs(r, counts)
     tag_ids = {}
+    return [_render(r, counts, tag_ids, sigil) for r in roots]
 
-    def render(n):
-        while n.forward is not None:
-            n = n.forward
-        if n.atom is not None:
-            return _atom_text(n.atom)
-        prefix = ""
-        if counts.get(id(n), 0) > 1:
-            known = tag_ids.get(id(n))
-            if known is not None:
-                return f"{sigil}{known}"
-            tag_ids[id(n)] = len(tag_ids) + 1
-            prefix = f"{sigil}{tag_ids[id(n)]}:"
-        cat = n.arcs.get("cat")
-        cat_atom = None
-        if cat is not None:
-            while cat.forward is not None:
-                cat = cat.forward
-            cat_atom = cat.atom
-        if not prefix and cat_atom == END_CATEGORY_ATOM and len(n.arcs) == 1:
-            return "$"
-        label = ""
-        rest = dict(n.arcs)
-        if cat_atom is not None and _is_label(cat_atom):
-            label = cat_atom
-            del rest["cat"]
-        parts = [
-            f"{feat}={_atom_text(child.atom) if child.atom is not None else render(child)}"
-            for feat, child in sorted(rest.items())
-        ]
-        return f"{prefix}{label}[{', '.join(parts)}]"
 
-    return [render(r) for r in roots]
+def _count_refs(n, counts):
+    """Add to ``counts``, by node id, the references to each complex node
+    below ``n``, entering each node once."""
+    while n.forward is not None:
+        n = n.forward
+    if n.atom is not None:
+        return
+    seen = counts.get(id(n), 0)
+    counts[id(n)] = seen + 1
+    if not seen:
+        for child in n.arcs.values():
+            if child.atom is None:
+                _count_refs(child, counts)
+
+
+def _render(n, counts, tag_ids, sigil):
+    """``format_roots``' text of ``n``; a node counted more than once is
+    tagged at its first rendering, numbered in ``tag_ids``."""
+    while n.forward is not None:
+        n = n.forward
+    if n.atom is not None:
+        return _atom_text(n.atom)
+    prefix = ""
+    if counts.get(id(n), 0) > 1:
+        known = tag_ids.get(id(n))
+        if known is not None:
+            return f"{sigil}{known}"
+        tag_ids[id(n)] = len(tag_ids) + 1
+        prefix = f"{sigil}{tag_ids[id(n)]}:"
+    cat = n.arcs.get("cat")
+    cat_atom = None
+    if cat is not None:
+        while cat.forward is not None:
+            cat = cat.forward
+        cat_atom = cat.atom
+    if not prefix and cat_atom == END_CATEGORY_ATOM and len(n.arcs) == 1:
+        return "$"
+    label = ""
+    rest = dict(n.arcs)
+    if cat_atom is not None and _is_label(cat_atom):
+        label = cat_atom
+        del rest["cat"]
+    parts = [
+        f"{feat}={_atom_text(c.atom) if c.atom is not None else _render(c, counts, tag_ids, sigil)}"
+        for feat, c in sorted(rest.items())
+    ]
+    return f"{prefix}{label}[{', '.join(parts)}]"
 
 
 def format_node(root: Node) -> str:

@@ -994,3 +994,91 @@ def test_random_rendering_matches_the_atom_visiting_reference(case):
         pass
     finally:
         fs._undo(trail)
+
+
+# ---------------------------------------------------------------------------
+# generalization as a loop, against the recursive walk
+
+def generalize_by_recursion(a, b):
+    """generalize as a recursive walk: the reference for the iterative one."""
+    memo = {}
+
+    def key_of(n):
+        return ("a", n.atom) if n.atom is not None else id(n)
+
+    def g(x, y):
+        x = fs.deref(x)
+        y = fs.deref(y)
+        key = (key_of(x), key_of(y))
+        got = memo.get(key)
+        if got is not None:
+            return got
+        if x.atom is not None:
+            out = Node(atom=x.atom) if x.atom == y.atom else Node()
+            memo[key] = out
+            return out
+        if y.atom is not None:
+            out = Node()
+            memo[key] = out
+            return out
+        out = Node(arcs={})
+        memo[key] = out
+        for feat, child in x.arcs.items():
+            other = y.arcs.get(feat)
+            if other is not None:
+                out.arcs[feat] = g(child, other)
+        return out
+
+    return g(a, b)
+
+
+def ordered_shape(root):
+    """Every node below ``root`` (a graph without forwarding pointers),
+    atoms too, numbered in the order a walk along ordered arcs first meets
+    it, as (atom, ordered (feature, number) arcs): two graphs give the same
+    list exactly when they are the same but for node identity, sharing and
+    arc order included."""
+    number = {}
+    out = []
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        if n in number:
+            continue
+        number[n] = len(out)
+        out.append(n)
+        stack.extend(reversed(list((n.arcs or {}).values())))
+    return [(n.atom, [(f, number[c]) for f, c in (n.arcs or {}).items()]) for n in out]
+
+
+def assert_generalization_matches_the_reference(nodes):
+    for x in nodes:
+        for y in nodes:
+            assert ordered_shape(generalize(x, y)) == ordered_shape(generalize_by_recursion(x, y)), (x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(unify_cases())
+def test_random_iterative_generalization_matches_the_recursive_walk(case):
+    space, a, b, _, _ = case
+    nodes = [*space, clone(space[2]), fs.restrict(space[2], fs.make_restrictor(["g"]))]
+    assert_generalization_matches_the_reference(nodes)
+    # merged spaces read through forwarding pointers, before the undo
+    trail = []
+    try:
+        unify_in_place(a, b, trail)
+    except UnificationFailed:
+        pass  # a partly merged space is still a graph to generalize
+    try:
+        assert_generalization_matches_the_reference(nodes)
+    finally:
+        fs._undo(trail)
+
+
+def test_generalization_of_deep_chains_needs_no_recursion():
+    depth = 5_000
+    specific = chain(depth, atom("x"))
+    assert equivalent(generalize(specific, chain(depth, atom("x"))), specific)
+    general = generalize(specific, chain(depth, atom("y")))
+    assert equivalent(general, chain(depth, Node(arcs={})))
+    assert equivalent(generalize(specific, chain(depth + 1, atom("x"))), chain(depth, Node(arcs={})))

@@ -22,8 +22,9 @@ fixpoints:
 - ``naive``: every stored pair is offered on every visit.
 - ``active``: each pair is offered to each rule exactly once.
 
-FIRST of a span of positions, in a rule or in a category string, is one
-enumerator, ``_first_of_span``.
+Visits read the set through its label index, taking each pool, an offer
+too, as a serial range of it.  FIRST of a span of positions, in a rule or
+in a category string, is one enumerator, ``_first_of_span``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ import itertools
 import time
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import NamedTuple
 
 from . import fs
 from .fs import Node, UnificationFailed
@@ -77,6 +77,7 @@ class EpsilonMark:
 
 
 _serials = itertools.count(1)
+_SERIAL = attrgetter("serial")
 
 
 class Pair:
@@ -84,25 +85,21 @@ class Pair:
 
     ``lhs`` is a tuple of category roots (length one except for string
     queries), ``rhs`` is a category root or an EpsilonMark, and all roots
-    live in one shared space.  ``origin_rule`` and ``serial`` exist for
-    agenda bookkeeping and deterministic output order; a ``PairSet`` holds
-    its pairs in ascending ``serial``.  ``comparison_roots``
-    are the roots subsumption compares: ``lhs``, plus ``rhs`` unless it is
-    an EpsilonMark.  ``key`` is the signature ``(len(lhs), is_epsilon)``
-    plus the ``cat`` label of each comparison root (None where a root has
-    no atomic ``cat``); ``PairSet`` buckets pairs by it.  All are set once
+    live in one shared space.  A ``PairSet`` holds its pairs in ascending
+    ``serial``, the agenda and output order.  ``comparison_roots`` are the
+    roots subsumption compares: ``lhs``, plus ``rhs`` unless it is an
+    EpsilonMark.  ``key`` is the signature ``(len(lhs), is_epsilon)`` plus
+    the ``cat`` label of each comparison root (None where a root has no
+    atomic ``cat``); ``PairSet`` buckets pairs by it.  All are set once
     here, and ``lhs`` and ``rhs`` are never reassigned.
     """
 
-    __slots__ = (
-        "serial", "lhs", "rhs", "origin_rule", "events", "is_epsilon", "comparison_roots", "key", "_tree"
-    )
+    __slots__ = ("serial", "lhs", "rhs", "events", "is_epsilon", "comparison_roots", "key", "_tree")
 
-    def __init__(self, lhs, rhs, origin_rule=None):
+    def __init__(self, lhs, rhs):
         self.serial = next(_serials)
         self.lhs = tuple(lhs)
         self.rhs = rhs
-        self.origin_rule = origin_rule
         self.events = 0
         self.is_epsilon = isinstance(rhs, EpsilonMark)
         # epsilon right-hand sides carry no bindings, so they do not compare
@@ -131,14 +128,26 @@ def pair_equivalent(p: Pair, q: Pair) -> bool:
     return pair_subsumes(p, q) and pair_subsumes(q, p)
 
 
+# the kinds of single-category pairs the label index lists: every one,
+# those with an empty-string right side, and the others
+_ALL, _EPS, _DRIVERS = range(3)
+
+
 class PairSet:
     """Subsumption antichain of pairs, the active-pair registry, and the
-    label-indexed ``view`` that rule visits and lookups read.
+    label index that rule visits and lookups read.
 
-    Stored pairs are also bucketed by ``Pair.key``.  A pair with an atomic
+    Stored pairs are bucketed by ``Pair.key``.  A pair with an atomic
     ``cat`` on some root subsumes, or is subsumed by, only pairs with the
     same signature and either the same ``cat`` or none there, so ``add``
     compares an incomer only with the buckets whose keys allow that.
+
+    The label index lists the single-category pairs of each kind in serial
+    order, per ``cat`` label of the left side; a pair with no atomic
+    ``cat`` joins every list of its kind, and the list for None holds the
+    whole kind.  A reader takes a serial range (lo, hi] of a list: a visit
+    reads up to the ``hi`` that ``offer`` gave it, since ``add`` appends
+    above it and a pair it replaces stays listed until the next ``offer``.
     """
 
     def __init__(self):
@@ -146,11 +155,13 @@ class PairSet:
         self._buckets = {}  # Pair.key -> stored pairs with that key
         self._wild = {}  # the keys in _buckets that hold None, as an ordered set
         self._mark = {}  # rule id -> highest serial offered to that rule
-        self._view = None  # the View of the current pairs, built on demand
         self.added = 0
         self.rejected = 0
         self.removed = 0
         self.retired_events = 0
+        self._lists = ({None: []}, {None: []}, {None: []})  # per kind: label -> pairs
+        self._unlabelled = ([], [], [])  # per kind: the pairs with no label
+        self._replaced = []  # pairs replaced since the last offer, still listed
 
     def __len__(self):
         return len(self.pairs)
@@ -182,25 +193,15 @@ class PairSet:
                     self._wild.pop(q.key, None)
                 self.retired_events += q.events
                 self.removed += 1
+            self._replaced += doomed
         self.pairs.append(p)
         self._buckets.setdefault(p.key, []).append(p)
         if None in p.key[1]:
             self._wild[p.key] = None
-        self._view = None
+        for listed in self._holders(p):
+            listed.append(p)
         self.added += 1
         return True
-
-    def view(self) -> "View":
-        """The single-category pairs as immutable pools; a caller holding it
-        keeps seeing the set as it was, whatever is added later."""
-        if self._view is None:
-            single = [p for p in self.pairs if len(p.lhs) == 1]
-            self._view = View(
-                _Pool(single),
-                _Pool([p for p in single if p.is_epsilon]),
-                _Pool([p for p in single if not p.is_epsilon]),
-            )
-        return self._view
 
     def _compatible(self, key, covering: bool):
         """Stored pairs that can subsume a pair keyed ``key`` (``covering``),
@@ -223,49 +224,60 @@ class PairSet:
             if k != key:
                 yield from self._buckets[k]
 
-    def offer(self, rule_id: int) -> list:
-        """The stored pairs not yet offered to rule ``rule_id``, which count
-        as offered from now on.
-
-        ``pairs`` is in ascending serial order, since ``add`` appends each
-        new pair and only ever deletes others, so these are the suffix
-        above the rule's watermark: the highest serial offered to it.
-        """
-        mark = self._mark.get(rule_id, 0)
-        out = self.pairs[bisect.bisect_right(self.pairs, mark, key=attrgetter("serial")) :]
-        if out:
-            self._mark[rule_id] = out[-1].serial
+    def _holders(self, p: Pair) -> list:
+        """The index lists that hold, or are to hold, pair ``p``."""
+        if len(p.lhs) != 1:
+            return []
+        label = p.key[1][0]
+        out = []
+        for kind in (_ALL, _EPS if p.is_epsilon else _DRIVERS):
+            lists = self._lists[kind]
+            if label is None:
+                out += [*lists.values(), self._unlabelled[kind]]
+            else:
+                if label not in lists:
+                    lists[label] = list(self._unlabelled[kind])
+                out += [lists[None], lists[label]]
         return out
 
+    def _settle(self):
+        """Take the pairs replaced since the last call out of the index."""
+        for q in self._replaced:
+            for listed in self._holders(q):
+                del listed[bisect.bisect_left(listed, q.serial, key=_SERIAL)]
+        self._replaced = []
 
-class _Pool:
-    """Single-category pairs in insertion order, looked up by the ``cat``
-    label of the category they are to unify with.
+    def _span(self, kind: int, label, lo: int, hi: int) -> tuple:
+        """The index list of the ``kind`` pairs a category labelled
+        ``label`` can unify with (the whole kind when None), and the bounds
+        (start, end) of its pairs with serials in (lo, hi]."""
+        listed = self._lists[kind].get(label, self._unlabelled[kind])
+        start = bisect.bisect_right(listed, lo, key=_SERIAL) if lo else 0
+        end = len(listed)
+        if end and listed[-1].serial > hi:
+            end = bisect.bisect_right(listed, hi, key=_SERIAL)
+        return listed, start, end
 
-    A pair whose left side has an atomic ``cat`` other than that label
-    fails ``fs.quick_clash`` against it, so only pairs with the same label
-    or none are candidates; every pair is one when the label is None.
-    """
+    def _lookup(self, kind: int, label) -> list:
+        """Every stored ``kind`` pair a category labelled ``label`` can
+        unify with: an index list, to read before adding to the set."""
+        self._settle()
+        return self._lists[kind].get(label, self._unlabelled[kind])
 
-    __slots__ = ("pairs", "serials", "_candidates")
-
-    def __init__(self, pairs):
-        self.pairs = tuple(pairs)
-        self.serials = frozenset(p.serial for p in self.pairs)
-        self._candidates = {None: self.pairs}
-
-    def candidates(self, label) -> tuple:
-        got = self._candidates.get(label)
-        if got is None:
-            got = tuple(p for p in self.pairs if p.key[1][0] in (None, label))
-            self._candidates[label] = got
-        return got
-
-
-class View(NamedTuple):
-    single: _Pool  # every single-category pair
-    eps: _Pool  # those with an empty-string right side
-    drivers: _Pool  # the others
+    def offer(self, rule_id=None) -> tuple:
+        """The serial range (lo, hi] of the stored pairs not yet offered to
+        rule ``rule_id``, which count as offered from now on; with no rule,
+        the range of every stored pair.  Serials ascend, and ``add`` never
+        deletes the newest pair, at ``hi``, so the range is empty only when
+        lo == hi.  Pairs replaced since the last offer leave the index here.
+        """
+        self._settle()
+        hi = self.pairs[-1].serial if self.pairs else 0
+        if rule_id is None:
+            return 0, hi
+        lo = self._mark.get(rule_id, 0)
+        self._mark[rule_id] = hi
+        return lo, hi
 
 
 def _key_covers(general, specific) -> bool:
@@ -306,62 +318,56 @@ class _Recorder:
         self.attempts = 0
         self.events = 0
         self.filtered = 0
-        self._participants = None
+        self._spans = None  # in a visit: (set, kind, lo) -> highest hi read from lo
         self._considered = []
-        self._iter_attempts = 0
-        self._iter_additions = 0
+        self._before = (0, 0)  # attempts, and pairs added to the set, as the iteration began
         self._started = time.perf_counter()
 
-    def begin_iteration(self):
+    def begin_iteration(self, pset):
         self._considered = []
-        self._iter_attempts = 0
-        self._iter_additions = 0
+        self._before = (self.attempts, pset.added)
 
-    def begin_visit(self, offered):
-        self._participants = set()
-        self.events += len(offered)
-        for p in offered:
+    def begin_visit(self, pset, lo, hi):
+        """Open a visit offered the pairs of ``pset`` in (lo, hi]."""
+        self._spans = {}
+        listed, start, end = pset._span(_ALL, None, lo, hi)
+        self.events += end - start
+        for p in itertools.islice(listed, start, end):
             p.events += 1
 
-    def attempt(self, pair):
-        self.attempts += 1
-        self._iter_attempts += 1
-        if self._participants is not None:
-            self._participants.add(pair.serial)
-
-    def skip(self, pool, n):
-        """Charge ``n`` pairs of ``pool`` passed over for their label as
-        quick-check hits.  Every pair of the pool takes part in the visit,
-        whether tried or passed over."""
-        if not n:
-            return
-        self.attempts += n
-        self._iter_attempts += n
-        self.filtered += n
-        if self._participants is not None:
-            self._participants.update(pool.serials)
-
-    def addition(self):
-        self._iter_additions += 1
+    def read(self, pset, kind, lo, hi):
+        """Count the ``kind`` pairs of ``pset`` in (lo, hi] into the open visit, if any."""
+        if self._spans is not None and self._spans.get((pset, kind, lo), lo) < hi:
+            self._spans[pset, kind, lo] = hi
 
     def end_visit(self):
-        self._considered.append(len(self._participants))
-        self._participants = None
+        """Close the visit: it considered the union of the ranges it read,
+        counted per set and kind in order of ``lo`` (the kinds are disjoint)."""
+        n = 0
+        tops = {}
+        for (pset, kind, lo), hi in sorted(self._spans.items(), key=lambda item: item[0][2]):
+            top = tops.get((pset, kind), 0)
+            if hi > top:
+                _, start, end = pset._span(kind, None, max(lo, top), hi)
+                n += end - start
+                tops[pset, kind] = hi
+        self._considered.append(n)
+        self._spans = None
 
-    def end_iteration(self, total):
+    def end_iteration(self, pset):
         visits = len(self._considered)
         mean = sum(self._considered) / visits if visits else 0.0
-        self.rows.append(
-            IterationRow(len(self.rows) + 1, mean, total, self._iter_attempts, self._iter_additions)
-        )
+        attempts, added = self._before
+        row = (len(self.rows) + 1, mean, len(pset), self.attempts - attempts, pset.added - added)
+        self.rows.append(IterationRow(*row))
 
-    def finish(self, fixpoint, total=None):
-        """The run's stats; closes an open visit and, given the set's size
-        ``total``, the open iteration."""
-        if self._participants is not None:
+    def finish(self, fixpoint, pset=None):
+        """The run's stats; closes an open visit and, given the set being
+        built, the open iteration."""
+        if self._spans is not None:
             self.end_visit()
-        if total is not None:
-            self.end_iteration(total)
+        if pset is not None:
+            self.end_iteration(pset)
         wall = time.perf_counter() - self._started
         return RunStats(
             self.mode, list(self.rows), self.attempts, self.events, wall, fixpoint, self.filtered
@@ -397,7 +403,7 @@ def _bind(roots, pos, pair, recorder, keep=None, restrictor=None):
     The working space must be acyclic and share no complex node with the
     pair: the cycle check is skipped when the pair's left side is a tree.
     """
-    recorder.attempt(pair)
+    recorder.attempts += 1
     if fs.quick_clash(roots[pos], pair.lhs[0]):
         recorder.filtered += 1
         return None
@@ -421,63 +427,67 @@ def _bind(roots, pos, pair, recorder, keep=None, restrictor=None):
 
 
 def _bind_each(space, pos, pool, rec, keep=None, restrictor=None):
-    """``_bind`` the root at ``pos`` to each pair of ``pool`` its label
-    allows, in insertion order; yields (pair, kept_roots, bound_rhs) for
-    each success.  The label is read from ``space``, where earlier bindings
-    may have set it."""
-    label = label_of(space[pos])
-    candidates = pool.candidates(label)
-    rec.skip(pool, len(pool.pairs) - len(candidates))
-    for p in candidates:
+    """``_bind`` the root at ``pos`` to each pair of ``pool``, a serial
+    range ``(set, kind, lo, hi)``, that its label allows, in serial order;
+    yields (pair, kept_roots, bound_rhs) for each success.  The label is
+    read from ``space``, where earlier bindings may have set it.  Pairs
+    passed over count as attempts that ``fs.quick_clash`` settled.  The
+    visit considers the whole range if any are, else what was tried up to
+    each pair yielded, which is what a guard that stops it counts.
+    """
+    pset, kind, lo, hi = pool
+    listed, start, end = pset._span(kind, label_of(space[pos]), lo, hi)
+    _, kind_start, kind_end = pset._span(kind, None, lo, hi)
+    skipped = kind_end - kind_start - (end - start)
+    rec.attempts += skipped
+    rec.filtered += skipped
+    if skipped:
+        rec.read(pset, kind, lo, hi)
+    for p in itertools.islice(listed, start, end):
         got = _bind(space, pos, p, rec, keep, restrictor)
         if got is not None:
+            if not skipped:
+                rec.read(pset, kind, lo, p.serial)
             yield p, *got
+    rec.read(pset, kind, lo, hi)
 
 
-def _eps_bindings(roots, positions, eps_pool, fresh, recorder, keep=None, restrictor=None):
-    """Enumerate every way to bind all listed positions, simultaneously,
-    to empty-string pairs.  Yields (space, used_fresh): whether some bound
-    pair's serial is in ``fresh``; every pair counts as fresh when ``fresh``
-    is None.  The last binding copies out the roots ``keep`` as ``_bind``
-    does with ``keep`` and ``restrictor``; the spaces between keep every
-    root, as they are.  With no positions, ``roots`` are yielded as they
-    are."""
-    return _eps_from(list(roots), 0, fresh is None, positions, eps_pool, fresh, recorder, keep, restrictor)
-
-
-def _eps_from(space, k, used, positions, eps_pool, fresh, recorder, keep, restrictor):
-    """``_eps_bindings`` from the ``k``-th listed position on, in ``space``
-    as the positions before it left it; ``used`` says whether they bound a
-    fresh pair."""
+def _eps_bindings(space, positions, eps, recorder, keep=None, restrictor=None, k=0, newest=0):
+    """Every way to bind the listed positions from the ``k``-th on, all at
+    once, to pairs of the empty-string pool ``eps``, in ``space`` as the
+    positions before them left it; yields (space, the highest serial bound,
+    or ``newest`` when none is).  The last binding copies out the roots
+    ``keep`` as ``_bind`` does with ``keep`` and ``restrictor``; other
+    spaces, ``space`` too when no position is left, are as they are."""
     if k == len(positions):
-        yield space, used
+        yield space, newest
         return
     copy_out = (keep, restrictor) if k + 1 == len(positions) else ()
-    for e, new, _ in _bind_each(space, positions[k], eps_pool, recorder, *copy_out):
-        yield from _eps_from(
-            new, k + 1, used or e.serial in fresh, positions, eps_pool, fresh, recorder, keep, restrictor
+    for e, new, _ in _bind_each(space, positions[k], eps, recorder, *copy_out):
+        yield from _eps_bindings(
+            new, positions, eps, recorder, keep, restrictor, k + 1, max(newest, e.serial)
         )
 
 
-def _first_of_span(space, span, view, rec, keep, restrictor, fresh=None, fresh_drivers=None):
-    """FIRST of the positions ``span`` of ``space`` under ``view``: for each
-    position, every way to bind the positions before it to empty pairs and
-    itself to a non-empty pair.  Yields (kept_roots, bound_rhs), copied out
-    of the bound space as ``_bind`` does with ``keep`` and ``restrictor``.
+def _first_of_span(space, span, pset, hi, rec, keep, restrictor, lo=0):
+    """FIRST of the positions ``span`` of ``space`` under the pairs of
+    ``pset`` up to serial ``hi``: for each position, every way to bind the
+    positions before it to empty pairs and itself to a non-empty pair.
+    Yields (kept_roots, bound_rhs), copied out of the bound space as
+    ``_bind`` does with ``keep`` and ``restrictor``.
 
-    With ``fresh`` (a set of serials), a combination that binds no empty
-    pair from ``fresh`` takes its driver from ``fresh_drivers`` only, so
-    every combination uses a fresh pair.  That the whole span derives the
-    empty string is ``_eps_bindings`` over ``span``.
+    A combination that binds no empty pair above serial ``lo`` takes its
+    driver from above ``lo``, so every one uses a pair above ``lo``.  That
+    the whole span derives the empty string is ``_eps_bindings`` over it.
     """
     for j, pos in enumerate(span):
-        for bound, used in _eps_bindings(space, span[:j], view.eps, fresh, rec):
-            pool = view.drivers if used else fresh_drivers
-            for _, kept, rhs in _bind_each(bound, pos, pool, rec, keep, restrictor):
+        for bound, newest in _eps_bindings(space, span[:j], (pset, _EPS, 0, hi), rec):
+            drivers = (pset, _DRIVERS, 0 if newest > lo else lo, hi)
+            for _, kept, rhs in _bind_each(bound, pos, drivers, rec, keep, restrictor):
                 yield kept, rhs
 
 
-def _store(pset, lhs_roots, rhs, origin, recorder, eps_mark=None):
+def _store(pset, lhs_roots, rhs, eps_mark=None):
     """Add a product through the antichain operator.
 
     The roots must be a fresh copy, restricted and pruned as
@@ -485,49 +495,45 @@ def _store(pset, lhs_roots, rhs, origin, recorder, eps_mark=None):
     out, and seeds and empty-rule mothers go through it.  Pruning drops
     vacuous leftovers from discarded rule context, so that equal claims
     collide under the operator."""
-    p = Pair(tuple(lhs_roots), eps_mark if rhs is None else rhs, origin)
-    if pset.add(p):
-        recorder.addition()
-        return True
-    return False
+    return pset.add(Pair(tuple(lhs_roots), eps_mark if rhs is None else rhs))
 
 
 def _fixpoint(g: Grammar, mode: str, seed, visit):
     """The fixpoint loop of FIRST and FOLLOW; returns (PairSet, RunStats).
 
     ``seed(store)`` stores the initial pairs.  Then each pass visits every
-    rule as ``visit(rule, offered, pairs, rec, store)``, which returns
+    rule as ``visit(rule, lo, hi, pairs, rec, store)``, which returns
     whether it added a pair, until a pass adds none; ``pairs`` is the set
-    being built and ``rec`` its recorder.  ``offered`` are the pairs the
-    visit examines: every stored pair in naive mode, those not yet examined
-    against the rule in active mode.  ``store(lhs_roots, rhs, origin,
-    eps_mark=None)`` is ``_store`` into the set, so it takes fresh,
-    restricted and pruned copies; the insertion that takes the set past
-    ``g.max_pairs`` raises LimitExceeded, as does a pass beyond
-    ``g.max_iterations``.
+    being built and ``rec`` its recorder.  The visit reads the set up to
+    serial ``hi`` and examines the pairs in (lo, hi]: every stored pair in
+    naive mode, those not yet examined against the rule in active mode.
+    ``store(lhs_roots, rhs, eps_mark=None)`` is ``_store`` into the set;
+    the insertion that takes the set past ``g.max_pairs`` raises
+    LimitExceeded, as does a pass beyond ``g.max_iterations``.
     """
-    _check_mode(mode)
+    if mode not in MODES:
+        raise ValueError(f"mode must be one of {MODES}, not {mode!r}")
     out = PairSet()
     rec = _Recorder(mode)
 
-    def store(lhs_roots, rhs, origin, eps_mark=None):
-        added = _store(out, lhs_roots, rhs, origin, rec, eps_mark)
+    def store(lhs_roots, rhs, eps_mark=None):
+        added = _store(out, lhs_roots, rhs, eps_mark)
         if len(out) > g.max_pairs:
-            raise LimitExceeded("pairs", g.max_pairs, rec.finish(False, len(out)))
+            raise LimitExceeded("pairs", g.max_pairs, rec.finish(False, out))
         return added
 
     seed(store)
     for iteration in itertools.count(1):
         if iteration > g.max_iterations:
             raise LimitExceeded("iterations", g.max_iterations, rec.finish(False))
-        rec.begin_iteration()
+        rec.begin_iteration(out)
         changed = False
         for r in g.rules:
-            offered = out.offer(r.rule_id) if mode == "active" else list(out.pairs)
-            rec.begin_visit(offered)
-            changed |= visit(r, offered, out, rec, store)
+            lo, hi = out.offer(r.rule_id if mode == "active" else None)
+            rec.begin_visit(out, lo, hi)
+            changed |= visit(r, lo, hi, out, rec, store)
             rec.end_visit()
-        rec.end_iteration(len(out))
+        rec.end_iteration(out)
         if not changed:
             return out, rec.finish(True)
 
@@ -555,29 +561,26 @@ def compute_first(g: Grammar, mode: str = "active"):
             for d in r.daughters:
                 if is_preterminal(d):
                     root = fs.restrict(d, g.restrictor, prune=True)
-                    store((root,), root, r.rule_id)
+                    store((root,), root)
 
-    def visit(rule, offered, first, rec, store):
+    def visit(rule, lo, hi, first, rec, store):
         if rule.is_epsilon:
             # only the first store can be accepted, since a covered pair
             # stays covered, so the active mode stores the mother once
             if mode == "naive" or rule.rule_id not in eps_done:
                 eps_done.add(rule.rule_id)
-                return store((fs.restrict(rule.mother, g.restrictor, prune=True),), None, rule.rule_id, eps_mark)
+                return store((fs.restrict(rule.mother, g.restrictor, prune=True),), None, eps_mark)
             return False
-        if not offered:
+        if lo == hi:
             return False
-        view = first.view()
-        fresh = {p.serial for p in offered}
-        fresh_drivers = _Pool([p for p in offered if not p.is_epsilon])
         base = rule.roots()
         span = list(range(1, 1 + len(rule.daughters)))
         changed = False
-        for mother, rhs in _first_of_span(base, span, view, rec, [0], g.restrictor, fresh, fresh_drivers):
-            changed |= store(mother, rhs, rule.rule_id)
-        for mother, used_fresh in _eps_bindings(base, span, view.eps, fresh, rec, [0], g.restrictor):
-            if used_fresh:
-                changed |= store(mother, None, rule.rule_id, eps_mark)
+        for mother, rhs in _first_of_span(base, span, first, hi, rec, [0], g.restrictor, lo):
+            changed |= store(mother, rhs)
+        for mother, newest in _eps_bindings(base, span, (first, _EPS, 0, hi), rec, [0], g.restrictor):
+            if newest > lo:
+                changed |= store(mother, None, eps_mark)
         return changed
 
     return _fixpoint(g, mode, seed, visit)
@@ -598,11 +601,10 @@ def first_of_string(first: PairSet, g: Grammar, cats) -> PairSet:
     cats = fs.clone_many(cats)
     if not cats:
         raise ValueError("empty category string")
-    view = first.view()
     for idx, c in enumerate(cats):
         if is_preterminal(c):
             continue
-        pairs = view.single.candidates(label_of(c))
+        pairs = first._lookup(_ALL, label_of(c))
         if not any(fs.unifiable(c, p.lhs[0], tree=p.lhs_is_tree()) for p in pairs):
             raise UnknownCategory(
                 f"position {idx + 1}: {format_roots([c])[0]} is neither preterminal "
@@ -611,11 +613,12 @@ def first_of_string(first: PairSet, g: Grammar, cats) -> PairSet:
     out = PairSet()
     rec = _Recorder("ondemand")
     span = list(range(len(cats)))
-    for string, rhs in _first_of_span(cats, span, view, rec, None, g.restrictor):
-        _store(out, string, rhs, None, rec)
-    for string, _ in _eps_bindings(cats, span, view.eps, None, rec, None, g.restrictor):
-        eps_mark = view.eps.pairs[0].rhs  # the mark compute_first gave every empty pair
-        _store(out, string, None, None, rec, eps_mark)
+    _, hi = first.offer()
+    for string, rhs in _first_of_span(cats, span, first, hi, rec, None, g.restrictor):
+        _store(out, string, rhs)
+    for string, _ in _eps_bindings(cats, span, (first, _EPS, 0, hi), rec, None, g.restrictor):
+        eps_mark = first._lookup(_EPS, None)[0].rhs  # the mark compute_first gave every empty pair
+        _store(out, string, None, eps_mark)
     return out
 
 
@@ -631,14 +634,14 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
     when that suffix is empty or wholly derives the empty string, every
     offered (M, f) whose M unifies with X' contributes (Y'i, f).
     """
-    fview = first.view()
+    _, first_hi = first.offer()
     suffix_done = set()
 
     def seed(store):
         start, end = fs.restrict_many([g.start, end_category()], g.restrictor, prune=True)
-        store((start,), end, None)
+        store((start,), end)
 
-    def visit(rule, offered, follow, rec, store):
+    def visit(rule, lo, hi, follow, rec, store):
         k = len(rule.daughters)
         if k == 0:
             return False
@@ -650,16 +653,16 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
         if mode == "naive" or rule.rule_id not in suffix_done:
             suffix_done.add(rule.rule_id)
             for i, tail in enumerate(tails):
-                for daughter, rhs in _first_of_span(base, tail, fview, rec, [1 + i], g.restrictor):
-                    changed |= store(daughter, rhs, rule.rule_id)
+                for daughter, rhs in _first_of_span(base, tail, first, first_hi, rec, [1 + i], g.restrictor):
+                    changed |= store(daughter, rhs)
         # the mother's FOLLOW flows to any daughter whose suffix is empty or
         # wholly derives the empty string
-        if offered:
-            drivers = _Pool(offered)
+        if lo < hi:
+            drivers = (follow, _ALL, lo, hi)
             for i, tail in enumerate(tails):
-                for space, _ in _eps_bindings(base, tail, fview.eps, None, rec):
+                for space, _ in _eps_bindings(base, tail, (first, _EPS, 0, first_hi), rec):
                     for _, daughter, rhs in _bind_each(space, 0, drivers, rec, [1 + i], g.restrictor):
-                        changed |= store(daughter, rhs, rule.rule_id)
+                        changed |= store(daughter, rhs)
         return changed
 
     return _fixpoint(g, mode, seed, visit)
@@ -678,7 +681,7 @@ def query(result: PairSet, cat: Node) -> list:
     out = []
     have_eps = False
     rec = _Recorder("query")
-    for p in result.view().single.candidates(label_of(cat)):
+    for p in result._lookup(_ALL, label_of(cat)):
         if p.is_epsilon and have_eps:
             continue  # only the first empty-string answer is kept; bind no more empty pairs
         got = _bind([cat], 0, p, rec, ())
@@ -772,7 +775,3 @@ def format_pair(p: Pair) -> str:
     rendered = format_roots([*p.lhs, p.rhs])
     return f"({' '.join(rendered[:-1])} , {rendered[-1]})"
 
-
-def _check_mode(mode):
-    if mode not in MODES:
-        raise ValueError(f"mode must be one of {MODES}, not {mode!r}")

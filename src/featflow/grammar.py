@@ -261,6 +261,7 @@ class _Parser:
         self.rules = []
         self.restrictor_paths = set()
         self.start_declared = None
+        self.tag_failed = False  # a tag annotation of the statement failed to unify
 
     def peek(self) -> _Tok:
         return self.tokens[self.idx]
@@ -344,6 +345,7 @@ class _Parser:
 
     def rule_statement(self):
         tags = {}
+        self.tag_failed = False
         line = self.peek().line
         mother = self.category(tags)
         self.expect("ARROW", "'->'")
@@ -361,8 +363,9 @@ class _Parser:
             daughters.append(d)
         self.take()  # STOP
         roots = [mother, *daughters]
-        # without a tag every node is made fresh and attached once: a tree
-        if tags and fs._cyclic(roots):
+        # only a tag annotation can close a cycle, and one that unified has
+        # checked the node it merged; a failed one may leave a cycle behind
+        if self.tag_failed and fs._cyclic(roots):
             self.issues.append(ParseIssue(line, 1, "rule builds a cyclic structure"))
             return
         self.rules.append(Rule(len(self.rules) + 1, mother, tuple(daughters), line))
@@ -460,6 +463,7 @@ class _Parser:
             except UnificationFailed as exc:
                 # the merge is complete when a cycle is found, and the
                 # rule's or sequence's own check reports it once
+                self.tag_failed = True
                 if exc.reason != "cycle":
                     self.issues.append(
                         ParseIssue(t.line, t.col, f"tag ${t.value} used with two incompatible value annotations ({exc})")
@@ -489,7 +493,7 @@ def parse_category_sequence(text: str) -> list:
         pass
     if not p.issues and not cats:
         p.issues.append(ParseIssue(1, 1, "expected at least one category"))
-    if not p.issues and tags and fs._cyclic(cats):
+    if not p.issues and p.tag_failed and fs._cyclic(cats):
         p.issues.append(ParseIssue(1, 1, "categories build a cycle"))
     if p.issues:
         raise GrammarSyntaxError(p.issues)
@@ -633,7 +637,8 @@ class _Mothers:
     A mother whose restricted form has an atomic ``cat`` other than that
     label fails ``fs.quick_clash`` against it, so only the mothers with
     that label or none are candidates, in rule order; every mother is one
-    when the label is None (as ``firstfollow._Pool`` looks up pairs).
+    when the label is None.  ``firstfollow.PairSet`` indexes its pairs the
+    same way, but its index grows as pairs are added; this one is fixed.
     """
 
     def __init__(self, roots):

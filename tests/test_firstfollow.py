@@ -1,7 +1,10 @@
 """Engine behaviour: the antichain operator, fixpoints, modes, lookups."""
 
+import dataclasses
+import json
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -137,18 +140,25 @@ def test_pairs_differing_only_in_reentrancy_are_both_kept():
     assert len(s) == 2
 
 
+def offered(s, rule_id):
+    """The pairs ``offer`` hands rule ``rule_id``: its serial range."""
+    lo, hi = s.offer(rule_id)
+    listed, start, end = s._span(ff._ALL, None, lo, hi)
+    return listed[start:end]
+
+
 def test_pairs_stay_in_serial_order_through_replacement():
     s = PairSet()
     for lhs, rhs in (("np[agr=sg]", "det[agr=sg]"), ("vp[]", "v[]"), ("np[agr=pl]", "det[agr=pl]")):
         assert s.add(cat_pair(lhs, rhs))
-    assert s.offer(1) == s.pairs
+    assert offered(s, 1) == s.pairs
     assert s.add(cat_pair("np[]", "det[]"))
     assert s.removed == 2
     serials = [p.serial for p in s.pairs]
     assert serials == sorted(serials)
-    assert [format_pair(p) for p in s.offer(1)] == ["(np[] , det[])"]
-    assert s.offer(1) == []
-    assert s.offer(2) == s.pairs
+    assert [format_pair(p) for p in offered(s, 1)] == ["(np[] , det[])"]
+    assert offered(s, 1) == []
+    assert offered(s, 2) == s.pairs
     g = load_fixture("fig1.gr")
     first, _ = compute_first(g)
     follow, _ = compute_follow(g, first)
@@ -723,16 +733,16 @@ def test_mode_equivalence_on_random_feature_grammars():
 def test_choice_order_independence_of_prefix_bindings():
     g = load_fixture("fig1.gr")
     first, _ = compute_first(g)
-    eps_pairs = first.view().eps
+    eps_pairs = (first, ff._EPS, *first.offer())
     rule = g.rules[1]  # two leading NP daughters before the VP
     rec = _Recorder("probe")
     forward = [
         fs.clone_many(space)
-        for space, _ in _eps_bindings(rule.roots(), [1, 2], eps_pairs, None, rec)
+        for space, _ in _eps_bindings(rule.roots(), [1, 2], eps_pairs, rec)
     ]
     backward = [
         fs.clone_many(space)
-        for space, _ in _eps_bindings(rule.roots(), [2, 1], eps_pairs, None, rec)
+        for space, _ in _eps_bindings(rule.roots(), [2, 1], eps_pairs, rec)
     ]
     assert forward and len(forward) == len(backward)
     for a in forward:
@@ -854,11 +864,31 @@ def test_add_idempotent_over_fixpoint_clones():
 # label-indexed pools against a full scan
 
 def full_scan_bind_each(space, pos, pool, rec, *args):
-    """The loop the label index replaced: try every pair of the pool."""
-    for p in pool.pairs:
+    """The loop the label index replaced: try every pair of the pool's
+    serial range, and note each serial tried in the visit."""
+    pset, kind, lo, hi = pool
+    listed, start, end = pset._span(kind, None, lo, hi)
+    for p in listed[start:end]:
+        if rec.tried is not None:
+            rec.tried.add(p.serial)
         got = _bind(space, pos, p, rec, *args)
         if got is not None:
             yield p, *got
+
+
+class ScanRecorder(_Recorder):
+    """Counts a visit's ``considered`` as the distinct serials it tried."""
+
+    tried = None
+
+    def begin_visit(self, *args):
+        super().begin_visit(*args)
+        self.tried = set()
+
+    def end_visit(self):
+        super().end_visit()
+        self._considered[-1] = len(self.tried)
+        self.tried = None
 
 
 def full_scan_query(result, cat):
@@ -943,9 +973,13 @@ def test_label_pools_match_a_full_scan(monkeypatch):
         strings = [[fs.clone(rng.choice(cats)) for _ in range(rng.randint(1, 3))] for _ in range(12)]
         for mode in MODES:
             runs = []
-            for bind_each, lookup in ((ff._bind_each, query), (full_scan_bind_each, full_scan_query)):
+            for bind_each, recorder, lookup in (
+                (ff._bind_each, _Recorder, query),
+                (full_scan_bind_each, ScanRecorder, full_scan_query),
+            ):
                 with monkeypatch.context() as m:
                     m.setattr(ff, "_bind_each", bind_each)
+                    m.setattr(ff, "_Recorder", recorder)
                     first, fstats = compute_first(g, mode)
                     follow, ostats = compute_follow(g, first, mode)
                     runs.append(
@@ -962,3 +996,109 @@ def test_label_pools_match_a_full_scan(monkeypatch):
             assert runs[0] == runs[1], text
             answers, unknown = runs[0][5], runs[0][6]
             assert [a == "unknown" for a in answers] == unknown, text
+
+
+# ---------------------------------------------------------------------------
+# the label index inside PairSet
+
+def test_a_read_bounded_at_hi_sees_the_set_as_the_visit_began():
+    s = PairSet()
+    for lhs, rhs in (("np[agr=sg]", "det[agr=sg]"), ("np[agr=pl]", "det[agr=pl]")):
+        assert s.add(cat_pair(lhs, rhs))
+    lo, hi = s.offer(1)
+    rec = _Recorder("probe")
+    read = ff._bind_each([parse_category("np[]")], 0, (s, ff._ALL, lo, hi), rec)
+    got = [format_pair(next(read)[0])]
+    assert s.add(cat_pair("np[]", "det[]"))  # replaces both pairs
+    assert s.add(cat_pair("[agr=sg]", "n[]"))  # joins the np list, above hi
+    assert s.removed == 2 and len(s) == 2
+    got += [format_pair(p) for p, *_ in read]
+    assert got == ["(np[agr=sg] , det[agr=sg])", "(np[agr=pl] , det[agr=pl])"]
+    # the next offer drops the replaced pairs and offers the new ones
+    assert offered(s, 1) == s.pairs
+    assert s._lookup(ff._ALL, "np") == s.pairs
+
+
+def assert_index_matches_pairs(pset):
+    """Each label list is ``pairs`` filtered by kind and by label L or
+    None, in order; a label with no list reads the unlabelled pairs."""
+    kinds = {ff._ALL: lambda p: True, ff._EPS: lambda p: p.is_epsilon, ff._DRIVERS: lambda p: not p.is_epsilon}
+    for kind, keep in kinds.items():
+        lists = pset._lists[kind]
+        assert set(lists) >= {None} | {p.key[1][0] for p in pset if keep(p)}
+        for label in [*lists, "no-such-label"]:
+            want = [p for p in pset if keep(p) and (label is None or p.key[1][0] in (None, label))]
+            assert lists.get(label, pset._unlabelled[kind]) == want, label
+
+
+def test_label_lists_match_the_pairs_after_every_fixpoint():
+    golden = Path(__file__).parent / "goldens" / "engine.json"
+    grammars = [load_fixture(name) for name in FIXTURES]
+    grammars += [parse_grammar(rec["grammar"]) for rec in json.loads(golden.read_text(encoding="utf-8"))]
+    for g in grammars:
+        for mode in MODES:
+            first, _ = compute_first(g, mode)
+            follow, _ = compute_follow(g, first, mode)
+            assert_index_matches_pairs(first)
+            assert_index_matches_pairs(follow)
+
+
+def serial_set_bind_each(space, pos, pool, rec, *args):
+    """The label filter over a copy of the pool's range, with the visit's
+    pairs kept as a set of serials: the whole range once a pair is passed
+    over for its label, else each pair as it is tried."""
+    pset, kind, lo, hi = pool
+    listed, start, end = pset._span(kind, None, lo, hi)
+    whole = listed[start:end]
+    label = label_of(space[pos])
+    candidates = [p for p in whole if label is None or p.key[1][0] in (None, label)]
+    skipped = len(whole) - len(candidates)
+    rec.attempts += skipped
+    rec.filtered += skipped
+    if skipped and rec.tried is not None:
+        rec.tried.update(p.serial for p in whole)
+    for p in candidates:
+        if rec.tried is not None:
+            rec.tried.add(p.serial)
+        got = _bind(space, pos, p, rec, *args)
+        if got is not None:
+            yield p, *got
+
+
+def test_guard_stopped_rows_match_serial_sets(monkeypatch):
+    """A guard can stop a visit inside its reads; its row then counts the
+    pairs passed over and tried so far, as serial sets do."""
+    rng = random.Random(707)
+    grammars = [load_fixture(name) for name in FIXTURES]
+    grammars += [parse_grammar(loosely_labelled_grammar(rng)) for _ in range(6)]
+    for g in grammars:
+        for mode in MODES:
+            first, _ = compute_first(g, mode)
+            follow, _ = compute_follow(g, first, mode)
+            for limit in range(1, max(len(first), len(follow))):
+                stopped = dataclasses.replace(g, max_pairs=limit)
+                runs = []
+                for bind_each, recorder in ((ff._bind_each, _Recorder), (serial_set_bind_each, ScanRecorder)):
+                    with monkeypatch.context() as m:
+                        m.setattr(ff, "_bind_each", bind_each)
+                        m.setattr(ff, "_Recorder", recorder)
+                        with pytest.raises(LimitExceeded) as err:
+                            compute_follow(stopped, compute_first(stopped, mode)[0], mode)
+                        runs.append(stats_of(err.value.stats))
+                assert runs[0] == runs[1], (g.name, mode, limit)
+
+
+def test_a_visit_considers_the_union_of_the_ranges_it_read():
+    s = PairSet()
+    pairs = [cat_pair(f"x{i}[]", "t[]") for i in range(6)]
+    assert all(s.add(p) for p in pairs)
+    at = [p.serial for p in pairs]
+    rec = _Recorder("probe")
+    rec.begin_iteration(s)
+    rec.begin_visit(s, at[-1], at[-1])  # offered nothing
+    rec.read(s, ff._ALL, 0, at[2])  # pairs 0-2, as a guard-stopped read leaves them
+    rec.read(s, ff._ALL, at[1], at[4])  # pairs 2-4
+    rec.read(s, ff._ALL, at[1], at[3])  # within the last
+    rec.read(s, ff._EPS, 0, at[5])  # no empty pairs
+    stats = rec.finish(False, s)  # closes the visit and the iteration
+    assert [r.considered for r in stats.rows] == [5.0]

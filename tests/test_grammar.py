@@ -470,7 +470,7 @@ def test_any_text_parses_or_raises_a_positioned_error(text):
 
 class FullCycleCheckParser(_Parser):
     """The parser checking every rule for cycles, tags or none: the
-    reference for checking only rules that use a tag."""
+    reference for checking only rules whose tag annotation failed."""
 
     def rule_statement(self):
         tags = {}
@@ -558,6 +558,25 @@ def test_cyclic_tags_still_rejected_and_tag_free_texts_parse():
     assert len(g.rules) == 3 and not fs._cyclic(g.rules[0].roots())
     cats = parse_category_sequence("[f=[g=x]] np[agr=sg] $")
     assert len(cats) == 3 and not fs._cyclic(cats)
+
+
+def test_a_failed_tag_annotation_still_gets_the_cycle_check():
+    """Only a statement whose tag annotation failed to unify is walked for
+    cycles: the failure can leave a cycle behind, or one that is dropped."""
+    for text, messages in (
+        # the clash on h stops the union after k=$1 closed a cycle
+        (
+            "S[f=$1:[h=a], g=$1:[k=$1, h=b]] -> x[].",
+            ["incompatible value annotations (clash: a / b)", "rule builds a cyclic structure"],
+        ),
+        # the duplicate f drops the cyclic value of the failed annotation
+        ("S[f=x, f=$1:[g=$1]] -> a[ter=+].", ["duplicate feature 'f' in one AVM"]),
+    ):
+        with pytest.raises(GrammarSyntaxError) as err:
+            parse_grammar(text)
+        got = [i.message for i in err.value.issues]
+        assert len(got) == len(messages) and all(m in g for m, g in zip(messages, got)), got
+        assert outcome(parse_grammar, text) == outcome(lambda t: FullCycleCheckParser(t, "<string>").parse(), text)
 
 
 # ---------------------------------------------------------------------------

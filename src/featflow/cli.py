@@ -377,7 +377,8 @@ def main(argv=None) -> int:
             print(message, file=sys.stderr)
         return exc.code
     except RecursionError:
-        # the parser and the feature-structure algebra recurse on nesting
+        # the feature-structure algebra recurses on nesting; the parser
+        # reports too deep a category as a syntax error
         inputs = " ".join(args.grammars) if args.command == "bench" else args.grammar
         print(f"{inputs}: error: input nested too deeply to process", file=sys.stderr)
         return EXIT_INPUT

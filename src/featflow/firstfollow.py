@@ -22,9 +22,14 @@ fixpoints:
 - ``naive``: every stored pair is offered on every visit.
 - ``active``: each pair is offered to each rule exactly once.
 
-Visits read the set through its label index, taking each pool, an offer
-too, as a serial range of it.  FIRST of a span of positions, in a rule or
-in a category string, is one enumerator, ``_first_of_span``.
+Visits read the set through its label index: each pool, an offer too, is
+a ``_Read``, a serial range (lo, hi] of one kind of pair.  A bind over a
+read tries the pairs its position's label allows and counts the others as
+``attempts`` that are ``filtered``; the read counts its range once, and
+notes whether it was read in full or up to which pair.  A visit's
+``considered`` is the size of the union of the reads it opened.  FIRST of
+a span of positions, in a rule or in a category string, is one
+enumerator, ``_first_of_span``.
 """
 
 from __future__ import annotations
@@ -78,6 +83,7 @@ class EpsilonMark:
 
 _serials = itertools.count(1)
 _SERIAL = attrgetter("serial")
+_LO = attrgetter("lo")
 
 
 class Pair:
@@ -94,13 +100,12 @@ class Pair:
     here, and ``lhs`` and ``rhs`` are never reassigned.
     """
 
-    __slots__ = ("serial", "lhs", "rhs", "events", "is_epsilon", "comparison_roots", "key", "_tree")
+    __slots__ = ("serial", "lhs", "rhs", "is_epsilon", "comparison_roots", "key", "_tree")
 
     def __init__(self, lhs, rhs):
         self.serial = next(_serials)
         self.lhs = tuple(lhs)
         self.rhs = rhs
-        self.events = 0
         self.is_epsilon = isinstance(rhs, EpsilonMark)
         # epsilon right-hand sides carry no bindings, so they do not compare
         self.comparison_roots = self.lhs if self.is_epsilon else (*self.lhs, rhs)
@@ -158,7 +163,6 @@ class PairSet:
         self.added = 0
         self.rejected = 0
         self.removed = 0
-        self.retired_events = 0
         self._lists = ({None: []}, {None: []}, {None: []})  # per kind: label -> pairs
         self._unlabelled = ([], [], [])  # per kind: the pairs with no label
         self._replaced = []  # pairs replaced since the last offer, still listed
@@ -191,7 +195,6 @@ class PairSet:
                 if not bucket:
                     del self._buckets[q.key]
                     self._wild.pop(q.key, None)
-                self.retired_events += q.events
                 self.removed += 1
             self._replaced += doomed
         self.pairs.append(p)
@@ -311,14 +314,36 @@ class RunStats:
     filtered: int = 0  # attempts settled by fs.quick_clash, without a clone
 
 
+class _Read:
+    """A serial range (lo, hi] of the ``kind`` pairs of ``pset`` that
+    ``_bind_each`` reads, possibly many times: ``n`` is the number of pairs
+    in it, counted on the first read; ``full`` whether a read passed a pair
+    over for its label or came to its end; ``top`` the highest serial a
+    read yielded (``lo`` until one does).  Up to ``top`` is what a read
+    stopped by a guard has considered."""
+
+    __slots__ = ("pset", "kind", "lo", "hi", "n", "full", "top")
+
+    def __init__(self, pset, kind, lo, hi):
+        self.pset, self.kind, self.lo, self.hi = pset, kind, lo, hi
+        self.n, self.full, self.top = None, False, lo
+
+
 class _Recorder:
+    """The counters of one run.  ``_bind`` counts each attempt, and
+    ``_bind_each`` each pair of a ``_Read`` that the label passes over as an
+    attempt that was ``filtered``.  ``events`` is the size of each offered
+    range.  A visit opens a ``_Read`` for each range it may read, and it
+    considered the union of what they read: all of a full read, and up to
+    ``top`` of one that a guard stopped."""
+
     def __init__(self, mode):
         self.mode = mode
         self.rows = []
         self.attempts = 0
         self.events = 0
         self.filtered = 0
-        self._spans = None  # in a visit: (set, kind, lo) -> highest hi read from lo
+        self._reads = None  # in a visit: the reads it opened
         self._considered = []
         self._before = (0, 0)  # attempts, and pairs added to the set, as the iteration began
         self._started = time.perf_counter()
@@ -329,30 +354,42 @@ class _Recorder:
 
     def begin_visit(self, pset, lo, hi):
         """Open a visit offered the pairs of ``pset`` in (lo, hi]."""
-        self._spans = {}
-        listed, start, end = pset._span(_ALL, None, lo, hi)
+        self._reads = []
+        _, start, end = pset._span(_ALL, None, lo, hi)
         self.events += end - start
-        for p in itertools.islice(listed, start, end):
-            p.events += 1
 
-    def read(self, pset, kind, lo, hi):
-        """Count the ``kind`` pairs of ``pset`` in (lo, hi] into the open visit, if any."""
-        if self._spans is not None and self._spans.get((pset, kind, lo), lo) < hi:
-            self._spans[pset, kind, lo] = hi
+    def open(self, pset, kind, lo, hi) -> _Read:
+        """A read of the ``kind`` pairs of ``pset`` in (lo, hi] by the open visit."""
+        read = _Read(pset, kind, lo, hi)
+        self._reads.append(read)
+        return read
 
-    def end_visit(self):
-        """Close the visit: it considered the union of the ranges it read,
-        counted per set and kind in order of ``lo`` (the kinds are disjoint)."""
+    def end_visit(self, stopped=False):
+        """Close the visit, counting the union of what its reads read.
+
+        In a visit that ran to its end every read it used is full, and the
+        reads of one set and kind share ``hi``, so their union is the
+        largest ``n``.  In one a guard ``stopped``, each read covers
+        (lo, hi] when full and (lo, top] when not; these are merged per set
+        and kind in order of ``lo`` and counted in the index."""
         n = 0
-        tops = {}
-        for (pset, kind, lo), hi in sorted(self._spans.items(), key=lambda item: item[0][2]):
-            top = tops.get((pset, kind), 0)
-            if hi > top:
-                _, start, end = pset._span(kind, None, max(lo, top), hi)
-                n += end - start
-                tops[pset, kind] = hi
+        if stopped:
+            tops = {}
+            for r in sorted(self._reads, key=_LO):
+                top = max(r.lo, tops.get((r.pset, r.kind), 0))
+                end = r.hi if r.full else r.top
+                if end > top:
+                    _, start, stop = r.pset._span(r.kind, None, top, end)
+                    n += stop - start
+                    tops[r.pset, r.kind] = end
+        else:
+            widest = {}
+            for r in self._reads:
+                if r.full and r.n > widest.get((r.pset, r.kind), 0):
+                    widest[r.pset, r.kind] = r.n
+            n = sum(widest.values())
         self._considered.append(n)
-        self._spans = None
+        self._reads = None
 
     def end_iteration(self, pset):
         visits = len(self._considered)
@@ -362,10 +399,10 @@ class _Recorder:
         self.rows.append(IterationRow(*row))
 
     def finish(self, fixpoint, pset=None):
-        """The run's stats; closes an open visit and, given the set being
-        built, the open iteration."""
-        if self._spans is not None:
-            self.end_visit()
+        """The run's stats; closes a visit a guard stopped and, given the
+        set being built, the open iteration."""
+        if self._reads is not None:
+            self.end_visit(stopped=True)
         if pset is not None:
             self.end_iteration(pset)
         wall = time.perf_counter() - self._started
@@ -426,35 +463,36 @@ def _bind(roots, pos, pair, recorder, keep=None, restrictor=None):
     return out[:-1], out[-1]
 
 
-def _bind_each(space, pos, pool, rec, keep=None, restrictor=None):
-    """``_bind`` the root at ``pos`` to each pair of ``pool``, a serial
-    range ``(set, kind, lo, hi)``, that its label allows, in serial order;
-    yields (pair, kept_roots, bound_rhs) for each success.  The label is
-    read from ``space``, where earlier bindings may have set it.  Pairs
-    passed over count as attempts that ``fs.quick_clash`` settled.  The
-    visit considers the whole range if any are, else what was tried up to
-    each pair yielded, which is what a guard that stops it counts.
+def _bind_each(space, pos, read, rec, keep=None, restrictor=None):
+    """``_bind`` the root at ``pos`` to each pair of ``read``, a ``_Read``,
+    that its label allows, in serial order; yields (pair, kept_roots,
+    bound_rhs) for each success.  The label is read from ``space``, where
+    earlier bindings may have set it.  Pairs passed over count as attempts
+    that ``fs.quick_clash`` settled, and make the read full; so does
+    reaching its end.  Each pair yielded raises the read's ``top``.
     """
-    pset, kind, lo, hi = pool
+    pset, kind, lo, hi = read.pset, read.kind, read.lo, read.hi
     listed, start, end = pset._span(kind, label_of(space[pos]), lo, hi)
-    _, kind_start, kind_end = pset._span(kind, None, lo, hi)
-    skipped = kind_end - kind_start - (end - start)
-    rec.attempts += skipped
-    rec.filtered += skipped
+    if read.n is None:
+        _, kind_start, kind_end = pset._span(kind, None, lo, hi)
+        read.n = kind_end - kind_start
+    skipped = read.n - (end - start)
     if skipped:
-        rec.read(pset, kind, lo, hi)
+        rec.attempts += skipped
+        rec.filtered += skipped
+        read.full = True
     for p in itertools.islice(listed, start, end):
         got = _bind(space, pos, p, rec, keep, restrictor)
         if got is not None:
-            if not skipped:
-                rec.read(pset, kind, lo, p.serial)
+            if p.serial > read.top:
+                read.top = p.serial
             yield p, *got
-    rec.read(pset, kind, lo, hi)
+    read.full = True
 
 
 def _eps_bindings(space, positions, eps, recorder, keep=None, restrictor=None, k=0, newest=0):
     """Every way to bind the listed positions from the ``k``-th on, all at
-    once, to pairs of the empty-string pool ``eps``, in ``space`` as the
+    once, to pairs of ``eps``, a ``_Read`` of empty pairs, in ``space`` as the
     positions before them left it; yields (space, the highest serial bound,
     or ``newest`` when none is).  The last binding copies out the roots
     ``keep`` as ``_bind`` does with ``keep`` and ``restrictor``; other
@@ -469,21 +507,24 @@ def _eps_bindings(space, positions, eps, recorder, keep=None, restrictor=None, k
         )
 
 
-def _first_of_span(space, span, pset, hi, rec, keep, restrictor, lo=0):
-    """FIRST of the positions ``span`` of ``space`` under the pairs of
-    ``pset`` up to serial ``hi``: for each position, every way to bind the
+def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None):
+    """FIRST of the positions ``span`` of ``space`` under the empty pairs
+    read by ``eps`` and the others read by ``drivers``, two ``_Read`` of one
+    set up to one serial: for each position, every way to bind the
     positions before it to empty pairs and itself to a non-empty pair.
     Yields (kept_roots, bound_rhs), copied out of the bound space as
     ``_bind`` does with ``keep`` and ``restrictor``.
 
-    A combination that binds no empty pair above serial ``lo`` takes its
-    driver from above ``lo``, so every one uses a pair above ``lo``.  That
-    the whole span derives the empty string is ``_eps_bindings`` over it.
+    ``fresh`` is a read of the drivers above some serial ``lo``: a
+    combination that binds no empty pair above ``lo`` takes its driver from
+    it, so every one uses a pair above ``lo``.  That the whole span derives
+    the empty string is ``_eps_bindings`` over it.
     """
+    fresh = fresh or drivers
     for j, pos in enumerate(span):
-        for bound, newest in _eps_bindings(space, span[:j], (pset, _EPS, 0, hi), rec):
-            drivers = (pset, _DRIVERS, 0 if newest > lo else lo, hi)
-            for _, kept, rhs in _bind_each(bound, pos, drivers, rec, keep, restrictor):
+        for bound, newest in _eps_bindings(space, span[:j], eps, rec):
+            pool = drivers if newest > fresh.lo else fresh
+            for _, kept, rhs in _bind_each(bound, pos, pool, rec, keep, restrictor):
                 yield kept, rhs
 
 
@@ -504,7 +545,8 @@ def _fixpoint(g: Grammar, mode: str, seed, visit):
     ``seed(store)`` stores the initial pairs.  Then each pass visits every
     rule as ``visit(rule, lo, hi, pairs, rec, store)``, which returns
     whether it added a pair, until a pass adds none; ``pairs`` is the set
-    being built and ``rec`` its recorder.  The visit reads the set up to
+    being built and ``rec`` its recorder, from which the visit opens a
+    ``_Read`` for each range it may read.  The visit reads the set up to
     serial ``hi`` and examines the pairs in (lo, hi]: every stored pair in
     naive mode, those not yet examined against the rule in active mode.
     ``store(lhs_roots, rhs, eps_mark=None)`` is ``_store`` into the set;
@@ -518,7 +560,7 @@ def _fixpoint(g: Grammar, mode: str, seed, visit):
 
     def store(lhs_roots, rhs, eps_mark=None):
         added = _store(out, lhs_roots, rhs, eps_mark)
-        if len(out) > g.max_pairs:
+        if added and len(out) > g.max_pairs:
             raise LimitExceeded("pairs", g.max_pairs, rec.finish(False, out))
         return added
 
@@ -575,10 +617,13 @@ def compute_first(g: Grammar, mode: str = "active"):
             return False
         base = rule.roots()
         span = list(range(1, 1 + len(rule.daughters)))
+        eps = rec.open(first, _EPS, 0, hi)
+        fresh = rec.open(first, _DRIVERS, lo, hi)
+        drivers = rec.open(first, _DRIVERS, 0, hi) if lo else fresh
         changed = False
-        for mother, rhs in _first_of_span(base, span, first, hi, rec, [0], g.restrictor, lo):
+        for mother, rhs in _first_of_span(base, span, eps, drivers, rec, [0], g.restrictor, fresh):
             changed |= store(mother, rhs)
-        for mother, newest in _eps_bindings(base, span, (first, _EPS, 0, hi), rec, [0], g.restrictor):
+        for mother, newest in _eps_bindings(base, span, eps, rec, [0], g.restrictor):
             if newest > lo:
                 changed |= store(mother, None, eps_mark)
         return changed
@@ -614,10 +659,12 @@ def first_of_string(first: PairSet, g: Grammar, cats) -> PairSet:
     rec = _Recorder("ondemand")
     span = list(range(len(cats)))
     _, hi = first.offer()
-    for string, rhs in _first_of_span(cats, span, first, hi, rec, None, g.restrictor):
+    eps, drivers = _Read(first, _EPS, 0, hi), _Read(first, _DRIVERS, 0, hi)
+    for string, rhs in _first_of_span(cats, span, eps, drivers, rec, None, g.restrictor):
         _store(out, string, rhs)
-    for string, _ in _eps_bindings(cats, span, (first, _EPS, 0, hi), rec, None, g.restrictor):
-        eps_mark = first._lookup(_EPS, None)[0].rhs  # the mark compute_first gave every empty pair
+    # the mark compute_first gave every empty pair, if there is one
+    eps_mark = next((p.rhs for p in first._lookup(_EPS, None)), None)
+    for string, _ in _eps_bindings(cats, span, eps, rec, None, g.restrictor):
         _store(out, string, None, eps_mark)
     return out
 
@@ -647,21 +694,23 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
             return False
         base = rule.roots()
         tails = [list(range(2 + i, 1 + k)) for i in range(k)]  # positions after daughter i
+        eps = rec.open(first, _EPS, 0, first_hi)
         changed = False
         # FIRST of each proper suffix; its inputs never change, so the active
         # mode only runs this on the rule's first visit
         if mode == "naive" or rule.rule_id not in suffix_done:
             suffix_done.add(rule.rule_id)
+            drivers = rec.open(first, _DRIVERS, 0, first_hi)
             for i, tail in enumerate(tails):
-                for daughter, rhs in _first_of_span(base, tail, first, first_hi, rec, [1 + i], g.restrictor):
+                for daughter, rhs in _first_of_span(base, tail, eps, drivers, rec, [1 + i], g.restrictor):
                     changed |= store(daughter, rhs)
         # the mother's FOLLOW flows to any daughter whose suffix is empty or
         # wholly derives the empty string
         if lo < hi:
-            drivers = (follow, _ALL, lo, hi)
+            offer = rec.open(follow, _ALL, lo, hi)
             for i, tail in enumerate(tails):
-                for space, _ in _eps_bindings(base, tail, (first, _EPS, 0, first_hi), rec):
-                    for _, daughter, rhs in _bind_each(space, 0, drivers, rec, [1 + i], g.restrictor):
+                for space, _ in _eps_bindings(base, tail, eps, rec):
+                    for _, daughter, rhs in _bind_each(space, 0, offer, rec, [1 + i], g.restrictor):
                         changed |= store(daughter, rhs)
         return changed
 

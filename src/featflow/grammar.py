@@ -282,6 +282,12 @@ class _Parser:
             self.fail(t, f"unknown syntax: expected {what}, found {t.value!r}")
         return t
 
+    def too_deep(self):
+        """Report nesting deeper than the parser's recursion allows, at the
+        token it had reached."""
+        t = self.peek()
+        self.issues.append(ParseIssue(t.line, t.col, "category nested too deeply to parse"))
+
     def sync(self):
         while self.peek().kind not in ("STOP", "EOF"):
             self.take()
@@ -293,6 +299,9 @@ class _Parser:
             try:
                 self.statement()
             except _Abort:
+                self.sync()
+            except RecursionError:
+                self.too_deep()
                 self.sync()
         if not self.rules and not self.issues:
             self.issues.append(ParseIssue(1, 1, "a grammar needs at least one rule"))
@@ -491,6 +500,8 @@ def parse_category_sequence(text: str) -> list:
             cats.append(p.category(tags, allow_end_mark=True))
     except _Abort:
         pass
+    except RecursionError:
+        p.too_deep()
     if not p.issues and not cats:
         p.issues.append(ParseIssue(1, 1, "expected at least one category"))
     if not p.issues and p.tag_failed and fs._cyclic(cats):

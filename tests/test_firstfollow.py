@@ -1,5 +1,6 @@
 """Engine behaviour: the antichain operator, fixpoints, modes, lookups."""
 
+import collections
 import dataclasses
 import json
 import random
@@ -713,13 +714,30 @@ def test_considered_within_total_and_final_iteration_small_on_bench():
     assert final.considered < 0.25 * final.total
 
 
-def test_active_event_accounting_identity():
+class OfferTally(_Recorder):
+    """Tallies in ``offers`` how often each pair, by serial, is offered,
+    walking each offered range."""
+
+    offers = None
+
+    def begin_visit(self, pset, lo, hi):
+        super().begin_visit(pset, lo, hi)
+        listed, start, end = pset._span(ff._ALL, None, lo, hi)
+        self.offers.update(p.serial for p in listed[start:end])
+
+
+def test_active_event_accounting_identity(monkeypatch):
+    monkeypatch.setattr(ff, "_Recorder", OfferTally)
     for name in FIXTURES:
         g = load_fixture(name)
+        monkeypatch.setattr(OfferTally, "offers", collections.Counter())
         first, stats = compute_first(g, "active")
-        held = sum(p.events for p in first)
-        assert held == len(g.rules) * len(first)
-        assert stats.events == held + first.retired_events
+        offers = OfferTally.offers
+        # every surviving pair is offered to every rule once, a replaced
+        # pair to the rules visited before it left the set
+        assert all(offers[p.serial] == len(g.rules) for p in first)
+        assert max(offers.values()) == len(g.rules)
+        assert stats.events == sum(offers.values())
 
 
 def test_mode_equivalence_on_random_feature_grammars():
@@ -733,7 +751,7 @@ def test_mode_equivalence_on_random_feature_grammars():
 def test_choice_order_independence_of_prefix_bindings():
     g = load_fixture("fig1.gr")
     first, _ = compute_first(g)
-    eps_pairs = (first, ff._EPS, *first.offer())
+    eps_pairs = ff._Read(first, ff._EPS, *first.offer())
     rule = g.rules[1]  # two leading NP daughters before the VP
     rec = _Recorder("probe")
     forward = [
@@ -863,10 +881,10 @@ def test_add_idempotent_over_fixpoint_clones():
 # ---------------------------------------------------------------------------
 # label-indexed pools against a full scan
 
-def full_scan_bind_each(space, pos, pool, rec, *args):
-    """The loop the label index replaced: try every pair of the pool's
+def full_scan_bind_each(space, pos, read, rec, *args):
+    """The loop the label index replaced: try every pair of the read's
     serial range, and note each serial tried in the visit."""
-    pset, kind, lo, hi = pool
+    pset, kind, lo, hi = read.pset, read.kind, read.lo, read.hi
     listed, start, end = pset._span(kind, None, lo, hi)
     for p in listed[start:end]:
         if rec.tried is not None:
@@ -885,8 +903,8 @@ class ScanRecorder(_Recorder):
         super().begin_visit(*args)
         self.tried = set()
 
-    def end_visit(self):
-        super().end_visit()
+    def end_visit(self, stopped=False):
+        super().end_visit(stopped)
         self._considered[-1] = len(self.tried)
         self.tried = None
 
@@ -1007,7 +1025,7 @@ def test_a_read_bounded_at_hi_sees_the_set_as_the_visit_began():
         assert s.add(cat_pair(lhs, rhs))
     lo, hi = s.offer(1)
     rec = _Recorder("probe")
-    read = ff._bind_each([parse_category("np[]")], 0, (s, ff._ALL, lo, hi), rec)
+    read = ff._bind_each([parse_category("np[]")], 0, ff._Read(s, ff._ALL, lo, hi), rec)
     got = [format_pair(next(read)[0])]
     assert s.add(cat_pair("np[]", "det[]"))  # replaces both pairs
     assert s.add(cat_pair("[agr=sg]", "n[]"))  # joins the np list, above hi
@@ -1043,11 +1061,11 @@ def test_label_lists_match_the_pairs_after_every_fixpoint():
             assert_index_matches_pairs(follow)
 
 
-def serial_set_bind_each(space, pos, pool, rec, *args):
-    """The label filter over a copy of the pool's range, with the visit's
+def serial_set_bind_each(space, pos, read, rec, *args):
+    """The label filter over a copy of the read's range, with the visit's
     pairs kept as a set of serials: the whole range once a pair is passed
     over for its label, else each pair as it is tried."""
-    pset, kind, lo, hi = pool
+    pset, kind, lo, hi = read.pset, read.kind, read.lo, read.hi
     listed, start, end = pset._span(kind, None, lo, hi)
     whole = listed[start:end]
     label = label_of(space[pos])
@@ -1096,9 +1114,9 @@ def test_a_visit_considers_the_union_of_the_ranges_it_read():
     rec = _Recorder("probe")
     rec.begin_iteration(s)
     rec.begin_visit(s, at[-1], at[-1])  # offered nothing
-    rec.read(s, ff._ALL, 0, at[2])  # pairs 0-2, as a guard-stopped read leaves them
-    rec.read(s, ff._ALL, at[1], at[4])  # pairs 2-4
-    rec.read(s, ff._ALL, at[1], at[3])  # within the last
-    rec.read(s, ff._EPS, 0, at[5])  # no empty pairs
+    rec.open(s, ff._ALL, 0, at[5]).top = at[2]  # pairs 0-2, as a guard-stopped read leaves them
+    rec.open(s, ff._ALL, at[1], at[4]).full = True  # pairs 2-4
+    rec.open(s, ff._ALL, at[1], at[3]).full = True  # within the last
+    rec.open(s, ff._EPS, 0, at[5]).full = True  # no empty pairs
     stats = rec.finish(False, s)  # closes the visit and the iteration
     assert [r.considered for r in stats.rows] == [5.0]

@@ -120,6 +120,26 @@ def test_multiple_errors_collected_across_statements():
     assert {1, 2} <= lines
 
 
+DEEP = "x[f=" * 10000 + "a" + "]" * 10000
+
+
+def test_too_deep_rule_is_a_positioned_issue_and_later_statements_parse():
+    with pytest.raises(GrammarSyntaxError) as err:
+        parse_grammar(f"S -> a[ter=+].\nS[] -> {DEEP}.\nT -> ] .\n")
+    deep, later = err.value.issues
+    assert deep.line == 2 and deep.col > len("S[] -> ")
+    assert "nested too deeply" in deep.message
+    assert later.line == 3 and "unknown syntax" in later.message
+
+
+def test_too_deep_category_string_is_a_positioned_issue():
+    with pytest.raises(GrammarSyntaxError) as err:
+        parse_category_sequence(f"np[] {DEEP}")
+    (issue,) = err.value.issues
+    assert issue.line == 1 and issue.col > len("np[] ")
+    assert "nested too deeply" in issue.message
+
+
 def test_cyclic_tag_structure_rejected():
     with pytest.raises(GrammarSyntaxError) as err:
         parse_grammar("X[f=$1:[g=$1]] -> .")

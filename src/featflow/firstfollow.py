@@ -29,7 +29,11 @@ read tries the pairs its position's label allows and counts the others as
 notes whether it was read in full or up to which pair.  A visit's
 ``considered`` is the size of the union of the reads it opened.  FIRST of
 a span of positions, in a rule or in a category string, is one
-enumerator, ``_first_of_span``.
+enumerator, ``_first_of_span``.  It runs level by level: the ways to bind
+the positions before j to empty pairs are made once, kept, and extended
+by one step, ``_eps_step``, for j + 1; asked, it also yields the ways the
+whole span derives the empty string.  FOLLOW's empty-string tails chain
+the same step, in ``_eps_bindings``.  Nothing here recurses.
 """
 
 from __future__ import annotations
@@ -82,7 +86,6 @@ class EpsilonMark:
 
 
 _serials = itertools.count(1)
-_SERIAL = attrgetter("serial")
 _LO = attrgetter("lo")
 
 
@@ -163,8 +166,9 @@ class PairSet:
         self.added = 0
         self.rejected = 0
         self.removed = 0
-        self._lists = ({None: []}, {None: []}, {None: []})  # per kind: label -> pairs
-        self._unlabelled = ([], [], [])  # per kind: the pairs with no label
+        # per kind: label -> (pairs, their serials), and the unlabelled pairs
+        self._lists = tuple({None: ([], [])} for _ in range(3))
+        self._unlabelled = (([], []), ([], []), ([], []))
         self._replaced = []  # pairs replaced since the last offer, still listed
 
     def __len__(self):
@@ -201,8 +205,9 @@ class PairSet:
         self._buckets.setdefault(p.key, []).append(p)
         if None in p.key[1]:
             self._wild[p.key] = None
-        for listed in self._holders(p):
+        for listed, serials in self._holders(p):
             listed.append(p)
+            serials.append(p.serial)
         self.added += 1
         return True
 
@@ -215,20 +220,22 @@ class PairSet:
         keys in ``_wild`` when looking for subsumers, and every key only
         when an incomer holding None looks for what it subsumes.  The cost
         is bounded by the number of buckets, whatever the key's length.
+        When no other key matches, the exact bucket itself is returned.
         """
-        yield from self._buckets.get(key, ())
+        bucket = self._buckets.get(key, ())
         if covering:
-            others = [k for k in self._wild if _key_covers(k, key)]
+            others = [k for k in self._wild if k != key and _key_covers(k, key)]
         elif None in key[1]:
-            others = [k for k in self._buckets if _key_covers(key, k)]
+            others = [k for k in self._buckets if k != key and _key_covers(key, k)]
         else:
-            others = ()
-        for k in others:
-            if k != key:
-                yield from self._buckets[k]
+            return bucket
+        if not others:
+            return bucket
+        return [*bucket, *(q for k in others for q in self._buckets[k])]
 
     def _holders(self, p: Pair) -> list:
-        """The index lists that hold, or are to hold, pair ``p``."""
+        """The index lists that hold, or are to hold, pair ``p``, each as
+        (pairs, serials)."""
         if len(p.lhs) != 1:
             return []
         label = p.key[1][0]
@@ -239,33 +246,35 @@ class PairSet:
                 out += [*lists.values(), self._unlabelled[kind]]
             else:
                 if label not in lists:
-                    lists[label] = list(self._unlabelled[kind])
+                    listed, serials = self._unlabelled[kind]
+                    lists[label] = (list(listed), list(serials))
                 out += [lists[None], lists[label]]
         return out
 
     def _settle(self):
         """Take the pairs replaced since the last call out of the index."""
         for q in self._replaced:
-            for listed in self._holders(q):
-                del listed[bisect.bisect_left(listed, q.serial, key=_SERIAL)]
+            for listed, serials in self._holders(q):
+                at = bisect.bisect_left(serials, q.serial)
+                del listed[at], serials[at]
         self._replaced = []
 
     def _span(self, kind: int, label, lo: int, hi: int) -> tuple:
         """The index list of the ``kind`` pairs a category labelled
         ``label`` can unify with (the whole kind when None), and the bounds
         (start, end) of its pairs with serials in (lo, hi]."""
-        listed = self._lists[kind].get(label, self._unlabelled[kind])
-        start = bisect.bisect_right(listed, lo, key=_SERIAL) if lo else 0
-        end = len(listed)
-        if end and listed[-1].serial > hi:
-            end = bisect.bisect_right(listed, hi, key=_SERIAL)
+        listed, serials = self._lists[kind].get(label, self._unlabelled[kind])
+        start = bisect.bisect_right(serials, lo) if lo else 0
+        end = len(serials)
+        if end and serials[-1] > hi:
+            end = bisect.bisect_right(serials, hi)
         return listed, start, end
 
     def _lookup(self, kind: int, label) -> list:
         """Every stored ``kind`` pair a category labelled ``label`` can
         unify with: an index list, to read before adding to the set."""
         self._settle()
-        return self._lists[kind].get(label, self._unlabelled[kind])
+        return self._lists[kind].get(label, self._unlabelled[kind])[0]
 
     def offer(self, rule_id=None) -> tuple:
         """The serial range (lo, hi] of the stored pairs not yet offered to
@@ -355,8 +364,9 @@ class _Recorder:
     def begin_visit(self, pset, lo, hi):
         """Open a visit offered the pairs of ``pset`` in (lo, hi]."""
         self._reads = []
-        _, start, end = pset._span(_ALL, None, lo, hi)
-        self.events += end - start
+        if lo < hi:
+            _, start, end = pset._span(_ALL, None, lo, hi)
+            self.events += end - start
 
     def open(self, pset, kind, lo, hi) -> _Read:
         """A read of the ``kind`` pairs of ``pset`` in (lo, hi] by the open visit."""
@@ -426,53 +436,51 @@ def epsilon_category(g: Grammar) -> Node | None:
     return out
 
 
-def _bind(roots, pos, pair, recorder, keep=None, restrictor=None):
-    """Unify the root at ``pos`` of a working space with a stored pair's
-    left side, and copy out the roots at the indices ``keep`` (every root
-    when None) together with the pair's right side.  With a ``restrictor``
-    (an empty one too) the copy is a product to store: restricted by it and
-    pruned.  Without one it is copied as it is.
+def _bind(root, pair, kept, cut, prune, rec):
+    """Unify ``root``, a root of a working space, with a stored pair's left
+    side, and copy out the roots ``kept`` of that space together with the
+    pair's right side, restricted by ``cut`` and, with ``prune``, pruned:
+    a product to store is both, a working space is copied as it is.
 
-    Returns (kept_roots, bound_rhs), with bound_rhs None for an empty-string
-    pair, or None on failure.  ``fs.unify_copy`` binds the inputs only for
-    the duration of the call, so they come back unchanged.  A top-level
-    atom clash is caught before anything is bound and counted as filtered.
-    The working space must be acyclic and share no complex node with the
-    pair: the cycle check is skipped when the pair's left side is a tree.
+    Returns (kept_copies, bound_rhs), with bound_rhs None for an
+    empty-string pair, or None on failure.  ``fs.unify_copy`` binds the
+    inputs only for the duration of the call, so they come back unchanged.
+    A top-level atom clash is caught before anything is bound and counted
+    as filtered.  The working space must be acyclic and share no complex
+    node with the pair: the cycle check is skipped when the pair's left
+    side is a tree.
     """
-    recorder.attempts += 1
-    if fs.quick_clash(roots[pos], pair.lhs[0]):
-        recorder.filtered += 1
+    rec.attempts += 1
+    lhs = pair.lhs[0]
+    if fs.quick_clash(root, lhs):
+        rec.filtered += 1
         return None
-    out = list(roots) if keep is None else [roots[i] for i in keep]
-    if not pair.is_epsilon:
-        out.append(pair.rhs)  # an empty-string rhs is not copied
     try:
-        out = fs.unify_copy(
-            roots[pos],
-            pair.lhs[0],
-            out,
-            restrictor or frozenset(),
-            prune=restrictor is not None,
-            tree=pair.lhs_is_tree(),
-        )
+        if pair.is_epsilon:  # an empty-string rhs is not copied
+            return fs.unify_copy(root, lhs, kept, cut, prune, pair.lhs_is_tree()), None
+        out = fs.unify_copy(root, lhs, [*kept, pair.rhs], cut, prune, pair.lhs_is_tree())
     except UnificationFailed:
         return None
-    if pair.is_epsilon:
-        return out, None
-    return out[:-1], out[-1]
+    rhs = out.pop()
+    return out, rhs
 
 
 def _bind_each(space, pos, read, rec, keep=None, restrictor=None):
-    """``_bind`` the root at ``pos`` to each pair of ``read``, a ``_Read``,
-    that its label allows, in serial order; yields (pair, kept_roots,
-    bound_rhs) for each success.  The label is read from ``space``, where
-    earlier bindings may have set it.  Pairs passed over count as attempts
-    that ``fs.quick_clash`` settled, and make the read full; so does
-    reaching its end.  Each pair yielded raises the read's ``top``.
+    """``_bind`` the root at ``pos`` of ``space`` to each pair of ``read``,
+    a ``_Read``, that its label allows, in serial order, copying out the
+    roots at the indices ``keep`` (every root when None); with a
+    ``restrictor`` (an empty one too) the copies are products to store.
+    Yields (pair, kept_roots, bound_rhs) for each success.
+
+    The label is read from ``space``, where earlier bindings may have set
+    it.  Pairs passed over count as attempts that ``fs.quick_clash``
+    settled, and make the read full; so does reaching its end.  Each pair
+    yielded raises the read's ``top``.  What every bind of the read
+    shares, the kept roots and the restriction, is set up once.
     """
+    root = space[pos]
     pset, kind, lo, hi = read.pset, read.kind, read.lo, read.hi
-    listed, start, end = pset._span(kind, label_of(space[pos]), lo, hi)
+    listed, start, end = pset._span(kind, label_of(root), lo, hi)
     if read.n is None:
         _, kind_start, kind_end = pset._span(kind, None, lo, hi)
         read.n = kind_end - kind_start
@@ -481,8 +489,13 @@ def _bind_each(space, pos, read, rec, keep=None, restrictor=None):
         rec.attempts += skipped
         rec.filtered += skipped
         read.full = True
-    for p in itertools.islice(listed, start, end):
-        got = _bind(space, pos, p, rec, keep, restrictor)
+    if start == end:
+        read.full = True
+        return
+    kept = space if keep is None else [space[i] for i in keep]
+    cut, prune = restrictor or frozenset(), restrictor is not None
+    for p in listed[start:end]:
+        got = _bind(root, p, kept, cut, prune, rec)
         if got is not None:
             if p.serial > read.top:
                 read.top = p.serial
@@ -490,42 +503,72 @@ def _bind_each(space, pos, read, rec, keep=None, restrictor=None):
     read.full = True
 
 
-def _eps_bindings(space, positions, eps, recorder, keep=None, restrictor=None, k=0, newest=0):
-    """Every way to bind the listed positions from the ``k``-th on, all at
-    once, to pairs of ``eps``, a ``_Read`` of empty pairs, in ``space`` as the
-    positions before them left it; yields (space, the highest serial bound,
-    or ``newest`` when none is).  The last binding copies out the roots
-    ``keep`` as ``_bind`` does with ``keep`` and ``restrictor``; other
-    spaces, ``space`` too when no position is left, are as they are."""
-    if k == len(positions):
-        yield space, newest
-        return
-    copy_out = (keep, restrictor) if k + 1 == len(positions) else ()
-    for e, new, _ in _bind_each(space, positions[k], eps, recorder, *copy_out):
-        yield from _eps_bindings(
-            new, positions, eps, recorder, keep, restrictor, k + 1, max(newest, e.serial)
-        )
+def _eps_step(level, pos, eps, rec, keep=None, restrictor=None):
+    """The one ε-prefix step: bind position ``pos`` of each space of
+    ``level``, an iterable of (space, newest serial bound), to each pair of
+    ``eps``, a ``_Read`` of empty pairs, in order.  Yields (space, newest)
+    for each success, copied out as ``_bind_each`` does with ``keep`` and
+    ``restrictor``."""
+    for space, newest in level:
+        for e, bound, _ in _bind_each(space, pos, eps, rec, keep, restrictor):
+            yield bound, max(newest, e.serial)
 
 
-def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None):
+def _eps_bindings(space, positions, eps, rec, keep=None, restrictor=None):
+    """Every way to bind the listed positions, all at once, to pairs of
+    ``eps``, a ``_Read`` of empty pairs; yields (space, the highest serial
+    bound, 0 when none is).  ``_eps_step`` is chained once per position,
+    lazily, so the binds are made in the order of the nested loops.  The
+    last step copies out the roots ``keep`` as ``_bind_each`` does with
+    ``keep`` and ``restrictor``; other spaces, ``space`` too when no
+    position is listed, are as they are."""
+    level = [(space, 0)]
+    for k, pos in enumerate(positions):
+        copy_out = (keep, restrictor) if k + 1 == len(positions) else ()
+        level = _eps_step(level, pos, eps, rec, *copy_out)
+    return level
+
+
+def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None, with_empty=False):
     """FIRST of the positions ``span`` of ``space`` under the empty pairs
     read by ``eps`` and the others read by ``drivers``, two ``_Read`` of one
     set up to one serial: for each position, every way to bind the
     positions before it to empty pairs and itself to a non-empty pair.
     Yields (kept_roots, bound_rhs), copied out of the bound space as
-    ``_bind`` does with ``keep`` and ``restrictor``.
+    ``_bind_each`` does with ``keep`` and ``restrictor``; ``with_empty``,
+    then (kept_roots, None) for every way the whole span derives the empty
+    string.
+
+    It runs level by level.  The level of position j is the ε-bound
+    prefixes before j as (space, newest empty serial bound); the level of
+    j + 1 is ``_eps_step`` on it, built while j + 1 is driven, in the order
+    of the nested loops, and kept for the next step, so each prefix is
+    bound once.  The enumeration stops at the first empty level.  Built
+    lazily, a level is read no further than a guard that stops the visit
+    lets it.
 
     ``fresh`` is a read of the drivers above some serial ``lo``: a
     combination that binds no empty pair above ``lo`` takes its driver from
-    it, so every one uses a pair above ``lo``.  That the whole span derives
-    the empty string is ``_eps_bindings`` over it.
+    it, and an empty-string derivation that binds none is left out, so
+    every one uses a pair above ``lo``.
     """
     fresh = fresh or drivers
+    level = [(space, 0)]
     for j, pos in enumerate(span):
-        for bound, newest in _eps_bindings(space, span[:j], eps, rec):
+        prefixes = []
+        for bound, newest in level:
+            prefixes.append((bound, newest))
             pool = drivers if newest > fresh.lo else fresh
             for _, kept, rhs in _bind_each(bound, pos, pool, rec, keep, restrictor):
                 yield kept, rhs
+        if not prefixes:
+            return
+        copy_out = (keep, restrictor) if j + 1 == len(span) else ()
+        level = _eps_step(prefixes, pos, eps, rec, *copy_out)
+    if with_empty:
+        for kept, newest in level:
+            if newest > fresh.lo:
+                yield kept, None
 
 
 def _store(pset, lhs_roots, rhs, eps_mark=None):
@@ -597,6 +640,8 @@ def compute_first(g: Grammar, mode: str = "active"):
     eps_cat = epsilon_category(g)
     eps_mark = EpsilonMark(eps_cat) if eps_cat is not None else None
     eps_done = set()
+    # rule id -> (the rule's space, the positions of its daughters)
+    plans = {r.rule_id: (r.roots(), list(range(1, 1 + len(r.daughters)))) for r in g.rules}
 
     def seed(store):
         for r in g.rules:
@@ -615,17 +660,14 @@ def compute_first(g: Grammar, mode: str = "active"):
             return False
         if lo == hi:
             return False
-        base = rule.roots()
-        span = list(range(1, 1 + len(rule.daughters)))
+        base, span = plans[rule.rule_id]
         eps = rec.open(first, _EPS, 0, hi)
         fresh = rec.open(first, _DRIVERS, lo, hi)
         drivers = rec.open(first, _DRIVERS, 0, hi) if lo else fresh
         changed = False
-        for mother, rhs in _first_of_span(base, span, eps, drivers, rec, [0], g.restrictor, fresh):
-            changed |= store(mother, rhs)
-        for mother, newest in _eps_bindings(base, span, eps, rec, [0], g.restrictor):
-            if newest > lo:
-                changed |= store(mother, None, eps_mark)
+        products = _first_of_span(base, span, eps, drivers, rec, [0], g.restrictor, fresh, with_empty=True)
+        for mother, rhs in products:
+            changed |= store(mother, rhs, eps_mark)
         return changed
 
     return _fixpoint(g, mode, seed, visit)
@@ -660,12 +702,10 @@ def first_of_string(first: PairSet, g: Grammar, cats) -> PairSet:
     span = list(range(len(cats)))
     _, hi = first.offer()
     eps, drivers = _Read(first, _EPS, 0, hi), _Read(first, _DRIVERS, 0, hi)
-    for string, rhs in _first_of_span(cats, span, eps, drivers, rec, None, g.restrictor):
-        _store(out, string, rhs)
     # the mark compute_first gave every empty pair, if there is one
     eps_mark = next((p.rhs for p in first._lookup(_EPS, None)), None)
-    for string, _ in _eps_bindings(cats, span, eps, rec, None, g.restrictor):
-        _store(out, string, None, eps_mark)
+    for string, rhs in _first_of_span(cats, span, eps, drivers, rec, None, g.restrictor, with_empty=True):
+        _store(out, string, rhs, eps_mark)
     return out
 
 
@@ -683,17 +723,19 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
     """
     _, first_hi = first.offer()
     suffix_done = set()
+    plans = {}  # rule id -> (the rule's space, the positions after each of its daughters)
+    for r in g.rules:
+        k = len(r.daughters)
+        plans[r.rule_id] = (r.roots(), [list(range(2 + i, 1 + k)) for i in range(k)])
 
     def seed(store):
         start, end = fs.restrict_many([g.start, end_category()], g.restrictor, prune=True)
         store((start,), end)
 
     def visit(rule, lo, hi, follow, rec, store):
-        k = len(rule.daughters)
-        if k == 0:
+        if rule.is_epsilon:
             return False
-        base = rule.roots()
-        tails = [list(range(2 + i, 1 + k)) for i in range(k)]  # positions after daughter i
+        base, tails = plans[rule.rule_id]
         eps = rec.open(first, _EPS, 0, first_hi)
         changed = False
         # FIRST of each proper suffix; its inputs never change, so the active
@@ -733,7 +775,7 @@ def query(result: PairSet, cat: Node) -> list:
     for p in result._lookup(_ALL, label_of(cat)):
         if p.is_epsilon and have_eps:
             continue  # only the first empty-string answer is kept; bind no more empty pairs
-        got = _bind([cat], 0, p, rec, ())
+        got = _bind(cat, p, (), frozenset(), False, rec)
         if got is None:
             continue
         if p.is_epsilon:

@@ -57,10 +57,10 @@ every call of the function around it.  It keeps all its closure holds
 cyclic collector runs, and that collector took about a fifth of each
 benchmark op when the walks below were closures.  So a recursive walk is
 a module-level function that takes its state as arguments (``_cp``,
-``firstfollow._eps_bindings``, ``grammar._count_refs`` and ``_render``) or a
-loop (``generalize``), and reference counting frees every temporary at
-once; ``tests/test_no_cycles.py`` checks that no op leaves cyclic
-garbage.
+``grammar._count_refs`` and ``_render``) or a loop (``generalize``, and
+``firstfollow``'s enumerators of empty-string bindings, which step level
+by level), and reference counting frees every temporary at once;
+``tests/test_no_cycles.py`` checks that no op leaves cyclic garbage.
 """
 
 from __future__ import annotations

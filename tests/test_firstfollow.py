@@ -232,7 +232,7 @@ def test_pair_sets_differing_in_one_reentrancy_are_not_equivalent():
 
 def bind_once(site, pair):
     rec = _Recorder("test")
-    return _bind([site], 0, pair, rec), rec
+    return _bind(site, pair, [site], frozenset(), False, rec), rec
 
 
 def test_top_level_clash_is_filtered_and_still_an_attempt():
@@ -881,15 +881,23 @@ def test_add_idempotent_over_fixpoint_clones():
 # ---------------------------------------------------------------------------
 # label-indexed pools against a full scan
 
-def full_scan_bind_each(space, pos, read, rec, *args):
+def bind_args(space, keep, restrictor):
+    """What ``_bind`` takes after the pair, as ``_bind_each`` prepares it:
+    the kept roots, the restriction and the prune flag."""
+    kept = space if keep is None else [space[i] for i in keep]
+    return kept, restrictor or frozenset(), restrictor is not None
+
+
+def full_scan_bind_each(space, pos, read, rec, keep=None, restrictor=None):
     """The loop the label index replaced: try every pair of the read's
     serial range, and note each serial tried in the visit."""
     pset, kind, lo, hi = read.pset, read.kind, read.lo, read.hi
     listed, start, end = pset._span(kind, None, lo, hi)
+    args = bind_args(space, keep, restrictor)
     for p in listed[start:end]:
         if rec.tried is not None:
             rec.tried.add(p.serial)
-        got = _bind(space, pos, p, rec, *args)
+        got = _bind(space[pos], p, *args, rec)
         if got is not None:
             yield p, *got
 
@@ -1046,7 +1054,9 @@ def assert_index_matches_pairs(pset):
         assert set(lists) >= {None} | {p.key[1][0] for p in pset if keep(p)}
         for label in [*lists, "no-such-label"]:
             want = [p for p in pset if keep(p) and (label is None or p.key[1][0] in (None, label))]
-            assert lists.get(label, pset._unlabelled[kind]) == want, label
+            listed, serials = lists.get(label, pset._unlabelled[kind])
+            assert listed == want, label
+            assert serials == [p.serial for p in want], label
 
 
 def test_label_lists_match_the_pairs_after_every_fixpoint():
@@ -1061,7 +1071,7 @@ def test_label_lists_match_the_pairs_after_every_fixpoint():
             assert_index_matches_pairs(follow)
 
 
-def serial_set_bind_each(space, pos, read, rec, *args):
+def serial_set_bind_each(space, pos, read, rec, keep=None, restrictor=None):
     """The label filter over a copy of the read's range, with the visit's
     pairs kept as a set of serials: the whole range once a pair is passed
     over for its label, else each pair as it is tried."""
@@ -1075,10 +1085,11 @@ def serial_set_bind_each(space, pos, read, rec, *args):
     rec.filtered += skipped
     if skipped and rec.tried is not None:
         rec.tried.update(p.serial for p in whole)
+    args = bind_args(space, keep, restrictor)
     for p in candidates:
         if rec.tried is not None:
             rec.tried.add(p.serial)
-        got = _bind(space, pos, p, rec, *args)
+        got = _bind(space[pos], p, *args, rec)
         if got is not None:
             yield p, *got
 
@@ -1120,3 +1131,150 @@ def test_a_visit_considers_the_union_of_the_ranges_it_read():
     rec.open(s, ff._EPS, 0, at[5]).full = True  # no empty pairs
     stats = rec.finish(False, s)  # closes the visit and the iteration
     assert [r.considered for r in stats.rows] == [5.0]
+
+
+# ---------------------------------------------------------------------------
+# the level-by-level enumerator against the two-pass one it replaced
+
+def reference_eps_bindings(space, positions, eps, rec, keep=None, restrictor=None, k=0, newest=0):
+    """The recursive ε enumerator: every way to bind the listed positions
+    from the ``k``-th on to empty pairs, the last binding copying out
+    ``keep`` under ``restrictor``; yields (space, newest serial bound)."""
+    if k == len(positions):
+        yield space, newest
+        return
+    copy_out = (keep, restrictor) if k + 1 == len(positions) else ()
+    for e, new, _ in ff._bind_each(space, positions[k], eps, rec, *copy_out):
+        yield from reference_eps_bindings(
+            new, positions, eps, rec, keep, restrictor, k + 1, max(newest, e.serial)
+        )
+
+
+def reference_first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None, with_empty=False):
+    """The two-pass enumerator: the empty-bound prefix of each position
+    enumerated afresh, then, ``with_empty``, the whole span's empty-string
+    derivations enumerated a third time, as its callers used to."""
+    fresh = fresh or drivers
+    for j, pos in enumerate(span):
+        for bound, newest in reference_eps_bindings(space, span[:j], eps, rec):
+            pool = drivers if newest > fresh.lo else fresh
+            for _, kept, rhs in ff._bind_each(bound, pos, pool, rec, keep, restrictor):
+                yield kept, rhs
+    if with_empty:
+        for kept, newest in reference_eps_bindings(space, span, eps, rec, keep, restrictor):
+            if newest > fresh.lo:
+                yield kept, None
+
+
+def stage_record(pairs, stats):
+    """What the enumerators must agree on, and the attempt counts, which
+    the level enumerator may only lower."""
+    rows = [(r.iteration, r.considered, r.total, r.additions) for r in stats.rows]
+    same = [stats.events, stats.fixpoint, rows]
+    if pairs is not None:
+        same += [[format_pair(p) for p in pairs], pairs.rejected, pairs.removed]
+    return same, (stats.attempts, stats.filtered, [r.attempts for r in stats.rows])
+
+
+def enumerator_run(g, mode, strings, probes):
+    """FIRST, FOLLOW, ``first_of_string`` and ``query`` on one grammar;
+    a guard that fires ends the run with the stats it carries."""
+    out = []
+    try:
+        first, stats = compute_first(g, mode)
+        out.append(stage_record(first, stats))
+        follow, stats = compute_follow(g, first, mode)
+        out.append(stage_record(follow, stats))
+    except LimitExceeded as err:
+        out.append(stage_record(None, err.stats))
+        return out
+    answers = [string_first_or_unknown(first, g, w) for w in strings]
+    answers += [rendered(query(s, c)) for s in (first, follow) for c in probes]
+    out.append((answers, None))
+    return out
+
+
+def assert_matches_reference(monkeypatch, g, mode, strings=(), probes=()):
+    runs = []
+    for first_of_span, eps_bindings in (
+        (ff._first_of_span, ff._eps_bindings),
+        (reference_first_of_span, reference_eps_bindings),
+    ):
+        with monkeypatch.context() as m:
+            m.setattr(ff, "_first_of_span", first_of_span)
+            m.setattr(ff, "_eps_bindings", eps_bindings)
+            runs.append(enumerator_run(g, mode, strings, probes))
+    levels, reference = runs
+    assert len(levels) == len(reference), (g.name, mode)
+    for (same, counts), (want, limit) in zip(levels, reference):
+        assert same == want, (g.name, mode)
+        if counts is not None:
+            attempts, filtered, row_attempts = counts
+            assert attempts <= limit[0] and filtered <= limit[1], (g.name, mode)
+            assert all(a <= b for a, b in zip(row_attempts, limit[2])), (g.name, mode)
+
+
+# several empty pairs per position, one of them found only in the second
+# pass, with the mother recording which were bound: product order shows
+# the order of the prefixes at every level
+LAYERED_EMPTY = [
+    """T[a=$1, b=$2] -> S[a=$1] X[agr=$2] X[agr=$1].
+    S[a=$1, b=$2, c=$3] -> X[agr=$1] X[agr=$2] X[agr=$3] y[ter=+, agr=$3].
+    X[agr=sg] -> .  X[agr=pl] -> .  X[agr=du] -> W[].  W[] -> .""",
+    """S[a=$1, b=$2] -> A[f=$1] B[f=$2] A[f=$2] c[ter=+].
+    A[f=x] -> .  A[f=y] -> .  A[f=z] -> a[ter=+].
+    B[f=x] -> b[ter=+].  B[f=y] -> .  B[f=$1] -> A[f=$1] A[f=$1].""",
+]
+
+
+def reference_grammars():
+    grammars = [parse_grammar(text, name=f"layered-empty-{i}") for i, text in enumerate(LAYERED_EMPTY)]
+    grammars += [load_fixture(name) for name in FIXTURES]
+    grammars.append(load_fixture("guard.gr", restrictor=["orth"]))
+    golden = Path(__file__).parent / "goldens" / "engine.json"
+    grammars += [parse_grammar(rec["grammar"]) for rec in json.loads(golden.read_text(encoding="utf-8"))]
+    rng = random.Random(1414)
+    grammars += [parse_grammar(random_cf_grammar(rng)[0]) for _ in range(40)]
+    grammars += [parse_grammar(random_feature_grammar(rng)) for _ in range(40)]
+    return grammars
+
+
+def test_level_enumerator_matches_the_two_pass_reference(monkeypatch):
+    rng = random.Random(14)
+    for g in reference_grammars():
+        cats = [c for r in g.rules for c in r.roots()]
+        strings = [[rng.choice(cats) for _ in range(rng.randint(1, 4))] for _ in range(4)]
+        probes = [fs.clone(rng.choice(cats)) for _ in range(4)]
+        for mode in MODES:
+            assert_matches_reference(monkeypatch, g, mode, strings, probes)
+
+
+def test_level_enumerator_matches_the_reference_when_a_guard_stops_it(monkeypatch):
+    grammars = reference_grammars()
+    # the hand-written grammars and the fixtures, then 12 of each generator's
+    for g in grammars[:8] + grammars[24:36] + grammars[64:76]:
+        for mode in MODES:
+            for limit in (1, 2, 3, 5, 8, 13):
+                assert_matches_reference(monkeypatch, dataclasses.replace(g, max_pairs=limit), mode)
+            for limit in (1, 2):
+                assert_matches_reference(monkeypatch, dataclasses.replace(g, max_iterations=limit), mode)
+
+
+def test_a_first_visit_reads_the_empty_pairs_once_when_the_first_daughter_has_none(monkeypatch):
+    g = parse_grammar("S[] -> A[] B[] C[]. A[] -> a[ter=+]. B[] -> . C[] -> c[ter=+].")
+    first, _ = compute_first(g)
+    assert [format_pair(p) for p in first if p.is_epsilon] == ["(b[] , ε)"]
+    reads = collections.Counter()
+    real = ff._bind_each
+
+    def counted(space, pos, read, rec, *args):
+        if label_of(space[0]) == "s":
+            reads[read.kind, pos] += 1
+        return real(space, pos, read, rec, *args)
+
+    monkeypatch.setattr(ff, "_bind_each", counted)
+    for mode in MODES:
+        reads.clear()
+        compute_first(g, mode)
+        visits = reads[ff._DRIVERS, 1]  # each visit drives the first daughter once
+        assert visits and reads == {(ff._DRIVERS, 1): visits, (ff._EPS, 1): visits}, mode

@@ -13,7 +13,6 @@ from .fs import (
     clone_many,
     empty,
     equivalent,
-    equivalent_many,
     generalize,
     make_path,
     make_restrictor,
@@ -33,10 +32,7 @@ from .grammar import (
     Grammar,
     GrammarSyntaxError,
     Rule,
-    format_grammar,
-    format_node,
     format_roots,
-    instantiate,
     is_preterminal,
     label_of,
     parse_category,

@@ -25,15 +25,20 @@ fixpoints:
 Visits read the set through its label index: each pool, an offer too, is
 a ``_Read``, a serial range (lo, hi] of one kind of pair.  A bind over a
 read tries the pairs its position's label allows and counts the others as
-``attempts`` that are ``filtered``; the read counts its range once, and
-notes whether it was read in full or up to which pair.  A visit's
-``considered`` is the size of the union of the reads it opened.  FIRST of
-a span of positions, in a rule or in a category string, is one
-enumerator, ``_first_of_span``.  It runs level by level: the ways to bind
-the positions before j to empty pairs are made once, kept, and extended
-by one step, ``_eps_step``, for j + 1; asked, it also yields the ways the
+``attempts`` that are ``filtered``; the read counts its range when it is
+opened, and notes whether it was read in full or up to which pair.  A
+visit's ``considered`` is the size of the union of the reads it opened.
+A visit wakes only when some pair above its ``lo`` has a label one of its
+positions can bind; one that does not reads nothing, and counts as
+considered what a full visit would have read to no avail.  FIRST of a
+span of positions, in a rule or in a category string, is one enumerator,
+``_first_of_span``.  It runs level by level: the ways to bind the
+positions before j to empty pairs are made once, kept, and extended by
+one step, ``_eps_step``, for j + 1; asked, it also yields the ways the
 whole span derives the empty string.  FOLLOW's empty-string tails chain
-the same step, in ``_eps_bindings``.  Nothing here recurses.
+the same step, in ``_eps_bindings``, and each rule keeps them, in a
+``_Tails``, since FIRST does not change while FOLLOW runs.  Nothing here
+recurses.
 """
 
 from __future__ import annotations
@@ -156,6 +161,9 @@ class PairSet:
     whole kind.  A reader takes a serial range (lo, hi] of a list: a visit
     reads up to the ``hi`` that ``offer`` gave it, since ``add`` appends
     above it and a pair it replaces stays listed until the next ``offer``.
+    The newest serial added for each left-side label, None for the pairs
+    without one, tells a visit whether any pair above its ``lo`` can wake
+    it (``_woken``).
     """
 
     def __init__(self):
@@ -170,6 +178,7 @@ class PairSet:
         self._lists = tuple({None: ([], [])} for _ in range(3))
         self._unlabelled = (([], []), ([], []), ([], []))
         self._replaced = []  # pairs replaced since the last offer, still listed
+        self._newest = {}  # left-side label, None for none -> newest serial added
 
     def __len__(self):
         return len(self.pairs)
@@ -208,6 +217,8 @@ class PairSet:
         for listed, serials in self._holders(p):
             listed.append(p)
             serials.append(p.serial)
+        if len(p.lhs) == 1:
+            self._newest[p.key[1][0]] = p.serial
         self.added += 1
         return True
 
@@ -270,6 +281,17 @@ class PairSet:
             end = bisect.bisect_right(serials, hi)
         return listed, start, end
 
+    def _woken(self, labels, lo: int) -> bool:
+        """Whether some pair above serial ``lo`` may have a left side that
+        a category labelled one of ``labels`` unifies with: ``labels`` ends
+        with None, which stands for the unlabelled pairs.  A pair replaced
+        since it was added still counts, so the answer errs towards yes."""
+        newest = self._newest
+        for label in labels:
+            if newest.get(label, 0) > lo:
+                return True
+        return False
+
     def _lookup(self, kind: int, label) -> list:
         """Every stored ``kind`` pair a category labelled ``label`` can
         unify with: an index list, to read before adding to the set."""
@@ -283,7 +305,8 @@ class PairSet:
         deletes the newest pair, at ``hi``, so the range is empty only when
         lo == hi.  Pairs replaced since the last offer leave the index here.
         """
-        self._settle()
+        if self._replaced:
+            self._settle()
         hi = self.pairs[-1].serial if self.pairs else 0
         if rule_id is None:
             return 0, hi
@@ -326,7 +349,7 @@ class RunStats:
 class _Read:
     """A serial range (lo, hi] of the ``kind`` pairs of ``pset`` that
     ``_bind_each`` reads, possibly many times: ``n`` is the number of pairs
-    in it, counted on the first read; ``full`` whether a read passed a pair
+    in it, counted when it is opened; ``full`` whether a read passed a pair
     over for its label or came to its end; ``top`` the highest serial a
     read yielded (``lo`` until one does).  Up to ``top`` is what a read
     stopped by a guard has considered."""
@@ -335,7 +358,12 @@ class _Read:
 
     def __init__(self, pset, kind, lo, hi):
         self.pset, self.kind, self.lo, self.hi = pset, kind, lo, hi
-        self.n, self.full, self.top = None, False, lo
+        serials = pset._lists[kind][None][1]
+        start = bisect.bisect_right(serials, lo) if lo else 0
+        end = len(serials)
+        if end and serials[-1] > hi:
+            end = bisect.bisect_right(serials, hi)
+        self.n, self.full, self.top = end - start, False, lo
 
 
 class _Recorder:
@@ -344,7 +372,8 @@ class _Recorder:
     attempt that was ``filtered``.  ``events`` is the size of each offered
     range.  A visit opens a ``_Read`` for each range it may read, and it
     considered the union of what they read: all of a full read, and up to
-    ``top`` of one that a guard stopped."""
+    ``top`` of one that a guard stopped; a visit that reads nothing
+    ``count``s what it would have read."""
 
     def __init__(self, mode):
         self.mode = mode
@@ -353,6 +382,7 @@ class _Recorder:
         self.events = 0
         self.filtered = 0
         self._reads = None  # in a visit: the reads it opened
+        self._counted = 0  # in a visit: what it considered without a read
         self._considered = []
         self._before = (0, 0)  # attempts, and pairs added to the set, as the iteration began
         self._started = time.perf_counter()
@@ -364,9 +394,9 @@ class _Recorder:
     def begin_visit(self, pset, lo, hi):
         """Open a visit offered the pairs of ``pset`` in (lo, hi]."""
         self._reads = []
-        if lo < hi:
-            _, start, end = pset._span(_ALL, None, lo, hi)
-            self.events += end - start
+        if lo < hi:  # hi is the newest serial of the set
+            serials = pset._lists[_ALL][None][1]
+            self.events += len(serials) - bisect.bisect_right(serials, lo)
 
     def open(self, pset, kind, lo, hi) -> _Read:
         """A read of the ``kind`` pairs of ``pset`` in (lo, hi] by the open visit."""
@@ -374,32 +404,41 @@ class _Recorder:
         self._reads.append(read)
         return read
 
+    def count(self, pset, kind, lo):
+        """Count the ``kind`` pairs of ``pset`` above ``lo`` as considered
+        by the open visit, as a full read up to its newest pair would: for
+        a visit that opens no read of that kind and set, since it knows no
+        pair there can bind."""
+        serials = pset._lists[kind][None][1]
+        self._counted += len(serials) - (bisect.bisect_right(serials, lo) if lo else 0)
+
     def end_visit(self, stopped=False):
         """Close the visit, counting the union of what its reads read.
 
-        In a visit that ran to its end every read it used is full, and the
-        reads of one set and kind share ``hi``, so their union is the
-        largest ``n``.  In one a guard ``stopped``, each read covers
-        (lo, hi] when full and (lo, top] when not; these are merged per set
-        and kind in order of ``lo`` and counted in the index."""
-        n = 0
+        A visit reads each kind from one set only.  In a visit that ran to
+        its end every read it used is full, and the reads of one kind share
+        ``hi``, so their union is the largest ``n``.  In one a guard
+        ``stopped``, each read covers (lo, hi] when full and (lo, top] when
+        not; these are merged per kind in order of ``lo`` and counted in
+        the index.  What ``count`` counted is added."""
+        n = self._counted
         if stopped:
-            tops = {}
+            tops = [0, 0, 0]
             for r in sorted(self._reads, key=_LO):
-                top = max(r.lo, tops.get((r.pset, r.kind), 0))
+                top = max(r.lo, tops[r.kind])
                 end = r.hi if r.full else r.top
                 if end > top:
                     _, start, stop = r.pset._span(r.kind, None, top, end)
                     n += stop - start
-                    tops[r.pset, r.kind] = end
+                    tops[r.kind] = end
         else:
-            widest = {}
+            widest = [0, 0, 0]
             for r in self._reads:
-                if r.full and r.n > widest.get((r.pset, r.kind), 0):
-                    widest[r.pset, r.kind] = r.n
-            n = sum(widest.values())
+                if r.full and r.n > widest[r.kind]:
+                    widest[r.kind] = r.n
+            n += sum(widest)
         self._considered.append(n)
-        self._reads = None
+        self._reads, self._counted = None, 0
 
     def end_iteration(self, pset):
         visits = len(self._considered)
@@ -479,11 +518,7 @@ def _bind_each(space, pos, read, rec, keep=None, restrictor=None):
     shares, the kept roots and the restriction, is set up once.
     """
     root = space[pos]
-    pset, kind, lo, hi = read.pset, read.kind, read.lo, read.hi
-    listed, start, end = pset._span(kind, label_of(root), lo, hi)
-    if read.n is None:
-        _, kind_start, kind_end = pset._span(kind, None, lo, hi)
-        read.n = kind_end - kind_start
+    listed, start, end = read.pset._span(read.kind, label_of(root), read.lo, read.hi)
     skipped = read.n - (end - start)
     if skipped:
         rec.attempts += skipped
@@ -543,9 +578,11 @@ def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None,
     prefixes before j as (space, newest empty serial bound); the level of
     j + 1 is ``_eps_step`` on it, built while j + 1 is driven, in the order
     of the nested loops, and kept for the next step, so each prefix is
-    bound once.  The enumeration stops at the first empty level.  Built
+    bound once.  The enumeration stops at the first empty level, and so
+    at a position whose label has no empty pair in ``eps``: the empty
+    pairs each prefix would pass over there are counted, not read.  Built
     lazily, a level is read no further than a guard that stops the visit
-    lets it.
+    lets it; a last level nothing reads is not built.
 
     ``fresh`` is a read of the drivers above some serial ``lo``: a
     combination that binds no empty pair above ``lo`` takes its driver from
@@ -553,6 +590,8 @@ def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None,
     every one uses a pair above ``lo``.
     """
     fresh = fresh or drivers
+    empties = eps.pset._lists[_EPS]
+    last = len(span) - 1
     level = [(space, 0)]
     for j, pos in enumerate(span):
         prefixes = []
@@ -561,14 +600,21 @@ def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None,
             pool = drivers if newest > fresh.lo else fresh
             for _, kept, rhs in _bind_each(bound, pos, pool, rec, keep, restrictor):
                 yield kept, rhs
-        if not prefixes:
+        if not prefixes or (j == last and not with_empty):
             return
-        copy_out = (keep, restrictor) if j + 1 == len(span) else ()
+        # an atomic cat stays in every prefix; empty reads start at 0
+        serials = empties.get(label_of(space[pos]), eps.pset._unlabelled[_EPS])[1]
+        if not serials or serials[0] > eps.hi:
+            passed = len(prefixes) * eps.n
+            rec.attempts += passed
+            rec.filtered += passed
+            eps.full = True
+            return
+        copy_out = (keep, restrictor) if j == last else ()
         level = _eps_step(prefixes, pos, eps, rec, *copy_out)
-    if with_empty:
-        for kept, newest in level:
-            if newest > fresh.lo:
-                yield kept, None
+    for kept, newest in level:
+        if newest > fresh.lo:
+            yield kept, None
 
 
 def _store(pset, lhs_roots, rhs, eps_mark=None):
@@ -623,6 +669,14 @@ def _fixpoint(g: Grammar, mode: str, seed, visit):
             return out, rec.finish(True)
 
 
+def _wake_labels(roots):
+    """The left-side labels of the pairs that may bind one of ``roots``,
+    for ``PairSet._woken``: each root's ``cat`` and None, or None when a
+    root has no atomic ``cat``, since any pair may bind it."""
+    labels = [label_of(root) for root in roots]
+    return None if None in labels else (*dict.fromkeys(labels), None)
+
+
 # ---------------------------------------------------------------------------
 # FIRST
 
@@ -635,13 +689,17 @@ def compute_first(g: Grammar, mode: str = "active"):
     contributes (X', a) whenever position i's daughter unifies with the
     left side of a stored non-empty pair while every earlier daughter
     simultaneously unifies with left sides of empty pairs, and (X', empty)
-    when all k daughters do.  A combination must use an offered pair.
+    when all k daughters do.  A combination must use an offered pair, so a
+    visit where no daughter's label has a pair above ``lo`` reads nothing.
     """
     eps_cat = epsilon_category(g)
     eps_mark = EpsilonMark(eps_cat) if eps_cat is not None else None
     eps_done = set()
-    # rule id -> (the rule's space, the positions of its daughters)
-    plans = {r.rule_id: (r.roots(), list(range(1, 1 + len(r.daughters)))) for r in g.rules}
+    # rule id -> (the rule's space, the positions of its daughters, their wake labels)
+    plans = {
+        r.rule_id: (r.roots(), list(range(1, 1 + len(r.daughters))), _wake_labels(r.daughters))
+        for r in g.rules
+    }
 
     def seed(store):
         for r in g.rules:
@@ -660,7 +718,13 @@ def compute_first(g: Grammar, mode: str = "active"):
             return False
         if lo == hi:
             return False
-        base, span = plans[rule.rule_id]
+        base, span, labels = plans[rule.rule_id]
+        if labels is not None and not first._woken(labels, lo):
+            # a full visit would pass every fresh driver over and bind the
+            # first daughter's empty pairs to no avail
+            rec.count(first, _DRIVERS, lo)
+            rec.count(first, _EPS, 0)
+            return False
         eps = rec.open(first, _EPS, 0, hi)
         fresh = rec.open(first, _DRIVERS, lo, hi)
         drivers = rec.open(first, _DRIVERS, 0, hi) if lo else fresh
@@ -712,6 +776,48 @@ def first_of_string(first: PairSet, g: Grammar, cats) -> PairSet:
 # ---------------------------------------------------------------------------
 # FOLLOW
 
+class _Tails:
+    """FOLLOW's plan of one rule: its space ``base``, the positions after
+    each daughter, ``tails``, the wake ``labels`` of its mother and, once
+    enumerated in full, the ways each tail derives the empty string.
+
+    FIRST is fixed while FOLLOW runs, so those ways never change.
+    ``spaces(eps, rec)`` yields (i, space) for each daughter i and each way
+    to bind its tail to empty pairs of ``eps``, a fresh ``_Read``, in the
+    order of ``_eps_bindings``.  The first call enumerates them lazily and
+    notes the read's ``full`` and ``top`` at each yield; the list is kept
+    once an enumeration has run to its end.  Later calls replay it, setting
+    their read's ``full`` and ``top`` as the enumeration had them, so a
+    visit considers what one enumerating afresh would, also when a guard
+    stops it.
+    """
+
+    __slots__ = ("base", "tails", "labels", "kept", "end")
+
+    def __init__(self, rule):
+        k = len(rule.daughters)
+        self.base, self.tails = rule.roots(), [list(range(2 + i, 1 + k)) for i in range(k)]
+        self.labels = _wake_labels([rule.mother])
+        self.kept = self.end = None  # end: the read's (full, top) after the last yield
+
+    def spaces(self, eps, rec):
+        return self._enumerate(eps, rec) if self.kept is None else self._replay(eps)
+
+    def _enumerate(self, eps, rec):
+        kept = []
+        for i, tail in enumerate(self.tails):
+            for space, _ in _eps_bindings(self.base, tail, eps, rec):
+                kept.append((i, space, eps.full, eps.top))
+                yield i, space
+        self.kept, self.end = kept, (eps.full, eps.top)
+
+    def _replay(self, eps):
+        for i, space, full, top in self.kept:
+            eps.full, eps.top = full, top
+            yield i, space
+        eps.full, eps.top = self.end
+
+
 def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
     """Fixpoint of the FOLLOW pair set; returns (PairSet, RunStats).
 
@@ -722,11 +828,7 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
     offered (M, f) whose M unifies with X' contributes (Y'i, f).
     """
     _, first_hi = first.offer()
-    suffix_done = set()
-    plans = {}  # rule id -> (the rule's space, the positions after each of its daughters)
-    for r in g.rules:
-        k = len(r.daughters)
-        plans[r.rule_id] = (r.roots(), [list(range(2 + i, 1 + k)) for i in range(k)])
+    plans = {r.rule_id: _Tails(r) for r in g.rules}
 
     def seed(store):
         start, end = fs.restrict_many([g.start, end_category()], g.restrictor, prune=True)
@@ -735,25 +837,31 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
     def visit(rule, lo, hi, follow, rec, store):
         if rule.is_epsilon:
             return False
-        base, tails = plans[rule.rule_id]
-        eps = rec.open(first, _EPS, 0, first_hi)
+        plan = plans[rule.rule_id]
         changed = False
         # FIRST of each proper suffix; its inputs never change, so the active
-        # mode only runs this on the rule's first visit
-        if mode == "naive" or rule.rule_id not in suffix_done:
-            suffix_done.add(rule.rule_id)
+        # mode only runs this on the rule's first visit, which is offered the
+        # seed at least and so keeps the tails
+        if mode == "naive" or plan.end is None:
+            eps = rec.open(first, _EPS, 0, first_hi)
             drivers = rec.open(first, _DRIVERS, 0, first_hi)
-            for i, tail in enumerate(tails):
-                for daughter, rhs in _first_of_span(base, tail, eps, drivers, rec, [1 + i], g.restrictor):
+            for i, tail in enumerate(plan.tails):
+                for daughter, rhs in _first_of_span(plan.base, tail, eps, drivers, rec, [1 + i], g.restrictor):
                     changed |= store(daughter, rhs)
+        elif plan.labels is not None and not follow._woken(plan.labels, lo):
+            # a full visit would bind every kept tail space's mother to no avail
+            if lo < hi:
+                rec.count(follow, _ALL, lo)
+                if plan.end[0]:  # enumerating the tails read the empty pairs
+                    rec.count(first, _EPS, 0)
+            return False
         # the mother's FOLLOW flows to any daughter whose suffix is empty or
         # wholly derives the empty string
         if lo < hi:
             offer = rec.open(follow, _ALL, lo, hi)
-            for i, tail in enumerate(tails):
-                for space, _ in _eps_bindings(base, tail, eps, rec):
-                    for _, daughter, rhs in _bind_each(space, 0, offer, rec, [1 + i], g.restrictor):
-                        changed |= store(daughter, rhs)
+            for i, space in plan.spaces(rec.open(first, _EPS, 0, first_hi), rec):
+                for _, daughter, rhs in _bind_each(space, 0, offer, rec, [1 + i], g.restrictor):
+                    changed |= store(daughter, rhs)
         return changed
 
     return _fixpoint(g, mode, seed, visit)

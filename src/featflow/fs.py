@@ -645,16 +645,3 @@ def prune_empty_leaves(roots) -> list:
 
 def _vacuous(n: Node, refs) -> bool:
     return n.atom is None and not n.arcs and refs.get(id(n), 0) == 1
-
-
-def has_path(root: Node, path) -> bool:
-    n = deref(root)
-    for seg in path:
-        if n.atom is not None:
-            return False
-        n = n.arcs.get(seg)
-        if n is None:
-            return False
-        n = deref(n)
-    return True
-

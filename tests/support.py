@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 from featflow import label_of, parse_grammar
+from featflow.fs import deref
 from featflow.cli import fixture_path
 from cf_oracle import END, EPSILON
 
@@ -46,3 +47,16 @@ def project(pairset):
             rhs = END if label_of(p.rhs) == "$" else label_of(p.rhs)
         out.setdefault(lhs, set()).add(rhs)
     return out
+
+
+def has_path(root, path):
+    """Whether following the features ``path`` from ``root`` reaches a node."""
+    n = deref(root)
+    for seg in path:
+        if n.atom is not None:
+            return False
+        n = n.arcs.get(seg)
+        if n is None:
+            return False
+        n = deref(n)
+    return True

@@ -38,7 +38,7 @@ from cf_oracle import (
     random_feature_grammar,
 )
 import lattice_tools as lt
-from support import load_fixture, project
+from support import has_path, load_fixture, project
 
 EPS = EpsilonMark(parse_category("np[]"))
 
@@ -316,4 +316,4 @@ def test_criterion_8_stored_set_hygiene():
                 roots = list(p.lhs) + ([] if p.is_epsilon else [p.rhs])
                 for root in roots:
                     for path in g.restrictor:
-                        assert not fs.has_path(root, path), (name, format_pair(p), path)
+                        assert not has_path(root, path), (name, format_pair(p), path)

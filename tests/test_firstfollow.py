@@ -49,7 +49,7 @@ from cf_oracle import (
     random_cf_grammar,
     random_feature_grammar,
 )
-from support import load_fixture, node_state, project
+from support import has_path, load_fixture, node_state, project
 
 EPS = EpsilonMark(node(cat=atom("np")))
 
@@ -499,7 +499,7 @@ def test_seeds_and_empty_rule_mothers_are_stored_restricted():
     for s in (first, follow):
         assert len(s) > 0
         for p in s:
-            assert not any(fs.has_path(r, ("orth",)) for r in p.comparison_roots), format_pair(p)
+            assert not any(has_path(r, ("orth",)) for r in p.comparison_roots), format_pair(p)
 
 
 def test_query_binds_no_empty_pair_after_the_first_empty_answer(monkeypatch):
@@ -835,7 +835,7 @@ def test_stored_pairs_contain_no_restricted_path():
             roots = list(p.lhs) + ([] if p.is_epsilon else [p.rhs])
             for root in roots:
                 for path in g.restrictor:
-                    assert not fs.has_path(root, path)
+                    assert not has_path(root, path)
 
 
 def test_antichain_holds_after_any_addition_sequence():
@@ -890,7 +890,9 @@ def bind_args(space, keep, restrictor):
 
 def full_scan_bind_each(space, pos, read, rec, keep=None, restrictor=None):
     """The loop the label index replaced: try every pair of the read's
-    serial range, and note each serial tried in the visit."""
+    serial range, and note each serial tried in the visit.  The read is
+    full once the loop ends, and its ``top`` is the highest serial yielded,
+    as ``_Read`` says."""
     pset, kind, lo, hi = read.pset, read.kind, read.lo, read.hi
     listed, start, end = pset._span(kind, None, lo, hi)
     args = bind_args(space, keep, restrictor)
@@ -899,20 +901,49 @@ def full_scan_bind_each(space, pos, read, rec, keep=None, restrictor=None):
             rec.tried.add(p.serial)
         got = _bind(space[pos], p, *args, rec)
         if got is not None:
+            read.top = max(read.top, p.serial)
             yield p, *got
+    read.full = True
+
+
+def scanned(pset, kind, lo, hi):
+    """The serials of the ``kind`` pairs stored in ``pset`` in (lo, hi],
+    found by a scan of its pairs."""
+    keep = {ff._ALL: lambda p: True, ff._EPS: lambda p: p.is_epsilon, ff._DRIVERS: lambda p: not p.is_epsilon}[kind]
+    return [p.serial for p in pset.pairs if len(p.lhs) == 1 and keep(p) and lo < p.serial <= hi]
 
 
 class ScanRecorder(_Recorder):
-    """Counts a visit's ``considered`` as the distinct serials it tried."""
+    """Counts a visit's ``considered`` as the distinct serials it tried,
+    with those a read counts without trying them: a visit no offered pair
+    can bind reads nothing, ``_first_of_span`` counts a position's empty
+    pairs where its label has none, and FOLLOW replays its kept tails.  So
+    the serials of each read's range are scanned as it is opened, and
+    those up to where the read counts as read, (lo, hi] when full and (lo,
+    top] when not, are added, as are the pairs ``count`` counts, found by
+    a scan too."""
 
     tried = None
 
     def begin_visit(self, *args):
         super().begin_visit(*args)
         self.tried = set()
+        self.ranges = []
+
+    def open(self, pset, kind, lo, hi):
+        read = super().open(pset, kind, lo, hi)
+        self.ranges.append((read, scanned(pset, kind, lo, hi)))
+        return read
+
+    def count(self, pset, kind, lo):
+        super().count(pset, kind, lo)
+        self.tried.update(scanned(pset, kind, lo, float("inf")))
 
     def end_visit(self, stopped=False):
         super().end_visit(stopped)
+        for read, serials in self.ranges:
+            end = read.hi if read.full else read.top
+            self.tried.update(s for s in serials if s <= end)
         self._considered[-1] = len(self.tried)
         self.tried = None
 
@@ -1074,7 +1105,9 @@ def test_label_lists_match_the_pairs_after_every_fixpoint():
 def serial_set_bind_each(space, pos, read, rec, keep=None, restrictor=None):
     """The label filter over a copy of the read's range, with the visit's
     pairs kept as a set of serials: the whole range once a pair is passed
-    over for its label, else each pair as it is tried."""
+    over for its label, else each pair as it is tried.  The read is full
+    then, or once the loop ends, and its ``top`` is the highest serial
+    yielded, as ``_Read`` says."""
     pset, kind, lo, hi = read.pset, read.kind, read.lo, read.hi
     listed, start, end = pset._span(kind, None, lo, hi)
     whole = listed[start:end]
@@ -1083,15 +1116,19 @@ def serial_set_bind_each(space, pos, read, rec, keep=None, restrictor=None):
     skipped = len(whole) - len(candidates)
     rec.attempts += skipped
     rec.filtered += skipped
-    if skipped and rec.tried is not None:
-        rec.tried.update(p.serial for p in whole)
+    if skipped:
+        read.full = True
+        if rec.tried is not None:
+            rec.tried.update(p.serial for p in whole)
     args = bind_args(space, keep, restrictor)
     for p in candidates:
         if rec.tried is not None:
             rec.tried.add(p.serial)
         got = _bind(space[pos], p, *args, rec)
         if got is not None:
+            read.top = max(read.top, p.serial)
             yield p, *got
+    read.full = True
 
 
 def test_guard_stopped_rows_match_serial_sets(monkeypatch):
@@ -1194,16 +1231,17 @@ def enumerator_run(g, mode, strings, probes):
     return out
 
 
-def assert_matches_reference(monkeypatch, g, mode, strings=(), probes=()):
-    runs = []
-    for first_of_span, eps_bindings in (
-        (ff._first_of_span, ff._eps_bindings),
-        (reference_first_of_span, reference_eps_bindings),
-    ):
-        with monkeypatch.context() as m:
-            m.setattr(ff, "_first_of_span", first_of_span)
-            m.setattr(ff, "_eps_bindings", eps_bindings)
-            runs.append(enumerator_run(g, mode, strings, probes))
+def two_pass_enumerators(m):
+    m.setattr(ff, "_first_of_span", reference_first_of_span)
+    m.setattr(ff, "_eps_bindings", reference_eps_bindings)
+
+
+def assert_matches_reference(monkeypatch, g, mode, strings=(), probes=(), reference=two_pass_enumerators):
+    """The engine against itself with ``reference(monkeypatch)`` applied."""
+    runs = [enumerator_run(g, mode, strings, probes)]
+    with monkeypatch.context() as m:
+        reference(m)
+        runs.append(enumerator_run(g, mode, strings, probes))
     levels, reference = runs
     assert len(levels) == len(reference), (g.name, mode)
     for (same, counts), (want, limit) in zip(levels, reference):
@@ -1260,7 +1298,7 @@ def test_level_enumerator_matches_the_reference_when_a_guard_stops_it(monkeypatc
                 assert_matches_reference(monkeypatch, dataclasses.replace(g, max_iterations=limit), mode)
 
 
-def test_a_first_visit_reads_the_empty_pairs_once_when_the_first_daughter_has_none(monkeypatch):
+def test_empty_pairs_a_first_daughter_lacks_are_counted_not_read(monkeypatch):
     g = parse_grammar("S[] -> A[] B[] C[]. A[] -> a[ter=+]. B[] -> . C[] -> c[ter=+].")
     first, _ = compute_first(g)
     assert [format_pair(p) for p in first if p.is_epsilon] == ["(b[] , ε)"]
@@ -1272,9 +1310,104 @@ def test_a_first_visit_reads_the_empty_pairs_once_when_the_first_daughter_has_no
             reads[read.kind, pos] += 1
         return real(space, pos, read, rec, *args)
 
+    # attempts, filtered, events and each row's considered when the empty
+    # pairs were read once per visit
+    read_once = {"naive": (21, 15, 28, [2.25, 3.0]), "active": (18, 12, 22, [2.25, 2.25])}
     monkeypatch.setattr(ff, "_bind_each", counted)
     for mode in MODES:
         reads.clear()
-        compute_first(g, mode)
+        _, stats = compute_first(g, mode)
         visits = reads[ff._DRIVERS, 1]  # each visit drives the first daughter once
-        assert visits and reads == {(ff._DRIVERS, 1): visits, (ff._EPS, 1): visits}, mode
+        assert visits and reads == {(ff._DRIVERS, 1): visits}, mode
+        counts = (stats.attempts, stats.filtered, stats.events, [r.considered for r in stats.rows])
+        assert counts == read_once[mode], mode
+
+
+# ---------------------------------------------------------------------------
+# woken visits and kept FOLLOW tails against visits that read every time
+
+def visits_that_always_read(m):
+    """The engine as it visited before rules woke by label: every visit
+    runs in full, FOLLOW enumerates each rule's tails afresh on every
+    visit, and FIRST of a span is the two-pass enumerator."""
+    m.setattr(PairSet, "_woken", lambda self, labels, lo: True)
+    m.setattr(ff._Tails, "spaces", ff._Tails._enumerate)
+    two_pass_enumerators(m)
+
+
+def woken_reference_grammars():
+    rng = random.Random(1616)
+    loose = [parse_grammar(loosely_labelled_grammar(rng), name=f"loose-{i}") for i in range(16)]
+    return reference_grammars() + loose
+
+
+def test_woken_visits_match_visits_that_always_read(monkeypatch):
+    rng = random.Random(16)
+    for g in woken_reference_grammars():
+        cats = [c for r in g.rules for c in r.roots()]
+        strings = [[rng.choice(cats) for _ in range(rng.randint(1, 4))] for _ in range(4)]
+        probes = [fs.clone(rng.choice(cats)) for _ in range(4)]
+        for mode in MODES:
+            assert_matches_reference(monkeypatch, g, mode, strings, probes, visits_that_always_read)
+
+
+def test_woken_visits_match_visits_that_always_read_when_a_guard_stops_them(monkeypatch):
+    grammars = woken_reference_grammars()
+    # the hand-written grammars and the fixtures, 12 of each generator's
+    # and 8 loosely labelled ones
+    for g in grammars[:8] + grammars[24:36] + grammars[64:76] + grammars[104:112]:
+        for mode in MODES:
+            for limit in range(1, 14):
+                stopped = dataclasses.replace(g, max_pairs=limit)
+                assert_matches_reference(monkeypatch, stopped, mode, reference=visits_that_always_read)
+            for limit in (1, 2):
+                stopped = dataclasses.replace(g, max_iterations=limit)
+                assert_matches_reference(monkeypatch, stopped, mode, reference=visits_that_always_read)
+
+
+def test_kept_tails_bind_less_on_bench21(monkeypatch):
+    g = load_fixture("bench21.gr")
+    first, _ = compute_first(g)
+    binds = collections.Counter()
+    real = ff._bind_each
+
+    def counted(space, pos, read, rec, *args):
+        binds[read.pset is first, read.kind] += 1
+        return real(space, pos, read, rec, *args)
+
+    monkeypatch.setattr(ff, "_bind_each", counted)
+    compute_follow(g, first)
+    woken = binds.copy()
+    binds.clear()
+    visits_that_always_read(monkeypatch)
+    compute_follow(g, first)
+    # FOLLOW binds FIRST's empty pairs only to enumerate each rule's tails
+    # once, and the mothers of kept tails only when the offer holds a pair
+    # of their label
+    assert woken[True, ff._EPS] < binds[True, ff._EPS]
+    assert woken[False, ff._ALL] < binds[False, ff._ALL]
+
+
+def test_tails_are_kept_only_after_an_enumeration_ran_to_its_end():
+    g = parse_grammar(LAYERED_EMPTY[0])
+    first, _ = compute_first(g)
+    _, hi = first.offer()
+    rule = g.rules[0]  # T -> S X X: the tails of S and of the first X can derive the empty string
+    plan = ff._Tails(rule)
+    rec = _Recorder("probe")
+
+    def walk():
+        eps = ff._Read(first, ff._EPS, 0, hi)
+        return [(i, format_roots(space), eps.full, eps.top) for i, space in plan.spaces(eps, rec)], (eps.full, eps.top)
+
+    spaces = plan.spaces(ff._Read(first, ff._EPS, 0, hi), rec)
+    next(spaces)
+    spaces.close()  # as a guard that stops the visit leaves it
+    assert plan.kept is None
+    attempts = rec.attempts
+    enumerated = walk()
+    assert plan.kept is not None and rec.attempts > attempts
+    attempts = rec.attempts
+    replayed = walk()
+    assert rec.attempts == attempts  # a replay binds nothing
+    assert replayed == enumerated and len(enumerated[0]) > 3

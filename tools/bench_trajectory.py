@@ -33,13 +33,14 @@ SEEDS = (1, 2, 3)
 TRACE_SEED = 7
 
 
-def run(workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """One benchmark run; its last line of output, or a failed verdict."""
+def run(workload: str, seed: int, seconds: float, trace: int, root: Path = ROOT) -> dict:
+    """One benchmark run of the checkout at ``root``; its last line of
+    output, or a failed verdict."""
     cmd = [
         sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
         "--seconds", str(seconds), "--trace", str(trace),
     ]
-    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True)
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     try:
         result = json.loads(lines[-1])

@@ -179,6 +179,9 @@ class PairSet:
         self._unlabelled = (([], []), ([], []), ([], []))
         self._replaced = []  # pairs replaced since the last offer, still listed
         self._newest = {}  # left-side label, None for none -> newest serial added
+        # (label, is_epsilon) -> the index lists a labelled pair joins: lists
+        # are never replaced, only appended to and settled
+        self._held = {}
 
     def __len__(self):
         return len(self.pairs)
@@ -188,61 +191,78 @@ class PairSet:
 
     def add(self, p: Pair) -> bool:
         """Antichain addition: drop a subsumed incomer, else replace what it
-        subsumes.  Replacements enter fully active."""
+        subsumes.  Replacements enter fully active.
+
+        Besides an equal key, only a key holding None covers another.  So
+        the subsumers are looked for in the exact bucket, then in the
+        buckets of the keys in ``_wild`` that cover ``p``'s key; the pairs
+        ``p`` subsumes in the exact bucket, then, only when ``p``'s key
+        holds None, in the buckets of every key it covers.  The cost is
+        bounded by the number of buckets, whatever the key's length, and
+        the buckets are walked in place, with no list of candidates."""
         roots = p.comparison_roots
-        for q in self._compatible(p.key, covering=True):
-            if fs.subsumes_many(q.comparison_roots, roots):
-                self.rejected += 1
-                return False
-        doomed = [
-            q
-            for q in self._compatible(p.key, covering=False)
-            if fs.subsumes_many(roots, q.comparison_roots)
-        ]
+        key = p.key
+        signature, labels = key
+        buckets = self._buckets
+        subsumes = fs.subsumes_many
+        bucket = buckets.get(key)
+        if bucket is not None:
+            for q in bucket:
+                if subsumes(q.comparison_roots, roots):
+                    self.rejected += 1
+                    return False
+        for k in self._wild:
+            if k[0] == signature and k != key:
+                for a, b in zip(k[1], labels):
+                    if a is not None and a != b:
+                        break
+                else:
+                    for q in buckets[k]:
+                        if subsumes(q.comparison_roots, roots):
+                            self.rejected += 1
+                            return False
+        doomed = [] if bucket is None else [q for q in bucket if subsumes(roots, q.comparison_roots)]
+        wild = None in labels
+        if wild:
+            for k, other in buckets.items():
+                if k[0] == signature and k != key:
+                    for a, b in zip(labels, k[1]):
+                        if a is not None and a != b:
+                            break
+                    else:
+                        doomed += [q for q in other if subsumes(roots, q.comparison_roots)]
         if doomed:
             dead = {q.serial for q in doomed}
             self.pairs = [q for q in self.pairs if q.serial not in dead]
             for q in doomed:
-                bucket = self._buckets[q.key]
-                bucket.remove(q)
-                if not bucket:
-                    del self._buckets[q.key]
+                other = buckets[q.key]
+                other.remove(q)
+                if not other:
+                    del buckets[q.key]
                     self._wild.pop(q.key, None)
                 self.removed += 1
             self._replaced += doomed
+            bucket = buckets.get(key)
         self.pairs.append(p)
-        self._buckets.setdefault(p.key, []).append(p)
-        if None in p.key[1]:
-            self._wild[p.key] = None
-        for listed, serials in self._holders(p):
-            listed.append(p)
-            serials.append(p.serial)
-        if len(p.lhs) == 1:
-            self._newest[p.key[1][0]] = p.serial
+        if bucket is None:
+            buckets[key] = [p]
+            if wild:
+                self._wild[key] = None
+        else:
+            bucket.append(p)
+        if signature[0] == 1:
+            label = labels[0]
+            holders = self._held.get((label, p.is_epsilon)) if label is not None else None
+            if holders is None:
+                holders = self._holders(p)
+                if label is not None:
+                    self._held[label, p.is_epsilon] = holders
+            for listed, serials in holders:
+                listed.append(p)
+                serials.append(p.serial)
+            self._newest[label] = p.serial
         self.added += 1
         return True
-
-    def _compatible(self, key, covering: bool):
-        """Stored pairs that can subsume a pair keyed ``key`` (``covering``),
-        or that such a pair can subsume.
-
-        Besides an equal key, only a key holding None covers another.  So
-        the exact bucket is looked up, and ``_key_covers`` checks only the
-        keys in ``_wild`` when looking for subsumers, and every key only
-        when an incomer holding None looks for what it subsumes.  The cost
-        is bounded by the number of buckets, whatever the key's length.
-        When no other key matches, the exact bucket itself is returned.
-        """
-        bucket = self._buckets.get(key, ())
-        if covering:
-            others = [k for k in self._wild if k != key and _key_covers(k, key)]
-        elif None in key[1]:
-            others = [k for k in self._buckets if k != key and _key_covers(key, k)]
-        else:
-            return bucket
-        if not others:
-            return bucket
-        return [*bucket, *(q for k in others for q in self._buckets[k])]
 
     def _holders(self, p: Pair) -> list:
         """The index lists that hold, or are to hold, pair ``p``, each as
@@ -313,14 +333,6 @@ class PairSet:
         lo = self._mark.get(rule_id, 0)
         self._mark[rule_id] = hi
         return lo, hi
-
-
-def _key_covers(general, specific) -> bool:
-    """Whether a pair keyed ``general`` can subsume one keyed ``specific``:
-    same signature, and each label of ``general`` is None or the same."""
-    return general[0] == specific[0] and all(
-        a is None or a == b for a, b in zip(general[1], specific[1])
-    )
 
 
 # ---------------------------------------------------------------------------

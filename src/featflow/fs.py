@@ -49,6 +49,15 @@ only per-node call left is a kernel's own recursion (``_union``, and
 ``_copy``'s walk ``_cp``).  ``deref`` stays the public way to read through
 forwarding pointers.
 
+The op's other per-item loops keep the same rule for their items:
+tokens, stored pairs and printed nodes.  The lexer (``grammar._Lexer``)
+counts lines as it scans and builds each token in place, and the parser
+reads tokens inline inside AVMs and hands out one atom per name.
+``firstfollow.PairSet.add`` walks its buckets in place, with no list of
+candidates, and keeps the index lists each label's pairs join.
+``grammar.format_roots`` prints a space in one walk, and counts
+references first only for a space that shares a complex node.
+
 No nested function on the op path (parse, validate, FIRST, FOLLOW,
 rendering and the lookups) refers to itself.  Such a function is a
 reference cycle, function to closure cell to function, made anew on

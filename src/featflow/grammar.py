@@ -131,7 +131,11 @@ def instantiate(rule: Rule) -> Rule:
 # lexer
 
 _WORD_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_WORD_CHARS = _WORD_START | set("0123456789_")
+# a dot glued to a further identifier extends a feature path
+_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*(?:\.[A-Za-z][A-Za-z0-9_]*)*")
+_PUNCT = {
+    "[": "LB", "]": "RB", ",": "COMMA", "=": "EQ", ":": "COLON", ".": "STOP", "+": "SYM", "-": "SYM",
+}
 _NEWLINE_RE = re.compile("\n")
 
 
@@ -143,22 +147,24 @@ class _Tok(NamedTuple):
 
 
 class _Lexer:
+    """Tokens and issues of a text.  ``_lex`` keeps the line and the index
+    of the last newline as it scans, and builds each token in place; only
+    an issue looks its position up, in a newline index made on first use."""
+
     def __init__(self, text):
         self.text = text
         self.issues = []
         self.tokens = []
-        self._newlines = [m.start() for m in _NEWLINE_RE.finditer(text)]
+        self._newlines = None
         self._lex()
 
     def _pos(self, index):
         # the newlines before index give the line, the last of them the column
+        if self._newlines is None:
+            self._newlines = [m.start() for m in _NEWLINE_RE.finditer(self.text)]
         before = bisect.bisect_left(self._newlines, index)
         last = self._newlines[before - 1] if before else -1
         return before + 1, index - last
-
-    def _emit(self, kind, value, index):
-        line, col = self._pos(index)
-        self.tokens.append(_Tok(kind, value, line, col))
 
     def _issue(self, message, index):
         line, col = self._pos(index)
@@ -166,64 +172,68 @@ class _Lexer:
 
     def _lex(self):
         text, n = self.text, len(self.text)
+        emit = self.tokens.append
+        new = tuple.__new__
+        punct = _PUNCT
+        word = _WORD_RE.match
+        line, last = 1, -1  # the line at i, and the index of the newline that began it
         i = 0
         while i < n:
             c = text[i]
-            if c in " \t\r\n":
+            if c == "\n":
+                line += 1
+                last = i
                 i += 1
-                continue
-            if c == "%":
-                nl = text.find("\n", i)
-                i = n if nl < 0 else nl + 1
-                continue
-            if c == '"':
-                i = self._lex_string(i)
-                continue
-            if c == "-" and i + 1 < n and text[i + 1] == ">":
-                self._emit("ARROW", "->", i)
-                i += 2
-                continue
-            if c in "+-":
-                self._emit("SYM", c, i)
+            elif c in " \t\r":
                 i += 1
-                continue
-            if c in "[],=:":
-                self._emit({"[": "LB", "]": "RB", ",": "COMMA", "=": "EQ", ":": "COLON"}[c], c, i)
-                i += 1
-                continue
-            if c == ".":
-                self._emit("STOP", ".", i)
-                i += 1
-                continue
-            if c in "$#":
+            elif c in _WORD_START:
+                j = word(text, i).end()
+                emit(new(_Tok, ("WORD", text[i:j], line, i - last)))
+                i = j
+            elif c in punct:
+                if c == "-" and text.startswith(">", i + 1):
+                    emit(new(_Tok, ("ARROW", "->", line, i - last)))
+                    i += 2
+                else:
+                    emit(new(_Tok, (punct[c], c, line, i - last)))
+                    i += 1
+            elif c in "$#":
                 j = i + 1
                 while j < n and text[j].isdigit():
                     j += 1
                 if j > i + 1:
-                    self._emit("TAG", text[i + 1 : j], i)
-                elif c == "$":
-                    self._emit("DOLLAR", "$", i)
+                    emit(new(_Tok, ("TAG", text[i + 1 : j], line, i - last)))
+                    i = j
                 else:
-                    self._issue("unknown syntax: stray '#'", i)
-                i = j if j > i + 1 else i + 1
-                continue
-            if c in _WORD_START:
-                j = i + 1
-                while j < n and text[j] in _WORD_CHARS:
-                    j += 1
-                # a dot glued to a further identifier extends a feature path
-                while j + 1 < n and text[j] == "." and text[j + 1] in _WORD_START:
-                    j += 2
-                    while j < n and text[j] in _WORD_CHARS:
-                        j += 1
-                self._emit("WORD", text[i:j], i)
+                    if c == "$":
+                        emit(new(_Tok, ("DOLLAR", "$", line, i - last)))
+                    else:
+                        self._issue("unknown syntax: stray '#'", i)
+                    i += 1
+            elif c == "%":
+                nl = text.find("\n", i)
+                if nl < 0:
+                    i = n
+                else:
+                    line += 1
+                    last = nl
+                    i = nl + 1
+            elif c == '"':
+                j = self._lex_string(i, line, i - last)
+                # an escaped newline is part of the string
+                inside = text.count("\n", i, j)
+                if inside:
+                    line += inside
+                    last = text.rfind("\n", i, j)
                 i = j
-                continue
-            self._issue(f"unknown syntax: unexpected character {c!r}", i)
-            i += 1
-        self._emit("EOF", "", n)
+            else:
+                self._issue(f"unknown syntax: unexpected character {c!r}", i)
+                i += 1
+        emit(new(_Tok, ("EOF", "", line, n - last)))
 
-    def _lex_string(self, i):
+    def _lex_string(self, i, line, col):
+        """Lex the string opening at ``i``, at ``line``/``col``; return the
+        index after it, or of the newline or end that left it open."""
         text, n = self.text, len(self.text)
         j = i + 1
         out = []
@@ -234,7 +244,7 @@ class _Lexer:
                 j += 2
                 continue
             if c == '"':
-                self._emit("STR", "".join(out), i)
+                self.tokens.append(_Tok("STR", "".join(out), line, col))
                 return j + 1
             if c == "\n":
                 break
@@ -262,6 +272,7 @@ class _Parser:
         self.restrictor_paths = set()
         self.start_declared = None
         self.tag_failed = False  # a tag annotation of the statement failed to unify
+        self.atoms = {}  # name -> the parse's one atom of that name
 
     def peek(self) -> _Tok:
         return self.tokens[self.idx]
@@ -271,6 +282,14 @@ class _Parser:
         if t.kind != "EOF":
             self.idx += 1
         return t
+
+    def atom(self, name) -> Node:
+        """The parse's one atom named ``name``.  Atoms are values: nothing
+        mutates one, so every occurrence can share it."""
+        got = self.atoms.get(name)
+        if got is None:
+            got = self.atoms[name] = atom(name)
+        return got
 
     def fail(self, tok, message):
         self.issues.append(ParseIssue(tok.line, tok.col, message))
@@ -385,10 +404,10 @@ class _Parser:
             return
         have = n.arcs.get("ter")
         if have is None:
-            n.arcs["ter"] = atom("+")
+            n.arcs["ter"] = self.atom("+")
         else:
             try:
-                fs.unify_in_place(have, atom("+"))
+                fs.unify_in_place(have, self.atom("+"))
             except UnificationFailed:
                 self.issues.append(
                     ParseIssue(self.peek().line, self.peek().col, "term used on a category with ter incompatible with '+'")
@@ -409,56 +428,65 @@ class _Parser:
             self.take()
             if "." in t.value:
                 self.fail(t, f"unknown syntax: unexpected path {t.value!r}")
-            fields = {"cat": atom(t.value.lower())}
+            fields = {"cat": self.atom(t.value.lower())}
             if self.peek().kind == "LB":
                 self.avm_body(tags, fields)
             return Node(arcs=fields)
         self.fail(t, f"unknown syntax: expected a category, found {t.value!r}")
 
     def avm_body(self, tags, fields) -> dict:
-        self.expect("LB", "'['")
-        if self.peek().kind == "RB":
-            self.take()
+        """Add to ``fields`` the features of the AVM whose ``[`` the parser
+        is at.  Tokens are read inline; a token in error is taken as
+        ``take`` would, so that ``sync`` resumes where it would."""
+        toks = self.tokens
+        i = self.idx + 1
+        if toks[i].kind == "RB":
+            self.idx = i + 1
             return fields
         while True:
-            name_tok = self.take()
-            if name_tok.kind != "WORD" or not fs.valid_feature(name_tok.value):
-                self.fail(name_tok, f"unknown syntax: expected a feature name, found {name_tok.value!r}")
-            self.expect("EQ", "'='")
+            name = toks[i]
+            # a WORD token matches fs._FEATURE_RE unless it is a dotted path
+            if name.kind != "WORD" or "." in name.value:
+                self.idx = i
+                self.fail(self.take(), f"unknown syntax: expected a feature name, found {name.value!r}")
+            self.idx = i + 1
+            if toks[i + 1].kind != "EQ":
+                self.expect("EQ", "'='")
+            self.idx = i + 2
             value = self.value(tags)
-            if name_tok.value in fields:
-                self.issues.append(
-                    ParseIssue(name_tok.line, name_tok.col, f"duplicate feature {name_tok.value!r} in one AVM")
-                )
+            if name.value in fields:
+                self.issues.append(ParseIssue(name.line, name.col, f"duplicate feature {name.value!r} in one AVM"))
             else:
-                fields[name_tok.value] = value
-            t = self.take()
-            if t.kind == "RB":
+                fields[name.value] = value
+            i = self.idx
+            kind = toks[i].kind
+            if kind == "RB":
+                self.idx = i + 1
                 return fields
-            if t.kind != "COMMA":
-                self.fail(t, "unknown syntax: expected ',' or ']'")
+            if kind != "COMMA":
+                self.fail(self.take(), "unknown syntax: expected ',' or ']'")
+            i += 1
 
     def value(self, tags) -> Node:
-        t = self.peek()
-        if t.kind == "STR":
-            self.take()
-            return atom(t.value)
-        if t.kind == "SYM":
-            self.take()
-            return atom(t.value)
-        if t.kind == "TAG":
-            return self.tag_value(tags)
-        if t.kind == "LB":
-            return Node(arcs=self.avm_body(tags, {}))
-        if t.kind == "WORD":
-            self.take()
+        i = self.idx
+        t = self.tokens[i]
+        kind = t.kind
+        if kind == "WORD":
+            self.idx = i + 1
             if "." in t.value:
                 self.fail(t, f"unknown syntax: unexpected path {t.value!r}")
-            if self.peek().kind == "LB":
-                fields = {"cat": atom(t.value.lower())}
+            if self.tokens[i + 1].kind == "LB":
+                fields = {"cat": self.atom(t.value.lower())}
                 self.avm_body(tags, fields)
                 return Node(arcs=fields)
-            return atom(t.value)
+            return self.atom(t.value)
+        if kind == "STR" or kind == "SYM":
+            self.idx = i + 1
+            return self.atom(t.value)
+        if kind == "TAG":
+            return self.tag_value(tags)
+        if kind == "LB":
+            return Node(arcs=self.avm_body(tags, {}))
         self.fail(t, f"unknown syntax: expected a value, found {t.value!r}")
 
     def tag_value(self, tags) -> Node:
@@ -538,8 +566,15 @@ def _atom_text(name: str) -> str:
 
 @functools.lru_cache(maxsize=4096)
 def _is_label(name: str) -> bool:
-    """Whether a ``cat`` atom prints as the category's leading label."""
-    return fs.valid_feature(name)
+    """Whether a ``cat`` atom prints as the category's leading label.  The
+    label is read back lowercased, and a reserved word there would open a
+    statement or mark a preterminal, so only a lowercase feature name that
+    is not reserved reparses to the same atom."""
+    return fs.valid_feature(name) and name == name.lower() and name not in RESERVED_WORDS
+
+
+class _Shared(Exception):
+    """The one-walk rendering met a complex node a second time."""
 
 
 def format_roots(roots, sigil: str = "#") -> list:
@@ -549,7 +584,16 @@ def format_roots(roots, sigil: str = "#") -> list:
     first occurrence left to right; atoms are never tagged (same-named
     atoms are interchangeable).  The output reparses to an equivalent
     space via the AVM notation.
+
+    Most spaces share no complex node and print in one walk, which gives
+    up at the second visit of a node; only then are the references counted
+    and the space rendered again, with tags.
     """
+    seen = set()
+    try:
+        return [_render(r, seen, None, sigil) for r in roots]
+    except _Shared:
+        pass
     counts = {}
     for r in roots:
         _count_refs(r, counts)
@@ -558,51 +602,57 @@ def format_roots(roots, sigil: str = "#") -> list:
 
 
 def _count_refs(n, counts):
-    """Add to ``counts``, by node id, the references to each complex node
-    below ``n``, entering each node once."""
+    """Add to ``counts`` the references to each complex node below ``n``,
+    entering each node once."""
     while n.forward is not None:
         n = n.forward
     if n.atom is not None:
         return
-    seen = counts.get(id(n), 0)
-    counts[id(n)] = seen + 1
+    seen = counts.get(n, 0)
+    counts[n] = seen + 1
     if not seen:
         for child in n.arcs.values():
             if child.atom is None:
                 _count_refs(child, counts)
 
 
-def _render(n, counts, tag_ids, sigil):
-    """``format_roots``' text of ``n``; a node counted more than once is
-    tagged at its first rendering, numbered in ``tag_ids``."""
+def _render(n, refs, tag_ids, sigil):
+    """``format_roots``' text of ``n``.  With ``tag_ids`` None, ``refs`` is
+    the set of complex nodes met so far, and meeting one again raises
+    ``_Shared``; else ``refs`` counts the references to each, and one
+    counted more than once is tagged at its first rendering, numbered in
+    ``tag_ids``."""
     while n.forward is not None:
         n = n.forward
     if n.atom is not None:
         return _atom_text(n.atom)
     prefix = ""
-    if counts.get(id(n), 0) > 1:
-        known = tag_ids.get(id(n))
+    if tag_ids is None:
+        if n in refs:
+            raise _Shared
+        refs.add(n)
+    elif refs[n] > 1:
+        known = tag_ids.get(n)
         if known is not None:
             return f"{sigil}{known}"
-        tag_ids[id(n)] = len(tag_ids) + 1
-        prefix = f"{sigil}{tag_ids[id(n)]}:"
-    cat = n.arcs.get("cat")
-    cat_atom = None
+        tag_ids[n] = len(tag_ids) + 1
+        prefix = f"{sigil}{tag_ids[n]}:"
+    arcs = n.arcs
+    label = ""
+    cat = arcs.get("cat")
     if cat is not None:
         while cat.forward is not None:
             cat = cat.forward
-        cat_atom = cat.atom
-    if not prefix and cat_atom == END_CATEGORY_ATOM and len(n.arcs) == 1:
-        return "$"
-    label = ""
-    rest = dict(n.arcs)
-    if cat_atom is not None and _is_label(cat_atom):
-        label = cat_atom
-        del rest["cat"]
-    parts = [
-        f"{feat}={_atom_text(c.atom) if c.atom is not None else _render(c, counts, tag_ids, sigil)}"
-        for feat, c in sorted(rest.items())
-    ]
+        if cat.atom is not None:
+            if cat.atom == END_CATEGORY_ATOM and len(arcs) == 1 and not prefix:
+                return "$"
+            if _is_label(cat.atom):
+                label = cat.atom
+    parts = []
+    for feat, c in sorted(arcs.items()):
+        if label and feat == "cat":
+            continue
+        parts.append(f"{feat}={_atom_text(c.atom) if c.atom is not None else _render(c, refs, tag_ids, sigil)}")
     return f"{prefix}{label}[{', '.join(parts)}]"
 
 

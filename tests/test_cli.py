@@ -139,7 +139,7 @@ def test_json_output_is_byte_identical_across_runs(capsys):
 def test_json_pairs_round_trip_to_equivalent_structures(capsys):
     code, out, _ = run(capsys, "first", fixture_path("fig1.gr"), "--format", "json")
     doc = json.loads(out)
-    g = parse_grammar(open(fixture_path("fig1.gr")).read(), name="fig1.gr")
+    g = parse_grammar(Path(fixture_path("fig1.gr")).read_text(encoding="utf-8"), name="fig1.gr")
     first, _ = compute_first(g)
     reparsed = []
     for item in doc["pairs"]:

@@ -866,6 +866,146 @@ def test_antichain_holds_after_any_addition_sequence():
                         assert not pair_subsumes(p, q), (format_pair(p), format_pair(q))
 
 
+def key_covers(general, specific):
+    return general[0] == specific[0] and all(a is None or a == b for a, b in zip(general[1], specific[1]))
+
+
+def compatible(pset, key, covering):
+    """The stored pairs that can subsume a pair keyed ``key``
+    (``covering``), or that such a pair can subsume, in the order
+    ``PairSet.add`` compares them."""
+    bucket = pset._buckets.get(key, ())
+    if covering:
+        others = [k for k in pset._wild if k != key and key_covers(k, key)]
+    elif None in key[1]:
+        others = [k for k in pset._buckets if k != key and key_covers(key, k)]
+    else:
+        return bucket
+    return [*bucket, *(q for k in others for q in pset._buckets[k])]
+
+
+def compatible_add(self, p):
+    """``PairSet.add`` as it was before it walked the buckets in place: it
+    listed the compatible pairs first.  Its reference."""
+    roots = p.comparison_roots
+    for q in compatible(self, p.key, covering=True):
+        if fs.subsumes_many(q.comparison_roots, roots):
+            self.rejected += 1
+            return False
+    doomed = [q for q in compatible(self, p.key, covering=False) if fs.subsumes_many(roots, q.comparison_roots)]
+    if doomed:
+        dead = {q.serial for q in doomed}
+        self.pairs = [q for q in self.pairs if q.serial not in dead]
+        for q in doomed:
+            bucket = self._buckets[q.key]
+            bucket.remove(q)
+            if not bucket:
+                del self._buckets[q.key]
+                self._wild.pop(q.key, None)
+            self.removed += 1
+        self._replaced += doomed
+    self.pairs.append(p)
+    self._buckets.setdefault(p.key, []).append(p)
+    if None in p.key[1]:
+        self._wild[p.key] = None
+    for listed, serials in self._holders(p):
+        listed.append(p)
+        serials.append(p.serial)
+    if len(p.lhs) == 1:
+        self._newest[p.key[1][0]] = p.serial
+    self.added += 1
+    return True
+
+
+def recorded_subsumption(monkeypatch):
+    """Record every ``fs.subsumes_many`` call, as the two spaces printed."""
+    calls = []
+    real = fs.subsumes_many
+
+    def recording(gen, spec):
+        calls.append((tuple(format_roots(list(gen))), tuple(format_roots(list(spec)))))
+        return real(gen, spec)
+
+    monkeypatch.setattr(fs, "subsumes_many", recording)
+    return calls
+
+
+def store_trace(monkeypatch, g, mode, add, strings):
+    with monkeypatch.context() as m:
+        m.setattr(PairSet, "add", add)
+        calls = recorded_subsumption(m)
+        first, _ = compute_first(g, mode)
+        follow, _ = compute_follow(g, first, mode)
+        sets = [first, follow]
+        for cats in strings:
+            try:
+                sets.append(first_of_string(first, g, cats))
+            except UnknownCategory:
+                pass
+    return [([format_pair(p) for p in s], s.added, s.rejected, s.removed) for s in sets], calls
+
+
+def test_add_matches_the_listing_reference(monkeypatch):
+    rng = random.Random(1717)
+    golden = Path(__file__).parent / "goldens" / "engine.json"
+    grammars = [load_fixture(name) for name in FIXTURES]
+    grammars.append(load_fixture("guard.gr", restrictor=["orth"]))
+    grammars += [parse_grammar(rec["grammar"]) for rec in json.loads(golden.read_text(encoding="utf-8"))]
+    grammars += [parse_grammar(random_feature_grammar(rng)) for _ in range(8)]
+    grammars += [parse_grammar(loosely_labelled_grammar(rng)) for _ in range(16)]
+    replaced = 0
+    for g in grammars:
+        cats = [c for r in g.rules for c in r.roots()]
+        strings = [[fs.clone(rng.choice(cats)) for _ in range(rng.randint(2, 3))] for _ in range(3)]
+        for mode in MODES:
+            got = store_trace(monkeypatch, g, mode, PairSet.add, strings)
+            want = store_trace(monkeypatch, g, mode, compatible_add, strings)
+            assert got == want, (g.name, mode)
+            replaced += sum(removed for *_, removed in got[0])
+    assert replaced > 50
+
+
+def test_add_matches_the_listing_reference_on_random_additions(monkeypatch):
+    """Unlabelled and labelled roots, one to three on the left, so that
+    every kind of key covers and is covered by others."""
+    rng = random.Random(17)
+
+    def rand_cat():
+        parts = [f"cat={rng.choice('ab')}"] if rng.random() < 0.6 else []
+        for f in ("f", "g"):
+            r = rng.random()
+            if r < 0.3:
+                parts.append(f"{f}={rng.choice('xy')}")
+            elif r < 0.45:
+                parts.append(f"{f}=$1")
+        return "[" + ", ".join(parts) + "]"
+
+    sequences = []
+    for _ in range(60):
+        width = rng.randint(1, 3)
+        texts = []
+        for _ in range(rng.randint(3, 14)):
+            texts.append(([rand_cat() for _ in range(width)], rand_cat() if rng.random() < 0.7 else None))
+        sequences.append(texts)
+    for texts in sequences:
+        runs = []
+        for add in (PairSet.add, compatible_add):
+            with monkeypatch.context() as m:
+                m.setattr(PairSet, "add", add)
+                calls = recorded_subsumption(m)
+                s = PairSet()
+                accepted = []
+                for lhs, rhs in texts:
+                    roots = parse_category_sequence(" ".join(lhs + ([rhs] if rhs else [])))
+                    pair = Pair(roots[: len(lhs)], roots[-1] if rhs else EPS)
+                    accepted.append(s.add(pair))
+                runs.append(([format_pair(p) for p in s], accepted, s.added, s.rejected, s.removed, calls))
+                if len(texts[0][0]) == 1:  # the label index lists single-category pairs
+                    s._settle()
+                    assert_index_matches_pairs(s)
+        assert runs[0] == runs[1], texts
+
+
 def test_add_idempotent_over_fixpoint_clones():
     g = load_fixture("fig1.gr")
     first, _ = compute_first(g)

@@ -1,16 +1,22 @@
 """Grammar notation: parsing, printing, round trips, validation."""
 
+import bisect
+import json
 import random
 import re
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from featflow import fs
+from featflow import grammar as gm
+from featflow.firstfollow import compute_first, compute_follow, first_of_string, query
 from featflow.fs import atom, deref, node
 from featflow.grammar import (
+    RESERVED_WORDS,
     Diagnostic,
     GrammarSyntaxError,
     ParseIssue,
@@ -18,6 +24,7 @@ from featflow.grammar import (
     _Abort,
     _Lexer,
     _Parser,
+    _Tok,
     format_grammar,
     format_node,
     format_roots,
@@ -239,13 +246,96 @@ def test_grammar_round_trip_fixtures():
             assert fs.equivalent_many(r1.roots(), r2.roots())
 
 
+def with_reserved_labels(rng, text):
+    """``text`` with some of its labels renamed to reserved words, written
+    capitalised so that they read as labels."""
+    words = [w.capitalize() for w in RESERVED_WORDS]
+    names = sorted(set(re.findall(r"\b[xt]\d\b", text)))
+    renamed = dict(zip(rng.sample(names, min(len(names), len(words))), rng.sample(words, len(words))))
+    return re.sub(r"\b[xt]\d\b", lambda m: renamed.get(m.group(), m.group()), text)
+
+
 def test_grammar_round_trip_random():
     rng = random.Random(7)
-    for _ in range(25):
-        g = parse_grammar(random_feature_grammar(rng))
+    for i in range(25):
+        text = random_feature_grammar(rng)
+        if i % 2:
+            text = with_reserved_labels(rng, text)
+        g = parse_grammar(text)
         again = parse_grammar(format_grammar(g))
+        assert len(again.rules) == len(g.rules)
         for r1, r2 in zip(g.rules, again.rules):
             assert fs.equivalent_many(r1.roots(), r2.roots())
+
+
+def test_reserved_word_labels_round_trip():
+    for word in RESERVED_WORDS:
+        label = word.capitalize()
+        for text in (
+            f"{label}[] -> B[]. B[] -> .",  # mother
+            f"{label}[f=a] -> .",
+            f"S[] -> {label}[] B[]. {label}[] -> . B[] -> .",  # daughter
+            f"S[] -> term {label}[agr=$1] B[f={label}[g=$1]]. B[] -> .",  # nested value
+        ):
+            g = parse_grammar(text)
+            printed = format_grammar(g)
+            assert f"[cat={word}" in printed and f"{word}[" not in printed, printed
+            again = parse_grammar(printed)
+            assert len(again.rules) == len(g.rules), printed
+            for r1, r2 in zip(g.rules, again.rules):
+                assert fs.equivalent_many(r1.roots(), r2.roots()), printed
+        cats = parse_category_sequence(f"{label}[] np[f={label}[g=$1]] $1:{label}[h=b]")  # string elements
+        shown = format_roots(cats)
+        assert shown == [f"[cat={word}]", f"np[f=[cat={word}, g=#1:[cat={word}, h=b]]]", "#1"]
+        assert fs.equivalent_many(parse_category_sequence(" ".join(shown)), cats)
+
+
+def test_a_cat_atom_with_capitals_prints_as_a_feature():
+    cat = parse_category("[cat=NP, agr=sg]")
+    assert format_node(cat) == "[agr=sg, cat=NP]"
+    assert fs.equivalent(parse_category(format_node(cat)), cat)
+
+
+def test_a_parse_shares_one_atom_per_name():
+    g = parse_grammar("S[f=a, g=+] -> A[f=a] term b[]. A[f=a, h=\"a\"] -> .")
+    s, a, b = g.rules[0].roots()
+    assert deref(s).arcs["f"] is deref(a).arcs["f"] is deref(g.rules[1].mother).arcs["h"]
+    assert deref(s).arcs["g"] is deref(b).arcs["ter"]
+    assert deref(g.rules[1].mother).arcs["cat"] is deref(a).arcs["cat"]
+
+
+def reachable_nodes(roots):
+    seen = {}
+    stack = list(roots)
+    while stack:
+        n = stack.pop()
+        if id(n) not in seen:
+            seen[id(n)] = n
+            if n.forward is not None:
+                stack.append(n.forward)
+            stack.extend((n.arcs or {}).values())
+    return list(seen.values())
+
+
+def test_shared_atoms_stay_atoms_through_the_engine():
+    """A parse hands out one atom per name, which is sound only while no
+    operation gives an atom arcs or forwards it."""
+    for name in FIXTURES:
+        g = load_fixture(name, restrictor=["orth"] if name == "guard.gr" else None)
+        first, _ = compute_first(g)
+        follow, _ = compute_follow(g, first)
+        cats = [c for r in g.rules for c in r.roots()]
+        roots = [g.start, *cats]
+        for p in [*first, *follow]:
+            roots += p.comparison_roots
+        for c in cats:
+            roots += [v for v in query(first, c) + query(follow, c) if isinstance(v, fs.Node)]
+        for r in g.rules:
+            if r.daughters:
+                roots += [root for p in first_of_string(first, g, list(r.daughters)) for root in p.comparison_roots]
+        atoms = [n for n in reachable_nodes(roots) if n.atom is not None]
+        assert atoms, name
+        assert all(not n.arcs and n.forward is None for n in atoms), name
 
 
 # ---------------------------------------------------------------------------
@@ -600,11 +690,186 @@ def test_a_failed_tag_annotation_still_gets_the_cycle_check():
 
 
 # ---------------------------------------------------------------------------
+# the one-walk printer against counting references first
+
+def counting_format_roots(roots, sigil="#"):
+    """``format_roots`` without its one walk: the references are counted
+    first, and the space rendered once with tags.  Its reference."""
+    counts = {}
+    for r in roots:
+        gm._count_refs(r, counts)
+    tag_ids = {}
+    return [gm._render(r, counts, tag_ids, sigil) for r in roots]
+
+
+def test_one_walk_printer_matches_the_counting_printer_on_rules_and_pairs():
+    golden = Path(__file__).parent / "goldens" / "engine.json"
+    grammars = [load_fixture(name, restrictor=["orth"] if name == "guard.gr" else None) for name in FIXTURES]
+    grammars += [parse_grammar(rec["grammar"]) for rec in json.loads(golden.read_text(encoding="utf-8"))]
+    shared = alone = 0
+    for g in grammars:
+        spaces = [(r.roots(), "$") for r in g.rules]
+        first, _ = compute_first(g)
+        follow, _ = compute_follow(g, first)
+        for p in [*first, *follow]:
+            spaces.append((list(p.lhs) if p.is_epsilon else [*p.lhs, p.rhs], "#"))
+        for space, sigil in spaces:
+            want = counting_format_roots(space, sigil)
+            assert format_roots(space, sigil) == want, want
+            if any(sigil in text for text in want):
+                shared += 1
+            else:
+                alone += 1
+    assert shared > 20 and alone > 200, (shared, alone)
+
+
+@st.composite
+def tagged_category_texts(draw):
+    """Category strings whose values share nodes through ``$n`` tags."""
+
+    def value(depth):
+        kind = draw(st.sampled_from(["atom", "tag", "tag", "avm", "tagged avm"] if depth < 3 else ["atom", "tag"]))
+        if kind == "atom":
+            return draw(st.sampled_from(["a", "b", "+", '"x y"']))
+        if kind == "tag":
+            return draw(st.sampled_from(["$1", "$2", "$3"]))
+        text = avm(depth + 1)
+        return f"{draw(st.sampled_from(['$1', '$2', '$3']))}:{text}" if kind == "tagged avm" else text
+
+    def avm(depth):
+        label = draw(st.sampled_from(["", "np", "Vp", "Term", "start"]))
+        names = ["f", "g", "h"] if label else ["f", "g", "h", "cat"]
+        feats = draw(st.lists(st.sampled_from(names), unique=True, max_size=3))
+        return f"{label}[{', '.join(f'{f}={value(depth)}' for f in feats)}]"
+
+    return " ".join(draw(st.sampled_from(["$", "$1", "$2:" + avm(0)])) if draw(st.booleans()) else avm(0)
+                    for _ in range(draw(st.integers(1, 4))))
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(tagged_category_texts())
+def test_one_walk_printer_matches_the_counting_printer_on_tagged_strings(text):
+    try:
+        cats = parse_category_sequence(text)
+    except GrammarSyntaxError:
+        return
+    for sigil in ("#", "$"):
+        assert format_roots(cats, sigil) == counting_format_roots(cats, sigil)
+    assert fs.equivalent_many(parse_category_sequence(" ".join(format_roots(cats))), cats)
+
+
+# ---------------------------------------------------------------------------
 # token positions
 
-class RescanningLexer(_Lexer):
-    """The lexer with positions found by rescanning the text up to each
-    token: the reference for the newline index."""
+class EmittingLexer:
+    """The lexer as it was before it tracked lines while scanning: each
+    token goes through ``_emit``, which places it with ``_pos``, a bisect
+    over a newline index made up front.  The reference for ``_Lexer``."""
+
+    def __init__(self, text):
+        self.text = text
+        self.issues = []
+        self.tokens = []
+        self._newlines = [m.start() for m in re.finditer("\n", text)]
+        self._lex()
+
+    def _pos(self, index):
+        before = bisect.bisect_left(self._newlines, index)
+        last = self._newlines[before - 1] if before else -1
+        return before + 1, index - last
+
+    def _emit(self, kind, value, index):
+        line, col = self._pos(index)
+        self.tokens.append(_Tok(kind, value, line, col))
+
+    def _issue(self, message, index):
+        line, col = self._pos(index)
+        self.issues.append(ParseIssue(line, col, message))
+
+    def _lex(self):
+        text, n = self.text, len(self.text)
+        word_start = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+        word_chars = word_start | set("0123456789_")
+        i = 0
+        while i < n:
+            c = text[i]
+            if c in " \t\r\n":
+                i += 1
+                continue
+            if c == "%":
+                nl = text.find("\n", i)
+                i = n if nl < 0 else nl + 1
+                continue
+            if c == '"':
+                i = self._lex_string(i)
+                continue
+            if c == "-" and i + 1 < n and text[i + 1] == ">":
+                self._emit("ARROW", "->", i)
+                i += 2
+                continue
+            if c in "+-":
+                self._emit("SYM", c, i)
+                i += 1
+                continue
+            if c in "[],=:":
+                self._emit({"[": "LB", "]": "RB", ",": "COMMA", "=": "EQ", ":": "COLON"}[c], c, i)
+                i += 1
+                continue
+            if c == ".":
+                self._emit("STOP", ".", i)
+                i += 1
+                continue
+            if c in "$#":
+                j = i + 1
+                while j < n and text[j].isdigit():
+                    j += 1
+                if j > i + 1:
+                    self._emit("TAG", text[i + 1 : j], i)
+                elif c == "$":
+                    self._emit("DOLLAR", "$", i)
+                else:
+                    self._issue("unknown syntax: stray '#'", i)
+                i = j if j > i + 1 else i + 1
+                continue
+            if c in word_start:
+                j = i + 1
+                while j < n and text[j] in word_chars:
+                    j += 1
+                while j + 1 < n and text[j] == "." and text[j + 1] in word_start:
+                    j += 2
+                    while j < n and text[j] in word_chars:
+                        j += 1
+                self._emit("WORD", text[i:j], i)
+                i = j
+                continue
+            self._issue(f"unknown syntax: unexpected character {c!r}", i)
+            i += 1
+        self._emit("EOF", "", n)
+
+    def _lex_string(self, i):
+        text, n = self.text, len(self.text)
+        j = i + 1
+        out = []
+        while j < n:
+            c = text[j]
+            if c == "\\" and j + 1 < n:
+                out.append(text[j + 1])
+                j += 2
+                continue
+            if c == '"':
+                self._emit("STR", "".join(out), i)
+                return j + 1
+            if c == "\n":
+                break
+            out.append(c)
+            j += 1
+        self._issue("unknown syntax: unterminated string", i)
+        return j
+
+
+class RescanningLexer(EmittingLexer):
+    """The emitting lexer with positions found by rescanning the text up
+    to each token: the reference for both ways of tracking lines."""
 
     def _pos(self, index):
         line = self.text.count("\n", 0, index) + 1
@@ -619,6 +884,55 @@ def test_lexer_positions_match_rescanning_the_text(text):
     assert got.tokens == want.tokens
     assert got.issues == want.issues
     assert [got._pos(i) for i in range(len(text) + 1)] == [want._pos(i) for i in range(len(text) + 1)]
+
+
+def assert_lexes_as_the_reference(text):
+    got, want = _Lexer(text), EmittingLexer(text)
+    assert got.tokens == want.tokens, text
+    assert got.issues == want.issues, text
+
+
+# strings that swallow newlines through escapes, among other lines
+STRING_PIECES = ('"', '\\', '\\\n', '\\"', "\n", "\r\n", "a", "NP[", "f=", "]", " ", ".", "%", "#", "$1")
+STRING_TEXTS = st.lists(st.sampled_from(STRING_PIECES), max_size=40).map("".join)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(TEXTS, STRING_TEXTS))
+def test_lexer_matches_the_emitting_reference(text):
+    assert_lexes_as_the_reference(text)
+
+
+def test_an_escaped_newline_inside_a_string_moves_later_tokens_down():
+    text = 'S[f="a\\\nb"] -> x[\ng="\\\n"].\n$'
+    assert_lexes_as_the_reference(text)
+    assert [(t.kind, t.line, t.col) for t in _Lexer(text).tokens[-4:]] == [
+        ("RB", 4, 2), ("STOP", 4, 3), ("DOLLAR", 5, 1), ("EOF", 5, 2)
+    ]
+
+
+def pool_grammar_texts(monkeypatch):
+    """The benchmark's pool grammars and, for its query grammar, the
+    category strings it queries."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    import workloads
+
+    texts = []
+    for workload in workloads.NAMES:
+        for entry in workloads.load_goldens(workload)["pool"]:
+            cand = workloads.candidate(workload, entry["index"])
+            texts.append(cand.text)
+            if workload == workloads.QUERIES:
+                texts += workloads.query_texts(entry["index"], cand)
+    return texts
+
+
+def test_lexer_matches_the_emitting_reference_on_fixtures_and_pools(monkeypatch):
+    texts = [(Path(gm.__file__).parent / "fixtures" / name).read_text(encoding="utf-8") for name in FIXTURES]
+    texts += pool_grammar_texts(monkeypatch)
+    assert len(texts) > 500
+    for text in texts:
+        assert_lexes_as_the_reference(text)
 
 
 def test_parsing_time_grows_linearly_with_the_text():

@@ -11,16 +11,20 @@ Subcommands
 Exit codes: 0 success; 1 naive and active results differ in ``bench``;
 2 usage; 3 unreadable input, syntax errors, or input nested too deeply
 for Python's recursion limit; 4 validation errors;
-5 iteration/pair guard exceeded; 6 unknown category in ``string-first``.
-Diagnostics go to stderr as ``file:line:col: severity: message``; with
-``--format json`` the result document on stdout is byte-stable for
-identical inputs and flags.
+5 iteration/pair guard exceeded in FIRST or FOLLOW, which the message
+names; 6 unknown category in ``string-first``; 7 stdout closed before
+the output was written, as ``| head`` does.
+Diagnostics go to stderr as ``file:line:col: severity: message``.  With
+``--format json`` stdout is strict JSON (no ``Infinity`` or ``NaN``), and
+byte-stable for identical inputs and flags, except for ``bench``'s
+``wall_time`` measurements.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import replace
 from importlib import resources
@@ -35,6 +39,7 @@ EXIT_INPUT = 3
 EXIT_INVALID = 4
 EXIT_LIMIT = 5
 EXIT_QUERY = 6
+EXIT_PIPE = 7
 
 
 class _Failure(Exception):
@@ -143,9 +148,13 @@ def _document(g: gm.Grammar, function: str, mode: str, pairs, stats, diags, extr
     return doc
 
 
+def _json(doc) -> str:
+    return json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False, allow_nan=False)
+
+
 def _emit(doc: dict, args) -> None:
     if args.format == "json":
-        print(json.dumps(doc, indent=2, sort_keys=True, ensure_ascii=False))
+        print(_json(doc))
         return
     g = doc["grammar"]
     phi = ", ".join(g["restrictor"]) if g["restrictor"] else "(empty)"
@@ -174,7 +183,7 @@ def _print_iterations(rows, indent: str) -> None:
 
 
 def _limit_failure(g: gm.Grammar, exc: ff.LimitExceeded) -> _Failure:
-    msgs = [f"{g.name}: no fixpoint within {exc.limit} {exc.kind}"]
+    msgs = [f"{g.name}: {exc}"]
     for row in exc.stats.rows[-3:]:
         msgs.append(
             f"{g.name}: iteration {row.iteration}: considered {row.considered:.1f}, "
@@ -239,6 +248,12 @@ def cmd_validate(args) -> int:
     return EXIT_OK
 
 
+def _rounded(ratio):
+    """A naive/active ratio of ``ModeReport`` for JSON: null when the
+    active mode made none."""
+    return None if ratio is None else round(ratio, 3)
+
+
 def cmd_bench(args) -> int:
     reports = []
     for path in args.grammars:
@@ -255,8 +270,8 @@ def cmd_bench(args) -> int:
                 {
                     "grammar": {"file": g.name, "rules": rep.rules},
                     "equivalence": {"first": rep.first_equivalent, "follow": rep.follow_equivalent},
-                    "attempt_ratio": round(rep.attempt_ratio, 3),
-                    "event_ratio": round(rep.event_ratio, 3),
+                    "attempt_ratio": _rounded(rep.attempt_ratio),
+                    "event_ratio": _rounded(rep.event_ratio),
                     "stats": {
                         func: {
                             mode: {
@@ -272,7 +287,7 @@ def cmd_bench(args) -> int:
                     },
                 }
             )
-        print(json.dumps(out, indent=2, sort_keys=True, ensure_ascii=False))
+        print(_json(out))
     else:
         for g, rep in reports:
             print(f"benchmark: {g.name}  rules: {rep.rules}")
@@ -284,10 +299,8 @@ def cmd_bench(args) -> int:
                         f"  events {s.events:>6}"
                         f"  iterations {len(s.rows):>2}  wall {s.wall_time:.4f}s"
                     )
-            print(
-                f"  attempt ratio (naive/active): {rep.attempt_ratio:.2f}"
-                f"  event ratio: {rep.event_ratio:.2f}"
-            )
+            ratios = ["n/a" if r is None else f"{r:.2f}" for r in (rep.attempt_ratio, rep.event_ratio)]
+            print(f"  attempt ratio (naive/active): {ratios[0]}  event ratio: {ratios[1]}")
             verdict = "PASS" if rep.first_equivalent and rep.follow_equivalent else "FAIL"
             print(f"  equivalence: first {'PASS' if rep.first_equivalent else 'FAIL'},"
                   f" follow {'PASS' if rep.follow_equivalent else 'FAIL'}  [{verdict}]")
@@ -371,7 +384,9 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        return args.run(args)
+        code = args.run(args)
+        sys.stdout.flush()  # so that a reader gone early shows here, not at exit
+        return code
     except _Failure as exc:
         for message in exc.messages:
             print(message, file=sys.stderr)
@@ -382,6 +397,13 @@ def main(argv=None) -> int:
         inputs = " ".join(args.grammars) if args.command == "bench" else args.grammar
         print(f"{inputs}: error: input nested too deeply to process", file=sys.stderr)
         return EXIT_INPUT
+    except BrokenPipeError:
+        # the reader closed stdout, as ``| head`` does: what is still
+        # buffered goes to devnull, so the flush at exit cannot fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_PIPE
 
 
 if __name__ == "__main__":

@@ -23,18 +23,17 @@ fixpoints:
 - ``active``: each pair is offered to each rule exactly once.
 
 Visits read the set through its label index: each pool, an offer too, is
-a ``_Read``, a serial range (lo, hi] of one kind of pair.  A bind over a
-read tries the pairs its position's label allows and counts the others as
-``attempts`` that are ``filtered``; the read counts its range when it is
-opened, and notes whether it was read in full or up to which pair.  A
-visit's ``considered`` is the size of the union of the reads it opened.
-A visit wakes only when some pair above its ``lo`` has a label one of its
-positions can bind; one that does not reads nothing, and counts as
-considered what a full visit would have read to no avail.  FIRST of a
-span of positions, in a rule or in a category string, is one enumerator,
-``_first_of_span``.  It runs level by level: the ways to bind the
-positions before j to empty pairs are made once, kept, and extended by
-one step, ``_eps_step``, for j + 1; asked, it also yields the ways the
+a ``_Read``, a serial range (lo, hi] of one kind of pair, which counts
+its pairs when it is opened.  A bind over a read tries the pairs its
+position's label allows and counts the others as ``attempts`` that are
+``filtered``.  A visit's ``considered`` follows one rule: for each kind of
+pair, the widest range it began to read.  A visit wakes only when some
+pair above its ``lo`` has a label one of its positions can bind; one that
+does not binds nothing, and begins the reads a full visit would.  FIRST
+of a span of positions, in a rule or in a category string, is one
+enumerator, ``_first_of_span``.  It runs level by level: the ways to bind
+the positions before j to empty pairs are made once, kept, and extended
+by one step, ``_eps_step``, for j + 1; asked, it also yields the ways the
 whole span derives the empty string.  FOLLOW's empty-string tails chain
 the same step, in ``_eps_bindings``, and each rule keeps them, in a
 ``_Tails``, since FIRST does not change while FOLLOW runs.  Nothing here
@@ -47,7 +46,6 @@ import bisect
 import itertools
 import time
 from dataclasses import dataclass, field
-from operator import attrgetter
 
 from . import fs
 from .fs import Node, UnificationFailed
@@ -57,17 +55,19 @@ MODES = ("naive", "active")
 
 
 class LimitExceeded(Exception):
-    """The iteration or pair-count guard fired before a fixpoint.
+    """The iteration or pair-count guard fired before a fixpoint of
+    ``function``, "FIRST" or "FOLLOW".
 
     Usually a sign that the restrictor does not collapse the category
     space into finitely many equivalence classes.
     """
 
-    def __init__(self, kind: str, limit: int, stats: "RunStats"):
+    def __init__(self, function: str, kind: str, limit: int, stats: "RunStats"):
+        self.function = function
         self.kind = kind
         self.limit = limit
         self.stats = stats
-        super().__init__(f"no fixpoint within {limit} {kind}")
+        super().__init__(f"{function} has no fixpoint within {limit} {kind}")
 
 
 class UnknownCategory(Exception):
@@ -91,7 +91,6 @@ class EpsilonMark:
 
 
 _serials = itertools.count(1)
-_LO = attrgetter("lo")
 
 
 class Pair:
@@ -161,9 +160,6 @@ class PairSet:
     whole kind.  A reader takes a serial range (lo, hi] of a list: a visit
     reads up to the ``hi`` that ``offer`` gave it, since ``add`` appends
     above it and a pair it replaces stays listed until the next ``offer``.
-    The newest serial added for each left-side label, None for the pairs
-    without one, tells a visit whether any pair above its ``lo`` can wake
-    it (``_woken``).
     """
 
     def __init__(self):
@@ -178,7 +174,6 @@ class PairSet:
         self._lists = tuple({None: ([], [])} for _ in range(3))
         self._unlabelled = (([], []), ([], []), ([], []))
         self._replaced = []  # pairs replaced since the last offer, still listed
-        self._newest = {}  # left-side label, None for none -> newest serial added
         # (label, is_epsilon) -> the index lists a labelled pair joins: lists
         # are never replaced, only appended to and settled
         self._held = {}
@@ -260,7 +255,6 @@ class PairSet:
             for listed, serials in holders:
                 listed.append(p)
                 serials.append(p.serial)
-            self._newest[label] = p.serial
         self.added += 1
         return True
 
@@ -303,12 +297,13 @@ class PairSet:
 
     def _woken(self, labels, lo: int) -> bool:
         """Whether some pair above serial ``lo`` may have a left side that
-        a category labelled one of ``labels`` unifies with: ``labels`` ends
-        with None, which stands for the unlabelled pairs.  A pair replaced
-        since it was added still counts, so the answer errs towards yes."""
-        newest = self._newest
+        a category labelled one of ``labels`` unifies with.  Asked just after
+        ``offer`` settles the index: a pair added above ``lo`` and since
+        replaced left a pair above it that holds its label or none."""
+        lists, unlabelled = self._lists[_ALL], self._unlabelled[_ALL]
         for label in labels:
-            if newest.get(label, 0) > lo:
+            serials = lists.get(label, unlabelled)[1]
+            if serials and serials[-1] > lo:
                 return True
         return False
 
@@ -361,31 +356,23 @@ class RunStats:
 class _Read:
     """A serial range (lo, hi] of the ``kind`` pairs of ``pset`` that
     ``_bind_each`` reads, possibly many times: ``n`` is the number of pairs
-    in it, counted when it is opened; ``full`` whether a read passed a pair
-    over for its label or came to its end; ``top`` the highest serial a
-    read yielded (``lo`` until one does).  Up to ``top`` is what a read
-    stopped by a guard has considered."""
+    in it, counted when it is opened, and ``begun`` whether a read of it
+    has begun."""
 
-    __slots__ = ("pset", "kind", "lo", "hi", "n", "full", "top")
+    __slots__ = ("pset", "kind", "lo", "hi", "n", "begun")
 
     def __init__(self, pset, kind, lo, hi):
         self.pset, self.kind, self.lo, self.hi = pset, kind, lo, hi
-        serials = pset._lists[kind][None][1]
-        start = bisect.bisect_right(serials, lo) if lo else 0
-        end = len(serials)
-        if end and serials[-1] > hi:
-            end = bisect.bisect_right(serials, hi)
-        self.n, self.full, self.top = end - start, False, lo
+        _, start, end = pset._span(kind, None, lo, hi)
+        self.n, self.begun = end - start, False
 
 
 class _Recorder:
     """The counters of one run.  ``_bind`` counts each attempt, and
     ``_bind_each`` each pair of a ``_Read`` that the label passes over as an
     attempt that was ``filtered``.  ``events`` is the size of each offered
-    range.  A visit opens a ``_Read`` for each range it may read, and it
-    considered the union of what they read: all of a full read, and up to
-    ``top`` of one that a guard stopped; a visit that reads nothing
-    ``count``s what it would have read."""
+    range.  A visit opens a ``_Read`` for each range it may read, and for
+    each kind of pair it considered the widest range it began to read."""
 
     def __init__(self, mode):
         self.mode = mode
@@ -394,7 +381,6 @@ class _Recorder:
         self.events = 0
         self.filtered = 0
         self._reads = None  # in a visit: the reads it opened
-        self._counted = 0  # in a visit: what it considered without a read
         self._considered = []
         self._before = (0, 0)  # attempts, and pairs added to the set, as the iteration began
         self._started = time.perf_counter()
@@ -406,9 +392,9 @@ class _Recorder:
     def begin_visit(self, pset, lo, hi):
         """Open a visit offered the pairs of ``pset`` in (lo, hi]."""
         self._reads = []
-        if lo < hi:  # hi is the newest serial of the set
-            serials = pset._lists[_ALL][None][1]
-            self.events += len(serials) - bisect.bisect_right(serials, lo)
+        if lo < hi:
+            _, start, end = pset._span(_ALL, None, lo, hi)
+            self.events += end - start
 
     def open(self, pset, kind, lo, hi) -> _Read:
         """A read of the ``kind`` pairs of ``pset`` in (lo, hi] by the open visit."""
@@ -416,41 +402,15 @@ class _Recorder:
         self._reads.append(read)
         return read
 
-    def count(self, pset, kind, lo):
-        """Count the ``kind`` pairs of ``pset`` above ``lo`` as considered
-        by the open visit, as a full read up to its newest pair would: for
-        a visit that opens no read of that kind and set, since it knows no
-        pair there can bind."""
-        serials = pset._lists[kind][None][1]
-        self._counted += len(serials) - (bisect.bisect_right(serials, lo) if lo else 0)
-
-    def end_visit(self, stopped=False):
-        """Close the visit, counting the union of what its reads read.
-
-        A visit reads each kind from one set only.  In a visit that ran to
-        its end every read it used is full, and the reads of one kind share
-        ``hi``, so their union is the largest ``n``.  In one a guard
-        ``stopped``, each read covers (lo, hi] when full and (lo, top] when
-        not; these are merged per kind in order of ``lo`` and counted in
-        the index.  What ``count`` counted is added."""
-        n = self._counted
-        if stopped:
-            tops = [0, 0, 0]
-            for r in sorted(self._reads, key=_LO):
-                top = max(r.lo, tops[r.kind])
-                end = r.hi if r.full else r.top
-                if end > top:
-                    _, start, stop = r.pset._span(r.kind, None, top, end)
-                    n += stop - start
-                    tops[r.kind] = end
-        else:
-            widest = [0, 0, 0]
-            for r in self._reads:
-                if r.full and r.n > widest[r.kind]:
-                    widest[r.kind] = r.n
-            n += sum(widest)
-        self._considered.append(n)
-        self._reads, self._counted = None, 0
+    def end_visit(self):
+        """Close the visit, counting for each kind the widest read it
+        began; a visit reads each kind from one set only."""
+        widest = [0, 0, 0]
+        for r in self._reads:
+            if r.begun and r.n > widest[r.kind]:
+                widest[r.kind] = r.n
+        self._considered.append(sum(widest))
+        self._reads = None
 
     def end_iteration(self, pset):
         visits = len(self._considered)
@@ -463,7 +423,7 @@ class _Recorder:
         """The run's stats; closes a visit a guard stopped and, given the
         set being built, the open iteration."""
         if self._reads is not None:
-            self.end_visit(stopped=True)
+            self.end_visit()
         if pset is not None:
             self.end_iteration(pset)
         wall = time.perf_counter() - self._started
@@ -523,31 +483,26 @@ def _bind_each(space, pos, read, rec, keep=None, restrictor=None):
     ``restrictor`` (an empty one too) the copies are products to store.
     Yields (pair, kept_roots, bound_rhs) for each success.
 
-    The label is read from ``space``, where earlier bindings may have set
-    it.  Pairs passed over count as attempts that ``fs.quick_clash``
-    settled, and make the read full; so does reaching its end.  Each pair
-    yielded raises the read's ``top``.  What every bind of the read
-    shares, the kept roots and the restriction, is set up once.
+    The read is begun on entry.  The label is read from ``space``, where
+    earlier bindings may have set it.  Pairs passed over count as attempts
+    that ``fs.quick_clash`` settled.  What every bind of the read shares,
+    the kept roots and the restriction, is set up once.
     """
+    read.begun = True
     root = space[pos]
     listed, start, end = read.pset._span(read.kind, label_of(root), read.lo, read.hi)
     skipped = read.n - (end - start)
     if skipped:
         rec.attempts += skipped
         rec.filtered += skipped
-        read.full = True
     if start == end:
-        read.full = True
         return
     kept = space if keep is None else [space[i] for i in keep]
     cut, prune = restrictor or frozenset(), restrictor is not None
     for p in listed[start:end]:
         got = _bind(root, p, kept, cut, prune, rec)
         if got is not None:
-            if p.serial > read.top:
-                read.top = p.serial
             yield p, *got
-    read.full = True
 
 
 def _eps_step(level, pos, eps, rec, keep=None, restrictor=None):
@@ -592,9 +547,10 @@ def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None,
     of the nested loops, and kept for the next step, so each prefix is
     bound once.  The enumeration stops at the first empty level, and so
     at a position whose label has no empty pair in ``eps``: the empty
-    pairs each prefix would pass over there are counted, not read.  Built
-    lazily, a level is read no further than a guard that stops the visit
-    lets it; a last level nothing reads is not built.
+    pairs each prefix would pass over there are counted, and ``eps`` is
+    begun, without a bind.  Built lazily, a level is read no further than
+    a guard that stops the visit lets it; a last level nothing reads is
+    not built.
 
     ``fresh`` is a read of the drivers above some serial ``lo``: a
     combination that binds no empty pair above ``lo`` takes its driver from
@@ -620,7 +576,7 @@ def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None,
             passed = len(prefixes) * eps.n
             rec.attempts += passed
             rec.filtered += passed
-            eps.full = True
+            eps.begun = True
             return
         copy_out = (keep, restrictor) if j == last else ()
         level = _eps_step(prefixes, pos, eps, rec, *copy_out)
@@ -640,8 +596,9 @@ def _store(pset, lhs_roots, rhs, eps_mark=None):
     return pset.add(Pair(tuple(lhs_roots), eps_mark if rhs is None else rhs))
 
 
-def _fixpoint(g: Grammar, mode: str, seed, visit):
-    """The fixpoint loop of FIRST and FOLLOW; returns (PairSet, RunStats).
+def _fixpoint(function: str, g: Grammar, mode: str, seed, visit):
+    """The fixpoint loop of ``function``, FIRST or FOLLOW; returns
+    (PairSet, RunStats).
 
     ``seed(store)`` stores the initial pairs.  Then each pass visits every
     rule as ``visit(rule, lo, hi, pairs, rec, store)``, which returns
@@ -662,13 +619,13 @@ def _fixpoint(g: Grammar, mode: str, seed, visit):
     def store(lhs_roots, rhs, eps_mark=None):
         added = _store(out, lhs_roots, rhs, eps_mark)
         if added and len(out) > g.max_pairs:
-            raise LimitExceeded("pairs", g.max_pairs, rec.finish(False, out))
+            raise LimitExceeded(function, "pairs", g.max_pairs, rec.finish(False, out))
         return added
 
     seed(store)
     for iteration in itertools.count(1):
         if iteration > g.max_iterations:
-            raise LimitExceeded("iterations", g.max_iterations, rec.finish(False))
+            raise LimitExceeded(function, "iterations", g.max_iterations, rec.finish(False))
         rec.begin_iteration(out)
         changed = False
         for r in g.rules:
@@ -682,11 +639,10 @@ def _fixpoint(g: Grammar, mode: str, seed, visit):
 
 
 def _wake_labels(roots):
-    """The left-side labels of the pairs that may bind one of ``roots``,
-    for ``PairSet._woken``: each root's ``cat`` and None, or None when a
-    root has no atomic ``cat``, since any pair may bind it."""
+    """The labels of ``roots`` for ``PairSet._woken``, each once, or None
+    when a root has no atomic ``cat``, since any pair may bind it."""
     labels = [label_of(root) for root in roots]
-    return None if None in labels else (*dict.fromkeys(labels), None)
+    return None if None in labels else tuple(dict.fromkeys(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -731,14 +687,13 @@ def compute_first(g: Grammar, mode: str = "active"):
         if lo == hi:
             return False
         base, span, labels = plans[rule.rule_id]
+        eps = rec.open(first, _EPS, 0, hi)
+        fresh = rec.open(first, _DRIVERS, lo, hi)
         if labels is not None and not first._woken(labels, lo):
             # a full visit would pass every fresh driver over and bind the
             # first daughter's empty pairs to no avail
-            rec.count(first, _DRIVERS, lo)
-            rec.count(first, _EPS, 0)
+            eps.begun = fresh.begun = True
             return False
-        eps = rec.open(first, _EPS, 0, hi)
-        fresh = rec.open(first, _DRIVERS, lo, hi)
         drivers = rec.open(first, _DRIVERS, 0, hi) if lo else fresh
         changed = False
         products = _first_of_span(base, span, eps, drivers, rec, [0], g.restrictor, fresh, with_empty=True)
@@ -746,7 +701,7 @@ def compute_first(g: Grammar, mode: str = "active"):
             changed |= store(mother, rhs, eps_mark)
         return changed
 
-    return _fixpoint(g, mode, seed, visit)
+    return _fixpoint("FIRST", g, mode, seed, visit)
 
 
 # ---------------------------------------------------------------------------
@@ -794,40 +749,36 @@ class _Tails:
     enumerated in full, the ways each tail derives the empty string.
 
     FIRST is fixed while FOLLOW runs, so those ways never change.
-    ``spaces(eps, rec)`` yields (i, space) for each daughter i and each way
+    ``spaces(eps, rec)`` gives (i, space) for each daughter i and each way
     to bind its tail to empty pairs of ``eps``, a fresh ``_Read``, in the
-    order of ``_eps_bindings``.  The first call enumerates them lazily and
-    notes the read's ``full`` and ``top`` at each yield; the list is kept
-    once an enumeration has run to its end.  Later calls replay it, setting
-    their read's ``full`` and ``top`` as the enumeration had them, so a
-    visit considers what one enumerating afresh would, also when a guard
-    stops it.
+    order of ``_eps_bindings``.  The first call enumerates them lazily; the
+    list is kept once an enumeration has run to its end.  Later calls
+    return it, and begin ``eps`` when some tail is not empty, since an
+    enumeration begins it before its first space.
     """
 
-    __slots__ = ("base", "tails", "labels", "kept", "end")
+    __slots__ = ("base", "tails", "labels", "kept")
 
     def __init__(self, rule):
         k = len(rule.daughters)
         self.base, self.tails = rule.roots(), [list(range(2 + i, 1 + k)) for i in range(k)]
         self.labels = _wake_labels([rule.mother])
-        self.kept = self.end = None  # end: the read's (full, top) after the last yield
+        self.kept = None
 
     def spaces(self, eps, rec):
-        return self._enumerate(eps, rec) if self.kept is None else self._replay(eps)
+        if self.kept is None:
+            return self._enumerate(eps, rec)
+        if self.tails[0]:
+            eps.begun = True
+        return self.kept
 
     def _enumerate(self, eps, rec):
         kept = []
         for i, tail in enumerate(self.tails):
             for space, _ in _eps_bindings(self.base, tail, eps, rec):
-                kept.append((i, space, eps.full, eps.top))
+                kept.append((i, space))
                 yield i, space
-        self.kept, self.end = kept, (eps.full, eps.top)
-
-    def _replay(self, eps):
-        for i, space, full, top in self.kept:
-            eps.full, eps.top = full, top
-            yield i, space
-        eps.full, eps.top = self.end
+        self.kept = kept
 
 
 def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
@@ -850,33 +801,34 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
         if rule.is_epsilon:
             return False
         plan = plans[rule.rule_id]
-        changed = False
+        changed, woken = False, True
         # FIRST of each proper suffix; its inputs never change, so the active
         # mode only runs this on the rule's first visit, which is offered the
         # seed at least and so keeps the tails
-        if mode == "naive" or plan.end is None:
+        if mode == "naive" or plan.kept is None:
             eps = rec.open(first, _EPS, 0, first_hi)
             drivers = rec.open(first, _DRIVERS, 0, first_hi)
             for i, tail in enumerate(plan.tails):
                 for daughter, rhs in _first_of_span(plan.base, tail, eps, drivers, rec, [1 + i], g.restrictor):
                     changed |= store(daughter, rhs)
-        elif plan.labels is not None and not follow._woken(plan.labels, lo):
-            # a full visit would bind every kept tail space's mother to no avail
-            if lo < hi:
-                rec.count(follow, _ALL, lo)
-                if plan.end[0]:  # enumerating the tails read the empty pairs
-                    rec.count(first, _EPS, 0)
-            return False
+        elif plan.labels is not None:
+            woken = follow._woken(plan.labels, lo)
         # the mother's FOLLOW flows to any daughter whose suffix is empty or
         # wholly derives the empty string
         if lo < hi:
             offer = rec.open(follow, _ALL, lo, hi)
-            for i, space in plan.spaces(rec.open(first, _EPS, 0, first_hi), rec):
+            spaces = plan.spaces(rec.open(first, _EPS, 0, first_hi), rec)
+            if not woken:
+                # a full visit would bind every kept tail space's mother to no
+                # avail; the empty pairs' read is begun as a replay begins it
+                offer.begun = True
+                return False
+            for i, space in spaces:
                 for _, daughter, rhs in _bind_each(space, 0, offer, rec, [1 + i], g.restrictor):
                     changed |= store(daughter, rhs)
         return changed
 
-    return _fixpoint(g, mode, seed, visit)
+    return _fixpoint("FOLLOW", g, mode, seed, visit)
 
 
 # ---------------------------------------------------------------------------
@@ -943,16 +895,18 @@ class ModeReport:
     follow_sets: dict
 
     @property
-    def attempt_ratio(self) -> float:
+    def attempt_ratio(self) -> float | None:
+        """Naive over active attempts, None when active made none."""
         naive = self.first_stats["naive"].attempts + self.follow_stats["naive"].attempts
         active = self.first_stats["active"].attempts + self.follow_stats["active"].attempts
-        return naive / active if active else float("inf")
+        return naive / active if active else None
 
     @property
-    def event_ratio(self) -> float:
+    def event_ratio(self) -> float | None:
+        """Naive over active events, None when active made none."""
         naive = self.first_stats["naive"].events + self.follow_stats["naive"].events
         active = self.first_stats["active"].events + self.follow_stats["active"].events
-        return naive / active if active else float("inf")
+        return naive / active if active else None
 
 
 def compare_modes(g: Grammar) -> ModeReport:

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from featflow import firstfollow as ff
-from featflow.cli import EXIT_MISMATCH, fixture_path, main
+from featflow.cli import EXIT_LIMIT, EXIT_MISMATCH, EXIT_PIPE, fixture_path, main
 from featflow.firstfollow import Pair, compute_first, pair_equivalent
 from featflow.grammar import parse_category_sequence, parse_grammar
 
@@ -181,6 +181,46 @@ def test_bench_json(capsys):
     assert rows[-1]["considered"] < 0.25 * rows[-1]["total"]
 
 
+def strict_json(text):
+    """``json.loads`` that refuses ``Infinity``, ``-Infinity`` and ``NaN``."""
+
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_bench_json_is_strict_when_the_active_mode_makes_no_attempts(capsys, tmp_path):
+    gr = tmp_path / "empty.gr"
+    gr.write_text("S[] -> .\n")
+    code, out, _ = run(capsys, "bench", str(gr), "--format", "json")
+    assert code == 0
+    doc = strict_json(out)[0]
+    assert doc["attempt_ratio"] is None and doc["stats"]["first"]["active"]["attempts"] == 0
+    assert doc["event_ratio"] == 1.0
+    code, out, _ = run(capsys, "bench", str(gr))
+    assert code == 0 and "attempt ratio (naive/active): n/a  event ratio: 1.00" in out
+    code, out, _ = run(capsys, "bench", fixture_path("bench21.gr"), "--format", "json")
+    assert code == 0 and strict_json(out)[0]["attempt_ratio"] == 8.002
+
+
+@pytest.mark.parametrize("limit,function", [("20", "FIRST"), ("40", "FOLLOW")])
+def test_limit_message_names_the_function(capsys, limit, function):
+    code, _, err = run(capsys, "follow", fixture_path("bench21.gr"), "--max-pairs", limit)
+    assert code == EXIT_LIMIT
+    assert err.splitlines()[0].endswith(f"bench21.gr: {function} has no fixpoint within {limit} pairs")
+
+
+def test_pair_guard_stop_reports_the_rows_so_far(capsys):
+    """The pair guard stops FOLLOW inside a visit of iteration 4; that row
+    counts the whole of each range the visit began to read."""
+    code, out, err = run(capsys, "follow", fixture_path("bench21.gr"), "--max-pairs", "41", "--stats")
+    assert code == EXIT_LIMIT and out == ""
+    lines = err.splitlines()
+    assert "FOLLOW has no fixpoint within 41 pairs" in lines[0]
+    assert lines[-1].endswith("bench21.gr: iteration 4: considered 3.1, total 42, attempts 1")
+
+
 def test_max_iterations_flag(capsys):
     code, out, err = run(
         capsys, "first", fixture_path("guard.gr"), "--max-iterations", "7"
@@ -259,14 +299,15 @@ def test_json_output_matches_golden_bytes(capsys, monkeypatch, name, function):
     assert out.encode("utf-8") == (GOLDENS / f"{name}.{function}.json").read_bytes()
 
 
-def _featflow(*argv, hashseed="0"):
+def _featflow(*argv, hashseed="0", stdout=subprocess.PIPE):
     env = dict(os.environ, PYTHONHASHSEED=hashseed)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "featflow", *argv],
         cwd=Path(fixture_path("bench21.gr")).parent,
         env=env,
-        capture_output=True,
+        stdout=stdout,
+        stderr=subprocess.PIPE,
         timeout=120,
     )
 
@@ -295,3 +336,17 @@ def test_deeply_nested_category_exits_3_without_a_traceback(tmp_path):
     err = proc.stderr.decode("utf-8")
     assert "Traceback" not in err
     assert err.count("\n") == 1 and str(deep) in err
+
+
+@pytest.mark.parametrize("argv", [("bench", "bench21.gr"), ("follow", "bench21.gr", "--format", "json")])
+def test_stdout_closed_early_exits_quietly(argv):
+    """A reader that closes the pipe before the output is written, as
+    ``| head`` can, gets the documented exit status and no traceback."""
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _featflow(*argv, stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == EXIT_PIPE
+    assert proc.stderr == b""

@@ -911,8 +911,6 @@ def compatible_add(self, p):
     for listed, serials in self._holders(p):
         listed.append(p)
         serials.append(p.serial)
-    if len(p.lhs) == 1:
-        self._newest[p.key[1][0]] = p.serial
     self.added += 1
     return True
 
@@ -1031,8 +1029,8 @@ def bind_args(space, keep, restrictor):
 def full_scan_bind_each(space, pos, read, rec, keep=None, restrictor=None):
     """The loop the label index replaced: try every pair of the read's
     serial range, and note each serial tried in the visit.  The read is
-    full once the loop ends, and its ``top`` is the highest serial yielded,
-    as ``_Read`` says."""
+    begun on entry, as ``_Read`` says."""
+    read.begun = True
     pset, kind, lo, hi = read.pset, read.kind, read.lo, read.hi
     listed, start, end = pset._span(kind, None, lo, hi)
     args = bind_args(space, keep, restrictor)
@@ -1041,9 +1039,7 @@ def full_scan_bind_each(space, pos, read, rec, keep=None, restrictor=None):
             rec.tried.add(p.serial)
         got = _bind(space[pos], p, *args, rec)
         if got is not None:
-            read.top = max(read.top, p.serial)
             yield p, *got
-    read.full = True
 
 
 def scanned(pset, kind, lo, hi):
@@ -1055,13 +1051,12 @@ def scanned(pset, kind, lo, hi):
 
 class ScanRecorder(_Recorder):
     """Counts a visit's ``considered`` as the distinct serials it tried,
-    with those a read counts without trying them: a visit no offered pair
-    can bind reads nothing, ``_first_of_span`` counts a position's empty
-    pairs where its label has none, and FOLLOW replays its kept tails.  So
-    the serials of each read's range are scanned as it is opened, and
-    those up to where the read counts as read, (lo, hi] when full and (lo,
-    top] when not, are added, as are the pairs ``count`` counts, found by
-    a scan too."""
+    with those of every range it began to read, whole: a visit no offered
+    pair can bind begins its reads without trying a pair,
+    ``_first_of_span`` begins the empty pairs where a position's label has
+    none, and FOLLOW's kept tails begin them when some tail is not empty.
+    So the serials of each read's range are scanned as it is opened, and
+    added when it was begun."""
 
     tried = None
 
@@ -1075,15 +1070,11 @@ class ScanRecorder(_Recorder):
         self.ranges.append((read, scanned(pset, kind, lo, hi)))
         return read
 
-    def count(self, pset, kind, lo):
-        super().count(pset, kind, lo)
-        self.tried.update(scanned(pset, kind, lo, float("inf")))
-
-    def end_visit(self, stopped=False):
-        super().end_visit(stopped)
+    def end_visit(self):
+        super().end_visit()
         for read, serials in self.ranges:
-            end = read.hi if read.full else read.top
-            self.tried.update(s for s in serials if s <= end)
+            if read.begun:
+                self.tried.update(serials)
         self._considered[-1] = len(self.tried)
         self.tried = None
 
@@ -1245,9 +1236,9 @@ def test_label_lists_match_the_pairs_after_every_fixpoint():
 def serial_set_bind_each(space, pos, read, rec, keep=None, restrictor=None):
     """The label filter over a copy of the read's range, with the visit's
     pairs kept as a set of serials: the whole range once a pair is passed
-    over for its label, else each pair as it is tried.  The read is full
-    then, or once the loop ends, and its ``top`` is the highest serial
-    yielded, as ``_Read`` says."""
+    over for its label, else each pair as it is tried.  The read is begun
+    on entry, as ``_Read`` says."""
+    read.begun = True
     pset, kind, lo, hi = read.pset, read.kind, read.lo, read.hi
     listed, start, end = pset._span(kind, None, lo, hi)
     whole = listed[start:end]
@@ -1256,24 +1247,20 @@ def serial_set_bind_each(space, pos, read, rec, keep=None, restrictor=None):
     skipped = len(whole) - len(candidates)
     rec.attempts += skipped
     rec.filtered += skipped
-    if skipped:
-        read.full = True
-        if rec.tried is not None:
-            rec.tried.update(p.serial for p in whole)
+    if skipped and rec.tried is not None:
+        rec.tried.update(p.serial for p in whole)
     args = bind_args(space, keep, restrictor)
     for p in candidates:
         if rec.tried is not None:
             rec.tried.add(p.serial)
         got = _bind(space[pos], p, *args, rec)
         if got is not None:
-            read.top = max(read.top, p.serial)
             yield p, *got
-    read.full = True
 
 
 def test_guard_stopped_rows_match_serial_sets(monkeypatch):
     """A guard can stop a visit inside its reads; its row then counts the
-    pairs passed over and tried so far, as serial sets do."""
+    whole of each range begun so far, as serial sets do."""
     rng = random.Random(707)
     grammars = [load_fixture(name) for name in FIXTURES]
     grammars += [parse_grammar(loosely_labelled_grammar(rng)) for _ in range(6)]
@@ -1294,18 +1281,20 @@ def test_guard_stopped_rows_match_serial_sets(monkeypatch):
                 assert runs[0] == runs[1], (g.name, mode, limit)
 
 
-def test_a_visit_considers_the_union_of_the_ranges_it_read():
+def test_a_visit_considers_the_widest_range_it_began_of_each_kind():
     s = PairSet()
-    pairs = [cat_pair(f"x{i}[]", "t[]") for i in range(6)]
+    pairs = [cat_pair(f"x{i}[]", "t[]") for i in range(6)] + [cat_pair(f"e{i}[]", None) for i in range(2)]
     assert all(s.add(p) for p in pairs)
     at = [p.serial for p in pairs]
     rec = _Recorder("probe")
     rec.begin_iteration(s)
     rec.begin_visit(s, at[-1], at[-1])  # offered nothing
-    rec.open(s, ff._ALL, 0, at[5]).top = at[2]  # pairs 0-2, as a guard-stopped read leaves them
-    rec.open(s, ff._ALL, at[1], at[4]).full = True  # pairs 2-4
-    rec.open(s, ff._ALL, at[1], at[3]).full = True  # within the last
-    rec.open(s, ff._EPS, 0, at[5]).full = True  # no empty pairs
+    rec.open(s, ff._ALL, 0, at[7])  # every pair, not begun
+    rec.open(s, ff._DRIVERS, 0, at[5])  # pairs 0-5, not begun
+    rec.open(s, ff._DRIVERS, at[1], at[4]).begun = True  # pairs 2-4
+    rec.open(s, ff._DRIVERS, at[2], at[5]).begun = True  # pairs 3-5, as wide
+    rec.open(s, ff._DRIVERS, at[1], at[3]).begun = True  # within the first
+    rec.open(s, ff._EPS, 0, at[7]).begun = True  # both empty pairs
     stats = rec.finish(False, s)  # closes the visit and the iteration
     assert [r.considered for r in stats.rows] == [5.0]
 
@@ -1538,7 +1527,7 @@ def test_tails_are_kept_only_after_an_enumeration_ran_to_its_end():
 
     def walk():
         eps = ff._Read(first, ff._EPS, 0, hi)
-        return [(i, format_roots(space), eps.full, eps.top) for i, space in plan.spaces(eps, rec)], (eps.full, eps.top)
+        return [(i, format_roots(space), eps.begun) for i, space in plan.spaces(eps, rec)], eps.begun
 
     spaces = plan.spaces(ff._Read(first, ff._EPS, 0, hi), rec)
     next(spaces)

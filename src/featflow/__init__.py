@@ -13,7 +13,6 @@ from .fs import (
     clone_many,
     empty,
     equivalent,
-    generalize,
     make_path,
     make_restrictor,
     node,
@@ -42,6 +41,7 @@ from .grammar import (
     validate,
 )
 from .firstfollow import (
+    EPSILON,
     EpsilonMark,
     IterationRow,
     LimitExceeded,
@@ -53,7 +53,6 @@ from .firstfollow import (
     compare_modes,
     compute_first,
     compute_follow,
-    epsilon_category,
     first_of_string,
     format_pair,
     pair_equivalent,

@@ -13,7 +13,8 @@ Exit codes: 0 success; 1 naive and active results differ in ``bench``;
 for Python's recursion limit; 4 validation errors;
 5 iteration/pair guard exceeded in FIRST or FOLLOW, which the message
 names; 6 unknown category in ``string-first``; 7 stdout closed before
-the output was written, as ``| head`` does.
+the output was written, as ``| head`` does, or stderr closed before a
+message was written.
 Diagnostics go to stderr as ``file:line:col: severity: message``.  With
 ``--format json`` stdout is strict JSON (no ``Infinity`` or ``NaN``), and
 byte-stable for identical inputs and flags, except for ``bench``'s
@@ -27,7 +28,6 @@ import json
 import os
 import sys
 from dataclasses import replace
-from importlib import resources
 
 from . import firstfollow as ff
 from . import grammar as gm
@@ -47,12 +47,6 @@ class _Failure(Exception):
         self.code = code
         self.messages = messages
         super().__init__("; ".join(messages))
-
-
-def fixture_path(name: str) -> str:
-    """Path of a bundled grammar (fig1.gr, cf-intro.gr, agr.gr, guard.gr,
-    bench13.gr, bench21.gr)."""
-    return str(resources.files("featflow") / "fixtures" / name)
 
 
 # ---------------------------------------------------------------------------
@@ -384,22 +378,24 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        code = args.run(args)
-        sys.stdout.flush()  # so that a reader gone early shows here, not at exit
-        return code
-    except _Failure as exc:
-        for message in exc.messages:
+        try:
+            code = args.run(args)
+            sys.stdout.flush()  # so that a reader gone early shows here, not at exit
+            return code
+        except _Failure as exc:
+            code, messages = exc.code, exc.messages
+        except RecursionError:
+            # the feature-structure algebra recurses on nesting; the parser
+            # reports too deep a category as a syntax error
+            inputs = " ".join(args.grammars) if args.command == "bench" else args.grammar
+            code, messages = EXIT_INPUT, [f"{inputs}: error: input nested too deeply to process"]
+        for message in messages:
             print(message, file=sys.stderr)
-        return exc.code
-    except RecursionError:
-        # the feature-structure algebra recurses on nesting; the parser
-        # reports too deep a category as a syntax error
-        inputs = " ".join(args.grammars) if args.command == "bench" else args.grammar
-        print(f"{inputs}: error: input nested too deeply to process", file=sys.stderr)
-        return EXIT_INPUT
+        return code
     except BrokenPipeError:
-        # the reader closed stdout, as ``| head`` does: what is still
-        # buffered goes to devnull, so the flush at exit cannot fail
+        # the reader closed stdout, as ``| head`` does, or stderr: what is
+        # still buffered for stdout goes to devnull, so the flush at exit
+        # cannot fail (stderr keeps nothing buffered)
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)

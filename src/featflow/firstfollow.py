@@ -75,19 +75,17 @@ class UnknownCategory(Exception):
 
 
 class EpsilonMark:
-    """Empty-string right-hand side of a pair.
+    """Empty-string right-hand side of a pair: ``EPSILON``, its one
+    instance.  It holds nothing, since bindings between a pair's left side
+    and the empty string are not kept."""
 
-    Carries the grammar's most general empty-string category; bindings
-    between a pair's left side and the empty string are not kept.
-    """
-
-    __slots__ = ("category",)
-
-    def __init__(self, category: Node):
-        self.category = category
+    __slots__ = ()
 
     def __repr__(self):
         return "EpsilonMark()"
+
+
+EPSILON = EpsilonMark()
 
 
 _serials = itertools.count(1)
@@ -97,7 +95,7 @@ class Pair:
     """One element of a FIRST/FOLLOW solution.
 
     ``lhs`` is a tuple of category roots (length one except for string
-    queries), ``rhs`` is a category root or an EpsilonMark, and all roots
+    queries), ``rhs`` is a category root or ``EPSILON``, and all roots
     live in one shared space.  A ``PairSet`` holds its pairs in ascending
     ``serial``, the agenda and output order.  ``comparison_roots`` are the
     roots subsumption compares: ``lhs``, plus ``rhs`` unless it is an
@@ -435,18 +433,6 @@ class _Recorder:
 # ---------------------------------------------------------------------------
 # shared machinery
 
-def epsilon_category(g: Grammar) -> Node | None:
-    """Most general empty-string category: the generalization of all
-    empty-rule mothers, restricted.  None when the grammar has none."""
-    mothers = [fs.restrict(r.mother, g.restrictor) for r in g.rules if r.is_epsilon]
-    if not mothers:
-        return None
-    out = mothers[0]
-    for m in mothers[1:]:
-        out = fs.generalize(out, m)
-    return out
-
-
 def _bind(root, pair, kept, cut, prune, rec):
     """Unify ``root``, a root of a working space, with a stored pair's left
     side, and copy out the roots ``kept`` of that space together with the
@@ -585,15 +571,15 @@ def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None,
             yield kept, None
 
 
-def _store(pset, lhs_roots, rhs, eps_mark=None):
+def _store(pset, lhs_roots, rhs):
     """Add a product through the antichain operator.
 
     The roots must be a fresh copy, restricted and pruned as
     ``fs.restrict_many`` does with ``prune``: binds do that as they copy
     out, and seeds and empty-rule mothers go through it.  Pruning drops
     vacuous leftovers from discarded rule context, so that equal claims
-    collide under the operator."""
-    return pset.add(Pair(tuple(lhs_roots), eps_mark if rhs is None else rhs))
+    collide under the operator.  A None ``rhs`` stores ``EPSILON``."""
+    return pset.add(Pair(tuple(lhs_roots), EPSILON if rhs is None else rhs))
 
 
 def _fixpoint(function: str, g: Grammar, mode: str, seed, visit):
@@ -607,7 +593,7 @@ def _fixpoint(function: str, g: Grammar, mode: str, seed, visit):
     ``_Read`` for each range it may read.  The visit reads the set up to
     serial ``hi`` and examines the pairs in (lo, hi]: every stored pair in
     naive mode, those not yet examined against the rule in active mode.
-    ``store(lhs_roots, rhs, eps_mark=None)`` is ``_store`` into the set;
+    ``store(lhs_roots, rhs)`` is ``_store`` into the set;
     the insertion that takes the set past ``g.max_pairs`` raises
     LimitExceeded, as does a pass beyond ``g.max_iterations``.
     """
@@ -616,8 +602,8 @@ def _fixpoint(function: str, g: Grammar, mode: str, seed, visit):
     out = PairSet()
     rec = _Recorder(mode)
 
-    def store(lhs_roots, rhs, eps_mark=None):
-        added = _store(out, lhs_roots, rhs, eps_mark)
+    def store(lhs_roots, rhs):
+        added = _store(out, lhs_roots, rhs)
         if added and len(out) > g.max_pairs:
             raise LimitExceeded(function, "pairs", g.max_pairs, rec.finish(False, out))
         return added
@@ -660,8 +646,6 @@ def compute_first(g: Grammar, mode: str = "active"):
     when all k daughters do.  A combination must use an offered pair, so a
     visit where no daughter's label has a pair above ``lo`` reads nothing.
     """
-    eps_cat = epsilon_category(g)
-    eps_mark = EpsilonMark(eps_cat) if eps_cat is not None else None
     eps_done = set()
     # rule id -> (the rule's space, the positions of its daughters, their wake labels)
     plans = {
@@ -682,7 +666,7 @@ def compute_first(g: Grammar, mode: str = "active"):
             # stays covered, so the active mode stores the mother once
             if mode == "naive" or rule.rule_id not in eps_done:
                 eps_done.add(rule.rule_id)
-                return store((fs.restrict(rule.mother, g.restrictor, prune=True),), None, eps_mark)
+                return store((fs.restrict(rule.mother, g.restrictor, prune=True),), None)
             return False
         if lo == hi:
             return False
@@ -698,7 +682,7 @@ def compute_first(g: Grammar, mode: str = "active"):
         changed = False
         products = _first_of_span(base, span, eps, drivers, rec, [0], g.restrictor, fresh, with_empty=True)
         for mother, rhs in products:
-            changed |= store(mother, rhs, eps_mark)
+            changed |= store(mother, rhs)
         return changed
 
     return _fixpoint("FIRST", g, mode, seed, visit)
@@ -733,10 +717,8 @@ def first_of_string(first: PairSet, g: Grammar, cats) -> PairSet:
     span = list(range(len(cats)))
     _, hi = first.offer()
     eps, drivers = _Read(first, _EPS, 0, hi), _Read(first, _DRIVERS, 0, hi)
-    # the mark compute_first gave every empty pair, if there is one
-    eps_mark = next((p.rhs for p in first._lookup(_EPS, None)), None)
     for string, rhs in _first_of_span(cats, span, eps, drivers, rec, None, g.restrictor, with_empty=True):
-        _store(out, string, rhs, eps_mark)
+        _store(out, string, rhs)
     return out
 
 

@@ -5,11 +5,11 @@ either an atom (a named leaf) or a complex node carrying a mapping from
 feature names to child nodes.  An empty complex node is the most general
 value.  Two paths that reach the same node form a reentrancy; reentrancy
 is part of a structure's identity and matters for unification,
-subsumption, generalization and copying.
+subsumption and copying.
 
 Atoms are values.  Nothing ever mutates an atom: unification forwards a
 variable to an atom but never an atom, and two atoms of one name count
-as one shared value everywhere (subsumption, generalization, printing).
+as one shared value everywhere (subsumption, printing).
 So copies share atoms: a copy makes fresh complex nodes and hands back
 the very atom objects of its source.
 
@@ -66,9 +66,9 @@ every call of the function around it.  It keeps all its closure holds
 cyclic collector runs, and that collector took about a fifth of each
 benchmark op when the walks below were closures.  So a recursive walk is
 a module-level function that takes its state as arguments (``_cp``,
-``grammar._count_refs`` and ``_render``) or a loop (``generalize``, and
-``firstfollow``'s enumerators of empty-string bindings, which step level
-by level), and reference counting frees every temporary at once;
+``grammar._count_refs`` and ``_render``) or a loop (``firstfollow``'s
+enumerators of empty-string bindings, which step level by level), and
+reference counting frees every temporary at once;
 ``tests/test_no_cycles.py`` checks that no op leaves cyclic garbage.
 """
 
@@ -515,50 +515,6 @@ def equivalent_many(a_roots, b_roots) -> bool:
 
 def equivalent(a: Node, b: Node) -> bool:
     return equivalent_many([a], [b])
-
-
-# ---------------------------------------------------------------------------
-# generalization (anti-unification)
-
-def generalize(a: Node, b: Node) -> Node:
-    """Most specific structure subsuming both inputs.
-
-    Features survive only where both inputs agree; a result node is shared
-    only where both inputs share.  Atoms key by name, since same-named
-    atoms count as one shared target for subsumption.
-
-    One loop over a stack of (x, y, arcs, feature) entries, each asking for
-    the generalization of x and y under ``arcs[feature]``, so depth costs
-    no recursion.  A pair of complex nodes pushes its common features in
-    reverse: nodes are then met depth first in ``x``'s feature order, and
-    each result keeps that order.
-    """
-    memo = {}
-    top = {}
-    stack = [(a, b, top, None)]
-    while stack:
-        x, y, arcs, feat = stack.pop()
-        x = deref(x)
-        y = deref(y)
-        key = (
-            ("a", x.atom) if x.atom is not None else id(x),
-            ("a", y.atom) if y.atom is not None else id(y),
-        )
-        out = memo.get(key)
-        if out is None:
-            if x.atom is not None:
-                out = Node(atom=x.atom) if x.atom == y.atom else Node()
-            elif y.atom is not None:
-                out = Node()
-            else:
-                out = Node(arcs={})
-                theirs = y.arcs
-                stack.extend(
-                    (child, theirs[f], out.arcs, f) for f, child in reversed(x.arcs.items()) if f in theirs
-                )
-            memo[key] = out
-        arcs[feat] = out
-    return top[None]
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 from . import fs
-from .fs import Node, UnificationFailed, atom, clone, clone_many, deref
+from .fs import Node, UnificationFailed, atom, clone, deref
 
 DEFAULT_MAX_ITERATIONS = 100
 DEFAULT_MAX_PAIRS = 10000
@@ -118,13 +118,6 @@ def label_of(cat: Node) -> str | None:
 def end_category() -> Node:
     """The reserved end-of-input category; unwritable in grammar rules."""
     return Node(arcs={"cat": atom(END_CATEGORY_ATOM)})
-
-
-def instantiate(rule: Rule) -> Rule:
-    """Fresh copy of a rule, sharing no complex node with the grammar
-    (atoms are shared: nothing mutates them)."""
-    roots = clone_many(rule.roots())
-    return Rule(rule.rule_id, roots[0], tuple(roots[1:]), rule.line)
 
 
 # ---------------------------------------------------------------------------
@@ -577,7 +570,7 @@ class _Shared(Exception):
     """The one-walk rendering met a complex node a second time."""
 
 
-def format_roots(roots, sigil: str = "#") -> list:
+def format_roots(roots) -> list:
     """Render a space as one string per root with shared tag numbering.
 
     Complex nodes referenced more than once get ``#n`` tags, numbered by
@@ -591,14 +584,14 @@ def format_roots(roots, sigil: str = "#") -> list:
     """
     seen = set()
     try:
-        return [_render(r, seen, None, sigil) for r in roots]
+        return [_render(r, seen, None) for r in roots]
     except _Shared:
         pass
     counts = {}
     for r in roots:
         _count_refs(r, counts)
     tag_ids = {}
-    return [_render(r, counts, tag_ids, sigil) for r in roots]
+    return [_render(r, counts, tag_ids) for r in roots]
 
 
 def _count_refs(n, counts):
@@ -616,7 +609,7 @@ def _count_refs(n, counts):
                 _count_refs(child, counts)
 
 
-def _render(n, refs, tag_ids, sigil):
+def _render(n, refs, tag_ids):
     """``format_roots``' text of ``n``.  With ``tag_ids`` None, ``refs`` is
     the set of complex nodes met so far, and meeting one again raises
     ``_Shared``; else ``refs`` counts the references to each, and one
@@ -634,9 +627,9 @@ def _render(n, refs, tag_ids, sigil):
     elif refs[n] > 1:
         known = tag_ids.get(n)
         if known is not None:
-            return f"{sigil}{known}"
+            return f"#{known}"
         tag_ids[n] = len(tag_ids) + 1
-        prefix = f"{sigil}{tag_ids[n]}:"
+        prefix = f"#{tag_ids[n]}:"
     arcs = n.arcs
     label = ""
     cat = arcs.get("cat")
@@ -652,29 +645,8 @@ def _render(n, refs, tag_ids, sigil):
     for feat, c in sorted(arcs.items()):
         if label and feat == "cat":
             continue
-        parts.append(f"{feat}={_atom_text(c.atom) if c.atom is not None else _render(c, refs, tag_ids, sigil)}")
+        parts.append(f"{feat}={_atom_text(c.atom) if c.atom is not None else _render(c, refs, tag_ids)}")
     return f"{prefix}{label}[{', '.join(parts)}]"
-
-
-def format_node(root: Node) -> str:
-    return format_roots([root])[0]
-
-
-def format_grammar(g: Grammar) -> str:
-    """Pretty-print a grammar back into its text notation."""
-    lines = []
-    if g.restrictor:
-        paths = ", ".join(".".join(p) for p in sorted(g.restrictor))
-        lines.append(f"restrict {paths}.")
-    if g.start_declared is not None:
-        lines.append(f"start {g.start_declared}.")
-    for r in g.rules:
-        rendered = format_roots(r.roots(), sigil="$")
-        if r.is_epsilon:
-            lines.append(f"{rendered[0]} -> .")
-        else:
-            lines.append(f"{rendered[0]} -> {' '.join(rendered[1:])}.")
-    return "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ import itertools
 
 from featflow import fs
 from featflow.fs import Node, UnificationFailed, atom, empty
+from featflow.grammar import format_roots
 
 
 FEATURES = ("f", "g")
@@ -183,25 +184,5 @@ def check_partial_order(universe, pairs, triples):
     return bad
 
 
-def check_generalize_lub(pairs, universe):
-    """generalize(a, b) subsumes both, and anything subsuming both
-    subsumes it (checked against every universe element)."""
-    bad = []
-    for a, b in pairs:
-        g = fs.generalize(a, b)
-        if not (fs.subsumes(g, a) and fs.subsumes(g, b)):
-            bad.append(f"not an upper bound: {fs_repr(a)} / {fs_repr(b)}")
-            continue
-        for u in universe:
-            if fs.subsumes(u, a) and fs.subsumes(u, b) and not fs.subsumes(u, g):
-                bad.append(
-                    f"not least: {fs_repr(a)} / {fs_repr(b)}; {fs_repr(u)} beats {fs_repr(g)}"
-                )
-                break
-    return bad
-
-
 def fs_repr(n):
-    from featflow.grammar import format_node
-
-    return format_node(n)
+    return format_roots([n])[0]

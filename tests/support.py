@@ -1,9 +1,18 @@
 """Shared helpers for the test suite."""
 
-from featflow import label_of, parse_grammar
+from pathlib import Path
+
+import featflow
+from featflow import clone_many, format_roots, label_of, parse_grammar
 from featflow.fs import deref
-from featflow.cli import fixture_path
+from featflow.grammar import Rule
 from cf_oracle import END, EPSILON
+
+
+def fixture_path(name):
+    """Path of a bundled grammar (fig1.gr, cf-intro.gr, agr.gr, guard.gr,
+    bench13.gr, bench21.gr)."""
+    return str(Path(featflow.__file__).parent / "fixtures" / name)
 
 
 def load_fixture(name, restrictor=None):
@@ -60,3 +69,29 @@ def has_path(root, path):
             return False
         n = deref(n)
     return True
+
+
+def instantiate(rule):
+    """Fresh copy of a rule, sharing no complex node with the grammar
+    (atoms are shared: nothing mutates them)."""
+    roots = clone_many(rule.roots())
+    return Rule(rule.rule_id, roots[0], tuple(roots[1:]), rule.line)
+
+
+def format_node(root):
+    return format_roots([root])[0]
+
+
+def format_grammar(g):
+    """A grammar printed back into its text notation; shared nodes carry
+    ``#n`` tags, which the parser reads as ``$n`` ones."""
+    lines = []
+    if g.restrictor:
+        paths = ", ".join(".".join(p) for p in sorted(g.restrictor))
+        lines.append(f"restrict {paths}.")
+    if g.start_declared is not None:
+        lines.append(f"start {g.start_declared}.")
+    for r in g.rules:
+        mother, *daughters = format_roots(r.roots())
+        lines.append(f"{mother} -> {' '.join(daughters)}." if daughters else f"{mother} -> .")
+    return "\n".join(lines) + "\n"

@@ -9,9 +9,10 @@ from pathlib import Path
 import pytest
 
 from featflow import firstfollow as ff
-from featflow.cli import EXIT_LIMIT, EXIT_MISMATCH, EXIT_PIPE, fixture_path, main
+from featflow.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_MISMATCH, EXIT_PIPE, main
 from featflow.firstfollow import Pair, compute_first, pair_equivalent
 from featflow.grammar import parse_category_sequence, parse_grammar
+from support import fixture_path
 
 GOLDENS = Path(__file__).parent / "goldens"
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -299,7 +300,7 @@ def test_json_output_matches_golden_bytes(capsys, monkeypatch, name, function):
     assert out.encode("utf-8") == (GOLDENS / f"{name}.{function}.json").read_bytes()
 
 
-def _featflow(*argv, hashseed="0", stdout=subprocess.PIPE):
+def _featflow(*argv, hashseed="0", stdout=subprocess.PIPE, stderr=subprocess.PIPE):
     env = dict(os.environ, PYTHONHASHSEED=hashseed)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
@@ -307,7 +308,7 @@ def _featflow(*argv, hashseed="0", stdout=subprocess.PIPE):
         cwd=Path(fixture_path("bench21.gr")).parent,
         env=env,
         stdout=stdout,
-        stderr=subprocess.PIPE,
+        stderr=stderr,
         timeout=120,
     )
 
@@ -350,3 +351,22 @@ def test_stdout_closed_early_exits_quietly(argv):
         os.close(write)
     assert proc.returncode == EXIT_PIPE
     assert proc.stderr == b""
+
+
+@pytest.mark.parametrize(
+    "argv,code",
+    [(("follow", "bench21.gr", "--max-pairs", "41"), EXIT_LIMIT), (("first", "/nonexistent.gr"), EXIT_INPUT)],
+)
+def test_stderr_closed_before_a_failure_message_exits_quietly(argv, code):
+    """A failure whose message cannot be written, since the reader of
+    stderr is gone, gets the documented exit status, not 1 from a
+    traceback; with stderr open the same run fails with ``code``."""
+    assert _featflow(*argv).returncode == code
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = _featflow(*argv, stderr=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == EXIT_PIPE
+    assert proc.stdout == b""

@@ -9,10 +9,12 @@ from pathlib import Path
 
 import pytest
 
+import featflow
 from featflow import firstfollow as ff
 from featflow import fs
-from featflow.fs import atom, deref, node
+from featflow.fs import atom, deref
 from featflow.firstfollow import (
+    EPSILON,
     EpsilonMark,
     LimitExceeded,
     Pair,
@@ -25,7 +27,6 @@ from featflow.firstfollow import (
     compare_modes,
     compute_first,
     compute_follow,
-    epsilon_category,
     first_of_string,
     format_pair,
     pair_equivalent,
@@ -51,12 +52,10 @@ from cf_oracle import (
 )
 from support import has_path, load_fixture, node_state, project
 
-EPS = EpsilonMark(node(cat=atom("np")))
-
 
 def cat_pair(lhs_text, rhs_text):
     if rhs_text is None:
-        return Pair((parse_category(lhs_text),), EPS)
+        return Pair((parse_category(lhs_text),), EPSILON)
     roots = parse_category_sequence(f"{lhs_text} {rhs_text}")
     return Pair((roots[0],), roots[1])
 
@@ -195,7 +194,7 @@ def test_bucketed_add_keeps_what_a_linear_scan_keeps():
         width = rng.choice((1, 1, 2))
         roots = parse_category_sequence(" ".join(rand_cat() for _ in range(width + 1)))
         if rng.random() < 0.2:
-            return Pair(tuple(roots[:width]), EPS)
+            return Pair(tuple(roots[:width]), EPSILON)
         return Pair(tuple(roots[:width]), roots[width])
 
     for _ in range(60):
@@ -321,7 +320,7 @@ def test_first_fig1_without_restriction():
         Pair((vtra,), vtra),
         Pair((vp[0],), vp[1]),
         cat_pair("np[slash=null]", "det[ter=+]"),
-        Pair((parse_category("np[slash=np[]]"),), EPS),
+        Pair((parse_category("np[slash=np[]]"),), EPSILON),
         cat_pair("s[]", "det[ter=+]"),
     ]
     assert_same_pairs(first, expected)
@@ -342,14 +341,6 @@ def test_first_cf_intro_projection():
     assert proj["s"] == {"det"}
     assert proj["np"] == {"det"}
     assert proj["vp"] == {"vtra"}
-
-
-def test_epsilon_category_fig1_and_folding():
-    g = load_fixture("fig1.gr")
-    assert fs.equivalent(epsilon_category(g), parse_category("np[]"))
-    g2 = parse_grammar("S -> X[] X[]. X[f=a] -> . X[f=b] -> .")
-    assert fs.equivalent(epsilon_category(g2), parse_category("x[f=[]]"))
-    assert epsilon_category(parse_grammar("S -> x[ter=+].")) is None
 
 
 def test_preterminal_seed_pairs_are_fully_shared():
@@ -691,6 +682,27 @@ def test_modes_equivalent_on_fixture(name):
     assert rep.first_equivalent and rep.follow_equivalent
 
 
+@pytest.mark.parametrize("mode", MODES)
+def test_every_empty_string_side_is_the_one_constant(mode):
+    eps_pairs = eps_answers = 0
+    for name in [*FIXTURES, "guard.gr"]:
+        g = load_fixture(name, restrictor=["orth"] if name == "guard.gr" else None)
+        first, _ = compute_first(g, mode)
+        for p in first:
+            if p.is_epsilon:
+                eps_pairs += 1
+                assert p.rhs is featflow.EPSILON, name
+            for value in query(first, p.lhs[0]):
+                if isinstance(value, EpsilonMark):
+                    eps_answers += 1
+                    assert value is featflow.EPSILON, name
+        if name == "fig1.gr":
+            out = first_of_string(first, g, parse_category_sequence("NP[slash=NP[]]"))
+            assert [p.rhs for p in out if p.is_epsilon] == [featflow.EPSILON]
+    assert eps_pairs >= 3 and eps_answers >= 3, (eps_pairs, eps_answers)
+    assert EpsilonMark.__slots__ == () and not hasattr(EpsilonMark(), "__dict__")
+
+
 def test_active_mode_does_strictly_less_work_on_fig1():
     rep = compare_modes(load_fixture("fig1.gr"))
     for stats in (rep.first_stats, rep.follow_stats):
@@ -995,7 +1007,7 @@ def test_add_matches_the_listing_reference_on_random_additions(monkeypatch):
                 accepted = []
                 for lhs, rhs in texts:
                     roots = parse_category_sequence(" ".join(lhs + ([rhs] if rhs else [])))
-                    pair = Pair(roots[: len(lhs)], roots[-1] if rhs else EPS)
+                    pair = Pair(roots[: len(lhs)], roots[-1] if rhs else EPSILON)
                     accepted.append(s.add(pair))
                 runs.append(([format_pair(p) for p in s], accepted, s.added, s.rejected, s.removed, calls))
                 if len(texts[0][0]) == 1:  # the label index lists single-category pairs

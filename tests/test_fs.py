@@ -15,7 +15,6 @@ from featflow.fs import (
     clone_many,
     empty,
     equivalent,
-    generalize,
     node,
     quick_clash,
     restrict,
@@ -233,45 +232,6 @@ def test_restrict_multi_root_spaces():
 
 
 # ---------------------------------------------------------------------------
-# generalization
-
-def test_generalize_drops_disagreeing_values():
-    a = np(slash=np())
-    b = np(slash=atom("null"))
-    g = generalize(a, b)
-    # the disagreeing values drop; only an unconstrained arc remains, and
-    # it prunes away in the stored-pair canonical form
-    assert equivalent(g, np(slash=empty()))
-    assert equivalent(fs.prune_empty_leaves([g])[0], np())
-    assert lt.check_generalize_lub([(a, b)], lt.exhaustive_universe(depth=1)) == []
-
-
-def test_generalize_keeps_reentrancy_bridged_by_equal_atoms():
-    sh = empty()
-    a = node(f=sh, g=sh)
-    b = node(f=atom("x"), g=atom("x"))
-    g = generalize(a, b)
-    assert equivalent(g, a)
-    assert lt.check_generalize_lub([(a, b), (b, a)], lt.exhaustive_universe()) == []
-
-
-def test_generalize_idempotent():
-    x = np(agr=atom("sg"))
-    assert equivalent(generalize(x, x), x)
-
-
-def test_generalize_shared_atoms_against_plain_atoms():
-    sh = atom("sg")
-    a = node(f=sh, g=sh)
-    b = node(f=atom("sg"), g=atom("sg"))
-    g = generalize(a, b)
-    assert equivalent(g, b)
-    # verified as a least upper bound against the exhaustive universe
-    errors = lt.check_generalize_lub([(a, b)], lt.exhaustive_universe())
-    assert errors == []
-
-
-# ---------------------------------------------------------------------------
 # cloning and equivalence
 
 def test_clone_preserves_cross_root_sharing():
@@ -332,7 +292,6 @@ def test_laws_exhaustive_depth_one():
     assert lt.check_unify_bounds(pairs) == []
     assert lt.check_common_extension(pairs, universe) == []
     assert lt.check_partial_order(universe, pairs, triples) == []
-    assert lt.check_generalize_lub(pairs, universe) == []
 
 
 def test_laws_sampled_depth_two():
@@ -345,7 +304,6 @@ def test_laws_sampled_depth_two():
     assert lt.check_associativity(triples) == []
     assert lt.check_unify_bounds(pairs) == []
     assert lt.check_partial_order(universe, pairs, triples) == []
-    assert lt.check_generalize_lub(pairs[:250], universe) == []
 
 
 # ---------------------------------------------------------------------------
@@ -414,13 +372,9 @@ def test_random_unify_bounds_and_antisymmetry(a, b):
 
 @settings(max_examples=120, deadline=None)
 @given(structures(), structures(), structures())
-def test_random_transitivity_and_lub_dominance(a, b, c):
+def test_random_transitivity(a, b, c):
     if subsumes(a, b) and subsumes(b, c):
         assert subsumes(a, c)
-    g = generalize(a, b)
-    assert subsumes(g, a) and subsumes(g, b)
-    if subsumes(c, a) and subsumes(c, b):
-        assert subsumes(c, g)
 
 
 @settings(max_examples=200, deadline=None)
@@ -919,7 +873,7 @@ def test_subsumption_of_deep_chains_needs_no_recursion():
     assert subsumes_many([specific], [deep]) and subsumes_many([deep], [specific])
 
 
-def format_roots_by_visiting_atoms(roots, sigil="#"):
+def format_roots_by_visiting_atoms(roots):
     """format_roots with atoms visited like complex nodes when counting and
     rendering: its reference."""
     roots = [fs.deref(r) for r in roots]
@@ -947,9 +901,9 @@ def format_roots_by_visiting_atoms(roots, sigil="#"):
         if counts.get(id(n), 0) > 1:
             known = tag_ids.get(id(n))
             if known is not None:
-                return f"{sigil}{known}"
+                return f"#{known}"
             tag_ids[id(n)] = len(tag_ids) + 1
-            prefix = f"{sigil}{tag_ids[id(n)]}:"
+            prefix = f"#{tag_ids[id(n)]}:"
         cat = n.arcs.get("cat")
         cat_atom = fs.deref(cat).atom if cat is not None else None
         if not prefix and cat_atom == grammar.END_CATEGORY_ATOM and len(n.arcs) == 1:
@@ -968,7 +922,7 @@ def format_roots_by_visiting_atoms(roots, sigil="#"):
 @settings(max_examples=300, deadline=None)
 @given(structures(), structures(), structures())
 def test_random_subsumption_matches_the_image_reference(a, b, c):
-    spaces = [[a], [b], [c], [generalize(a, b)], [clone(a)], [restrict(b, fs.make_restrictor(["g"]))]]
+    spaces = [[a], [b], [c], [clone(a)], [restrict(b, fs.make_restrictor(["g"]))]]
     if fs.unifiable(a, b):
         spaces.append([unify(a, b)])
     for x in spaces:
@@ -984,8 +938,7 @@ def test_random_subsumption_matches_the_image_reference(a, b, c):
 @given(unify_cases())
 def test_random_rendering_matches_the_atom_visiting_reference(case):
     space, a, b, keep, restrictor = case
-    for sigil in ("#", "$"):
-        assert format_roots(space, sigil) == format_roots_by_visiting_atoms(space, sigil)
+    assert format_roots(space) == format_roots_by_visiting_atoms(space)
     trail = []
     try:
         unify_in_place(a, b, trail)
@@ -994,91 +947,3 @@ def test_random_rendering_matches_the_atom_visiting_reference(case):
         pass
     finally:
         fs._undo(trail)
-
-
-# ---------------------------------------------------------------------------
-# generalization as a loop, against the recursive walk
-
-def generalize_by_recursion(a, b):
-    """generalize as a recursive walk: the reference for the iterative one."""
-    memo = {}
-
-    def key_of(n):
-        return ("a", n.atom) if n.atom is not None else id(n)
-
-    def g(x, y):
-        x = fs.deref(x)
-        y = fs.deref(y)
-        key = (key_of(x), key_of(y))
-        got = memo.get(key)
-        if got is not None:
-            return got
-        if x.atom is not None:
-            out = Node(atom=x.atom) if x.atom == y.atom else Node()
-            memo[key] = out
-            return out
-        if y.atom is not None:
-            out = Node()
-            memo[key] = out
-            return out
-        out = Node(arcs={})
-        memo[key] = out
-        for feat, child in x.arcs.items():
-            other = y.arcs.get(feat)
-            if other is not None:
-                out.arcs[feat] = g(child, other)
-        return out
-
-    return g(a, b)
-
-
-def ordered_shape(root):
-    """Every node below ``root`` (a graph without forwarding pointers),
-    atoms too, numbered in the order a walk along ordered arcs first meets
-    it, as (atom, ordered (feature, number) arcs): two graphs give the same
-    list exactly when they are the same but for node identity, sharing and
-    arc order included."""
-    number = {}
-    out = []
-    stack = [root]
-    while stack:
-        n = stack.pop()
-        if n in number:
-            continue
-        number[n] = len(out)
-        out.append(n)
-        stack.extend(reversed(list((n.arcs or {}).values())))
-    return [(n.atom, [(f, number[c]) for f, c in (n.arcs or {}).items()]) for n in out]
-
-
-def assert_generalization_matches_the_reference(nodes):
-    for x in nodes:
-        for y in nodes:
-            assert ordered_shape(generalize(x, y)) == ordered_shape(generalize_by_recursion(x, y)), (x, y)
-
-
-@settings(max_examples=300, deadline=None)
-@given(unify_cases())
-def test_random_iterative_generalization_matches_the_recursive_walk(case):
-    space, a, b, _, _ = case
-    nodes = [*space, clone(space[2]), fs.restrict(space[2], fs.make_restrictor(["g"]))]
-    assert_generalization_matches_the_reference(nodes)
-    # merged spaces read through forwarding pointers, before the undo
-    trail = []
-    try:
-        unify_in_place(a, b, trail)
-    except UnificationFailed:
-        pass  # a partly merged space is still a graph to generalize
-    try:
-        assert_generalization_matches_the_reference(nodes)
-    finally:
-        fs._undo(trail)
-
-
-def test_generalization_of_deep_chains_needs_no_recursion():
-    depth = 5_000
-    specific = chain(depth, atom("x"))
-    assert equivalent(generalize(specific, chain(depth, atom("x"))), specific)
-    general = generalize(specific, chain(depth, atom("y")))
-    assert equivalent(general, chain(depth, Node(arcs={})))
-    assert equivalent(generalize(specific, chain(depth + 1, atom("x"))), chain(depth, Node(arcs={})))

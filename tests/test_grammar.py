@@ -25,10 +25,7 @@ from featflow.grammar import (
     _Lexer,
     _Parser,
     _Tok,
-    format_grammar,
-    format_node,
     format_roots,
-    instantiate,
     is_preterminal,
     label_of,
     parse_category,
@@ -38,7 +35,7 @@ from featflow.grammar import (
     validate,
 )
 from cf_oracle import random_cf_grammar, random_feature_grammar
-from support import load_fixture
+from support import format_grammar, format_node, instantiate, load_fixture
 
 FIXTURES = ("fig1.gr", "cf-intro.gr", "agr.gr", "guard.gr", "bench13.gr", "bench21.gr")
 
@@ -692,14 +689,14 @@ def test_a_failed_tag_annotation_still_gets_the_cycle_check():
 # ---------------------------------------------------------------------------
 # the one-walk printer against counting references first
 
-def counting_format_roots(roots, sigil="#"):
+def counting_format_roots(roots):
     """``format_roots`` without its one walk: the references are counted
     first, and the space rendered once with tags.  Its reference."""
     counts = {}
     for r in roots:
         gm._count_refs(r, counts)
     tag_ids = {}
-    return [gm._render(r, counts, tag_ids, sigil) for r in roots]
+    return [gm._render(r, counts, tag_ids) for r in roots]
 
 
 def test_one_walk_printer_matches_the_counting_printer_on_rules_and_pairs():
@@ -708,15 +705,15 @@ def test_one_walk_printer_matches_the_counting_printer_on_rules_and_pairs():
     grammars += [parse_grammar(rec["grammar"]) for rec in json.loads(golden.read_text(encoding="utf-8"))]
     shared = alone = 0
     for g in grammars:
-        spaces = [(r.roots(), "$") for r in g.rules]
+        spaces = [r.roots() for r in g.rules]
         first, _ = compute_first(g)
         follow, _ = compute_follow(g, first)
         for p in [*first, *follow]:
-            spaces.append((list(p.lhs) if p.is_epsilon else [*p.lhs, p.rhs], "#"))
-        for space, sigil in spaces:
-            want = counting_format_roots(space, sigil)
-            assert format_roots(space, sigil) == want, want
-            if any(sigil in text for text in want):
+            spaces.append(list(p.lhs) if p.is_epsilon else [*p.lhs, p.rhs])
+        for space in spaces:
+            want = counting_format_roots(space)
+            assert format_roots(space) == want, want
+            if any("#" in text for text in want):
                 shared += 1
             else:
                 alone += 1
@@ -753,8 +750,7 @@ def test_one_walk_printer_matches_the_counting_printer_on_tagged_strings(text):
         cats = parse_category_sequence(text)
     except GrammarSyntaxError:
         return
-    for sigil in ("#", "$"):
-        assert format_roots(cats, sigil) == counting_format_roots(cats, sigil)
+    assert format_roots(cats) == counting_format_roots(cats)
     assert fs.equivalent_many(parse_category_sequence(" ".join(format_roots(cats))), cats)
 
 

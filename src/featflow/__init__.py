@@ -16,7 +16,6 @@ from .fs import (
     make_path,
     make_restrictor,
     node,
-    quick_clash,
     restrict,
     restrict_many,
     subsumes,

@@ -24,7 +24,7 @@ fixpoints:
 
 Visits read the set through its label index: each pool, an offer too, is
 a ``_Read``, a serial range (lo, hi] of one kind of pair, which counts
-its pairs when it is opened.  A bind over a read tries the pairs its
+its pairs when it is made.  A bind over a read tries the pairs its
 position's label allows and counts the others as ``attempts`` that are
 ``filtered``.  A visit's ``considered`` follows one rule: for each kind of
 pair, the widest range it began to read.  A visit wakes only when some
@@ -348,28 +348,28 @@ class RunStats:
     events: int = 0  # (pair, rule) examination events
     wall_time: float = 0.0
     fixpoint: bool = False
-    filtered: int = 0  # attempts settled by fs.quick_clash, without a clone
+    filtered: int = 0  # attempts the label index passed over, without a bind
 
 
 class _Read:
     """A serial range (lo, hi] of the ``kind`` pairs of ``pset`` that
-    ``_bind_each`` reads, possibly many times: ``n`` is the number of pairs
-    in it, counted when it is opened, and ``begun`` whether a read of it
-    has begun."""
+    ``_bind_each`` reads, possibly many times and in many visits: ``n`` is
+    the number of pairs in it, counted when it is made.  A read is a value;
+    nothing changes it."""
 
-    __slots__ = ("pset", "kind", "lo", "hi", "n", "begun")
+    __slots__ = ("pset", "kind", "lo", "hi", "n")
 
     def __init__(self, pset, kind, lo, hi):
         self.pset, self.kind, self.lo, self.hi = pset, kind, lo, hi
         _, start, end = pset._span(kind, None, lo, hi)
-        self.n, self.begun = end - start, False
+        self.n = end - start
 
 
 class _Recorder:
     """The counters of one run.  ``_bind`` counts each attempt, and
     ``_bind_each`` each pair of a ``_Read`` that the label passes over as an
     attempt that was ``filtered``.  ``events`` is the size of each offered
-    range.  A visit opens a ``_Read`` for each range it may read, and for
+    range.  A visit tells ``began`` of each ``_Read`` it begins, and for
     each kind of pair it considered the widest range it began to read."""
 
     def __init__(self, mode):
@@ -378,7 +378,7 @@ class _Recorder:
         self.attempts = 0
         self.events = 0
         self.filtered = 0
-        self._reads = None  # in a visit: the reads it opened
+        self._widest = None  # in a visit: per kind, the most pairs of a read it began
         self._considered = []
         self._before = (0, 0)  # attempts, and pairs added to the set, as the iteration began
         self._started = time.perf_counter()
@@ -389,26 +389,23 @@ class _Recorder:
 
     def begin_visit(self, pset, lo, hi):
         """Open a visit offered the pairs of ``pset`` in (lo, hi]."""
-        self._reads = []
+        self._widest = [0, 0, 0]
         if lo < hi:
             _, start, end = pset._span(_ALL, None, lo, hi)
             self.events += end - start
 
-    def open(self, pset, kind, lo, hi) -> _Read:
-        """A read of the ``kind`` pairs of ``pset`` in (lo, hi] by the open visit."""
-        read = _Read(pset, kind, lo, hi)
-        self._reads.append(read)
-        return read
+    def began(self, read: _Read):
+        """The open visit began ``read``; a read begun outside a visit
+        counts in no row."""
+        widest = self._widest
+        if widest is not None and read.n > widest[read.kind]:
+            widest[read.kind] = read.n
 
     def end_visit(self):
         """Close the visit, counting for each kind the widest read it
         began; a visit reads each kind from one set only."""
-        widest = [0, 0, 0]
-        for r in self._reads:
-            if r.begun and r.n > widest[r.kind]:
-                widest[r.kind] = r.n
-        self._considered.append(sum(widest))
-        self._reads = None
+        self._considered.append(sum(self._widest))
+        self._widest = None
 
     def end_iteration(self, pset):
         visits = len(self._considered)
@@ -420,7 +417,7 @@ class _Recorder:
     def finish(self, fixpoint, pset=None):
         """The run's stats; closes a visit a guard stopped and, given the
         set being built, the open iteration."""
-        if self._reads is not None:
+        if self._widest is not None:
             self.end_visit()
         if pset is not None:
             self.end_iteration(pset)
@@ -440,18 +437,15 @@ def _bind(root, pair, kept, cut, prune, rec):
     a product to store is both, a working space is copied as it is.
 
     Returns (kept_copies, bound_rhs), with bound_rhs None for an
-    empty-string pair, or None on failure.  ``fs.unify_copy`` binds the
-    inputs only for the duration of the call, so they come back unchanged.
-    A top-level atom clash is caught before anything is bound and counted
-    as filtered.  The working space must be acyclic and share no complex
-    node with the pair: the cycle check is skipped when the pair's left
-    side is a tree.
+    empty-string pair, or None on failure.  Each call is one attempt, and
+    never a filtered one: a clash, on ``cat`` too, is found by the one
+    ``fs.unify_copy``, which binds the inputs only for the duration of the
+    call, so they come back unchanged.  The working space must be acyclic
+    and share no complex node with the pair: the cycle check is skipped
+    when the pair's left side is a tree.
     """
     rec.attempts += 1
     lhs = pair.lhs[0]
-    if fs.quick_clash(root, lhs):
-        rec.filtered += 1
-        return None
     try:
         if pair.is_epsilon:  # an empty-string rhs is not copied
             return fs.unify_copy(root, lhs, kept, cut, prune, pair.lhs_is_tree()), None
@@ -470,11 +464,12 @@ def _bind_each(space, pos, read, rec, keep=None, restrictor=None):
     Yields (pair, kept_roots, bound_rhs) for each success.
 
     The read is begun on entry.  The label is read from ``space``, where
-    earlier bindings may have set it.  Pairs passed over count as attempts
-    that ``fs.quick_clash`` settled.  What every bind of the read shares,
-    the kept roots and the restriction, is set up once.
+    earlier bindings may have set it.  The pairs it passes over, whose
+    ``cat`` differs, are attempts that were ``filtered``: counted, not
+    bound.  What every bind of the read shares, the kept roots and the
+    restriction, is set up once.
     """
-    read.begun = True
+    rec.began(read)
     root = space[pos]
     listed, start, end = read.pset._span(read.kind, label_of(root), read.lo, read.hi)
     skipped = read.n - (end - start)
@@ -562,7 +557,7 @@ def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None,
             passed = len(prefixes) * eps.n
             rec.attempts += passed
             rec.filtered += passed
-            eps.begun = True
+            rec.began(eps)
             return
         copy_out = (keep, restrictor) if j == last else ()
         level = _eps_step(prefixes, pos, eps, rec, *copy_out)
@@ -589,13 +584,13 @@ def _fixpoint(function: str, g: Grammar, mode: str, seed, visit):
     ``seed(store)`` stores the initial pairs.  Then each pass visits every
     rule as ``visit(rule, lo, hi, pairs, rec, store)``, which returns
     whether it added a pair, until a pass adds none; ``pairs`` is the set
-    being built and ``rec`` its recorder, from which the visit opens a
-    ``_Read`` for each range it may read.  The visit reads the set up to
-    serial ``hi`` and examines the pairs in (lo, hi]: every stored pair in
-    naive mode, those not yet examined against the rule in active mode.
-    ``store(lhs_roots, rhs)`` is ``_store`` into the set;
-    the insertion that takes the set past ``g.max_pairs`` raises
-    LimitExceeded, as does a pass beyond ``g.max_iterations``.
+    being built and ``rec`` its recorder, which the visit tells of each
+    ``_Read`` it begins.  The visit reads the set up to serial ``hi`` and
+    examines the pairs in (lo, hi]: every stored pair in naive mode, those
+    not yet examined against the rule in active mode.  ``store(lhs_roots,
+    rhs)`` is ``_store`` into the set; the insertion that takes the set
+    past ``g.max_pairs`` raises LimitExceeded, as does a pass beyond
+    ``g.max_iterations``.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, not {mode!r}")
@@ -671,14 +666,15 @@ def compute_first(g: Grammar, mode: str = "active"):
         if lo == hi:
             return False
         base, span, labels = plans[rule.rule_id]
-        eps = rec.open(first, _EPS, 0, hi)
-        fresh = rec.open(first, _DRIVERS, lo, hi)
+        eps = _Read(first, _EPS, 0, hi)
+        fresh = _Read(first, _DRIVERS, lo, hi)
         if labels is not None and not first._woken(labels, lo):
             # a full visit would pass every fresh driver over and bind the
             # first daughter's empty pairs to no avail
-            eps.begun = fresh.begun = True
+            rec.began(eps)
+            rec.began(fresh)
             return False
-        drivers = rec.open(first, _DRIVERS, 0, hi) if lo else fresh
+        drivers = _Read(first, _DRIVERS, 0, hi) if lo else fresh
         changed = False
         products = _first_of_span(base, span, eps, drivers, rec, [0], g.restrictor, fresh, with_empty=True)
         for mother, rhs in products:
@@ -732,8 +728,8 @@ class _Tails:
 
     FIRST is fixed while FOLLOW runs, so those ways never change.
     ``spaces(eps, rec)`` gives (i, space) for each daughter i and each way
-    to bind its tail to empty pairs of ``eps``, a fresh ``_Read``, in the
-    order of ``_eps_bindings``.  The first call enumerates them lazily; the
+    to bind its tail to empty pairs of ``eps``, a ``_Read``, in the order
+    of ``_eps_bindings``.  The first call enumerates them lazily; the
     list is kept once an enumeration has run to its end.  Later calls
     return it, and begin ``eps`` when some tail is not empty, since an
     enumeration begins it before its first space.
@@ -751,7 +747,7 @@ class _Tails:
         if self.kept is None:
             return self._enumerate(eps, rec)
         if self.tails[0]:
-            eps.begun = True
+            rec.began(eps)
         return self.kept
 
     def _enumerate(self, eps, rec):
@@ -773,6 +769,7 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
     offered (M, f) whose M unifies with X' contributes (Y'i, f).
     """
     _, first_hi = first.offer()
+    eps, drivers = _Read(first, _EPS, 0, first_hi), _Read(first, _DRIVERS, 0, first_hi)
     plans = {r.rule_id: _Tails(r) for r in g.rules}
 
     def seed(store):
@@ -788,8 +785,6 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
         # mode only runs this on the rule's first visit, which is offered the
         # seed at least and so keeps the tails
         if mode == "naive" or plan.kept is None:
-            eps = rec.open(first, _EPS, 0, first_hi)
-            drivers = rec.open(first, _DRIVERS, 0, first_hi)
             for i, tail in enumerate(plan.tails):
                 for daughter, rhs in _first_of_span(plan.base, tail, eps, drivers, rec, [1 + i], g.restrictor):
                     changed |= store(daughter, rhs)
@@ -798,12 +793,12 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
         # the mother's FOLLOW flows to any daughter whose suffix is empty or
         # wholly derives the empty string
         if lo < hi:
-            offer = rec.open(follow, _ALL, lo, hi)
-            spaces = plan.spaces(rec.open(first, _EPS, 0, first_hi), rec)
+            offer = _Read(follow, _ALL, lo, hi)
+            spaces = plan.spaces(eps, rec)
             if not woken:
                 # a full visit would bind every kept tail space's mother to no
                 # avail; the empty pairs' read is begun as a replay begins it
-                offer.begun = True
+                rec.began(offer)
                 return False
             for i, space in spaces:
                 for _, daughter, rhs in _bind_each(space, 0, offer, rec, [1 + i], g.restrictor):

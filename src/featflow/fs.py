@@ -39,12 +39,12 @@ of a queried category, meets all three when its left side is a tree;
 everything else keeps the check.
 
 The kernels on the bind path (``_union``, ``_cyclic``, ``is_tree``,
-``quick_clash``, ``_cuts``, ``_copy`` and ``subsumes_many``) make no
-helper call per node.  The benchmark's products are a few nodes each, so
-the fixed Python cost of a call outweighs the graph work.  They follow
-``forward`` inline instead of calling ``deref``, key their memos by the
-node itself (it hashes by identity) rather than by ``id``, build nodes
-without ``Node.__init__``, and use no closure or generator per node.  The
+``_cuts``, ``_copy`` and ``subsumes_many``) make no helper call per node.
+The benchmark's products are a few nodes each, so the fixed Python cost
+of a call outweighs the graph work.  They follow ``forward`` inline
+instead of calling ``deref``, key their memos by the node itself (it
+hashes by identity) rather than by ``id``, build nodes without
+``Node.__init__``, and use no closure or generator per node.  The
 only per-node call left is a kernel's own recursion (``_union``, and
 ``_copy``'s walk ``_cp``).  ``deref`` stays the public way to read through
 forwarding pointers.
@@ -324,42 +324,9 @@ def unify(a: Node, b: Node) -> Node:
     return unify_copy(a, b, [a])[0]
 
 
-def quick_clash(a: Node, b: Node) -> bool:
-    """True when two nodes carry different atoms under a shared top-level
-    feature, which dooms their unification; nothing is copied.
-
-    Sound as a filter: unification never changes an atom and a clone keeps
-    the atoms of the nodes it copies, so when this reports a clash, unifying
-    the two nodes (or clones of them) fails.  False decides nothing.
-    """
-    while a.forward is not None:
-        a = a.forward
-    while b.forward is not None:
-        b = b.forward
-    if a.atom is not None or b.atom is not None:
-        return False
-    theirs = b.arcs
-    for feat, child in a.arcs.items():
-        other = theirs.get(feat)
-        if other is None:
-            continue
-        while child.forward is not None:
-            child = child.forward
-        mine = child.atom
-        if mine is not None:
-            while other.forward is not None:
-                other = other.forward
-            got = other.atom
-            if got is not None and got != mine:
-                return True
-    return False
-
-
 def unifiable(a: Node, b: Node, tree=False) -> bool:
     """Whether ``a`` and ``b`` unify; nothing is copied and the inputs come
     back unchanged.  ``tree`` skips the cycle check as in ``unify_copy``."""
-    if quick_clash(a, b):
-        return False
     try:
         unify_copy(a, b, (), tree=tree)
         return True

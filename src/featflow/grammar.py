@@ -668,10 +668,10 @@ class _Mothers:
     category to test them against.
 
     A mother whose restricted form has an atomic ``cat`` other than that
-    label fails ``fs.quick_clash`` against it, so only the mothers with
-    that label or none are candidates, in rule order; every mother is one
-    when the label is None.  ``firstfollow.PairSet`` indexes its pairs the
-    same way, but its index grows as pairs are added; this one is fixed.
+    label does not unify with it, so only the mothers with that label or
+    none are candidates, in rule order; every mother is one when the label
+    is None.  ``firstfollow.PairSet`` indexes its pairs the same way, but
+    its index grows as pairs are added; this one is fixed.
     """
 
     def __init__(self, roots):

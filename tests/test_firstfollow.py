@@ -227,17 +227,18 @@ def test_pair_sets_differing_in_one_reentrancy_are_not_equivalent():
 
 
 # ---------------------------------------------------------------------------
-# the quick check before each bind
+# one bind, one attempt
 
 def bind_once(site, pair):
     rec = _Recorder("test")
     return _bind(site, pair, [site], frozenset(), False, rec), rec
 
 
-def test_top_level_clash_is_filtered_and_still_an_attempt():
-    got, rec = bind_once(parse_category("np[]"), cat_pair("vp[]", "det[]"))
+def test_a_same_label_clash_is_one_unfiltered_attempt():
+    # only the label index filters; unification finds every other clash
+    got, rec = bind_once(parse_category("np[agr=sg]"), cat_pair("np[agr=pl]", "det[]"))
     assert got is None
-    assert rec.attempts == 1 and rec.filtered == 1
+    assert rec.attempts == 1 and rec.filtered == 0
 
 
 def test_nested_clash_is_found_by_full_unification():
@@ -1038,17 +1039,29 @@ def bind_args(space, keep, restrictor):
     return kept, restrictor or frozenset(), restrictor is not None
 
 
+def labels_clash(a, b):
+    """Whether ``a`` and ``b`` both have an atomic ``cat`` and the two
+    differ, so that unifying them fails."""
+    x, y = label_of(a), label_of(b)
+    return x is not None and y is not None and x != y
+
+
 def full_scan_bind_each(space, pos, read, rec, keep=None, restrictor=None):
-    """The loop the label index replaced: try every pair of the read's
-    serial range, and note each serial tried in the visit.  The read is
-    begun on entry, as ``_Read`` says."""
-    read.begun = True
+    """The loop the label index replaced: go through every pair of the
+    read's serial range, count one with a different label as a filtered
+    attempt, bind the others, and note each serial in the visit.  The read
+    is begun on entry, as ``_bind_each`` says."""
+    rec.began(read)
     pset, kind, lo, hi = read.pset, read.kind, read.lo, read.hi
     listed, start, end = pset._span(kind, None, lo, hi)
     args = bind_args(space, keep, restrictor)
     for p in listed[start:end]:
         if rec.tried is not None:
             rec.tried.add(p.serial)
+        if labels_clash(space[pos], p.lhs[0]):
+            rec.attempts += 1
+            rec.filtered += 1
+            continue
         got = _bind(space[pos], p, *args, rec)
         if got is not None:
             yield p, *got
@@ -1067,37 +1080,34 @@ class ScanRecorder(_Recorder):
     pair can bind begins its reads without trying a pair,
     ``_first_of_span`` begins the empty pairs where a position's label has
     none, and FOLLOW's kept tails begin them when some tail is not empty.
-    So the serials of each read's range are scanned as it is opened, and
-    added when it was begun."""
+    So the serials of each read's range are scanned, and added, when the
+    visit begins it."""
 
     tried = None
 
     def begin_visit(self, *args):
         super().begin_visit(*args)
         self.tried = set()
-        self.ranges = []
 
-    def open(self, pset, kind, lo, hi):
-        read = super().open(pset, kind, lo, hi)
-        self.ranges.append((read, scanned(pset, kind, lo, hi)))
-        return read
+    def began(self, read):
+        super().began(read)
+        if self.tried is not None:
+            self.tried.update(scanned(read.pset, read.kind, read.lo, read.hi))
 
     def end_visit(self):
         super().end_visit()
-        for read, serials in self.ranges:
-            if read.begun:
-                self.tried.update(serials)
         self._considered[-1] = len(self.tried)
         self.tried = None
 
 
 def full_scan_query(result, cat):
     """``query`` as a scan over every stored pair, deduping each value
-    against every kept one."""
+    against every kept one; a pair with a different label is passed over,
+    as the label index passes it."""
     out = []
     have_eps = False
     for p in result.pairs:
-        if len(p.lhs) != 1 or fs.quick_clash(cat, p.lhs[0]):
+        if len(p.lhs) != 1 or labels_clash(cat, p.lhs[0]):
             continue
         roots = fs.clone_many([cat, p.lhs[0]] + ([] if p.is_epsilon else [p.rhs]))
         try:
@@ -1249,8 +1259,8 @@ def serial_set_bind_each(space, pos, read, rec, keep=None, restrictor=None):
     """The label filter over a copy of the read's range, with the visit's
     pairs kept as a set of serials: the whole range once a pair is passed
     over for its label, else each pair as it is tried.  The read is begun
-    on entry, as ``_Read`` says."""
-    read.begun = True
+    on entry, as ``_bind_each`` says."""
+    rec.began(read)
     pset, kind, lo, hi = read.pset, read.kind, read.lo, read.hi
     listed, start, end = pset._span(kind, None, lo, hi)
     whole = listed[start:end]
@@ -1298,15 +1308,16 @@ def test_a_visit_considers_the_widest_range_it_began_of_each_kind():
     pairs = [cat_pair(f"x{i}[]", "t[]") for i in range(6)] + [cat_pair(f"e{i}[]", None) for i in range(2)]
     assert all(s.add(p) for p in pairs)
     at = [p.serial for p in pairs]
+    every, drivers = ff._Read(s, ff._ALL, 0, at[7]), ff._Read(s, ff._DRIVERS, 0, at[5])
     rec = _Recorder("probe")
+    rec.began(every)  # outside a visit: counts in no row
     rec.begin_iteration(s)
     rec.begin_visit(s, at[-1], at[-1])  # offered nothing
-    rec.open(s, ff._ALL, 0, at[7])  # every pair, not begun
-    rec.open(s, ff._DRIVERS, 0, at[5])  # pairs 0-5, not begun
-    rec.open(s, ff._DRIVERS, at[1], at[4]).begun = True  # pairs 2-4
-    rec.open(s, ff._DRIVERS, at[2], at[5]).begun = True  # pairs 3-5, as wide
-    rec.open(s, ff._DRIVERS, at[1], at[3]).begun = True  # within the first
-    rec.open(s, ff._EPS, 0, at[7]).begun = True  # both empty pairs
+    assert every.n == 8 and drivers.n == 6  # made, not begun
+    rec.began(ff._Read(s, ff._DRIVERS, at[1], at[4]))  # pairs 2-4
+    rec.began(ff._Read(s, ff._DRIVERS, at[2], at[5]))  # pairs 3-5, as wide
+    rec.began(ff._Read(s, ff._DRIVERS, at[1], at[3]))  # within the first
+    rec.began(ff._Read(s, ff._EPS, 0, at[7]))  # both empty pairs
     stats = rec.finish(False, s)  # closes the visit and the iteration
     assert [r.considered for r in stats.rows] == [5.0]
 
@@ -1536,10 +1547,12 @@ def test_tails_are_kept_only_after_an_enumeration_ran_to_its_end():
     rule = g.rules[0]  # T -> S X X: the tails of S and of the first X can derive the empty string
     plan = ff._Tails(rule)
     rec = _Recorder("probe")
+    begun = []
+    rec.began = begun.append
 
     def walk():
         eps = ff._Read(first, ff._EPS, 0, hi)
-        return [(i, format_roots(space), eps.begun) for i, space in plan.spaces(eps, rec)], eps.begun
+        return [(i, format_roots(space), eps in begun) for i, space in plan.spaces(eps, rec)], eps in begun
 
     spaces = plan.spaces(ff._Read(first, ff._EPS, 0, hi), rec)
     next(spaces)

@@ -16,7 +16,6 @@ from featflow.fs import (
     empty,
     equivalent,
     node,
-    quick_clash,
     restrict,
     restrict_many,
     subsumes,
@@ -99,32 +98,30 @@ def test_unify_rejects_cycles_with_distinct_diagnostic():
 
 
 # ---------------------------------------------------------------------------
-# quick check
+# unifiability
 
-def test_quick_clash_finds_any_top_level_atom_clash():
+def test_any_top_level_atom_clash_fails_unification():
     for a, b in (
         (np(), node(cat=atom("vp"))),
         (np(ter=atom("+")), np(ter=atom("-"))),
         (np(agr=atom("sg")), np(agr=atom("pl"))),
     ):
-        assert quick_clash(a, b) and quick_clash(b, a)
-        assert not fs.unifiable(a, b)
+        assert not fs.unifiable(a, b) and not fs.unifiable(b, a)
         with pytest.raises(UnificationFailed) as err:
             unify(a, b)
         assert err.value.reason == "clash"
 
 
-def test_quick_clash_leaves_a_nested_clash_to_unification():
+def test_a_nested_atom_clash_fails_unification():
     a = np(agr=node(num=atom("sg")))
     b = np(agr=node(num=atom("pl")))
-    assert not quick_clash(a, b)
     assert not fs.unifiable(a, b)
     with pytest.raises(UnificationFailed) as err:
         unify(a, b)
     assert err.value.reason == "clash"
 
 
-def test_quick_clash_passes_atom_roots_and_atoms_against_complex_nodes():
+def test_unifiable_atom_roots_and_atoms_against_complex_nodes():
     for a, b, outcome in (
         (atom("sg"), atom("pl"), False),
         (atom("sg"), atom("sg"), True),
@@ -133,15 +130,14 @@ def test_quick_clash_passes_atom_roots_and_atoms_against_complex_nodes():
         (np(agr=atom("sg")), np(agr=node(num=atom("sg"))), False),
         (np(agr=atom("sg")), np(agr=empty()), True),
     ):
-        assert not quick_clash(a, b) and not quick_clash(b, a)
-        assert fs.unifiable(a, b) is outcome
+        assert fs.unifiable(a, b) is outcome and fs.unifiable(b, a) is outcome
 
 
-def test_quick_clash_reads_through_forwarding_pointers():
+def test_unifiable_reads_through_forwarding_pointers():
     a = np(agr=empty())
     unify_in_place(a.arcs["agr"], atom("sg"))
-    assert quick_clash(a, np(agr=atom("pl")))
-    assert not quick_clash(a, np(agr=atom("sg")))
+    assert not fs.unifiable(a, np(agr=atom("pl")))
+    assert fs.unifiable(a, np(agr=atom("sg")))
 
 
 # ---------------------------------------------------------------------------
@@ -379,10 +375,8 @@ def test_random_transitivity(a, b, c):
 
 @settings(max_examples=200, deadline=None)
 @given(structures(), structures())
-def test_random_quick_clash_is_sound(a, b):
-    if quick_clash(a, b):
-        assert lt.try_unify(a, b) is None
-        assert not fs.unifiable(a, b)
+def test_random_unifiable_matches_unify(a, b):
+    assert fs.unifiable(a, b) == (lt.try_unify(a, b) is not None)
 
 
 @settings(max_examples=300, deadline=None)

@@ -34,9 +34,9 @@ of a span of positions, in a rule or in a category string, is one
 enumerator, ``_first_of_span``.  It runs level by level: the ways to bind
 the positions before j to empty pairs are made once, kept, and extended
 by one step, ``_eps_step``, for j + 1; asked, it also yields the ways the
-whole span derives the empty string.  FOLLOW's empty-string tails chain
-the same step, in ``_eps_bindings``, and each rule keeps them, in a
-``_Tails``, since FIRST does not change while FOLLOW runs.  Nothing here
+whole span derives the empty string, as bound spaces.  FOLLOW takes each
+rule's empty-string tails from it on the rule's first visit and keeps
+them, since FIRST does not change while FOLLOW runs.  Nothing here
 recurses.
 """
 
@@ -486,30 +486,14 @@ def _bind_each(space, pos, read, rec, keep=None, restrictor=None):
             yield p, *got
 
 
-def _eps_step(level, pos, eps, rec, keep=None, restrictor=None):
+def _eps_step(level, pos, eps, rec):
     """The one ε-prefix step: bind position ``pos`` of each space of
     ``level``, an iterable of (space, newest serial bound), to each pair of
     ``eps``, a ``_Read`` of empty pairs, in order.  Yields (space, newest)
-    for each success, copied out as ``_bind_each`` does with ``keep`` and
-    ``restrictor``."""
+    for each success, the whole bound space copied out as it is."""
     for space, newest in level:
-        for e, bound, _ in _bind_each(space, pos, eps, rec, keep, restrictor):
+        for e, bound, _ in _bind_each(space, pos, eps, rec):
             yield bound, max(newest, e.serial)
-
-
-def _eps_bindings(space, positions, eps, rec, keep=None, restrictor=None):
-    """Every way to bind the listed positions, all at once, to pairs of
-    ``eps``, a ``_Read`` of empty pairs; yields (space, the highest serial
-    bound, 0 when none is).  ``_eps_step`` is chained once per position,
-    lazily, so the binds are made in the order of the nested loops.  The
-    last step copies out the roots ``keep`` as ``_bind_each`` does with
-    ``keep`` and ``restrictor``; other spaces, ``space`` too when no
-    position is listed, are as they are."""
-    level = [(space, 0)]
-    for k, pos in enumerate(positions):
-        copy_out = (keep, restrictor) if k + 1 == len(positions) else ()
-        level = _eps_step(level, pos, eps, rec, *copy_out)
-    return level
 
 
 def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None, with_empty=False):
@@ -519,8 +503,9 @@ def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None,
     positions before it to empty pairs and itself to a non-empty pair.
     Yields (kept_roots, bound_rhs), copied out of the bound space as
     ``_bind_each`` does with ``keep`` and ``restrictor``; ``with_empty``,
-    then (kept_roots, None) for every way the whole span derives the empty
-    string.
+    then (space, None) for every way the whole span derives the empty
+    string, ``space`` the whole bound space, unrestricted: ``space`` itself
+    when the span is empty.
 
     It runs level by level.  The level of position j is the ε-bound
     prefixes before j as (space, newest empty serial bound); the level of
@@ -536,7 +521,8 @@ def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None,
     ``fresh`` is a read of the drivers above some serial ``lo``: a
     combination that binds no empty pair above ``lo`` takes its driver from
     it, and an empty-string derivation that binds none is left out, so
-    every one uses a pair above ``lo``.
+    every one uses a pair above ``lo``; when ``lo`` is 0, every pair is
+    above it, and so is a derivation that binds nothing.
     """
     fresh = fresh or drivers
     empties = eps.pset._lists[_EPS]
@@ -559,11 +545,11 @@ def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None,
             rec.filtered += passed
             rec.began(eps)
             return
-        copy_out = (keep, restrictor) if j == last else ()
-        level = _eps_step(prefixes, pos, eps, rec, *copy_out)
-    for kept, newest in level:
-        if newest > fresh.lo:
-            yield kept, None
+        level = _eps_step(prefixes, pos, eps, rec)
+    if with_empty:
+        for bound, newest in level:
+            if newest > fresh.lo or not fresh.lo:
+                yield bound, None
 
 
 def _store(pset, lhs_roots, rhs):
@@ -678,6 +664,8 @@ def compute_first(g: Grammar, mode: str = "active"):
         changed = False
         products = _first_of_span(base, span, eps, drivers, rec, [0], g.restrictor, fresh, with_empty=True)
         for mother, rhs in products:
+            if rhs is None:
+                mother = fs.restrict_many(mother[:1], g.restrictor, prune=True)
             changed |= store(mother, rhs)
         return changed
 
@@ -714,50 +702,14 @@ def first_of_string(first: PairSet, g: Grammar, cats) -> PairSet:
     _, hi = first.offer()
     eps, drivers = _Read(first, _EPS, 0, hi), _Read(first, _DRIVERS, 0, hi)
     for string, rhs in _first_of_span(cats, span, eps, drivers, rec, None, g.restrictor, with_empty=True):
+        if rhs is None:
+            string = fs.restrict_many(string, g.restrictor, prune=True)
         _store(out, string, rhs)
     return out
 
 
 # ---------------------------------------------------------------------------
 # FOLLOW
-
-class _Tails:
-    """FOLLOW's plan of one rule: its space ``base``, the positions after
-    each daughter, ``tails``, the wake ``labels`` of its mother and, once
-    enumerated in full, the ways each tail derives the empty string.
-
-    FIRST is fixed while FOLLOW runs, so those ways never change.
-    ``spaces(eps, rec)`` gives (i, space) for each daughter i and each way
-    to bind its tail to empty pairs of ``eps``, a ``_Read``, in the order
-    of ``_eps_bindings``.  The first call enumerates them lazily; the
-    list is kept once an enumeration has run to its end.  Later calls
-    return it, and begin ``eps`` when some tail is not empty, since an
-    enumeration begins it before its first space.
-    """
-
-    __slots__ = ("base", "tails", "labels", "kept")
-
-    def __init__(self, rule):
-        k = len(rule.daughters)
-        self.base, self.tails = rule.roots(), [list(range(2 + i, 1 + k)) for i in range(k)]
-        self.labels = _wake_labels([rule.mother])
-        self.kept = None
-
-    def spaces(self, eps, rec):
-        if self.kept is None:
-            return self._enumerate(eps, rec)
-        if self.tails[0]:
-            rec.began(eps)
-        return self.kept
-
-    def _enumerate(self, eps, rec):
-        kept = []
-        for i, tail in enumerate(self.tails):
-            for space, _ in _eps_bindings(self.base, tail, eps, rec):
-                kept.append((i, space))
-                yield i, space
-        self.kept = kept
-
 
 def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
     """Fixpoint of the FOLLOW pair set; returns (PairSet, RunStats).
@@ -770,7 +722,14 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
     """
     _, first_hi = first.offer()
     eps, drivers = _Read(first, _EPS, 0, first_hi), _Read(first, _DRIVERS, 0, first_hi)
-    plans = {r.rule_id: _Tails(r) for r in g.rules}
+    # rule id -> (the rule's space, the positions after each daughter, its mother's wake labels)
+    plans = {}
+    for r in g.rules:
+        k = len(r.daughters)
+        plans[r.rule_id] = (r.roots(), [list(range(2 + i, 1 + k)) for i in range(k)], _wake_labels([r.mother]))
+    # rule id -> (i, space) for each daughter i and each way to bind its
+    # suffix to empty pairs, enumerated on the rule's first visit
+    kept = {}
 
     def seed(store):
         start, end = fs.restrict_many([g.start, end_category()], g.restrictor, prune=True)
@@ -779,25 +738,32 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
     def visit(rule, lo, hi, follow, rec, store):
         if rule.is_epsilon:
             return False
-        plan = plans[rule.rule_id]
+        base, tails, labels = plans[rule.rule_id]
+        first_visit = rule.rule_id not in kept
+        spaces = kept.setdefault(rule.rule_id, [])
         changed, woken = False, True
         # FIRST of each proper suffix; its inputs never change, so the active
         # mode only runs this on the rule's first visit, which is offered the
-        # seed at least and so keeps the tails
-        if mode == "naive" or plan.kept is None:
-            for i, tail in enumerate(plan.tails):
-                for daughter, rhs in _first_of_span(plan.base, tail, eps, drivers, rec, [1 + i], g.restrictor):
-                    changed |= store(daughter, rhs)
-        elif plan.labels is not None:
-            woken = follow._woken(plan.labels, lo)
+        # seed at least and keeps the empty-string tails
+        if mode == "naive" or first_visit:
+            for i, tail in enumerate(tails):
+                products = _first_of_span(base, tail, eps, drivers, rec, [1 + i], g.restrictor, with_empty=first_visit)
+                for daughter, rhs in products:
+                    if rhs is None:
+                        spaces.append((i, daughter))
+                    else:
+                        changed |= store(daughter, rhs)
+        elif labels is not None:
+            woken = follow._woken(labels, lo)
         # the mother's FOLLOW flows to any daughter whose suffix is empty or
         # wholly derives the empty string
         if lo < hi:
+            if tails[0]:
+                rec.began(eps)  # as enumerating the kept tail spaces began it
             offer = _Read(follow, _ALL, lo, hi)
-            spaces = plan.spaces(eps, rec)
             if not woken:
                 # a full visit would bind every kept tail space's mother to no
-                # avail; the empty pairs' read is begun as a replay begins it
+                # avail
                 rec.began(offer)
                 return False
             for i, space in spaces:

@@ -367,7 +367,7 @@ class _Parser:
     def rule_statement(self):
         tags = {}
         self.tag_failed = False
-        line = self.peek().line
+        starts = [self.peek()]
         mother = self.category(tags)
         self.expect("ARROW", "'->'")
         daughters = []
@@ -378,18 +378,29 @@ class _Parser:
             if self.peek().kind == "WORD" and self.peek().value == "term":
                 self.take()
                 preterminal_sugar = True
+            starts.append(self.peek())
             d = self.category(tags)
             if preterminal_sugar:
                 self.mark_preterminal(d)
             daughters.append(d)
         self.take()  # STOP
         roots = [mother, *daughters]
+        line = starts[0].line
         # only a tag annotation can close a cycle, and one that unified has
         # checked the node it merged; a failed one may leave a cycle behind
         if self.tag_failed and fs._cyclic(roots):
             self.issues.append(ParseIssue(line, 1, "rule builds a cyclic structure"))
             return
+        self.check_avms(roots, starts)
         self.rules.append(Rule(len(self.rules) + 1, mother, tuple(daughters), line))
+
+    def check_avms(self, roots, starts):
+        """Report each root that is an atom, at the token where it starts:
+        a category is an AVM, and a tag may bind one to an atom."""
+        for root, t in zip(roots, starts):
+            n = deref(root)
+            if n.atom is not None:
+                self.issues.append(ParseIssue(t.line, t.col, f"a category is an AVM, not the atom {_atom_text(n.atom)}"))
 
     def mark_preterminal(self, cat):
         n = deref(cat)
@@ -515,9 +526,11 @@ def parse_category_sequence(text: str) -> list:
     """Parse whitespace-separated AVMs sharing one tag space."""
     p = _Parser(text, "<category>")
     cats = []
+    starts = []
     tags = {}
     try:
         while p.peek().kind != "EOF":
+            starts.append(p.peek())
             cats.append(p.category(tags, allow_end_mark=True))
     except _Abort:
         pass
@@ -527,6 +540,7 @@ def parse_category_sequence(text: str) -> list:
         p.issues.append(ParseIssue(1, 1, "expected at least one category"))
     if not p.issues and p.tag_failed and fs._cyclic(cats):
         p.issues.append(ParseIssue(1, 1, "categories build a cycle"))
+    p.check_avms(cats, starts)
     if p.issues:
         raise GrammarSyntaxError(p.issues)
     return cats

@@ -114,6 +114,25 @@ def test_string_first_bad_string_is_input_error(capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize(
+    "text,argv,where,shown",
+    [
+        ("S[] -> $1:a. [] -> t[ter=+].\n", ("follow",), "atom.gr:1:8", "a"),  # a daughter
+        ("$1:a -> t[ter=+].\n", ("first",), "atom.gr:1:1", "a"),  # a mother
+        ("S[] -> $1 X[f=$1:a].\nX[f=a] -> .\n", ("validate",), "atom.gr:1:8", "a"),  # an atom bound later
+        ("S[] -> t[ter=+].\n", ("string-first", "$1:+ t[ter=+]"), "<string>:1:1", "+"),  # a string position
+    ],
+    ids=["daughter", "mother", "bound-later", "string-position"],
+)
+def test_a_category_that_is_an_atom_is_an_input_error(capsys, tmp_path, text, argv, where, shown):
+    gr = tmp_path / "atom.gr"
+    gr.write_text(text, encoding="utf-8")
+    code, out, err = run(capsys, argv[0], str(gr), *argv[1:])
+    assert (code, out) == (EXIT_INPUT, "")
+    assert err.count("\n") == 1
+    assert err.endswith(f"{where}: error: a category is an AVM, not the atom {shown}\n"), err
+
+
 def test_usage_errors(capsys):
     assert main([]) == 2
     assert main(["bench"]) == 2
@@ -202,7 +221,7 @@ def test_bench_json_is_strict_when_the_active_mode_makes_no_attempts(capsys, tmp
     code, out, _ = run(capsys, "bench", str(gr))
     assert code == 0 and "attempt ratio (naive/active): n/a  event ratio: 1.00" in out
     code, out, _ = run(capsys, "bench", fixture_path("bench21.gr"), "--format", "json")
-    assert code == 0 and strict_json(out)[0]["attempt_ratio"] == 8.002
+    assert code == 0 and strict_json(out)[0]["attempt_ratio"] == 8.008
 
 
 @pytest.mark.parametrize("limit,function", [("20", "FIRST"), ("40", "FOLLOW")])

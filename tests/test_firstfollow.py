@@ -22,7 +22,7 @@ from featflow.firstfollow import (
     UnknownCategory,
     MODES,
     _bind,
-    _eps_bindings,
+    _first_of_span,
     _Recorder,
     compare_modes,
     compute_first,
@@ -35,6 +35,7 @@ from featflow.firstfollow import (
     query,
 )
 from featflow.grammar import (
+    end_category,
     format_roots,
     is_preterminal,
     label_of,
@@ -764,17 +765,16 @@ def test_mode_equivalence_on_random_feature_grammars():
 def test_choice_order_independence_of_prefix_bindings():
     g = load_fixture("fig1.gr")
     first, _ = compute_first(g)
-    eps_pairs = ff._Read(first, ff._EPS, *first.offer())
+    _, hi = first.offer()
+    eps, drivers = ff._Read(first, ff._EPS, 0, hi), ff._Read(first, ff._DRIVERS, 0, hi)
     rule = g.rules[1]  # two leading NP daughters before the VP
     rec = _Recorder("probe")
-    forward = [
-        fs.clone_many(space)
-        for space, _ in _eps_bindings(rule.roots(), [1, 2], eps_pairs, rec)
-    ]
-    backward = [
-        fs.clone_many(space)
-        for space, _ in _eps_bindings(rule.roots(), [2, 1], eps_pairs, rec)
-    ]
+
+    def empty_derivations(span):
+        out = _first_of_span(rule.roots(), span, eps, drivers, rec, None, None, with_empty=True)
+        return [fs.clone_many(space) for space, rhs in out if rhs is None]
+
+    forward, backward = empty_derivations([1, 2]), empty_derivations([2, 1])
     assert forward and len(forward) == len(backward)
     for a in forward:
         assert any(fs.equivalent_many(a, b) for b in backward)
@@ -1325,18 +1325,15 @@ def test_a_visit_considers_the_widest_range_it_began_of_each_kind():
 # ---------------------------------------------------------------------------
 # the level-by-level enumerator against the two-pass one it replaced
 
-def reference_eps_bindings(space, positions, eps, rec, keep=None, restrictor=None, k=0, newest=0):
+def reference_eps_bindings(space, positions, eps, rec, k=0, newest=0):
     """The recursive ε enumerator: every way to bind the listed positions
-    from the ``k``-th on to empty pairs, the last binding copying out
-    ``keep`` under ``restrictor``; yields (space, newest serial bound)."""
+    from the ``k``-th on to empty pairs; yields (whole bound space, newest
+    serial bound)."""
     if k == len(positions):
         yield space, newest
         return
-    copy_out = (keep, restrictor) if k + 1 == len(positions) else ()
-    for e, new, _ in ff._bind_each(space, positions[k], eps, rec, *copy_out):
-        yield from reference_eps_bindings(
-            new, positions, eps, rec, keep, restrictor, k + 1, max(newest, e.serial)
-        )
+    for e, new, _ in ff._bind_each(space, positions[k], eps, rec):
+        yield from reference_eps_bindings(new, positions, eps, rec, k + 1, max(newest, e.serial))
 
 
 def reference_first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None, with_empty=False):
@@ -1350,9 +1347,9 @@ def reference_first_of_span(space, span, eps, drivers, rec, keep, restrictor, fr
             for _, kept, rhs in ff._bind_each(bound, pos, pool, rec, keep, restrictor):
                 yield kept, rhs
     if with_empty:
-        for kept, newest in reference_eps_bindings(space, span, eps, rec, keep, restrictor):
-            if newest > fresh.lo:
-                yield kept, None
+        for bound, newest in reference_eps_bindings(space, span, eps, rec):
+            if newest > fresh.lo or not fresh.lo:
+                yield bound, None
 
 
 def stage_record(pairs, stats):
@@ -1372,7 +1369,7 @@ def enumerator_run(g, mode, strings, probes):
     try:
         first, stats = compute_first(g, mode)
         out.append(stage_record(first, stats))
-        follow, stats = compute_follow(g, first, mode)
+        follow, stats = ff.compute_follow(g, first, mode)
         out.append(stage_record(follow, stats))
     except LimitExceeded as err:
         out.append(stage_record(None, err.stats))
@@ -1385,7 +1382,6 @@ def enumerator_run(g, mode, strings, probes):
 
 def two_pass_enumerators(m):
     m.setattr(ff, "_first_of_span", reference_first_of_span)
-    m.setattr(ff, "_eps_bindings", reference_eps_bindings)
 
 
 def assert_matches_reference(monkeypatch, g, mode, strings=(), probes=(), reference=two_pass_enumerators):
@@ -1450,6 +1446,20 @@ def test_level_enumerator_matches_the_reference_when_a_guard_stops_it(monkeypatc
                 assert_matches_reference(monkeypatch, dataclasses.replace(g, max_iterations=limit), mode)
 
 
+def test_empty_string_derivations_are_stored_restricted_and_pruned():
+    """The enumerator yields an empty-string derivation as the whole bound
+    space; what FIRST and ``first_of_string`` store of it is restricted and
+    pruned, as every other product is."""
+    g = parse_grammar("""restrict orth.
+    S[orth=$1, g=x] -> A[orth=$1] B[].  A[orth=a] -> .  B[] -> .""")
+    first, _ = compute_first(g)
+    assert [format_pair(p) for p in first] == ["(a[] , ε)", "(b[] , ε)", "(s[g=x] , ε)"]
+    string = first_of_string(first, g, parse_category_sequence("A[orth=$1] S[orth=$1] B[]"))
+    assert [format_pair(p) for p in string] == ["(a[] s[g=x] b[] , ε)"]
+    for p in [*first, *string]:
+        assert not any(has_path(root, ("orth",)) for root in p.lhs), format_pair(p)
+
+
 def test_empty_pairs_a_first_daughter_lacks_are_counted_not_read(monkeypatch):
     g = parse_grammar("S[] -> A[] B[] C[]. A[] -> a[ter=+]. B[] -> . C[] -> c[ter=+].")
     first, _ = compute_first(g)
@@ -1478,12 +1488,47 @@ def test_empty_pairs_a_first_daughter_lacks_are_counted_not_read(monkeypatch):
 # ---------------------------------------------------------------------------
 # woken visits and kept FOLLOW tails against visits that read every time
 
+def follow_that_enumerates_tails_on_every_visit(g, first, mode="active"):
+    """FOLLOW as it was before each rule kept its tails: a visit offered
+    pairs enumerates afresh, by ``reference_eps_bindings``, the ways to
+    bind each daughter's suffix to empty pairs, and binds the offer in each
+    as it is made.  FIRST of the suffixes runs as in ``compute_follow``."""
+    _, first_hi = first.offer()
+    eps, drivers = ff._Read(first, ff._EPS, 0, first_hi), ff._Read(first, ff._DRIVERS, 0, first_hi)
+    visited = set()
+
+    def seed(store):
+        start, end = fs.restrict_many([g.start, end_category()], g.restrictor, prune=True)
+        store((start,), end)
+
+    def visit(rule, lo, hi, follow, rec, store):
+        if rule.is_epsilon:
+            return False
+        base, k = rule.roots(), len(rule.daughters)
+        tails = [list(range(2 + i, 1 + k)) for i in range(k)]
+        changed = False
+        if mode == "naive" or rule.rule_id not in visited:
+            visited.add(rule.rule_id)
+            for i, tail in enumerate(tails):
+                for daughter, rhs in ff._first_of_span(base, tail, eps, drivers, rec, [1 + i], g.restrictor):
+                    changed |= store(daughter, rhs)
+        if lo < hi:
+            offer = ff._Read(follow, ff._ALL, lo, hi)
+            for i, tail in enumerate(tails):
+                for space, _ in reference_eps_bindings(base, tail, eps, rec):
+                    for _, daughter, rhs in ff._bind_each(space, 0, offer, rec, [1 + i], g.restrictor):
+                        changed |= store(daughter, rhs)
+        return changed
+
+    return ff._fixpoint("FOLLOW", g, mode, seed, visit)
+
+
 def visits_that_always_read(m):
     """The engine as it visited before rules woke by label: every visit
     runs in full, FOLLOW enumerates each rule's tails afresh on every
     visit, and FIRST of a span is the two-pass enumerator."""
     m.setattr(PairSet, "_woken", lambda self, labels, lo: True)
-    m.setattr(ff._Tails, "spaces", ff._Tails._enumerate)
+    m.setattr(ff, "compute_follow", follow_that_enumerates_tails_on_every_visit)
     two_pass_enumerators(m)
 
 
@@ -1532,7 +1577,7 @@ def test_kept_tails_bind_less_on_bench21(monkeypatch):
     woken = binds.copy()
     binds.clear()
     visits_that_always_read(monkeypatch)
-    compute_follow(g, first)
+    ff.compute_follow(g, first)
     # FOLLOW binds FIRST's empty pairs only to enumerate each rule's tails
     # once, and the mothers of kept tails only when the offer holds a pair
     # of their label
@@ -1540,28 +1585,29 @@ def test_kept_tails_bind_less_on_bench21(monkeypatch):
     assert woken[False, ff._ALL] < binds[False, ff._ALL]
 
 
-def test_tails_are_kept_only_after_an_enumeration_ran_to_its_end():
+def test_follow_enumerates_each_tail_once_and_replays_it(monkeypatch):
     g = parse_grammar(LAYERED_EMPTY[0])
     first, _ = compute_first(g)
-    _, hi = first.offer()
-    rule = g.rules[0]  # T -> S X X: the tails of S and of the first X can derive the empty string
-    plan = ff._Tails(rule)
-    rec = _Recorder("probe")
-    begun = []
-    rec.began = begun.append
+    calls = collections.Counter()
+    real = ff._first_of_span
 
-    def walk():
-        eps = ff._Read(first, ff._EPS, 0, hi)
-        return [(i, format_roots(space), eps in begun) for i, space in plan.spaces(eps, rec)], eps in begun
+    def counted(*args, with_empty=False):
+        calls[with_empty] += 1
+        return real(*args, with_empty=with_empty)
 
-    spaces = plan.spaces(ff._Read(first, ff._EPS, 0, hi), rec)
-    next(spaces)
-    spaces.close()  # as a guard that stops the visit leaves it
-    assert plan.kept is None
-    attempts = rec.attempts
-    enumerated = walk()
-    assert plan.kept is not None and rec.attempts > attempts
-    attempts = rec.attempts
-    replayed = walk()
-    assert rec.attempts == attempts  # a replay binds nothing
-    assert replayed == enumerated and len(enumerated[0]) > 3
+    monkeypatch.setattr(ff, "_first_of_span", counted)
+    tails = sum(len(r.daughters) for r in g.rules if not r.is_epsilon)
+    pairs = {}
+    for mode in MODES:
+        calls.clear()
+        follow, stats = compute_follow(g, first, mode)
+        pairs[mode] = [format_pair(p) for p in follow]
+        # each daughter's suffix is enumerated with its empty-string ways
+        # once; the naive mode drives the suffixes again on later visits
+        assert calls[True] == tails and len(stats.rows) > 1, mode
+        assert (calls[False] > 0) == (mode == "naive"), mode
+    with monkeypatch.context() as m:
+        visits_that_always_read(m)
+        for mode in MODES:
+            follow, _ = ff.compute_follow(g, first, mode)
+            assert [format_pair(p) for p in follow] == pairs[mode], mode

@@ -150,6 +150,28 @@ def test_cyclic_tag_structure_rejected():
     assert any("cycl" in i.message or "cycle" in i.message for i in err.value.issues)
 
 
+def test_a_category_that_is_an_atom_is_rejected():
+    """A category is an AVM: a mother, a daughter or a string position that
+    a tag binds to an atom, there or later in the statement, is an issue at
+    the token where the category starts."""
+    for parse, text, col, shown in (
+        (parse_grammar, "S[] -> $1:a. [] -> t[ter=+].", 8, "a"),  # a daughter
+        (parse_grammar, "$1:a -> t[ter=+].", 1, "a"),  # a mother
+        (parse_grammar, "S[] -> $1 X[f=$1:a]. X[f=a] -> .", 8, "a"),  # bound later
+        (parse_grammar, "S[] -> term $1:+.", 13, "+"),
+        (parse_category_sequence, "$1:+ t[ter=+]", 1, "+"),  # a string position
+        (parse_category_sequence, "np[] $2 [f=$2:b]", 6, "b"),
+    ):
+        with pytest.raises(GrammarSyntaxError) as err:
+            parse(text)
+        (issue,) = err.value.issues
+        assert (issue.line, issue.col) == (1, col), text
+        assert issue.message == f"a category is an AVM, not the atom {shown}", text
+    # a tag bound to an atom is still a value inside an AVM
+    assert len(parse_grammar("S[f=$1] -> X[g=$1:a].").rules) == 1
+    assert len(parse_category_sequence("np[f=$1:a] [g=$1] $")) == 3
+
+
 def test_comments_and_blank_lines():
     g = parse_grammar("% top comment\nS -> NP[].  % tail comment\nNP -> det[ter=+].\n")
     assert len(g.rules) == 2
@@ -581,7 +603,7 @@ class FullCycleCheckParser(_Parser):
 
     def rule_statement(self):
         tags = {}
-        line = self.peek().line
+        starts = [self.peek()]
         mother = self.category(tags)
         self.expect("ARROW", "'->'")
         daughters = []
@@ -592,15 +614,18 @@ class FullCycleCheckParser(_Parser):
             if self.peek().kind == "WORD" and self.peek().value == "term":
                 self.take()
                 preterminal_sugar = True
+            starts.append(self.peek())
             d = self.category(tags)
             if preterminal_sugar:
                 self.mark_preterminal(d)
             daughters.append(d)
         self.take()  # STOP
         roots = [mother, *daughters]
+        line = starts[0].line
         if fs._cyclic(roots):
             self.issues.append(ParseIssue(line, 1, "rule builds a cyclic structure"))
             return
+        self.check_avms(roots, starts)
         self.rules.append(Rule(len(self.rules) + 1, mother, tuple(daughters), line))
 
 
@@ -608,9 +633,11 @@ def sequence_with_full_cycle_check(text):
     """``parse_category_sequence`` checking for cycles, tags or none."""
     p = _Parser(text, "<category>")
     cats = []
+    starts = []
     tags = {}
     try:
         while p.peek().kind != "EOF":
+            starts.append(p.peek())
             cats.append(p.category(tags, allow_end_mark=True))
     except _Abort:
         pass
@@ -618,6 +645,7 @@ def sequence_with_full_cycle_check(text):
         p.issues.append(ParseIssue(1, 1, "expected at least one category"))
     if not p.issues and fs._cyclic(cats):
         p.issues.append(ParseIssue(1, 1, "categories build a cycle"))
+    p.check_avms(cats, starts)
     if p.issues:
         raise GrammarSyntaxError(p.issues)
     return cats

@@ -55,7 +55,7 @@ class _Failure(Exception):
 def _load(path: str, args) -> gm.Grammar:
     try:
         with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+            text = handle.read().removeprefix("\ufeff")  # a byte-order mark
     except OSError as exc:
         raise _Failure(EXIT_INPUT, [f"{path}: cannot read: {exc.strerror or exc}"])
     except UnicodeDecodeError as exc:

@@ -14,13 +14,14 @@ A product of a binding is restricted and pruned as it is copied out of
 the bound space, by ``fs.unify_copy``, which also leaves the rule and the
 stored pair it bound as they were.
 
-FIRST and FOLLOW run one fixpoint driver, ``_fixpoint``, whose rule
-visits enumerate only combinations that use a pair they are offered.  The
-two evaluation modes differ only in that offer, and give equivalent
-fixpoints:
+FIRST and FOLLOW run one fixpoint driver, ``_fixpoint``, which keeps the
+agenda: it offers each rule visit one range of pairs, and the visit
+enumerates only combinations that use an offered pair.  The two modes
+differ only in that offer, and give equivalent fixpoints:
 
 - ``naive``: every stored pair is offered on every visit.
-- ``active``: each pair is offered to each rule exactly once.
+- ``active``: each pair is offered to each rule exactly once, above the
+  rule's mark, the newest serial the driver offered it before.
 
 Visits read the set through its label index: each pool, an offer too, is
 a ``_Read``, a serial range (lo, hi] of one kind of pair, which counts
@@ -144,8 +145,8 @@ _ALL, _EPS, _DRIVERS = range(3)
 
 
 class PairSet:
-    """Subsumption antichain of pairs, the active-pair registry, and the
-    label index that rule visits and lookups read.
+    """Subsumption antichain of pairs and the label index that rule visits
+    and lookups read.
 
     Stored pairs are bucketed by ``Pair.key``.  A pair with an atomic
     ``cat`` on some root subsumes, or is subsumed by, only pairs with the
@@ -155,23 +156,23 @@ class PairSet:
     The label index lists the single-category pairs of each kind in serial
     order, per ``cat`` label of the left side; a pair with no atomic
     ``cat`` joins every list of its kind, and the list for None holds the
-    whole kind.  A reader takes a serial range (lo, hi] of a list: a visit
-    reads up to the ``hi`` that ``offer`` gave it, since ``add`` appends
-    above it and a pair it replaces stays listed until the next ``offer``.
+    whole kind.  A reader takes a serial range (lo, hi] of a list up to the
+    ``hi`` that ``_settle`` returned: ``add`` appends above it, and a pair
+    it replaces stays listed until the next ``_settle``, which the driver
+    calls before every visit; the driver, not the set, keeps the marks.
     """
 
     def __init__(self):
         self.pairs = []  # insertion order, which is the output order
         self._buckets = {}  # Pair.key -> stored pairs with that key
         self._wild = {}  # the keys in _buckets that hold None, as an ordered set
-        self._mark = {}  # rule id -> highest serial offered to that rule
         self.added = 0
         self.rejected = 0
         self.removed = 0
         # per kind: label -> (pairs, their serials), and the unlabelled pairs
         self._lists = tuple({None: ([], [])} for _ in range(3))
         self._unlabelled = (([], []), ([], []), ([], []))
-        self._replaced = []  # pairs replaced since the last offer, still listed
+        self._replaced = []  # pairs replaced since the last _settle, still listed
         # (label, is_epsilon) -> the index lists a labelled pair joins: lists
         # are never replaced, only appended to and settled
         self._held = {}
@@ -274,13 +275,16 @@ class PairSet:
                 out += [lists[None], lists[label]]
         return out
 
-    def _settle(self):
-        """Take the pairs replaced since the last call out of the index."""
+    def _settle(self) -> int:
+        """End the listing of each pair replaced since the last call, and
+        return the newest serial (0 for an empty set): ``add`` never deletes
+        the newest pair, so a range (lo, hi] up to it is empty iff lo == hi."""
         for q in self._replaced:
             for listed, serials in self._holders(q):
                 at = bisect.bisect_left(serials, q.serial)
                 del listed[at], serials[at]
-        self._replaced = []
+        self._replaced.clear()
+        return self.pairs[-1].serial if self.pairs else 0
 
     def _span(self, kind: int, label, lo: int, hi: int) -> tuple:
         """The index list of the ``kind`` pairs a category labelled
@@ -296,7 +300,7 @@ class PairSet:
     def _woken(self, labels, lo: int) -> bool:
         """Whether some pair above serial ``lo`` may have a left side that
         a category labelled one of ``labels`` unifies with.  Asked just after
-        ``offer`` settles the index: a pair added above ``lo`` and since
+        ``_settle``: a pair added above ``lo`` and since
         replaced left a pair above it that holds its label or none."""
         lists, unlabelled = self._lists[_ALL], self._unlabelled[_ALL]
         for label in labels:
@@ -304,28 +308,6 @@ class PairSet:
             if serials and serials[-1] > lo:
                 return True
         return False
-
-    def _lookup(self, kind: int, label) -> list:
-        """Every stored ``kind`` pair a category labelled ``label`` can
-        unify with: an index list, to read before adding to the set."""
-        self._settle()
-        return self._lists[kind].get(label, self._unlabelled[kind])[0]
-
-    def offer(self, rule_id=None) -> tuple:
-        """The serial range (lo, hi] of the stored pairs not yet offered to
-        rule ``rule_id``, which count as offered from now on; with no rule,
-        the range of every stored pair.  Serials ascend, and ``add`` never
-        deletes the newest pair, at ``hi``, so the range is empty only when
-        lo == hi.  Pairs replaced since the last offer leave the index here.
-        """
-        if self._replaced:
-            self._settle()
-        hi = self.pairs[-1].serial if self.pairs else 0
-        if rule_id is None:
-            return 0, hi
-        lo = self._mark.get(rule_id, 0)
-        self._mark[rule_id] = hi
-        return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -387,12 +369,10 @@ class _Recorder:
         self._considered = []
         self._before = (self.attempts, pset.added)
 
-    def begin_visit(self, pset, lo, hi):
-        """Open a visit offered the pairs of ``pset`` in (lo, hi]."""
+    def begin_visit(self, offer: _Read):
+        """Open a visit offered the pairs of ``offer``."""
         self._widest = [0, 0, 0]
-        if lo < hi:
-            _, start, end = pset._span(_ALL, None, lo, hi)
-            self.events += end - start
+        self.events += offer.n
 
     def began(self, read: _Read):
         """The open visit began ``read``; a read begun outside a visit
@@ -525,7 +505,6 @@ def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None,
     above it, and so is a derivation that binds nothing.
     """
     fresh = fresh or drivers
-    empties = eps.pset._lists[_EPS]
     last = len(span) - 1
     level = [(space, 0)]
     for j, pos in enumerate(span):
@@ -538,8 +517,8 @@ def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None,
         if not prefixes or (j == last and not with_empty):
             return
         # an atomic cat stays in every prefix; empty reads start at 0
-        serials = empties.get(label_of(space[pos]), eps.pset._unlabelled[_EPS])[1]
-        if not serials or serials[0] > eps.hi:
+        _, start, end = eps.pset._span(_EPS, label_of(space[pos]), 0, eps.hi)
+        if start == end:
             passed = len(prefixes) * eps.n
             rec.attempts += passed
             rec.filtered += passed
@@ -568,20 +547,22 @@ def _fixpoint(function: str, g: Grammar, mode: str, seed, visit):
     (PairSet, RunStats).
 
     ``seed(store)`` stores the initial pairs.  Then each pass visits every
-    rule as ``visit(rule, lo, hi, pairs, rec, store)``, which returns
-    whether it added a pair, until a pass adds none; ``pairs`` is the set
-    being built and ``rec`` its recorder, which the visit tells of each
-    ``_Read`` it begins.  The visit reads the set up to serial ``hi`` and
-    examines the pairs in (lo, hi]: every stored pair in naive mode, those
-    not yet examined against the rule in active mode.  ``store(lhs_roots,
-    rhs)`` is ``_store`` into the set; the insertion that takes the set
-    past ``g.max_pairs`` raises LimitExceeded, as does a pass beyond
-    ``g.max_iterations``.
+    rule as ``visit(rule, offer, rec, store)``, which returns whether it
+    added a pair, until a pass adds none.  ``offer`` is a ``_Read`` of all
+    pairs of the set being built, in (lo, hi]: the visit reads the set up to
+    serial ``hi`` and examines the pairs above ``lo``, every stored pair in
+    naive mode (lo is 0), those not yet offered to the rule in active mode.
+    ``rec`` is the run's recorder, which the visit tells of each ``_Read``
+    it begins.  ``store(lhs_roots, rhs)`` is ``_store`` into the set; the
+    insertion that takes the set past ``g.max_pairs`` raises LimitExceeded,
+    as does a pass beyond ``g.max_iterations``.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, not {mode!r}")
     out = PairSet()
     rec = _Recorder(mode)
+    active = mode == "active"
+    marks = {}  # rule id -> the newest serial offered to the rule, in active mode
 
     def store(lhs_roots, rhs):
         added = _store(out, lhs_roots, rhs)
@@ -596,9 +577,12 @@ def _fixpoint(function: str, g: Grammar, mode: str, seed, visit):
         rec.begin_iteration(out)
         changed = False
         for r in g.rules:
-            lo, hi = out.offer(r.rule_id if mode == "active" else None)
-            rec.begin_visit(out, lo, hi)
-            changed |= visit(r, lo, hi, out, rec, store)
+            hi = out._settle()
+            offer = _Read(out, _ALL, marks.get(r.rule_id, 0), hi)
+            if active:
+                marks[r.rule_id] = hi
+            rec.begin_visit(offer)
+            changed |= visit(r, offer, rec, store)
             rec.end_visit()
         rec.end_iteration(out)
         if not changed:
@@ -627,7 +611,6 @@ def compute_first(g: Grammar, mode: str = "active"):
     when all k daughters do.  A combination must use an offered pair, so a
     visit where no daughter's label has a pair above ``lo`` reads nothing.
     """
-    eps_done = set()
     # rule id -> (the rule's space, the positions of its daughters, their wake labels)
     plans = {
         r.rule_id: (r.roots(), list(range(1, 1 + len(r.daughters))), _wake_labels(r.daughters))
@@ -641,16 +624,14 @@ def compute_first(g: Grammar, mode: str = "active"):
                     root = fs.restrict(d, g.restrictor, prune=True)
                     store((root,), root)
 
-    def visit(rule, lo, hi, first, rec, store):
+    def visit(rule, offer, rec, store):
         if rule.is_epsilon:
             # only the first store can be accepted, since a covered pair
-            # stays covered, so the active mode stores the mother once
-            if mode == "naive" or rule.rule_id not in eps_done:
-                eps_done.add(rule.rule_id)
-                return store((fs.restrict(rule.mother, g.restrictor, prune=True),), None)
+            # stays covered, so a visit offered pairs above 0 stores nothing
+            return not offer.lo and store((fs.restrict(rule.mother, g.restrictor, prune=True),), None)
+        if not offer.n:
             return False
-        if lo == hi:
-            return False
+        first, lo, hi = offer.pset, offer.lo, offer.hi
         base, span, labels = plans[rule.rule_id]
         eps = _Read(first, _EPS, 0, hi)
         fresh = _Read(first, _DRIVERS, lo, hi)
@@ -687,11 +668,12 @@ def first_of_string(first: PairSet, g: Grammar, cats) -> PairSet:
     cats = fs.clone_many(cats)
     if not cats:
         raise ValueError("empty category string")
+    hi = first._settle()
     for idx, c in enumerate(cats):
         if is_preterminal(c):
             continue
-        pairs = first._lookup(_ALL, label_of(c))
-        if not any(fs.unifiable(c, p.lhs[0], tree=p.lhs_is_tree()) for p in pairs):
+        listed, start, end = first._span(_ALL, label_of(c), 0, hi)
+        if not any(fs.unifiable(c, p.lhs[0], tree=p.lhs_is_tree()) for p in listed[start:end]):
             raise UnknownCategory(
                 f"position {idx + 1}: {format_roots([c])[0]} is neither preterminal "
                 "nor unifiable with any FIRST left side"
@@ -699,7 +681,6 @@ def first_of_string(first: PairSet, g: Grammar, cats) -> PairSet:
     out = PairSet()
     rec = _Recorder("ondemand")
     span = list(range(len(cats)))
-    _, hi = first.offer()
     eps, drivers = _Read(first, _EPS, 0, hi), _Read(first, _DRIVERS, 0, hi)
     for string, rhs in _first_of_span(cats, span, eps, drivers, rec, None, g.restrictor, with_empty=True):
         if rhs is None:
@@ -720,7 +701,7 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
     when that suffix is empty or wholly derives the empty string, every
     offered (M, f) whose M unifies with X' contributes (Y'i, f).
     """
-    _, first_hi = first.offer()
+    first_hi = first._settle()
     eps, drivers = _Read(first, _EPS, 0, first_hi), _Read(first, _DRIVERS, 0, first_hi)
     # rule id -> (the rule's space, the positions after each daughter, its mother's wake labels)
     plans = {}
@@ -735,17 +716,18 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
         start, end = fs.restrict_many([g.start, end_category()], g.restrictor, prune=True)
         store((start,), end)
 
-    def visit(rule, lo, hi, follow, rec, store):
+    def visit(rule, offer, rec, store):
         if rule.is_epsilon:
             return False
         base, tails, labels = plans[rule.rule_id]
         first_visit = rule.rule_id not in kept
         spaces = kept.setdefault(rule.rule_id, [])
         changed, woken = False, True
-        # FIRST of each proper suffix; its inputs never change, so the active
-        # mode only runs this on the rule's first visit, which is offered the
-        # seed at least and keeps the empty-string tails
-        if mode == "naive" or first_visit:
+        # FIRST of each proper suffix; its inputs never change, so only a
+        # visit offered every pair runs this: any naive one, and the rule's
+        # first, which is offered the seed at least and keeps the
+        # empty-string tails
+        if not offer.lo:
             for i, tail in enumerate(tails):
                 products = _first_of_span(base, tail, eps, drivers, rec, [1 + i], g.restrictor, with_empty=first_visit)
                 for daughter, rhs in products:
@@ -754,13 +736,12 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
                     else:
                         changed |= store(daughter, rhs)
         elif labels is not None:
-            woken = follow._woken(labels, lo)
+            woken = offer.pset._woken(labels, offer.lo)
         # the mother's FOLLOW flows to any daughter whose suffix is empty or
         # wholly derives the empty string
-        if lo < hi:
+        if offer.n:
             if tails[0]:
                 rec.began(eps)  # as enumerating the kept tail spaces began it
-            offer = _Read(follow, _ALL, lo, hi)
             if not woken:
                 # a full visit would bind every kept tail space's mother to no
                 # avail
@@ -787,7 +768,8 @@ def query(result: PairSet, cat: Node) -> list:
     out = []
     have_eps = False
     rec = _Recorder("query")
-    for p in result._lookup(_ALL, label_of(cat)):
+    listed, start, end = result._span(_ALL, label_of(cat), 0, result._settle())
+    for p in listed[start:end]:
         if p.is_epsilon and have_eps:
             continue  # only the first empty-string answer is kept; bind no more empty pairs
         got = _bind(cat, p, (), frozenset(), False, rec)

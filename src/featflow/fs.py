@@ -150,7 +150,10 @@ def make_path(text: str) -> FeaturePath:
 
 
 def make_restrictor(paths) -> frozenset:
-    """Build a restrictor from path tuples or dotted strings."""
+    """Build a restrictor from a collection of path tuples or dotted
+    strings; ``grammar.parse_restrictor`` parses restrictor text."""
+    if isinstance(paths, str):  # each character would be read as a path
+        raise TypeError(f"a restrictor is a collection of paths, not the string {paths!r}: use parse_restrictor")
     out = set()
     for p in paths:
         out.add(make_path(p) if isinstance(p, str) else tuple(p))

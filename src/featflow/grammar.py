@@ -381,7 +381,7 @@ class _Parser:
             starts.append(self.peek())
             d = self.category(tags)
             if preterminal_sugar:
-                self.mark_preterminal(d)
+                self.mark_preterminal(d, starts[-1])
             daughters.append(d)
         self.take()  # STOP
         roots = [mother, *daughters]
@@ -402,7 +402,9 @@ class _Parser:
             if n.atom is not None:
                 self.issues.append(ParseIssue(t.line, t.col, f"a category is an AVM, not the atom {_atom_text(n.atom)}"))
 
-    def mark_preterminal(self, cat):
+    def mark_preterminal(self, cat, start):
+        """Set ``ter=+`` on ``cat``; a clash is reported at ``start``, the
+        token where the category starts."""
         n = deref(cat)
         if n.atom is not None:
             return
@@ -413,9 +415,8 @@ class _Parser:
             try:
                 fs.unify_in_place(have, self.atom("+"))
             except UnificationFailed:
-                self.issues.append(
-                    ParseIssue(self.peek().line, self.peek().col, "term used on a category with ter incompatible with '+'")
-                )
+                message = "term used on a category with ter incompatible with '+'"
+                self.issues.append(ParseIssue(start.line, start.col, message))
 
     def category(self, tags, allow_end_mark=False) -> Node:
         t = self.peek()

@@ -47,6 +47,25 @@ def test_file_not_valid_utf8_is_an_input_error(capsys, tmp_path):
     assert err == f"{path}: cannot read: not valid UTF-8 at byte offset 17\n"
 
 
+def test_a_leading_byte_order_mark_is_skipped(capsys, tmp_path):
+    text = Path(fixture_path("fig1.gr")).read_text(encoding="utf-8")
+    plain = json.loads(run(capsys, "first", fixture_path("fig1.gr"), "--format", "json")[1])
+    marked = tmp_path / "bom.gr"
+    marked.write_text("\ufeff" + text, encoding="utf-8")
+    code, out, err = run(capsys, "first", str(marked), "--format", "json")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["pairs"] == plain["pairs"]
+    # a mark anywhere else is a character of the text; a byte offset counts the mark
+    for body, where in (("\ufeff\ufeff" + text, "1:1"), (text + "\ufeff", f"{text.count(chr(10)) + 1}:1")):
+        marked.write_text(body, encoding="utf-8")
+        code, out, err = run(capsys, "first", str(marked))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert f"bom.gr:{where}: error: unknown syntax: unexpected character '\\ufeff'" in err, err
+    marked.write_bytes(b"\xef\xbb\xbfS[] -> a[].\xff\n")
+    code, out, err = run(capsys, "first", str(marked))
+    assert err == f"{marked}: cannot read: not valid UTF-8 at byte offset 14\n"
+
+
 def test_parse_error_exit_code_and_location(capsys, tmp_path):
     bad = tmp_path / "bad.gr"
     bad.write_text("S -> ]\n")

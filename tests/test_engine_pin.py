@@ -4,7 +4,10 @@
 ``cf_oracle``, the FIRST and FOLLOW pairs in output order with
 ``attempts``/``filtered``/``events`` and the iteration rows, in both
 modes, plus ``first_of_string`` and ``query`` answers in order for a few
-category strings.  The fixture goldens pin the CLI's bytes and the
+category strings.  Per mode it also holds the runs a guard stops: at each
+``max_pairs`` in ``PAIR_LIMITS`` below the larger of the two final sets
+and at each ``max_iterations`` in ``ITERATION_LIMITS`` that stops a run,
+the function stopped, the guard and the stats it reported.  The fixture goldens pin the CLI's bytes and the
 benchmark's goldens hash sorted lines; this pins order and counters on
 grammars the fixtures do not cover.
 
@@ -15,11 +18,13 @@ Re-record, only for a change meant to alter these results, with
 
 import json
 import random
+from dataclasses import replace
 from pathlib import Path
 
 from featflow.firstfollow import (
     MODES,
     EpsilonMark,
+    LimitExceeded,
     UnknownCategory,
     compute_first,
     compute_follow,
@@ -31,6 +36,8 @@ from featflow.grammar import format_roots, parse_category_sequence, parse_gramma
 from cf_oracle import random_cf_grammar, random_feature_grammar
 
 GOLDEN = Path(__file__).parent / "goldens" / "engine.json"
+PAIR_LIMITS = (1, 2, 3, 5, 8, 13)
+ITERATION_LIMITS = (1, 2)
 
 
 def generated_grammars():
@@ -62,17 +69,32 @@ def rendered(values):
     return ["ε" if isinstance(v, EpsilonMark) else format_roots([v])[0] for v in values]
 
 
+def guard_stop(g, mode, **limit):
+    """The guard stop of FIRST, then FOLLOW, of ``g`` under ``limit``, or
+    None when both reach their fixpoint."""
+    g = replace(g, **limit)
+    try:
+        compute_follow(g, compute_first(g, mode)[0], mode)
+    except LimitExceeded as exc:
+        return {**limit, "function": exc.function, "kind": exc.kind, "stats": run_stats(exc.stats)}
+    return None
+
+
 def engine_record(text, strings):
     g = parse_grammar(text)
     out = {"grammar": text, "strings": strings}
     for mode in MODES:
         first, fstats = compute_first(g, mode)
         follow, ostats = compute_follow(g, first, mode)
+        larger = max(len(first), len(follow))
+        stops = [guard_stop(g, mode, max_pairs=n) for n in PAIR_LIMITS if n < larger]
+        stops += [guard_stop(g, mode, max_iterations=n) for n in ITERATION_LIMITS]
         out[mode] = {
             "first": [format_pair(p) for p in first],
             "first_stats": run_stats(fstats),
             "follow": [format_pair(p) for p in follow],
             "follow_stats": run_stats(ostats),
+            "guard_stops": [stop for stop in stops if stop is not None],
         }
     answers = []
     for s in strings:

@@ -141,9 +141,12 @@ def test_pairs_differing_only_in_reentrancy_are_both_kept():
     assert len(s) == 2
 
 
-def offered(s, rule_id):
-    """The pairs ``offer`` hands rule ``rule_id``: its serial range."""
-    lo, hi = s.offer(rule_id)
+def offered(s, marks, rule_id):
+    """The pairs the active driver offers rule ``rule_id`` of ``s`` now:
+    those above ``marks[rule_id]``, the newest serial offered to it before,
+    which moves up to the newest stored pair."""
+    hi = s._settle()
+    lo, marks[rule_id] = marks.get(rule_id, 0), hi
     listed, start, end = s._span(ff._ALL, None, lo, hi)
     return listed[start:end]
 
@@ -152,14 +155,15 @@ def test_pairs_stay_in_serial_order_through_replacement():
     s = PairSet()
     for lhs, rhs in (("np[agr=sg]", "det[agr=sg]"), ("vp[]", "v[]"), ("np[agr=pl]", "det[agr=pl]")):
         assert s.add(cat_pair(lhs, rhs))
-    assert offered(s, 1) == s.pairs
+    marks = {}
+    assert offered(s, marks, 1) == s.pairs
     assert s.add(cat_pair("np[]", "det[]"))
     assert s.removed == 2
     serials = [p.serial for p in s.pairs]
     assert serials == sorted(serials)
-    assert [format_pair(p) for p in offered(s, 1)] == ["(np[] , det[])"]
-    assert offered(s, 1) == []
-    assert offered(s, 2) == s.pairs
+    assert [format_pair(p) for p in offered(s, marks, 1)] == ["(np[] , det[])"]
+    assert offered(s, marks, 1) == []
+    assert offered(s, marks, 2) == s.pairs
     g = load_fixture("fig1.gr")
     first, _ = compute_first(g)
     follow, _ = compute_follow(g, first)
@@ -734,9 +738,9 @@ class OfferTally(_Recorder):
 
     offers = None
 
-    def begin_visit(self, pset, lo, hi):
-        super().begin_visit(pset, lo, hi)
-        listed, start, end = pset._span(ff._ALL, None, lo, hi)
+    def begin_visit(self, offer):
+        super().begin_visit(offer)
+        listed, start, end = offer.pset._span(ff._ALL, None, offer.lo, offer.hi)
         self.offers.update(p.serial for p in listed[start:end])
 
 
@@ -754,6 +758,28 @@ def test_active_event_accounting_identity(monkeypatch):
         assert stats.events == sum(offers.values())
 
 
+def test_an_empty_rule_stores_its_mother_only_when_offered_every_pair(monkeypatch):
+    """A visit offered pairs above 0 stores no empty rule's mother, which a
+    covered pair would reject: an active run stores it once, a naive run
+    once per pass."""
+    g = load_fixture("fig1.gr")
+    mothers = {id(r.mother) for r in g.rules if r.is_epsilon}
+    real = fs.restrict
+    for mode in MODES:
+        stored = collections.Counter()
+
+        def counted(root, *args, **kwargs):
+            stored[id(root)] += id(root) in mothers
+            return real(root, *args, **kwargs)
+
+        with monkeypatch.context() as m:
+            m.setattr(fs, "restrict", counted)
+            _, stats = compute_first(g, mode)
+        passes = 1 if mode == "active" else len(stats.rows)
+        assert mothers and len(stats.rows) > 1
+        assert all(stored[mother] == passes for mother in mothers), mode
+
+
 def test_mode_equivalence_on_random_feature_grammars():
     rng = random.Random(99)
     for _ in range(25):
@@ -765,7 +791,7 @@ def test_mode_equivalence_on_random_feature_grammars():
 def test_choice_order_independence_of_prefix_bindings():
     g = load_fixture("fig1.gr")
     first, _ = compute_first(g)
-    _, hi = first.offer()
+    hi = first._settle()
     eps, drivers = ff._Read(first, ff._EPS, 0, hi), ff._Read(first, ff._DRIVERS, 0, hi)
     rule = g.rules[1]  # two leading NP daughters before the VP
     rec = _Recorder("probe")
@@ -1215,9 +1241,11 @@ def test_a_read_bounded_at_hi_sees_the_set_as_the_visit_began():
     s = PairSet()
     for lhs, rhs in (("np[agr=sg]", "det[agr=sg]"), ("np[agr=pl]", "det[agr=pl]")):
         assert s.add(cat_pair(lhs, rhs))
-    lo, hi = s.offer(1)
+    marks = {}
+    offer = ff._Read(s, ff._ALL, 0, s._settle())
+    assert offered(s, marks, 1) == s.pairs
     rec = _Recorder("probe")
-    read = ff._bind_each([parse_category("np[]")], 0, ff._Read(s, ff._ALL, lo, hi), rec)
+    read = ff._bind_each([parse_category("np[]")], 0, offer, rec)
     got = [format_pair(next(read)[0])]
     assert s.add(cat_pair("np[]", "det[]"))  # replaces both pairs
     assert s.add(cat_pair("[agr=sg]", "n[]"))  # joins the np list, above hi
@@ -1225,8 +1253,9 @@ def test_a_read_bounded_at_hi_sees_the_set_as_the_visit_began():
     got += [format_pair(p) for p, *_ in read]
     assert got == ["(np[agr=sg] , det[agr=sg])", "(np[agr=pl] , det[agr=pl])"]
     # the next offer drops the replaced pairs and offers the new ones
-    assert offered(s, 1) == s.pairs
-    assert s._lookup(ff._ALL, "np") == s.pairs
+    assert offered(s, marks, 1) == s.pairs
+    listed, start, end = s._span(ff._ALL, "np", 0, s._settle())
+    assert listed[start:end] == s.pairs
 
 
 def assert_index_matches_pairs(pset):
@@ -1312,7 +1341,7 @@ def test_a_visit_considers_the_widest_range_it_began_of_each_kind():
     rec = _Recorder("probe")
     rec.began(every)  # outside a visit: counts in no row
     rec.begin_iteration(s)
-    rec.begin_visit(s, at[-1], at[-1])  # offered nothing
+    rec.begin_visit(ff._Read(s, ff._ALL, at[-1], at[-1]))  # offered nothing
     assert every.n == 8 and drivers.n == 6  # made, not begun
     rec.began(ff._Read(s, ff._DRIVERS, at[1], at[4]))  # pairs 2-4
     rec.began(ff._Read(s, ff._DRIVERS, at[2], at[5]))  # pairs 3-5, as wide
@@ -1493,7 +1522,7 @@ def follow_that_enumerates_tails_on_every_visit(g, first, mode="active"):
     pairs enumerates afresh, by ``reference_eps_bindings``, the ways to
     bind each daughter's suffix to empty pairs, and binds the offer in each
     as it is made.  FIRST of the suffixes runs as in ``compute_follow``."""
-    _, first_hi = first.offer()
+    first_hi = first._settle()
     eps, drivers = ff._Read(first, ff._EPS, 0, first_hi), ff._Read(first, ff._DRIVERS, 0, first_hi)
     visited = set()
 
@@ -1501,7 +1530,7 @@ def follow_that_enumerates_tails_on_every_visit(g, first, mode="active"):
         start, end = fs.restrict_many([g.start, end_category()], g.restrictor, prune=True)
         store((start,), end)
 
-    def visit(rule, lo, hi, follow, rec, store):
+    def visit(rule, offer, rec, store):
         if rule.is_epsilon:
             return False
         base, k = rule.roots(), len(rule.daughters)
@@ -1512,8 +1541,7 @@ def follow_that_enumerates_tails_on_every_visit(g, first, mode="active"):
             for i, tail in enumerate(tails):
                 for daughter, rhs in ff._first_of_span(base, tail, eps, drivers, rec, [1 + i], g.restrictor):
                     changed |= store(daughter, rhs)
-        if lo < hi:
-            offer = ff._Read(follow, ff._ALL, lo, hi)
+        if offer.n:
             for i, tail in enumerate(tails):
                 for space, _ in reference_eps_bindings(base, tail, eps, rec):
                     for _, daughter, rhs in ff._bind_each(space, 0, offer, rec, [1 + i], g.restrictor):

@@ -200,6 +200,12 @@ def test_restrict_collapses_orth_variants():
     assert equivalent(a, b)
 
 
+def test_a_string_is_not_a_restrictor():
+    with pytest.raises(TypeError, match="parse_restrictor"):
+        fs.make_restrictor("orth")
+    assert fs.make_restrictor(["orth"]) == frozenset({("orth",)})
+
+
 def test_restrict_idempotent():
     phi = fs.make_restrictor(["slash", "agr.num"])
     x = np(agr=node(num=atom("sg"), per=atom("3")), slash=np())

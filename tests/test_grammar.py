@@ -182,6 +182,22 @@ def test_term_sugar_injects_preterminal_mark():
     assert all(is_preterminal(d) for d in g.rules[0].daughters)
 
 
+@pytest.mark.parametrize("text", ["S[] -> term X[ter=-] Y[] Z[].", "S[] -> term X[ter=-].", "S[] -> term $1:[ter=-] Y[]."])
+def test_a_term_clash_is_reported_at_the_category(text):
+    with pytest.raises(GrammarSyntaxError) as err:
+        parse_grammar(text)
+    (issue,) = err.value.issues
+    assert (issue.line, issue.col) == (1, 13), issue
+    assert issue.message == "term used on a category with ter incompatible with '+'"
+
+
+def test_a_string_is_not_a_restrictor():
+    g = parse_grammar("S[] -> a[ter=+].")
+    with pytest.raises(TypeError, match="parse_restrictor"):
+        g.with_restrictor("agr.num")
+    assert g.with_restrictor(("agr.num",)).restrictor == frozenset({("agr", "num")})
+
+
 def test_start_declaration_overrides_first_mother():
     g = parse_grammar("start VP. S -> VP[]. VP -> v[ter=+].")
     assert label_of(g.start) == "vp"
@@ -617,7 +633,7 @@ class FullCycleCheckParser(_Parser):
             starts.append(self.peek())
             d = self.category(tags)
             if preterminal_sugar:
-                self.mark_preterminal(d)
+                self.mark_preterminal(d, starts[-1])
             daughters.append(d)
         self.take()  # STOP
         roots = [mother, *daughters]

@@ -394,10 +394,11 @@ def main(argv=None) -> int:
         return code
     except BrokenPipeError:
         # the reader closed stdout, as ``| head`` does, or stderr: what is
-        # still buffered for stdout goes to devnull, so the flush at exit
-        # cannot fail (stderr keeps nothing buffered)
+        # still buffered for either goes to devnull, so the flush at exit
+        # cannot fail
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, sys.stderr.fileno())
         os.close(devnull)
         return EXIT_PIPE
 

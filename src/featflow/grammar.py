@@ -386,13 +386,18 @@ class _Parser:
         self.take()  # STOP
         roots = [mother, *daughters]
         line = starts[0].line
-        # only a tag annotation can close a cycle, and one that unified has
-        # checked the node it merged; a failed one may leave a cycle behind
-        if self.tag_failed and fs._cyclic(roots):
+        if self.builds_cycle(roots):
             self.issues.append(ParseIssue(line, 1, "rule builds a cyclic structure"))
             return
         self.check_avms(roots, starts)
         self.rules.append(Rule(len(self.rules) + 1, mother, tuple(daughters), line))
+
+    def builds_cycle(self, roots) -> bool:
+        """Whether the statement just parsed, with roots ``roots``, builds a
+        cycle.  Only a tag annotation can close one, and one that unified
+        has checked the node it merged; a failed one may leave a cycle
+        behind."""
+        return self.tag_failed and fs._cyclic(roots)
 
     def check_avms(self, roots, starts):
         """Report each root that is an atom, at the token where it starts:
@@ -525,7 +530,12 @@ def parse_category(text: str) -> Node:
 
 def parse_category_sequence(text: str) -> list:
     """Parse whitespace-separated AVMs sharing one tag space."""
-    p = _Parser(text, "<category>")
+    return _category_sequence(_Parser(text, "<category>"))
+
+
+def _category_sequence(p: _Parser) -> list:
+    """The categories ``p`` parses, all of its text, as
+    ``parse_category_sequence`` gives them."""
     cats = []
     starts = []
     tags = {}
@@ -539,7 +549,7 @@ def parse_category_sequence(text: str) -> list:
         p.too_deep()
     if not p.issues and not cats:
         p.issues.append(ParseIssue(1, 1, "expected at least one category"))
-    if not p.issues and p.tag_failed and fs._cyclic(cats):
+    if not p.issues and p.builds_cycle(cats):
         p.issues.append(ParseIssue(1, 1, "categories build a cycle"))
     p.check_avms(cats, starts)
     if p.issues:

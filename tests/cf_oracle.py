@@ -1,13 +1,17 @@
-"""Independent context-free FIRST/FOLLOW oracle and random CF grammars.
+"""Independent context-free FIRST/FOLLOW oracle, and the test grammars.
 
 The oracle works on plain symbol tuples and never touches the package's
 pair machinery, so it can cross-check the engine's projection onto bare
 labels.  FIRST follows the textbook iterate-until-stable procedure;
 FOLLOW applies the standard rules to every grammar symbol (terminals
 included, since the pair engine computes those too).
+
+The generators below give the oracle its random CF grammars and the engine
+tests their fixed-seed feature grammars.
 """
 
 import random
+import re
 
 EPSILON = "<eps>"
 END = "$"
@@ -176,3 +180,32 @@ def random_feature_grammar(rng: random.Random) -> str:
             mother = f"{lab}[agr=$1]" if share_pos >= 0 else f"{lab}[]"
             lines.append(f"{mother} -> {' '.join(rhs)}.")
     return "\n".join(lines) + "\n"
+
+
+def loosely_labelled_grammar(rng: random.Random) -> str:
+    """``random_feature_grammar`` with some categories unlabelled and some
+    given a complex ``cat``, whose pairs the label index treats as
+    wildcards."""
+
+    def relabel(m):
+        r = rng.random()
+        if r < 0.2:
+            return "[" + (m.group(2) or "")
+        if r < 0.3:
+            return f"[cat=[k={m.group(1)}]" + ("]" if m.group(2) else ", ")
+        return m.group(0)
+
+    return re.sub(r"\b([xt]\d)\[(\])?", relabel, random_feature_grammar(rng))
+
+
+# several empty pairs per position, one of them found only in the second
+# pass, with the mother recording which were bound: product order shows the
+# order of the empty-bound prefixes at every position
+LAYERED_EMPTY = [
+    """T[a=$1, b=$2] -> S[a=$1] X[agr=$2] X[agr=$1].
+    S[a=$1, b=$2, c=$3] -> X[agr=$1] X[agr=$2] X[agr=$3] y[ter=+, agr=$3].
+    X[agr=sg] -> .  X[agr=pl] -> .  X[agr=du] -> W[].  W[] -> .""",
+    """S[a=$1, b=$2] -> A[f=$1] B[f=$2] A[f=$2] c[ter=+].
+    A[f=x] -> .  A[f=y] -> .  A[f=z] -> a[ter=+].
+    B[f=x] -> b[ter=+].  B[f=y] -> .  B[f=$1] -> A[f=$1] A[f=$1].""",
+]

@@ -340,6 +340,7 @@ def test_json_output_matches_golden_bytes(capsys, monkeypatch, name, function):
 
 def _featflow(*argv, hashseed="0", stdout=subprocess.PIPE, stderr=subprocess.PIPE):
     env = dict(os.environ, PYTHONHASHSEED=hashseed)
+    env.pop("PYTHONUNBUFFERED", None)  # the streams buffer as they do by default
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "featflow", *argv],

@@ -1,10 +1,8 @@
 """Engine behaviour: the antichain operator, fixpoints, modes, lookups."""
 
 import collections
-import dataclasses
 import json
 import random
-import re
 from pathlib import Path
 
 import pytest
@@ -35,7 +33,6 @@ from featflow.firstfollow import (
     query,
 )
 from featflow.grammar import (
-    end_category,
     format_roots,
     is_preterminal,
     label_of,
@@ -45,9 +42,11 @@ from featflow.grammar import (
 )
 from cf_oracle import (
     END,
+    LAYERED_EMPTY,
     cf_first,
     cf_follow,
     leftmost_terminals,
+    loosely_labelled_grammar,
     random_cf_grammar,
     random_feature_grammar,
 )
@@ -1167,21 +1166,6 @@ def full_scan_unknown(first, cats):
     )
 
 
-def loosely_labelled_grammar(rng):
-    """``random_feature_grammar`` with some categories unlabelled and some
-    given a complex ``cat``, whose pairs the pools treat as wildcards."""
-
-    def relabel(m):
-        r = rng.random()
-        if r < 0.2:
-            return "[" + (m.group(2) or "")
-        if r < 0.3:
-            return f"[cat=[k={m.group(1)}]" + ("]" if m.group(2) else ", ")
-        return m.group(0)
-
-    return re.sub(r"\b([xt]\d)\[(\])?", relabel, random_feature_grammar(rng))
-
-
 def rendered(values):
     return ["ε" if isinstance(v, EpsilonMark) else format_roots([v])[0] for v in values]
 
@@ -1284,54 +1268,6 @@ def test_label_lists_match_the_pairs_after_every_fixpoint():
             assert_index_matches_pairs(follow)
 
 
-def serial_set_bind_each(space, pos, read, rec, keep=None, restrictor=None):
-    """The label filter over a copy of the read's range, with the visit's
-    pairs kept as a set of serials: the whole range once a pair is passed
-    over for its label, else each pair as it is tried.  The read is begun
-    on entry, as ``_bind_each`` says."""
-    rec.began(read)
-    pset, kind, lo, hi = read.pset, read.kind, read.lo, read.hi
-    listed, start, end = pset._span(kind, None, lo, hi)
-    whole = listed[start:end]
-    label = label_of(space[pos])
-    candidates = [p for p in whole if label is None or p.key[1][0] in (None, label)]
-    skipped = len(whole) - len(candidates)
-    rec.attempts += skipped
-    rec.filtered += skipped
-    if skipped and rec.tried is not None:
-        rec.tried.update(p.serial for p in whole)
-    args = bind_args(space, keep, restrictor)
-    for p in candidates:
-        if rec.tried is not None:
-            rec.tried.add(p.serial)
-        got = _bind(space[pos], p, *args, rec)
-        if got is not None:
-            yield p, *got
-
-
-def test_guard_stopped_rows_match_serial_sets(monkeypatch):
-    """A guard can stop a visit inside its reads; its row then counts the
-    whole of each range begun so far, as serial sets do."""
-    rng = random.Random(707)
-    grammars = [load_fixture(name) for name in FIXTURES]
-    grammars += [parse_grammar(loosely_labelled_grammar(rng)) for _ in range(6)]
-    for g in grammars:
-        for mode in MODES:
-            first, _ = compute_first(g, mode)
-            follow, _ = compute_follow(g, first, mode)
-            for limit in range(1, max(len(first), len(follow))):
-                stopped = dataclasses.replace(g, max_pairs=limit)
-                runs = []
-                for bind_each, recorder in ((ff._bind_each, _Recorder), (serial_set_bind_each, ScanRecorder)):
-                    with monkeypatch.context() as m:
-                        m.setattr(ff, "_bind_each", bind_each)
-                        m.setattr(ff, "_Recorder", recorder)
-                        with pytest.raises(LimitExceeded) as err:
-                            compute_follow(stopped, compute_first(stopped, mode)[0], mode)
-                        runs.append(stats_of(err.value.stats))
-                assert runs[0] == runs[1], (g.name, mode, limit)
-
-
 def test_a_visit_considers_the_widest_range_it_began_of_each_kind():
     s = PairSet()
     pairs = [cat_pair(f"x{i}[]", "t[]") for i in range(6)] + [cat_pair(f"e{i}[]", None) for i in range(2)]
@@ -1352,128 +1288,7 @@ def test_a_visit_considers_the_widest_range_it_began_of_each_kind():
 
 
 # ---------------------------------------------------------------------------
-# the level-by-level enumerator against the two-pass one it replaced
-
-def reference_eps_bindings(space, positions, eps, rec, k=0, newest=0):
-    """The recursive ε enumerator: every way to bind the listed positions
-    from the ``k``-th on to empty pairs; yields (whole bound space, newest
-    serial bound)."""
-    if k == len(positions):
-        yield space, newest
-        return
-    for e, new, _ in ff._bind_each(space, positions[k], eps, rec):
-        yield from reference_eps_bindings(new, positions, eps, rec, k + 1, max(newest, e.serial))
-
-
-def reference_first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None, with_empty=False):
-    """The two-pass enumerator: the empty-bound prefix of each position
-    enumerated afresh, then, ``with_empty``, the whole span's empty-string
-    derivations enumerated a third time, as its callers used to."""
-    fresh = fresh or drivers
-    for j, pos in enumerate(span):
-        for bound, newest in reference_eps_bindings(space, span[:j], eps, rec):
-            pool = drivers if newest > fresh.lo else fresh
-            for _, kept, rhs in ff._bind_each(bound, pos, pool, rec, keep, restrictor):
-                yield kept, rhs
-    if with_empty:
-        for bound, newest in reference_eps_bindings(space, span, eps, rec):
-            if newest > fresh.lo or not fresh.lo:
-                yield bound, None
-
-
-def stage_record(pairs, stats):
-    """What the enumerators must agree on, and the attempt counts, which
-    the level enumerator may only lower."""
-    rows = [(r.iteration, r.considered, r.total, r.additions) for r in stats.rows]
-    same = [stats.events, stats.fixpoint, rows]
-    if pairs is not None:
-        same += [[format_pair(p) for p in pairs], pairs.rejected, pairs.removed]
-    return same, (stats.attempts, stats.filtered, [r.attempts for r in stats.rows])
-
-
-def enumerator_run(g, mode, strings, probes):
-    """FIRST, FOLLOW, ``first_of_string`` and ``query`` on one grammar;
-    a guard that fires ends the run with the stats it carries."""
-    out = []
-    try:
-        first, stats = compute_first(g, mode)
-        out.append(stage_record(first, stats))
-        follow, stats = ff.compute_follow(g, first, mode)
-        out.append(stage_record(follow, stats))
-    except LimitExceeded as err:
-        out.append(stage_record(None, err.stats))
-        return out
-    answers = [string_first_or_unknown(first, g, w) for w in strings]
-    answers += [rendered(query(s, c)) for s in (first, follow) for c in probes]
-    out.append((answers, None))
-    return out
-
-
-def two_pass_enumerators(m):
-    m.setattr(ff, "_first_of_span", reference_first_of_span)
-
-
-def assert_matches_reference(monkeypatch, g, mode, strings=(), probes=(), reference=two_pass_enumerators):
-    """The engine against itself with ``reference(monkeypatch)`` applied."""
-    runs = [enumerator_run(g, mode, strings, probes)]
-    with monkeypatch.context() as m:
-        reference(m)
-        runs.append(enumerator_run(g, mode, strings, probes))
-    levels, reference = runs
-    assert len(levels) == len(reference), (g.name, mode)
-    for (same, counts), (want, limit) in zip(levels, reference):
-        assert same == want, (g.name, mode)
-        if counts is not None:
-            attempts, filtered, row_attempts = counts
-            assert attempts <= limit[0] and filtered <= limit[1], (g.name, mode)
-            assert all(a <= b for a, b in zip(row_attempts, limit[2])), (g.name, mode)
-
-
-# several empty pairs per position, one of them found only in the second
-# pass, with the mother recording which were bound: product order shows
-# the order of the prefixes at every level
-LAYERED_EMPTY = [
-    """T[a=$1, b=$2] -> S[a=$1] X[agr=$2] X[agr=$1].
-    S[a=$1, b=$2, c=$3] -> X[agr=$1] X[agr=$2] X[agr=$3] y[ter=+, agr=$3].
-    X[agr=sg] -> .  X[agr=pl] -> .  X[agr=du] -> W[].  W[] -> .""",
-    """S[a=$1, b=$2] -> A[f=$1] B[f=$2] A[f=$2] c[ter=+].
-    A[f=x] -> .  A[f=y] -> .  A[f=z] -> a[ter=+].
-    B[f=x] -> b[ter=+].  B[f=y] -> .  B[f=$1] -> A[f=$1] A[f=$1].""",
-]
-
-
-def reference_grammars():
-    grammars = [parse_grammar(text, name=f"layered-empty-{i}") for i, text in enumerate(LAYERED_EMPTY)]
-    grammars += [load_fixture(name) for name in FIXTURES]
-    grammars.append(load_fixture("guard.gr", restrictor=["orth"]))
-    golden = Path(__file__).parent / "goldens" / "engine.json"
-    grammars += [parse_grammar(rec["grammar"]) for rec in json.loads(golden.read_text(encoding="utf-8"))]
-    rng = random.Random(1414)
-    grammars += [parse_grammar(random_cf_grammar(rng)[0]) for _ in range(40)]
-    grammars += [parse_grammar(random_feature_grammar(rng)) for _ in range(40)]
-    return grammars
-
-
-def test_level_enumerator_matches_the_two_pass_reference(monkeypatch):
-    rng = random.Random(14)
-    for g in reference_grammars():
-        cats = [c for r in g.rules for c in r.roots()]
-        strings = [[rng.choice(cats) for _ in range(rng.randint(1, 4))] for _ in range(4)]
-        probes = [fs.clone(rng.choice(cats)) for _ in range(4)]
-        for mode in MODES:
-            assert_matches_reference(monkeypatch, g, mode, strings, probes)
-
-
-def test_level_enumerator_matches_the_reference_when_a_guard_stops_it(monkeypatch):
-    grammars = reference_grammars()
-    # the hand-written grammars and the fixtures, then 12 of each generator's
-    for g in grammars[:8] + grammars[24:36] + grammars[64:76]:
-        for mode in MODES:
-            for limit in (1, 2, 3, 5, 8, 13):
-                assert_matches_reference(monkeypatch, dataclasses.replace(g, max_pairs=limit), mode)
-            for limit in (1, 2):
-                assert_matches_reference(monkeypatch, dataclasses.replace(g, max_iterations=limit), mode)
-
+# the level-by-level enumerator
 
 def test_empty_string_derivations_are_stored_restricted_and_pruned():
     """The enumerator yields an empty-string derivation as the whole bound
@@ -1515,103 +1330,7 @@ def test_empty_pairs_a_first_daughter_lacks_are_counted_not_read(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# woken visits and kept FOLLOW tails against visits that read every time
-
-def follow_that_enumerates_tails_on_every_visit(g, first, mode="active"):
-    """FOLLOW as it was before each rule kept its tails: a visit offered
-    pairs enumerates afresh, by ``reference_eps_bindings``, the ways to
-    bind each daughter's suffix to empty pairs, and binds the offer in each
-    as it is made.  FIRST of the suffixes runs as in ``compute_follow``."""
-    first_hi = first._settle()
-    eps, drivers = ff._Read(first, ff._EPS, 0, first_hi), ff._Read(first, ff._DRIVERS, 0, first_hi)
-    visited = set()
-
-    def seed(store):
-        start, end = fs.restrict_many([g.start, end_category()], g.restrictor, prune=True)
-        store((start,), end)
-
-    def visit(rule, offer, rec, store):
-        if rule.is_epsilon:
-            return False
-        base, k = rule.roots(), len(rule.daughters)
-        tails = [list(range(2 + i, 1 + k)) for i in range(k)]
-        changed = False
-        if mode == "naive" or rule.rule_id not in visited:
-            visited.add(rule.rule_id)
-            for i, tail in enumerate(tails):
-                for daughter, rhs in ff._first_of_span(base, tail, eps, drivers, rec, [1 + i], g.restrictor):
-                    changed |= store(daughter, rhs)
-        if offer.n:
-            for i, tail in enumerate(tails):
-                for space, _ in reference_eps_bindings(base, tail, eps, rec):
-                    for _, daughter, rhs in ff._bind_each(space, 0, offer, rec, [1 + i], g.restrictor):
-                        changed |= store(daughter, rhs)
-        return changed
-
-    return ff._fixpoint("FOLLOW", g, mode, seed, visit)
-
-
-def visits_that_always_read(m):
-    """The engine as it visited before rules woke by label: every visit
-    runs in full, FOLLOW enumerates each rule's tails afresh on every
-    visit, and FIRST of a span is the two-pass enumerator."""
-    m.setattr(PairSet, "_woken", lambda self, labels, lo: True)
-    m.setattr(ff, "compute_follow", follow_that_enumerates_tails_on_every_visit)
-    two_pass_enumerators(m)
-
-
-def woken_reference_grammars():
-    rng = random.Random(1616)
-    loose = [parse_grammar(loosely_labelled_grammar(rng), name=f"loose-{i}") for i in range(16)]
-    return reference_grammars() + loose
-
-
-def test_woken_visits_match_visits_that_always_read(monkeypatch):
-    rng = random.Random(16)
-    for g in woken_reference_grammars():
-        cats = [c for r in g.rules for c in r.roots()]
-        strings = [[rng.choice(cats) for _ in range(rng.randint(1, 4))] for _ in range(4)]
-        probes = [fs.clone(rng.choice(cats)) for _ in range(4)]
-        for mode in MODES:
-            assert_matches_reference(monkeypatch, g, mode, strings, probes, visits_that_always_read)
-
-
-def test_woken_visits_match_visits_that_always_read_when_a_guard_stops_them(monkeypatch):
-    grammars = woken_reference_grammars()
-    # the hand-written grammars and the fixtures, 12 of each generator's
-    # and 8 loosely labelled ones
-    for g in grammars[:8] + grammars[24:36] + grammars[64:76] + grammars[104:112]:
-        for mode in MODES:
-            for limit in range(1, 14):
-                stopped = dataclasses.replace(g, max_pairs=limit)
-                assert_matches_reference(monkeypatch, stopped, mode, reference=visits_that_always_read)
-            for limit in (1, 2):
-                stopped = dataclasses.replace(g, max_iterations=limit)
-                assert_matches_reference(monkeypatch, stopped, mode, reference=visits_that_always_read)
-
-
-def test_kept_tails_bind_less_on_bench21(monkeypatch):
-    g = load_fixture("bench21.gr")
-    first, _ = compute_first(g)
-    binds = collections.Counter()
-    real = ff._bind_each
-
-    def counted(space, pos, read, rec, *args):
-        binds[read.pset is first, read.kind] += 1
-        return real(space, pos, read, rec, *args)
-
-    monkeypatch.setattr(ff, "_bind_each", counted)
-    compute_follow(g, first)
-    woken = binds.copy()
-    binds.clear()
-    visits_that_always_read(monkeypatch)
-    ff.compute_follow(g, first)
-    # FOLLOW binds FIRST's empty pairs only to enumerate each rule's tails
-    # once, and the mothers of kept tails only when the offer holds a pair
-    # of their label
-    assert woken[True, ff._EPS] < binds[True, ff._EPS]
-    assert woken[False, ff._ALL] < binds[False, ff._ALL]
-
+# kept FOLLOW tails
 
 def test_follow_enumerates_each_tail_once_and_replays_it(monkeypatch):
     g = parse_grammar(LAYERED_EMPTY[0])
@@ -1625,17 +1344,10 @@ def test_follow_enumerates_each_tail_once_and_replays_it(monkeypatch):
 
     monkeypatch.setattr(ff, "_first_of_span", counted)
     tails = sum(len(r.daughters) for r in g.rules if not r.is_epsilon)
-    pairs = {}
     for mode in MODES:
         calls.clear()
-        follow, stats = compute_follow(g, first, mode)
-        pairs[mode] = [format_pair(p) for p in follow]
+        _, stats = compute_follow(g, first, mode)
         # each daughter's suffix is enumerated with its empty-string ways
         # once; the naive mode drives the suffixes again on later visits
         assert calls[True] == tails and len(stats.rows) > 1, mode
         assert (calls[False] > 0) == (mode == "naive"), mode
-    with monkeypatch.context() as m:
-        visits_that_always_read(m)
-        for mode in MODES:
-            follow, _ = ff.compute_follow(g, first, mode)
-            assert [format_pair(p) for p in follow] == pairs[mode], mode

@@ -20,8 +20,6 @@ from featflow.grammar import (
     Diagnostic,
     GrammarSyntaxError,
     ParseIssue,
-    Rule,
-    _Abort,
     _Lexer,
     _Parser,
     _Tok,
@@ -614,57 +612,16 @@ def test_any_text_parses_or_raises_a_positioned_error(text):
 # cycle checks in the parser
 
 class FullCycleCheckParser(_Parser):
-    """The parser checking every rule for cycles, tags or none: the
-    reference for checking only rules whose tag annotation failed."""
+    """The parser checking every statement for cycles, tags or none: the
+    reference for checking only statements whose tag annotation failed."""
 
-    def rule_statement(self):
-        tags = {}
-        starts = [self.peek()]
-        mother = self.category(tags)
-        self.expect("ARROW", "'->'")
-        daughters = []
-        while self.peek().kind != "STOP":
-            if self.peek().kind == "EOF":
-                self.fail(self.peek(), "unknown syntax: unterminated rule")
-            preterminal_sugar = False
-            if self.peek().kind == "WORD" and self.peek().value == "term":
-                self.take()
-                preterminal_sugar = True
-            starts.append(self.peek())
-            d = self.category(tags)
-            if preterminal_sugar:
-                self.mark_preterminal(d, starts[-1])
-            daughters.append(d)
-        self.take()  # STOP
-        roots = [mother, *daughters]
-        line = starts[0].line
-        if fs._cyclic(roots):
-            self.issues.append(ParseIssue(line, 1, "rule builds a cyclic structure"))
-            return
-        self.check_avms(roots, starts)
-        self.rules.append(Rule(len(self.rules) + 1, mother, tuple(daughters), line))
+    def builds_cycle(self, roots):
+        return fs._cyclic(roots)
 
 
 def sequence_with_full_cycle_check(text):
     """``parse_category_sequence`` checking for cycles, tags or none."""
-    p = _Parser(text, "<category>")
-    cats = []
-    starts = []
-    tags = {}
-    try:
-        while p.peek().kind != "EOF":
-            starts.append(p.peek())
-            cats.append(p.category(tags, allow_end_mark=True))
-    except _Abort:
-        pass
-    if not p.issues and not cats:
-        p.issues.append(ParseIssue(1, 1, "expected at least one category"))
-    if not p.issues and fs._cyclic(cats):
-        p.issues.append(ParseIssue(1, 1, "categories build a cycle"))
-    p.check_avms(cats, starts)
-    if p.issues:
-        raise GrammarSyntaxError(p.issues)
-    return cats
+    return gm._category_sequence(FullCycleCheckParser(text, "<category>"))
 
 
 def outcome(parse, text):

@@ -83,8 +83,7 @@ def _diagnose(g: gm.Grammar) -> list:
     lines = []
     for d in gm.validate(g):
         line = g.rule(d.rule_id).line if d.rule_id is not None else 1
-        where = f"rule {d.rule_id}: " if d.rule_id is not None else ""
-        lines.append((d.severity, f"{g.name}:{line}:1: {d.severity}: {where}{d.message}"))
+        lines.append((d.severity, f"{g.name}:{line}:1: {d}"))
     return lines
 
 
@@ -219,13 +218,13 @@ def cmd_string_first(args) -> int:
             EXIT_INPUT, [f"<string>:{i.line}:{i.col}: error: {i.message}" for i in exc.issues]
         )
     try:
-        first, _ = ff.compute_first(g, args.mode)
+        first, _ = ff.compute_first(g, "active")
         pairs = ff.first_of_string(first, g, cats)
     except ff.LimitExceeded as exc:
         raise _limit_failure(g, exc)
     except ff.UnknownCategory as exc:
         raise _Failure(EXIT_QUERY, [f"{g.name}: unknown category: {exc}"])
-    doc = _document(g, "string-first", args.mode, pairs, None, diags, extra={"string": args.string})
+    doc = _document(g, "string-first", "active", pairs, None, diags, extra={"string": args.string})
     _emit(doc, args)
     return EXIT_OK
 
@@ -324,14 +323,10 @@ def _shared(sub):
     sub.add_argument("--format", choices=("text", "json"), default="text")
 
 
-def _moded(sub):
-    """Flags of the commands that run one mode."""
+def _common(sub):
+    """Flags of the commands that run one mode and report its statistics."""
     sub.add_argument("--mode", choices=ff.MODES, default="active")
     _shared(sub)
-
-
-def _common(sub):
-    _moded(sub)
     sub.add_argument("--stats", action="store_true", help="include iteration statistics")
 
 
@@ -355,7 +350,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("string-first", help="FIRST of a category string")
     p.add_argument("grammar")
     p.add_argument("string", help="whitespace-separated AVMs, e.g. 'NP[] NP[] VP[]'")
-    _moded(p)  # string-first reports no statistics
+    # the FIRST of a string does not depend on the mode that computed the
+    # FIRST set it reads, and string-first reports no statistics
+    _shared(p)
     p.set_defaults(run=cmd_string_first)
 
     p = subs.add_parser("validate", help="static checks only")

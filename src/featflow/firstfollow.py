@@ -324,7 +324,6 @@ class IterationRow:
 
 @dataclass
 class RunStats:
-    mode: str
     rows: list = field(default_factory=list)
     attempts: int = 0
     events: int = 0  # (pair, rule) examination events
@@ -354,8 +353,7 @@ class _Recorder:
     range.  A visit tells ``began`` of each ``_Read`` it begins, and for
     each kind of pair it considered the widest range it began to read."""
 
-    def __init__(self, mode):
-        self.mode = mode
+    def __init__(self):
         self.rows = []
         self.attempts = 0
         self.events = 0
@@ -402,9 +400,7 @@ class _Recorder:
         if pset is not None:
             self.end_iteration(pset)
         wall = time.perf_counter() - self._started
-        return RunStats(
-            self.mode, list(self.rows), self.attempts, self.events, wall, fixpoint, self.filtered
-        )
+        return RunStats(list(self.rows), self.attempts, self.events, wall, fixpoint, self.filtered)
 
 
 # ---------------------------------------------------------------------------
@@ -560,7 +556,7 @@ def _fixpoint(function: str, g: Grammar, mode: str, seed, visit):
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, not {mode!r}")
     out = PairSet()
-    rec = _Recorder(mode)
+    rec = _Recorder()
     active = mode == "active"
     marks = {}  # rule id -> the newest serial offered to the rule, in active mode
 
@@ -679,7 +675,7 @@ def first_of_string(first: PairSet, g: Grammar, cats) -> PairSet:
                 "nor unifiable with any FIRST left side"
             )
     out = PairSet()
-    rec = _Recorder("ondemand")
+    rec = _Recorder()
     span = list(range(len(cats)))
     eps, drivers = _Read(first, _EPS, 0, hi), _Read(first, _DRIVERS, 0, hi)
     for string, rhs in _first_of_span(cats, span, eps, drivers, rec, None, g.restrictor, with_empty=True):
@@ -767,7 +763,7 @@ def query(result: PairSet, cat: Node) -> list:
     cat = fs.clone(cat)
     out = []
     have_eps = False
-    rec = _Recorder("query")
+    rec = _Recorder()
     listed, start, end = result._span(_ALL, label_of(cat), 0, result._settle())
     for p in listed[start:end]:
         if p.is_epsilon and have_eps:
@@ -810,28 +806,32 @@ def pair_sets_equivalent(a: PairSet, b: PairSet) -> bool:
 
 @dataclass
 class ModeReport:
-    grammar: str
+    """Whether the two modes' FIRST and FOLLOW sets are equivalent, and
+    each run's ``RunStats`` by mode.  It holds no pair set, so reports kept
+    for many grammars stay small."""
+
     rules: int
     first_equivalent: bool
     follow_equivalent: bool
     first_stats: dict
     follow_stats: dict
-    first_sets: dict
-    follow_sets: dict
+
+    def _ratio(self, counter: str) -> float | None:
+        """Naive over active ``counter`` summed over FIRST and FOLLOW, None
+        when active made none."""
+        naive, active = (
+            getattr(self.first_stats[mode], counter) + getattr(self.follow_stats[mode], counter)
+            for mode in ("naive", "active")
+        )
+        return naive / active if active else None
 
     @property
     def attempt_ratio(self) -> float | None:
-        """Naive over active attempts, None when active made none."""
-        naive = self.first_stats["naive"].attempts + self.follow_stats["naive"].attempts
-        active = self.first_stats["active"].attempts + self.follow_stats["active"].attempts
-        return naive / active if active else None
+        return self._ratio("attempts")
 
     @property
     def event_ratio(self) -> float | None:
-        """Naive over active events, None when active made none."""
-        naive = self.first_stats["naive"].events + self.follow_stats["naive"].events
-        active = self.first_stats["active"].events + self.follow_stats["active"].events
-        return naive / active if active else None
+        return self._ratio("events")
 
 
 def compare_modes(g: Grammar) -> ModeReport:
@@ -839,19 +839,14 @@ def compare_modes(g: Grammar) -> ModeReport:
     first_sets, follow_sets = {}, {}
     first_stats, follow_stats = {}, {}
     for mode in MODES:
-        fset, fstats = compute_first(g, mode)
-        first_sets[mode], first_stats[mode] = fset, fstats
-        oset, ostats = compute_follow(g, fset, mode)
-        follow_sets[mode], follow_stats[mode] = oset, ostats
+        first_sets[mode], first_stats[mode] = compute_first(g, mode)
+        follow_sets[mode], follow_stats[mode] = compute_follow(g, first_sets[mode], mode)
     return ModeReport(
-        grammar=g.name,
         rules=len(g.rules),
         first_equivalent=pair_sets_equivalent(first_sets["naive"], first_sets["active"]),
         follow_equivalent=pair_sets_equivalent(follow_sets["naive"], follow_sets["active"]),
         first_stats=first_stats,
         follow_stats=follow_stats,
-        first_sets=first_sets,
-        follow_sets=follow_sets,
     )
 
 

@@ -578,7 +578,8 @@ def parse_restrictor(text: str) -> frozenset:
 def _atom_text(name: str) -> str:
     if fs.valid_feature(name) or name in ("+", "-"):
         return name
-    escaped = name.replace("\\", "\\\\").replace('"', '\\"')
+    # the lexer reads a newline back only escaped, as a backslash before it
+    escaped = name.replace("\\", "\\\\").replace('"', '\\"').replace("\n", "\\\n")
     return f'"{escaped}"'
 
 

@@ -303,10 +303,13 @@ def test_bench_rejects_flags_it_would_ignore(capsys, flag):
 
 
 def test_string_first_rejects_stats_it_would_ignore(capsys):
-    code, out, err = run(capsys, "string-first", fixture_path("fig1.gr"), "NP[]", "--stats")
-    assert code == 2
-    assert out == ""
-    assert "unrecognized arguments" in err
+    # FIRST of a string is the same from either mode's FIRST set, so
+    # string-first takes no --mode
+    for flag in (["--stats"], ["--mode", "naive"]):
+        code, out, err = run(capsys, "string-first", fixture_path("fig1.gr"), "NP[]", *flag)
+        assert code == 2, flag
+        assert out == "", flag
+        assert "unrecognized arguments" in err, flag
 
 
 def test_bench_reports_filtered_attempts(capsys):

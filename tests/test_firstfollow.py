@@ -1,6 +1,7 @@
 """Engine behaviour: the antichain operator, fixpoints, modes, lookups."""
 
 import collections
+import dataclasses
 import json
 import random
 from pathlib import Path
@@ -234,7 +235,7 @@ def test_pair_sets_differing_in_one_reentrancy_are_not_equivalent():
 # one bind, one attempt
 
 def bind_once(site, pair):
-    rec = _Recorder("test")
+    rec = _Recorder()
     return _bind(site, pair, [site], frozenset(), False, rec), rec
 
 
@@ -687,6 +688,24 @@ def test_modes_equivalent_on_fixture(name):
     assert rep.first_equivalent and rep.follow_equivalent
 
 
+def holds_a_pair_set(value):
+    if isinstance(value, PairSet):
+        return True
+    if dataclasses.is_dataclass(value):
+        value = vars(value)
+    if isinstance(value, dict):
+        value = list(value.values())
+    return isinstance(value, (list, tuple)) and any(map(holds_a_pair_set, value))
+
+
+def test_a_mode_report_keeps_verdicts_and_counters_not_pair_sets():
+    rep = compare_modes(load_fixture("fig1.gr"))
+    fields = [f.name for f in dataclasses.fields(rep)]
+    assert fields == ["rules", "first_equivalent", "follow_equivalent", "first_stats", "follow_stats"]
+    assert not any(holds_a_pair_set(getattr(rep, name)) for name in fields)
+    assert "mode" not in [f.name for f in dataclasses.fields(ff.RunStats)]
+
+
 @pytest.mark.parametrize("mode", MODES)
 def test_every_empty_string_side_is_the_one_constant(mode):
     eps_pairs = eps_answers = 0
@@ -787,13 +806,35 @@ def test_mode_equivalence_on_random_feature_grammars():
         assert rep.first_equivalent and rep.follow_equivalent
 
 
+def test_first_of_a_string_is_the_same_from_either_modes_first_set():
+    """The modes reach the same FIRST set, so the FIRST of a string read
+    from it is the same, pair for pair and in order, or unknown in both."""
+    rng = random.Random(27)
+    grammars = [load_fixture(name) for name in FIXTURES]
+    grammars += [parse_grammar(random_cf_grammar(rng)[0]) for _ in range(8)]
+    grammars += [parse_grammar(random_feature_grammar(rng)) for _ in range(8)]
+    grammars += [parse_grammar(loosely_labelled_grammar(rng)) for _ in range(8)]
+    fixed = [parse_category_sequence(text) for text in ("NP[] NP[] VP[]", "NP[]", "S[]", "VP[]")]
+    probes = parse_category_sequence("[] zz[] t0[ter=+]")
+    outcomes = collections.Counter()
+    for g in grammars:
+        firsts = [compute_first(g, mode)[0] for mode in MODES]
+        cats = [c for r in g.rules for c in r.roots()] + probes
+        strings = fixed + [[rng.choice(cats) for _ in range(rng.randint(1, 3))] for _ in range(12)]
+        for string in strings:
+            naive, active = (string_first_or_unknown(first, g, string) for first in firsts)
+            assert naive == active, (g.name, format_roots(string))
+            outcomes[naive == "unknown"] += 1
+    assert outcomes[True] and outcomes[False], outcomes
+
+
 def test_choice_order_independence_of_prefix_bindings():
     g = load_fixture("fig1.gr")
     first, _ = compute_first(g)
     hi = first._settle()
     eps, drivers = ff._Read(first, ff._EPS, 0, hi), ff._Read(first, ff._DRIVERS, 0, hi)
     rule = g.rules[1]  # two leading NP daughters before the VP
-    rec = _Recorder("probe")
+    rec = _Recorder()
 
     def empty_derivations(span):
         out = _first_of_span(rule.roots(), span, eps, drivers, rec, None, None, with_empty=True)
@@ -1228,7 +1269,7 @@ def test_a_read_bounded_at_hi_sees_the_set_as_the_visit_began():
     marks = {}
     offer = ff._Read(s, ff._ALL, 0, s._settle())
     assert offered(s, marks, 1) == s.pairs
-    rec = _Recorder("probe")
+    rec = _Recorder()
     read = ff._bind_each([parse_category("np[]")], 0, offer, rec)
     got = [format_pair(next(read)[0])]
     assert s.add(cat_pair("np[]", "det[]"))  # replaces both pairs
@@ -1274,7 +1315,7 @@ def test_a_visit_considers_the_widest_range_it_began_of_each_kind():
     assert all(s.add(p) for p in pairs)
     at = [p.serial for p in pairs]
     every, drivers = ff._Read(s, ff._ALL, 0, at[7]), ff._Read(s, ff._DRIVERS, 0, at[5])
-    rec = _Recorder("probe")
+    rec = _Recorder()
     rec.began(every)  # outside a visit: counts in no row
     rec.begin_iteration(s)
     rec.begin_visit(ff._Read(s, ff._ALL, at[-1], at[-1]))  # offered nothing
@@ -1327,6 +1368,46 @@ def test_empty_pairs_a_first_daughter_lacks_are_counted_not_read(monkeypatch):
         assert visits and reads == {(ff._DRIVERS, 1): visits}, mode
         counts = (stats.attempts, stats.filtered, stats.events, [r.considered for r in stats.rows])
         assert counts == read_once[mode], mode
+
+
+# ---------------------------------------------------------------------------
+# waking a visit: a root without an atomic cat may bind a pair of any
+# label, and a pair whose left side has none may bind a root of any label
+
+
+def test_first_wakes_a_rule_whose_daughter_has_no_cat():
+    g = parse_grammar("S[] -> [f=a].\nX[f=a] -> b[ter=+, f=c].\n")
+    for mode in MODES:
+        first, _ = compute_first(g, mode)
+        assert "(s[] , b[f=c, ter=+])" in [format_pair(p) for p in first], mode
+
+
+def test_first_wakes_a_daughter_for_a_pair_without_cat():
+    # no stored pair is labelled y: only ([g=u] , b) binds the daughter
+    g = parse_grammar("S[] -> Y[].\n[g=u] -> b[ter=+].\n")
+    for mode in MODES:
+        first, _ = compute_first(g, mode)
+        assert "(s[] , b[ter=+])" in [format_pair(p) for p in first], mode
+
+
+def test_follow_wakes_a_rule_whose_mother_has_no_cat():
+    # (a[] , b) is stored after the [k=v] rule's first visit: only a later
+    # visit, which any pair wakes, passes it on to d
+    g = parse_grammar("start S.\n[k=v] -> d[ter=+].\nS[] -> A[] b[ter=+].\nA[] -> e[ter=+].\n")
+    for mode in MODES:
+        first, _ = compute_first(g, mode)
+        follow, _ = compute_follow(g, first, mode)
+        assert "(d[ter=+] , b[ter=+])" in [format_pair(p) for p in follow], mode
+
+
+def test_follow_wakes_a_mother_for_a_pair_without_cat():
+    # no stored pair is labelled y: only ([k=v] , b), stored after the Y
+    # rule's first visit, binds its mother
+    g = parse_grammar("start S.\nY[] -> d[ter=+].\nS[] -> [k=v] b[ter=+].\n")
+    for mode in MODES:
+        first, _ = compute_first(g, mode)
+        follow, _ = compute_follow(g, first, mode)
+        assert "(d[ter=+] , b[ter=+])" in [format_pair(p) for p in follow], mode
 
 
 # ---------------------------------------------------------------------------

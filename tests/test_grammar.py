@@ -264,7 +264,7 @@ def test_format_roots_tags_shared_nodes():
 
 
 def test_format_node_round_trips_quoted_and_empty():
-    for text in ('np[orth="the dog"]', "np[]", "[f=[]]", "$"):
+    for text in ('np[orth="the dog"]', "np[]", "[f=[]]", "$", 'x[f="a\\\nb"]'):
         reparsed = format_node(parse_category(text))
         assert fs.equivalent(parse_category(reparsed), parse_category(text))
 

@@ -26,11 +26,12 @@ differ only in that offer, and give equivalent fixpoints:
 Visits read the set through its label index: each pool, an offer too, is
 a ``_Read``, a serial range (lo, hi] of one kind of pair, which counts
 its pairs when it is made.  A bind over a read tries the pairs its
-position's label allows and counts the others as ``attempts`` that are
-``filtered``.  A visit's ``considered`` follows one rule: for each kind of
-pair, the widest range it began to read.  A visit wakes only when some
-pair above its ``lo`` has a label one of its positions can bind; one that
-does not binds nothing, and begins the reads a full visit would.  FIRST
+position's label allows and passes the others over as ``attempts`` that
+are ``filtered``.  The run's ``_Recorder`` keeps every count.  A visit's
+``considered`` follows one rule: for each kind of pair, the widest range
+it began to read.  A visit wakes only when some pair above its ``lo`` has
+a label one of its positions can bind; one that does not binds nothing,
+and passes the reads a full visit would begin.  FIRST
 of a span of positions, in a rule or in a category string, is one
 enumerator, ``_first_of_span``.  It runs level by level: the ways to bind
 the positions before j to empty pairs are made once, kept, and extended
@@ -347,11 +348,13 @@ class _Read:
 
 
 class _Recorder:
-    """The counters of one run.  ``_bind`` counts each attempt, and
-    ``_bind_each`` each pair of a ``_Read`` that the label passes over as an
-    attempt that was ``filtered``.  ``events`` is the size of each offered
-    range.  A visit tells ``began`` of each ``_Read`` it begins, and for
-    each kind of pair it considered the widest range it began to read."""
+    """The counters of one run, and the one place tests watch it from.
+    ``_fixpoint`` opens iterations and visits; ``events`` is the size of
+    each offer.  ``_bind_each`` counts each bind as an attempt and tells
+    ``began`` of each ``_Read`` it binds; a visit tells ``passed`` of each
+    it begins without a bind.  Both count the pairs a read's label passed
+    over as ``filtered`` attempts, and for each kind of pair a visit
+    considered the widest range it began to read."""
 
     def __init__(self):
         self.rows = []
@@ -361,7 +364,6 @@ class _Recorder:
         self._widest = None  # in a visit: per kind, the most pairs of a read it began
         self._considered = []
         self._before = (0, 0)  # attempts, and pairs added to the set, as the iteration began
-        self._started = time.perf_counter()
 
     def begin_iteration(self, pset):
         self._considered = []
@@ -372,12 +374,16 @@ class _Recorder:
         self._widest = [0, 0, 0]
         self.events += offer.n
 
-    def began(self, read: _Read):
-        """The open visit began ``read``; a read begun outside a visit
-        counts in no row."""
+    def began(self, read: _Read, filtered: int):
+        """The open visit began ``read``, and the label passed ``filtered``
+        of its pairs over; a read begun outside a visit counts in no row."""
+        self.attempts += filtered
+        self.filtered += filtered
         widest = self._widest
         if widest is not None and read.n > widest[read.kind]:
             widest[read.kind] = read.n
+
+    passed = began  # counts a read begun without a bind as ``began`` does
 
     def end_visit(self):
         """Close the visit, counting for each kind the widest read it
@@ -392,35 +398,32 @@ class _Recorder:
         row = (len(self.rows) + 1, mean, len(pset), self.attempts - attempts, pset.added - added)
         self.rows.append(IterationRow(*row))
 
-    def finish(self, fixpoint, pset=None):
-        """The run's stats; closes a visit a guard stopped and, given the
-        set being built, the open iteration."""
+    def finish(self, fixpoint, wall, pset=None):
+        """The run's stats, ``wall`` seconds long; closes a visit a guard
+        stopped and, given the set being built, the open iteration."""
         if self._widest is not None:
             self.end_visit()
         if pset is not None:
             self.end_iteration(pset)
-        wall = time.perf_counter() - self._started
         return RunStats(list(self.rows), self.attempts, self.events, wall, fixpoint, self.filtered)
 
 
 # ---------------------------------------------------------------------------
 # shared machinery
 
-def _bind(root, pair, kept, cut, prune, rec):
+def _bind(root, pair, kept, cut, prune):
     """Unify ``root``, a root of a working space, with a stored pair's left
     side, and copy out the roots ``kept`` of that space together with the
     pair's right side, restricted by ``cut`` and, with ``prune``, pruned:
     a product to store is both, a working space is copied as it is.
 
     Returns (kept_copies, bound_rhs), with bound_rhs None for an
-    empty-string pair, or None on failure.  Each call is one attempt, and
-    never a filtered one: a clash, on ``cat`` too, is found by the one
-    ``fs.unify_copy``, which binds the inputs only for the duration of the
-    call, so they come back unchanged.  The working space must be acyclic
-    and share no complex node with the pair: the cycle check is skipped
-    when the pair's left side is a tree.
+    empty-string pair, or None on failure.  A clash, on ``cat`` too, is
+    found by the one ``fs.unify_copy``, which binds the inputs only for the
+    duration of the call, so they come back unchanged.  The working space
+    must be acyclic and share no complex node with the pair: the cycle
+    check is skipped when the pair's left side is a tree.
     """
-    rec.attempts += 1
     lhs = pair.lhs[0]
     try:
         if pair.is_epsilon:  # an empty-string rhs is not copied
@@ -442,22 +445,20 @@ def _bind_each(space, pos, read, rec, keep=None, restrictor=None):
     The read is begun on entry.  The label is read from ``space``, where
     earlier bindings may have set it.  The pairs it passes over, whose
     ``cat`` differs, are attempts that were ``filtered``: counted, not
-    bound.  What every bind of the read shares, the kept roots and the
+    bound.  Each bind is counted as an attempt just before it is made.
+    What every bind of the read shares, the kept roots and the
     restriction, is set up once.
     """
-    rec.began(read)
     root = space[pos]
     listed, start, end = read.pset._span(read.kind, label_of(root), read.lo, read.hi)
-    skipped = read.n - (end - start)
-    if skipped:
-        rec.attempts += skipped
-        rec.filtered += skipped
+    rec.began(read, read.n - (end - start))
     if start == end:
         return
     kept = space if keep is None else [space[i] for i in keep]
     cut, prune = restrictor or frozenset(), restrictor is not None
     for p in listed[start:end]:
-        got = _bind(root, p, kept, cut, prune, rec)
+        rec.attempts += 1
+        got = _bind(root, p, kept, cut, prune)
         if got is not None:
             yield p, *got
 
@@ -488,11 +489,10 @@ def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None,
     j + 1 is ``_eps_step`` on it, built while j + 1 is driven, in the order
     of the nested loops, and kept for the next step, so each prefix is
     bound once.  The enumeration stops at the first empty level, and so
-    at a position whose label has no empty pair in ``eps``: the empty
-    pairs each prefix would pass over there are counted, and ``eps`` is
-    begun, without a bind.  Built lazily, a level is read no further than
-    a guard that stops the visit lets it; a last level nothing reads is
-    not built.
+    at a position whose label has no empty pair in ``eps``: ``eps`` is
+    passed, with the empty pairs each prefix would pass over there.  Built
+    lazily, a level is read no further than a guard that stops the visit
+    lets it; a last level nothing reads is not built.
 
     ``fresh`` is a read of the drivers above some serial ``lo``: a
     combination that binds no empty pair above ``lo`` takes its driver from
@@ -515,10 +515,7 @@ def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None,
         # an atomic cat stays in every prefix; empty reads start at 0
         _, start, end = eps.pset._span(_EPS, label_of(space[pos]), 0, eps.hi)
         if start == end:
-            passed = len(prefixes) * eps.n
-            rec.attempts += passed
-            rec.filtered += passed
-            rec.began(eps)
+            rec.passed(eps, len(prefixes) * eps.n)
             return
         level = _eps_step(prefixes, pos, eps, rec)
     if with_empty:
@@ -557,19 +554,23 @@ def _fixpoint(function: str, g: Grammar, mode: str, seed, visit):
         raise ValueError(f"mode must be one of {MODES}, not {mode!r}")
     out = PairSet()
     rec = _Recorder()
+    started = time.perf_counter()  # the engine's one clock, for wall_time
     active = mode == "active"
     marks = {}  # rule id -> the newest serial offered to the rule, in active mode
+
+    def finish(fixpoint, pset=None):
+        return rec.finish(fixpoint, time.perf_counter() - started, pset)
 
     def store(lhs_roots, rhs):
         added = _store(out, lhs_roots, rhs)
         if added and len(out) > g.max_pairs:
-            raise LimitExceeded(function, "pairs", g.max_pairs, rec.finish(False, out))
+            raise LimitExceeded(function, "pairs", g.max_pairs, finish(False, out))
         return added
 
     seed(store)
     for iteration in itertools.count(1):
         if iteration > g.max_iterations:
-            raise LimitExceeded(function, "iterations", g.max_iterations, rec.finish(False))
+            raise LimitExceeded(function, "iterations", g.max_iterations, finish(False))
         rec.begin_iteration(out)
         changed = False
         for r in g.rules:
@@ -582,7 +583,7 @@ def _fixpoint(function: str, g: Grammar, mode: str, seed, visit):
             rec.end_visit()
         rec.end_iteration(out)
         if not changed:
-            return out, rec.finish(True)
+            return out, finish(True)
 
 
 def _wake_labels(roots):
@@ -634,8 +635,8 @@ def compute_first(g: Grammar, mode: str = "active"):
         if labels is not None and not first._woken(labels, lo):
             # a full visit would pass every fresh driver over and bind the
             # first daughter's empty pairs to no avail
-            rec.began(eps)
-            rec.began(fresh)
+            rec.passed(eps, 0)
+            rec.passed(fresh, 0)
             return False
         drivers = _Read(first, _DRIVERS, 0, hi) if lo else fresh
         changed = False
@@ -737,11 +738,11 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
         # wholly derives the empty string
         if offer.n:
             if tails[0]:
-                rec.began(eps)  # as enumerating the kept tail spaces began it
+                rec.passed(eps, 0)  # as enumerating the kept tail spaces began it
             if not woken:
                 # a full visit would bind every kept tail space's mother to no
                 # avail
-                rec.began(offer)
+                rec.passed(offer, 0)
                 return False
             for i, space in spaces:
                 for _, daughter, rhs in _bind_each(space, 0, offer, rec, [1 + i], g.restrictor):
@@ -763,12 +764,11 @@ def query(result: PairSet, cat: Node) -> list:
     cat = fs.clone(cat)
     out = []
     have_eps = False
-    rec = _Recorder()
     listed, start, end = result._span(_ALL, label_of(cat), 0, result._settle())
     for p in listed[start:end]:
         if p.is_epsilon and have_eps:
             continue  # only the first empty-string answer is kept; bind no more empty pairs
-        got = _bind(cat, p, (), frozenset(), False, rec)
+        got = _bind(cat, p, (), frozenset(), False)
         if got is None:
             continue
         if p.is_epsilon:

@@ -232,34 +232,27 @@ def test_pair_sets_differing_in_one_reentrancy_are_not_equivalent():
 
 
 # ---------------------------------------------------------------------------
-# one bind, one attempt
+# one bind, one unification
 
 def bind_once(site, pair):
-    rec = _Recorder()
-    return _bind(site, pair, [site], frozenset(), False, rec), rec
+    return _bind(site, pair, [site], frozenset(), False)
 
 
 def test_a_same_label_clash_is_one_unfiltered_attempt():
     # only the label index filters; unification finds every other clash
-    got, rec = bind_once(parse_category("np[agr=sg]"), cat_pair("np[agr=pl]", "det[]"))
-    assert got is None
-    assert rec.attempts == 1 and rec.filtered == 0
+    assert bind_once(parse_category("np[agr=sg]"), cat_pair("np[agr=pl]", "det[]")) is None
 
 
 def test_nested_clash_is_found_by_full_unification():
-    got, rec = bind_once(parse_category("np[agr=[num=sg]]"), cat_pair("np[agr=[num=pl]]", "det[]"))
-    assert got is None
-    assert rec.attempts == 1 and rec.filtered == 0
+    assert bind_once(parse_category("np[agr=[num=sg]]"), cat_pair("np[agr=[num=pl]]", "det[]")) is None
 
 
 def test_atoms_against_complex_nodes_reach_full_unification():
-    got, rec = bind_once(parse_category("np[agr=sg]"), cat_pair("np[agr=[num=sg]]", "det[]"))
-    assert got is None and rec.filtered == 0
-    got, rec = bind_once(parse_category("np[agr=sg]"), cat_pair("np[agr=$1:[]]", "det[agr=$1]"))
-    assert got is not None and rec.filtered == 0
+    assert bind_once(parse_category("np[agr=sg]"), cat_pair("np[agr=[num=sg]]", "det[]")) is None
+    got = bind_once(parse_category("np[agr=sg]"), cat_pair("np[agr=$1:[]]", "det[agr=$1]"))
+    assert got is not None
     assert fs.equivalent(got[1], parse_category("det[agr=sg]"))
-    got, rec = bind_once(atom("sg"), Pair((atom("pl"),), atom("pl")))
-    assert got is None and rec.attempts == 1 and rec.filtered == 0
+    assert bind_once(atom("sg"), Pair((atom("pl"),), atom("pl"))) is None
 
 
 def test_run_stats_count_filtered_attempts():
@@ -750,25 +743,29 @@ def test_considered_within_total_and_final_iteration_small_on_bench():
     assert final.considered < 0.25 * final.total
 
 
-class OfferTally(_Recorder):
-    """Tallies in ``offers`` how often each pair, by serial, is offered,
-    walking each offered range."""
+class VisitLog(_Recorder):
+    """Logs each visit in ``visits`` as (its offer, the serials offered,
+    the reads it binds in order).  Each pass visits every rule in order."""
 
-    offers = None
+    visits = None
 
     def begin_visit(self, offer):
         super().begin_visit(offer)
         listed, start, end = offer.pset._span(ff._ALL, None, offer.lo, offer.hi)
-        self.offers.update(p.serial for p in listed[start:end])
+        self.visits.append((offer, [p.serial for p in listed[start:end]], []))
+
+    def began(self, read, filtered):
+        super().began(read, filtered)
+        self.visits[-1][2].append(read)
 
 
 def test_active_event_accounting_identity(monkeypatch):
-    monkeypatch.setattr(ff, "_Recorder", OfferTally)
+    monkeypatch.setattr(ff, "_Recorder", VisitLog)
     for name in FIXTURES:
         g = load_fixture(name)
-        monkeypatch.setattr(OfferTally, "offers", collections.Counter())
+        monkeypatch.setattr(VisitLog, "visits", [])
         first, stats = compute_first(g, "active")
-        offers = OfferTally.offers
+        offers = collections.Counter(s for _, serials, _ in VisitLog.visits for s in serials)
         # every surviving pair is offered to every rule once, a replaced
         # pair to the rules visited before it left the set
         assert all(offers[p.serial] == len(g.rules) for p in first)
@@ -1114,23 +1111,21 @@ def labels_clash(a, b):
 
 def full_scan_bind_each(space, pos, read, rec, keep=None, restrictor=None):
     """The loop the label index replaced: go through every pair of the
-    read's serial range, count one with a different label as a filtered
-    attempt, bind the others, and note each serial in the visit.  The read
-    is begun on entry, as ``_bind_each`` says."""
-    rec.began(read)
-    pset, kind, lo, hi = read.pset, read.kind, read.lo, read.hi
-    listed, start, end = pset._span(kind, None, lo, hi)
+    read's serial range, note each serial in the visit, and bind those
+    whose label does not differ.  The read is begun on entry with the count
+    of the others, as ``_bind_each`` says, and each bind is an attempt."""
+    listed, start, end = read.pset._span(read.kind, None, read.lo, read.hi)
+    scan = listed[start:end]
+    rec.began(read, sum(labels_clash(space[pos], p.lhs[0]) for p in scan))
     args = bind_args(space, keep, restrictor)
-    for p in listed[start:end]:
+    for p in scan:
         if rec.tried is not None:
             rec.tried.add(p.serial)
-        if labels_clash(space[pos], p.lhs[0]):
+        if not labels_clash(space[pos], p.lhs[0]):
             rec.attempts += 1
-            rec.filtered += 1
-            continue
-        got = _bind(space[pos], p, *args, rec)
-        if got is not None:
-            yield p, *got
+            got = _bind(space[pos], p, *args)
+            if got is not None:
+                yield p, *got
 
 
 def scanned(pset, kind, lo, hi):
@@ -1142,10 +1137,10 @@ def scanned(pset, kind, lo, hi):
 
 class ScanRecorder(_Recorder):
     """Counts a visit's ``considered`` as the distinct serials it tried,
-    with those of every range it began to read, whole: a visit no offered
-    pair can bind begins its reads without trying a pair,
-    ``_first_of_span`` begins the empty pairs where a position's label has
-    none, and FOLLOW's kept tails begin them when some tail is not empty.
+    with those of every range it began to read, whole, with a bind or, as
+    ``passed``, without: a visit no offered pair can bind passes its reads,
+    ``_first_of_span`` passes the empty pairs where a position's label has
+    none, and FOLLOW's kept tails pass them when some tail is not empty.
     So the serials of each read's range are scanned, and added, when the
     visit begins it."""
 
@@ -1155,10 +1150,12 @@ class ScanRecorder(_Recorder):
         super().begin_visit(*args)
         self.tried = set()
 
-    def began(self, read):
-        super().began(read)
+    def began(self, read, filtered):
+        super().began(read, filtered)
         if self.tried is not None:
             self.tried.update(scanned(read.pset, read.kind, read.lo, read.hi))
+
+    passed = began
 
     def end_visit(self):
         super().end_visit()
@@ -1316,16 +1313,19 @@ def test_a_visit_considers_the_widest_range_it_began_of_each_kind():
     at = [p.serial for p in pairs]
     every, drivers = ff._Read(s, ff._ALL, 0, at[7]), ff._Read(s, ff._DRIVERS, 0, at[5])
     rec = _Recorder()
-    rec.began(every)  # outside a visit: counts in no row
+    rec.began(every, 2)  # outside a visit: counts in no row
+    rec.passed(every, 1)  # nor does one begun without a bind
     rec.begin_iteration(s)
     rec.begin_visit(ff._Read(s, ff._ALL, at[-1], at[-1]))  # offered nothing
     assert every.n == 8 and drivers.n == 6  # made, not begun
-    rec.began(ff._Read(s, ff._DRIVERS, at[1], at[4]))  # pairs 2-4
-    rec.began(ff._Read(s, ff._DRIVERS, at[2], at[5]))  # pairs 3-5, as wide
-    rec.began(ff._Read(s, ff._DRIVERS, at[1], at[3]))  # within the first
-    rec.began(ff._Read(s, ff._EPS, 0, at[7]))  # both empty pairs
-    stats = rec.finish(False, s)  # closes the visit and the iteration
-    assert [r.considered for r in stats.rows] == [5.0]
+    rec.began(ff._Read(s, ff._DRIVERS, at[1], at[4]), 1)  # pairs 2-4
+    rec.began(ff._Read(s, ff._DRIVERS, at[2], at[5]), 0)  # pairs 3-5, as wide
+    rec.passed(ff._Read(s, ff._DRIVERS, 0, at[4]), 4)  # pairs 0-4, wider, not bound
+    rec.began(ff._Read(s, ff._DRIVERS, at[1], at[3]), 0)  # within the last
+    rec.began(ff._Read(s, ff._EPS, 0, at[7]), 0)  # both empty pairs
+    stats = rec.finish(False, 0.0, s)  # closes the visit and the iteration
+    assert [r.considered for r in stats.rows] == [7.0]
+    assert (stats.attempts, stats.filtered) == (8, 8) and stats.rows[0].attempts == 5
 
 
 # ---------------------------------------------------------------------------
@@ -1345,27 +1345,56 @@ def test_empty_string_derivations_are_stored_restricted_and_pruned():
         assert not any(has_path(root, ("orth",)) for root in p.lhs), format_pair(p)
 
 
+# S binds C after two empty prefixes, A's and B's, two ways each
+TWO_EMPTY_PREFIXES = """S[] -> A[f=$1] B[g=$2] C[f=$1, g=$2].
+A[f=x] -> .  A[f=y] -> .  B[g=u] -> .  B[g=v] -> .
+C[f=x, g=u] -> p[ter=+].  C[f=x, g=v] -> q[ter=+].
+C[f=y, g=u] -> r[ter=+].  C[f=y, g=v] -> w[ter=+].
+"""
+
+
+def test_products_after_empty_prefixes_follow_the_order_of_the_prefixes():
+    # A's empty pairs are stored x before y and B's u before v, so the
+    # prefixes of C come (x, u), (x, v), (y, u), (y, v)
+    g = parse_grammar(TWO_EMPTY_PREFIXES)
+    for mode in MODES:
+        first, _ = compute_first(g, mode)
+        mother = [format_pair(p) for p in first if label_of(p.lhs[0]) == "s"]
+        assert mother == [f"(s[] , {t}[ter=+])" for t in "pqrw"], mode
+
+
+def test_a_guard_stop_counts_only_the_prefixes_its_visit_reached():
+    # attempts in all and per row when the pair guard stops FIRST inside
+    # S's second visit: each empty prefix is bound only as its position
+    # is driven, so a stop leaves later prefixes unbound
+    want = {
+        "naive": {12: (74, [38, 36]), 13: (84, [38, 46]), 14: (96, [38, 58])},
+        "active": {12: (70, [38, 32]), 13: (80, [38, 42]), 14: (92, [38, 54])},
+    }
+    g = parse_grammar(TWO_EMPTY_PREFIXES)
+    for mode in MODES:
+        for limit, counts in want[mode].items():
+            with pytest.raises(LimitExceeded) as stop:
+                compute_first(dataclasses.replace(g, max_pairs=limit), mode)
+            stats = stop.value.stats
+            assert (stats.attempts, [r.attempts for r in stats.rows]) == counts, (mode, limit)
+
+
 def test_empty_pairs_a_first_daughter_lacks_are_counted_not_read(monkeypatch):
     g = parse_grammar("S[] -> A[] B[] C[]. A[] -> a[ter=+]. B[] -> . C[] -> c[ter=+].")
     first, _ = compute_first(g)
     assert [format_pair(p) for p in first if p.is_epsilon] == ["(b[] , ε)"]
-    reads = collections.Counter()
-    real = ff._bind_each
-
-    def counted(space, pos, read, rec, *args):
-        if label_of(space[0]) == "s":
-            reads[read.kind, pos] += 1
-        return real(space, pos, read, rec, *args)
-
     # attempts, filtered, events and each row's considered when the empty
     # pairs were read once per visit
     read_once = {"naive": (21, 15, 28, [2.25, 3.0]), "active": (18, 12, 22, [2.25, 2.25])}
-    monkeypatch.setattr(ff, "_bind_each", counted)
+    monkeypatch.setattr(ff, "_Recorder", VisitLog)
     for mode in MODES:
-        reads.clear()
+        monkeypatch.setattr(VisitLog, "visits", [])
         _, stats = compute_first(g, mode)
-        visits = reads[ff._DRIVERS, 1]  # each visit drives the first daughter once
-        assert visits and reads == {(ff._DRIVERS, 1): visits}, mode
+        # each visit binds the drivers of its rule's first daughter, which
+        # has no empty pair, and no other read
+        kinds = [[read.kind for read in reads] for _, _, reads in VisitLog.visits]
+        assert kinds == [[] if r.is_epsilon else [ff._DRIVERS] for r in g.rules] * len(stats.rows), mode
         counts = (stats.attempts, stats.filtered, stats.events, [r.considered for r in stats.rows])
         assert counts == read_once[mode], mode
 
@@ -1416,19 +1445,21 @@ def test_follow_wakes_a_mother_for_a_pair_without_cat():
 def test_follow_enumerates_each_tail_once_and_replays_it(monkeypatch):
     g = parse_grammar(LAYERED_EMPTY[0])
     first, _ = compute_first(g)
-    calls = collections.Counter()
-    real = ff._first_of_span
-
-    def counted(*args, with_empty=False):
-        calls[with_empty] += 1
-        return real(*args, with_empty=with_empty)
-
-    monkeypatch.setattr(ff, "_first_of_span", counted)
-    tails = sum(len(r.daughters) for r in g.rules if not r.is_epsilon)
+    monkeypatch.setattr(ff, "_Recorder", VisitLog)
     for mode in MODES:
-        calls.clear()
+        monkeypatch.setattr(VisitLog, "visits", [])
         _, stats = compute_follow(g, first, mode)
-        # each daughter's suffix is enumerated with its empty-string ways
-        # once; the naive mode drives the suffixes again on later visits
-        assert calls[True] == tails and len(stats.rows) > 1, mode
-        assert (calls[False] > 0) == (mode == "naive"), mode
+        assert len(stats.rows) > 1, mode
+        replays = collections.defaultdict(set)
+        for k, (offer, _, reads) in enumerate(VisitLog.visits):
+            rule = g.rules[k % len(g.rules)]
+            # FIRST of the suffixes is driven only on visits offered every
+            # pair: the naive mode's, and the active mode's first
+            drives = any(read.pset is first and read.kind == ff._DRIVERS for read in reads)
+            assert drives == (not offer.lo and len(rule.daughters) > 1), mode
+            # their empty-string ways are kept from the first visit, so a
+            # rule binds the offer as often on each visit that binds it
+            binds = sum(read is offer for read in reads)
+            if binds:
+                replays[rule.rule_id].add(binds)
+        assert replays and all(len(counts) == 1 for counts in replays.values()), (mode, replays)

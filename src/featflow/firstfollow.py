@@ -14,6 +14,21 @@ A product of a binding is restricted and pruned as it is copied out of
 the bound space, by ``fs.unify_copy``, which also leaves the rule and the
 stored pair it bound as they were.
 
+Right sides are shared, read-only values, as atoms are.  A bind can reach
+a pair's right side only through a complex node both sides share, so when
+the sides are *apart* (``Pair.sides_apart``) a bind copies out only the
+kept roots and hands the stored right side on as it is: to the product,
+whose sides are then apart too, or to ``query``, which then copies
+nothing.  Apartness is known by construction, with no walk, for an
+empty-string pair (apart), a product whose right side was shared (apart:
+its left roots are fresh copies) and a FIRST seed (not: its two sides are
+one node); only a product whose right side was copied with its left roots
+is walked, once, on its first bind.  This keeps the invariant ``fs``
+states: nothing mutates a stored right side; a right-side node is never
+another pair's left-side node; working spaces (rules, their copies,
+cloned query strings) never hold a stored node; and ``query`` may return
+stored nodes.
+
 FIRST and FOLLOW run one fixpoint driver, ``_fixpoint``, which keeps the
 agenda: it offers each rule visit one range of pairs, and the visit
 enumerates only combinations that use an offered pair.  The two modes
@@ -105,11 +120,15 @@ class Pair:
     the ``cat`` label of each comparison root (None where a root has no
     atomic ``cat``); ``PairSet`` buckets pairs by it.  All are set once
     here, and ``lhs`` and ``rhs`` are never reassigned.
+
+    ``apart`` says whether the two sides are apart (``sides_apart``): True
+    or False where the maker knows it, None to have it walked on the
+    first call.  An empty-string pair is always apart.
     """
 
-    __slots__ = ("serial", "lhs", "rhs", "is_epsilon", "comparison_roots", "key", "_tree")
+    __slots__ = ("serial", "lhs", "rhs", "is_epsilon", "comparison_roots", "key", "_tree", "_apart")
 
-    def __init__(self, lhs, rhs):
+    def __init__(self, lhs, rhs, apart=None):
         self.serial = next(_serials)
         self.lhs = tuple(lhs)
         self.rhs = rhs
@@ -119,6 +138,7 @@ class Pair:
         signature = (len(self.lhs), self.is_epsilon)
         self.key = (signature, tuple(map(label_of, self.comparison_roots)))
         self._tree = None
+        self._apart = True if self.is_epsilon else apart
 
     def lhs_is_tree(self) -> bool:
         """``fs.is_tree`` of the first left root, worked out on the first
@@ -126,6 +146,15 @@ class Pair:
         if self._tree is None:
             self._tree = fs.is_tree(self.lhs[0])
         return self._tree
+
+    def sides_apart(self) -> bool:
+        """Whether no complex node reachable from the left side is reachable
+        from the right side (``fs.apart``), so that binding the left side
+        cannot change the right side: a bind then shares the right side
+        instead of copying it.  Walked on the first call unless given."""
+        if self._apart is None:
+            self._apart = fs.apart(self.lhs, (self.rhs,))
+        return self._apart
 
     def __repr__(self):
         return f"Pair({format_pair(self)})"
@@ -413,26 +442,43 @@ class _Recorder:
 
 def _bind(root, pair, kept, cut, prune):
     """Unify ``root``, a root of a working space, with a stored pair's left
-    side, and copy out the roots ``kept`` of that space together with the
-    pair's right side, restricted by ``cut`` and, with ``prune``, pruned:
-    a product to store is both, a working space is copied as it is.
+    side, and copy out the roots ``kept`` of that space, restricted by
+    ``cut`` and, with ``prune``, pruned: a product to store is both, a
+    working space is copied as it is.
 
-    Returns (kept_copies, bound_rhs), with bound_rhs None for an
-    empty-string pair, or None on failure.  A clash, on ``cat`` too, is
-    found by the one ``fs.unify_copy``, which binds the inputs only for the
-    duration of the call, so they come back unchanged.  The working space
-    must be acyclic and share no complex node with the pair: the cycle
-    check is skipped when the pair's left side is a tree.
+    Returns (kept_copies, bound_rhs, apart), or None on failure: bound_rhs
+    is the pair's right side under the binding, None for an empty-string
+    pair, and ``apart`` is what a product of the two knows of its sides, as
+    ``Pair`` takes it.  When the pair's sides are apart, the binding cannot
+    reach the right side, so bound_rhs is ``pair.rhs`` itself, already
+    restricted and pruned, and only the kept roots are copied; with none
+    kept, nothing is (``fs.unifiable``).  The kept copies are fresh, so
+    such a product is apart.  Otherwise the right side is copied out
+    together with the kept roots, and whether they share a node is left to
+    a walk.
+
+    A clash, on ``cat`` too, is found by the one unification, which binds
+    the inputs only for the duration of the call, so they come back
+    unchanged.  The working space must be acyclic and share no node with
+    the pair but atoms: the cycle check is skipped when the pair's left
+    side is a tree.
     """
     lhs = pair.lhs[0]
+    tree = pair.lhs_is_tree()
+    if pair.sides_apart():
+        rhs = None if pair.is_epsilon else pair.rhs
+        if not kept:
+            return ([], rhs, True) if fs.unifiable(root, lhs, tree) else None
+        try:
+            return fs.unify_copy(root, lhs, kept, cut, prune, tree), rhs, True
+        except UnificationFailed:
+            return None
     try:
-        if pair.is_epsilon:  # an empty-string rhs is not copied
-            return fs.unify_copy(root, lhs, kept, cut, prune, pair.lhs_is_tree()), None
-        out = fs.unify_copy(root, lhs, [*kept, pair.rhs], cut, prune, pair.lhs_is_tree())
+        out = fs.unify_copy(root, lhs, [*kept, pair.rhs], cut, prune, tree)
     except UnificationFailed:
         return None
     rhs = out.pop()
-    return out, rhs
+    return out, rhs, None
 
 
 def _bind_each(space, pos, read, rec, keep=None, restrictor=None):
@@ -440,7 +486,8 @@ def _bind_each(space, pos, read, rec, keep=None, restrictor=None):
     a ``_Read``, that its label allows, in serial order, copying out the
     roots at the indices ``keep`` (every root when None); with a
     ``restrictor`` (an empty one too) the copies are products to store.
-    Yields (pair, kept_roots, bound_rhs) for each success.
+    Yields (pair, kept_roots, bound_rhs, apart) for each success, as
+    ``_bind`` returns them.
 
     The read is begun on entry.  The label is read from ``space``, where
     earlier bindings may have set it.  The pairs it passes over, whose
@@ -469,7 +516,7 @@ def _eps_step(level, pos, eps, rec):
     ``eps``, a ``_Read`` of empty pairs, in order.  Yields (space, newest)
     for each success, the whole bound space copied out as it is."""
     for space, newest in level:
-        for e, bound, _ in _bind_each(space, pos, eps, rec):
+        for e, bound, _, _ in _bind_each(space, pos, eps, rec):
             yield bound, max(newest, e.serial)
 
 
@@ -478,11 +525,11 @@ def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None,
     read by ``eps`` and the others read by ``drivers``, two ``_Read`` of one
     set up to one serial: for each position, every way to bind the
     positions before it to empty pairs and itself to a non-empty pair.
-    Yields (kept_roots, bound_rhs), copied out of the bound space as
+    Yields (kept_roots, bound_rhs, apart), copied out of the bound space as
     ``_bind_each`` does with ``keep`` and ``restrictor``; ``with_empty``,
-    then (space, None) for every way the whole span derives the empty
-    string, ``space`` the whole bound space, unrestricted: ``space`` itself
-    when the span is empty.
+    then (space, None, True) for every way the whole span derives the
+    empty string, ``space`` the whole bound space, unrestricted: ``space``
+    itself when the span is empty.
 
     It runs level by level.  The level of position j is the ε-bound
     prefixes before j as (space, newest empty serial bound); the level of
@@ -508,8 +555,8 @@ def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None,
         for bound, newest in level:
             prefixes.append((bound, newest))
             pool = drivers if newest > fresh.lo else fresh
-            for _, kept, rhs in _bind_each(bound, pos, pool, rec, keep, restrictor):
-                yield kept, rhs
+            for _, kept, rhs, apart in _bind_each(bound, pos, pool, rec, keep, restrictor):
+                yield kept, rhs, apart
         if not prefixes or (j == last and not with_empty):
             return
         # an atomic cat stays in every prefix; empty reads start at 0
@@ -521,18 +568,21 @@ def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None,
     if with_empty:
         for bound, newest in level:
             if newest > fresh.lo or not fresh.lo:
-                yield bound, None
+                yield bound, None, True
 
 
-def _store(pset, lhs_roots, rhs):
+def _store(pset, lhs_roots, rhs, apart=None):
     """Add a product through the antichain operator.
 
-    The roots must be a fresh copy, restricted and pruned as
+    The left roots must be a fresh copy, restricted and pruned as
     ``fs.restrict_many`` does with ``prune``: binds do that as they copy
     out, and seeds and empty-rule mothers go through it.  Pruning drops
     vacuous leftovers from discarded rule context, so that equal claims
-    collide under the operator.  A None ``rhs`` stores ``EPSILON``."""
-    return pset.add(Pair(tuple(lhs_roots), EPSILON if rhs is None else rhs))
+    collide under the operator.  ``rhs`` is restricted and pruned too: a
+    copy made with the left roots, or a stored right side a bind shared,
+    which is one already.  A None ``rhs`` stores ``EPSILON``; ``apart`` is
+    as ``Pair`` takes it."""
+    return pset.add(Pair(tuple(lhs_roots), EPSILON if rhs is None else rhs, apart))
 
 
 def _fixpoint(function: str, g: Grammar, mode: str, seed, visit):
@@ -546,7 +596,7 @@ def _fixpoint(function: str, g: Grammar, mode: str, seed, visit):
     serial ``hi`` and examines the pairs above ``lo``, every stored pair in
     naive mode (lo is 0), those not yet offered to the rule in active mode.
     ``rec`` is the run's recorder, which the visit tells of each ``_Read``
-    it begins.  ``store(lhs_roots, rhs)`` is ``_store`` into the set; the
+    it begins.  ``store(lhs_roots, rhs, apart)`` is ``_store`` into the set; the
     insertion that takes the set past ``g.max_pairs`` raises LimitExceeded,
     as does a pass beyond ``g.max_iterations``.
     """
@@ -561,8 +611,8 @@ def _fixpoint(function: str, g: Grammar, mode: str, seed, visit):
     def finish(fixpoint, pset=None):
         return rec.finish(fixpoint, time.perf_counter() - started, pset)
 
-    def store(lhs_roots, rhs):
-        added = _store(out, lhs_roots, rhs)
+    def store(lhs_roots, rhs, apart=None):
+        added = _store(out, lhs_roots, rhs, apart)
         if added and len(out) > g.max_pairs:
             raise LimitExceeded(function, "pairs", g.max_pairs, finish(False, out))
         return added
@@ -619,7 +669,7 @@ def compute_first(g: Grammar, mode: str = "active"):
             for d in r.daughters:
                 if is_preterminal(d):
                     root = fs.restrict(d, g.restrictor, prune=True)
-                    store((root,), root)
+                    store((root,), root, False)  # one node on both sides
 
     def visit(rule, offer, rec, store):
         if rule.is_epsilon:
@@ -641,10 +691,10 @@ def compute_first(g: Grammar, mode: str = "active"):
         drivers = _Read(first, _DRIVERS, 0, hi) if lo else fresh
         changed = False
         products = _first_of_span(base, span, eps, drivers, rec, [0], g.restrictor, fresh, with_empty=True)
-        for mother, rhs in products:
+        for mother, rhs, apart in products:
             if rhs is None:
                 mother = fs.restrict_many(mother[:1], g.restrictor, prune=True)
-            changed |= store(mother, rhs)
+            changed |= store(mother, rhs, apart)
         return changed
 
     return _fixpoint("FIRST", g, mode, seed, visit)
@@ -659,8 +709,11 @@ def first_of_string(first: PairSet, g: Grammar, cats) -> PairSet:
     The sequence lives in one fresh space, so bindings across positions
     and into the result are preserved.  Results are restricted and
     antichain-combined; the left side of every result pair is the whole
-    (possibly further bound) sequence.  ``cats`` is copied first, so that it
-    shares no node with the pairs it binds or tests, as ``_bind`` requires.
+    (possibly further bound) sequence, a fresh copy; the right side is a
+    copy, or a right side of ``first`` itself, shared, where the FIRST
+    pair it came from has its sides apart.  ``cats`` is copied first, so
+    that it shares no node with the pairs it binds or tests, as ``_bind``
+    requires.
     """
     cats = fs.clone_many(cats)
     if not cats:
@@ -679,10 +732,10 @@ def first_of_string(first: PairSet, g: Grammar, cats) -> PairSet:
     rec = _Recorder()
     span = list(range(len(cats)))
     eps, drivers = _Read(first, _EPS, 0, hi), _Read(first, _DRIVERS, 0, hi)
-    for string, rhs in _first_of_span(cats, span, eps, drivers, rec, None, g.restrictor, with_empty=True):
+    for string, rhs, apart in _first_of_span(cats, span, eps, drivers, rec, None, g.restrictor, with_empty=True):
         if rhs is None:
             string = fs.restrict_many(string, g.restrictor, prune=True)
-        _store(out, string, rhs)
+        _store(out, string, rhs, apart)
     return out
 
 
@@ -711,7 +764,7 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
 
     def seed(store):
         start, end = fs.restrict_many([g.start, end_category()], g.restrictor, prune=True)
-        store((start,), end)
+        store((start,), end, True)  # the end category is a fresh node with an atom
 
     def visit(rule, offer, rec, store):
         if rule.is_epsilon:
@@ -727,11 +780,11 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
         if not offer.lo:
             for i, tail in enumerate(tails):
                 products = _first_of_span(base, tail, eps, drivers, rec, [1 + i], g.restrictor, with_empty=first_visit)
-                for daughter, rhs in products:
+                for daughter, rhs, apart in products:
                     if rhs is None:
                         spaces.append((i, daughter))
                     else:
-                        changed |= store(daughter, rhs)
+                        changed |= store(daughter, rhs, apart)
         elif labels is not None:
             woken = offer.pset._woken(labels, offer.lo)
         # the mother's FOLLOW flows to any daughter whose suffix is empty or
@@ -745,8 +798,8 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
                 rec.passed(offer, 0)
                 return False
             for i, space in spaces:
-                for _, daughter, rhs in _bind_each(space, 0, offer, rec, [1 + i], g.restrictor):
-                    changed |= store(daughter, rhs)
+                for _, daughter, rhs, apart in _bind_each(space, 0, offer, rec, [1 + i], g.restrictor):
+                    changed |= store(daughter, rhs, apart)
         return changed
 
     return _fixpoint("FOLLOW", g, mode, seed, visit)
@@ -760,7 +813,11 @@ def query(result: PairSet, cat: Node) -> list:
     category, with that unification's bindings applied; deduplicated up to
     equivalence, keeping the most specific of comparable values.  ``cat``
     is copied first, so that it shares no node with the pairs it binds, as
-    ``_bind`` requires, even when it is a node of ``result``."""
+    ``_bind`` requires, even when it is a node of ``result``.
+
+    A value whose pair has its sides apart is the stored right side itself,
+    not a copy: the binding cannot change it.  Treat the values as
+    read-only, and clone one before any destructive unification."""
     cat = fs.clone(cat)
     out = []
     have_eps = False

@@ -27,6 +27,23 @@ rules included, are therefore bound during the call and restored before
 it returns.  They are safe to share between callers in one thread, but
 not across threads while such a call is running.
 
+A stored FIRST/FOLLOW right side is a shared value as well, when its
+pair's sides are *apart* (``apart``): no complex node reachable from the
+left side is reachable from the right side.  Binding such a left side
+cannot reach the right side, so ``firstfollow``'s binds hand it out as it
+is instead of copying it; new pairs and query answers then hold the very
+stored nodes.  That rests on an invariant ``firstfollow`` keeps:
+
+- nothing mutates a stored right side: a bind binds a pair's right side
+  only when the sides are not apart, and only for the duration of a
+  ``unify_copy``, and that right side is never shared;
+- a right-side node is never another pair's left-side node (a FIRST
+  seed's two sides are one node, so it is not apart);
+- working spaces (rules, their copies, cloned query strings) never hold
+  a stored node;
+- ``query`` may return stored nodes, which a caller treats as read-only
+  and clones before any destructive unification.
+
 Unification checks its result for cycles, and fails with reason
 ``cycle`` on one.  The check walks everything below the merged node, so
 a caller may skip it where no cycle can form: both inputs acyclic (the
@@ -39,7 +56,8 @@ of a queried category, meets all three when its left side is a tree;
 everything else keeps the check.
 
 The kernels on the bind path (``_union``, ``_cyclic``, ``is_tree``,
-``_cuts``, ``_copy`` and ``subsumes_many``) make no helper call per node.
+``apart``, ``_cuts``, ``_copy`` and ``subsumes_many``) make no helper call
+per node.
 The benchmark's products are a few nodes each, so the fixed Python cost
 of a call outweighs the graph work.  They follow ``forward`` inline
 instead of calling ``deref``, key their memos by the node itself (it
@@ -329,12 +347,46 @@ def unify(a: Node, b: Node) -> Node:
 
 def unifiable(a: Node, b: Node, tree=False) -> bool:
     """Whether ``a`` and ``b`` unify; nothing is copied and the inputs come
-    back unchanged.  ``tree`` skips the cycle check as in ``unify_copy``."""
+    back unchanged.  ``tree`` skips the cycle check as in ``unify_copy``.
+
+    It binds the two in place on a trail and undoes the trail, as
+    ``unify_copy`` does, but copies nothing, not even an empty list of
+    kept roots."""
+    trail = []
     try:
-        unify_copy(a, b, (), tree=tree)
+        unify_in_place(a, b, trail, tree)
         return True
     except UnificationFailed:
         return False
+    finally:
+        _undo(trail)
+
+
+def apart(roots, others) -> bool:
+    """Whether no complex node reachable from ``roots`` is reachable from
+    ``others``; shared atoms do not count.  Two loops over a stack, so
+    depth costs no recursion."""
+    mine = set()
+    stack = list(roots)
+    while stack:
+        n = stack.pop()
+        while n.forward is not None:
+            n = n.forward
+        if n.atom is None and n not in mine:
+            mine.add(n)
+            stack.extend(n.arcs.values())
+    seen = set()
+    stack = list(others)
+    while stack:
+        n = stack.pop()
+        while n.forward is not None:
+            n = n.forward
+        if n.atom is None and n not in seen:
+            if n in mine:
+                return False
+            seen.add(n)
+            stack.extend(n.arcs.values())
+    return True
 
 
 # ---------------------------------------------------------------------------

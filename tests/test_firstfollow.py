@@ -496,14 +496,16 @@ def test_query_binds_no_empty_pair_after_the_first_empty_answer(monkeypatch):
     g = parse_grammar("S[] -> X[] a[ter=+]. X[agr=sg] -> . X[agr=pl] -> .")
     first, _ = compute_first(g)
     assert sum(p.is_epsilon for p in first) == 2
+    # every bind unifies once, whether it copies out (fs.unify_copy) or,
+    # keeping nothing, only tests (fs.unifiable): both call unify_in_place
     calls = []
-    real = fs.unify_copy
+    real = fs.unify_in_place
 
     def counted(*args, **kwargs):
         calls.append(args)
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(fs, "unify_copy", counted)
+    monkeypatch.setattr(fs, "unify_in_place", counted)
     out = query(first, parse_category("X[]"))
     assert len(out) == 1 and isinstance(out[0], EpsilonMark)
     assert len(calls) == 1
@@ -532,9 +534,17 @@ def test_binds_leave_rules_stored_pairs_and_queries_unchanged():
     cats = parse_category_sequence("NP[agr=$1] VP[agr=$1] S[]")
     cats_before = node_state(cats)
     assert len(first_of_string(first, g, cats[:2])) > 0
+    answers = [v for s in (first, follow) for c in cats for v in query(s, c) if isinstance(v, fs.Node)]
+    # some answers are stored right sides themselves, handed out unbound
+    assert any(v is p.rhs for v in answers for s in (first, follow) for p in s)
+    answers_before, answers_shown = node_state(answers), format_roots(answers)
+    # further binds and queries leave what the queries returned as it was
+    compute_follow(g, first)
+    assert len(first_of_string(first, g, cats)) > 0
     for s in (first, follow):
         for c in cats:
             query(s, c)
+    assert node_state(answers) == answers_before and format_roots(answers) == answers_shown
     assert node_state(cats) == cats_before
     assert node_state(stored) == stored_before
     assert [format_pair(p) for s in (first, follow) for p in s] == shown
@@ -835,7 +845,7 @@ def test_choice_order_independence_of_prefix_bindings():
 
     def empty_derivations(span):
         out = _first_of_span(rule.roots(), span, eps, drivers, rec, None, None, with_empty=True)
-        return [fs.clone_many(space) for space, rhs in out if rhs is None]
+        return [fs.clone_many(space) for space, rhs, _ in out if rhs is None]
 
     forward, backward = empty_derivations([1, 2]), empty_derivations([2, 1])
     assert forward and len(forward) == len(backward)
@@ -912,6 +922,87 @@ def test_stored_pairs_contain_no_restricted_path():
             for root in roots:
                 for path in g.restrictor:
                     assert not has_path(root, path)
+
+
+# ---------------------------------------------------------------------------
+# shared right sides
+
+def complex_nodes(roots):
+    """The complex nodes reachable from ``roots``, read through forwarding
+    pointers, by id: the walk each pair's apart flag is checked against."""
+    out = {}
+    stack = list(roots)
+    while stack:
+        n = deref(stack.pop())
+        if n.atom is None and id(n) not in out:
+            out[id(n)] = n
+            stack.extend(n.arcs.values())
+    return out
+
+
+def sharing_runs():
+    """For each fixture (``guard`` with ``orth`` restricted) and twelve
+    seeded random feature grammars, the pair sets its runs make: FIRST,
+    FOLLOW and the FIRST of each rule's daughters as a string."""
+    grammars = [load_fixture(name) for name in FIXTURES] + [load_fixture("guard.gr", restrictor=["orth"])]
+    rng = random.Random(29)
+    grammars += [parse_grammar(random_feature_grammar(rng)) for _ in range(12)]
+    for g in grammars:
+        first, _ = compute_first(g)
+        follow, _ = compute_follow(g, first)
+        sets = [first, follow]
+        for r in g.rules:
+            if r.daughters:
+                try:
+                    sets.append(first_of_string(first, g, list(r.daughters)))
+                except UnknownCategory:
+                    pass
+        yield sets
+
+
+def test_each_pair_knows_whether_its_sides_are_apart():
+    seen = collections.Counter()
+    for sets in sharing_runs():
+        for p in (p for s in sets for p in s):
+            walked = p.is_epsilon or not complex_nodes(p.lhs).keys() & complex_nodes([p.rhs]).keys()
+            assert p.sides_apart() == walked, format_pair(p)
+            seen[walked] += 1
+    assert seen[True] and seen[False], seen
+
+
+def test_no_left_side_holds_a_node_of_another_pairs_right_side():
+    shared = 0
+    for sets in sharing_runs():
+        pairs = [p for s in sets for p in s]
+        owner = {}  # complex node id -> the one pair whose left side reaches it
+        for p in pairs:
+            for key in complex_nodes(p.lhs):
+                assert owner.setdefault(key, p) is p, (format_pair(p), format_pair(owner[key]))
+        holders = collections.Counter()
+        for q in pairs:
+            if not q.is_epsilon:
+                holders[id(q.rhs)] += 1
+                for key in complex_nodes([q.rhs]):
+                    assert owner.get(key, q) is q, (format_pair(q), format_pair(owner[key]))
+        shared += sum(n > 1 for n in holders.values())
+    assert shared  # right sides are shared between pairs, so the check reads something
+
+
+def test_sides_that_share_only_a_nested_node_are_bound_through_a_copy():
+    # the S pair's sides share agr's node, not a root: binding its left
+    # side must reach the right side, so a bind copies it
+    g = parse_grammar("S[agr=$1:[num=sg]] -> A[agr=$1, ter=+]. T[] -> S[agr=[per=third]].")
+    first, _ = compute_first(g)
+    (s_pair,) = [p for p in first if label_of(p.lhs[0]) == "s"]
+    (t_pair,) = [p for p in first if label_of(p.lhs[0]) == "t"]
+    assert format_pair(s_pair) == "(s[agr=#1:[num=sg]] , a[agr=#1, ter=+])"
+    assert s_pair.lhs[0] is not s_pair.rhs and not s_pair.sides_apart()
+    assert format_pair(t_pair) == "(t[] , a[agr=[num=sg, per=third], ter=+])"
+    (value,) = query(first, parse_category("S[agr=[per=third]]"))
+    assert format_roots([value]) == ["a[agr=[num=sg, per=third], ter=+]"]
+    assert value is not s_pair.rhs
+    # the T pair's sides are apart, so a query hands out its right side
+    assert t_pair.sides_apart() and query(first, parse_category("T[]")) == [t_pair.rhs]
 
 
 def test_antichain_holds_after_any_addition_sequence():
@@ -1128,11 +1219,11 @@ def full_scan_bind_each(space, pos, read, rec, keep=None, restrictor=None):
                 yield p, *got
 
 
-def scanned(pset, kind, lo, hi):
-    """The serials of the ``kind`` pairs stored in ``pset`` in (lo, hi],
-    found by a scan of its pairs."""
+def scanned(pairs, kind, lo, hi):
+    """The serials of the ``kind`` pairs among ``pairs`` in (lo, hi], found
+    by a scan."""
     keep = {ff._ALL: lambda p: True, ff._EPS: lambda p: p.is_epsilon, ff._DRIVERS: lambda p: not p.is_epsilon}[kind]
-    return [p.serial for p in pset.pairs if len(p.lhs) == 1 and keep(p) and lo < p.serial <= hi]
+    return [p.serial for p in pairs if len(p.lhs) == 1 and keep(p) and lo < p.serial <= hi]
 
 
 class ScanRecorder(_Recorder):
@@ -1142,18 +1233,23 @@ class ScanRecorder(_Recorder):
     ``_first_of_span`` passes the empty pairs where a position's label has
     none, and FOLLOW's kept tails pass them when some tail is not empty.
     So the serials of each read's range are scanned, and added, when the
-    visit begins it."""
+    visit begins it, over the pairs as they stood when the visit began: a
+    store earlier in the visit may have replaced a pair the range holds.
+    A visit stores only into the set it is offered."""
 
     tried = None
 
-    def begin_visit(self, *args):
-        super().begin_visit(*args)
+    def begin_visit(self, offer):
+        super().begin_visit(offer)
         self.tried = set()
+        self.stood = (offer.pset, list(offer.pset.pairs))
 
     def began(self, read, filtered):
         super().began(read, filtered)
         if self.tried is not None:
-            self.tried.update(scanned(read.pset, read.kind, read.lo, read.hi))
+            pset, pairs = self.stood
+            pairs = pairs if read.pset is pset else read.pset.pairs
+            self.tried.update(scanned(pairs, read.kind, read.lo, read.hi))
 
     passed = began
 

@@ -873,6 +873,38 @@ def test_subsumption_of_deep_chains_needs_no_recursion():
     assert subsumes_many([specific], [deep]) and subsumes_many([deep], [specific])
 
 
+def test_apartness_of_deep_chains_needs_no_recursion():
+    depth = 10_000
+    leaf = Node(arcs={})
+    a = chain(depth, leaf)
+    assert fs.apart([a], [chain(depth, atom("x"))])
+    assert not fs.apart([a], [chain(depth, leaf)])
+    assert not fs.apart([chain(depth, Node(arcs={"g": leaf}))], [a])
+
+
+def test_apart_counts_shared_complex_nodes_not_shared_atoms():
+    sg, inner = atom("sg"), node(num=atom("sg"))
+    assert fs.apart([node(agr=sg)], [node(agr=sg)])
+    assert not fs.apart([node(agr=inner)], [node(f=node(agr=inner))])
+    a = node(f=empty())
+    assert not fs.apart([a], [a]) and fs.apart([a], []) and fs.apart([], [a])
+    # a forwarding pointer is read through
+    b = node(g=empty())
+    unify_in_place(b.arcs["g"], a.arcs["f"])
+    assert not fs.apart([a], [b])
+
+
+def test_unifiable_copies_nothing(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("unifiable made a copy")
+
+    monkeypatch.setattr(fs, "_copy", refuse)
+    a, b = parse_category("np[agr=$1, h=$1]"), parse_category("np[agr=sg]")
+    before = node_state([a, b])
+    assert fs.unifiable(a, b) and not fs.unifiable(a, parse_category("np[h=pl, agr=sg]"))
+    assert node_state([a, b]) == before
+
+
 def format_roots_by_visiting_atoms(roots):
     """format_roots with atoms visited like complex nodes when counting and
     rendering: its reference."""

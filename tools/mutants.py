@@ -101,6 +101,18 @@ MUTANTS = (
         "with_empty=first_visit)",
         "with_empty=True)",
     ),
+    (
+        "M13 every pair is apart",
+        ENGINE,
+        "self._apart = True if self.is_epsilon else apart",
+        "self._apart = True",
+    ),
+    (
+        "M14 apart compares only the roots",
+        ENGINE,
+        "self._apart = fs.apart(self.lhs, (self.rhs,))",
+        "self._apart = self.rhs not in self.lhs",
+    ),
 )
 
 

@@ -188,24 +188,16 @@ def _limit_failure(g: gm.Grammar, exc: ff.LimitExceeded) -> _Failure:
 # ---------------------------------------------------------------------------
 # commands
 
-def cmd_first(args) -> int:
+def cmd_pairs(args) -> int:
+    """``first`` or ``follow``, the command's name: FOLLOW reads FIRST."""
     g, diags = _validated(args.grammar, args)
     try:
         pairs, stats = ff.compute_first(g, args.mode)
+        if args.command == "follow":
+            pairs, stats = ff.compute_follow(g, pairs, args.mode)
     except ff.LimitExceeded as exc:
         raise _limit_failure(g, exc)
-    _emit(_document(g, "first", args.mode, pairs, stats if args.stats else None, diags), args)
-    return EXIT_OK
-
-
-def cmd_follow(args) -> int:
-    g, diags = _validated(args.grammar, args)
-    try:
-        first, _ = ff.compute_first(g, args.mode)
-        pairs, stats = ff.compute_follow(g, first, args.mode)
-    except ff.LimitExceeded as exc:
-        raise _limit_failure(g, exc)
-    _emit(_document(g, "follow", args.mode, pairs, stats if args.stats else None, diags), args)
+    _emit(_document(g, args.command, args.mode, pairs, stats if args.stats else None, diags), args)
     return EXIT_OK
 
 
@@ -337,15 +329,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("first", help="compute the FIRST pair set")
-    p.add_argument("grammar")
-    _common(p)
-    p.set_defaults(run=cmd_first)
-
-    p = subs.add_parser("follow", help="compute the FOLLOW pair set")
-    p.add_argument("grammar")
-    _common(p)
-    p.set_defaults(run=cmd_follow)
+    for function in ("first", "follow"):
+        p = subs.add_parser(function, help=f"compute the {function.upper()} pair set")
+        p.add_argument("grammar")
+        _common(p)
+        p.set_defaults(run=cmd_pairs)
 
     p = subs.add_parser("string-first", help="FIRST of a category string")
     p.add_argument("grammar")

@@ -811,7 +811,9 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
 def query(result: PairSet, cat: Node) -> list:
     """Right sides of every stored pair whose left side unifies with the
     category, with that unification's bindings applied; deduplicated up to
-    equivalence, keeping the most specific of comparable values.  ``cat``
+    equivalence, keeping the most specific of comparable values, so no
+    value subsumes another.  A value more specific than several kept ones
+    takes the first one's place.  ``cat``
     is copied first, so that it shares no node with the pairs it binds, as
     ``_bind`` requires, even when it is a node of ``result``.
 
@@ -820,6 +822,7 @@ def query(result: PairSet, cat: Node) -> list:
     read-only, and clone one before any destructive unification."""
     cat = fs.clone(cat)
     out = []
+    labels = []  # the label of each value in out; EPSILON, comparable with none, for ε
     have_eps = False
     listed, start, end = result._span(_ALL, label_of(cat), 0, result._settle())
     for p in listed[start:end]:
@@ -830,22 +833,28 @@ def query(result: PairSet, cat: Node) -> list:
             continue
         if p.is_epsilon:
             out.append(p.rhs)
+            labels.append(EPSILON)
             have_eps = True
             continue
         rhs = got[1]
         label = label_of(rhs)
+        general = []  # the places of the kept values rhs is more specific than
         for idx, have in enumerate(out):
-            if isinstance(have, EpsilonMark):
-                continue
-            if label is not None and label_of(have) not in (None, label):
+            have_label = labels[idx]
+            if have_label is EPSILON or label is not None and have_label is not None and have_label != label:
                 continue  # values with different atomic cats never subsume each other
             if fs.subsumes(rhs, have):
                 break  # an equal or more specific value is kept
             if fs.subsumes(have, rhs):
-                out[idx] = rhs
-                break
+                general.append(idx)
         else:
-            out.append(rhs)
+            if general:
+                out[general[0]], labels[general[0]] = rhs, label
+                for idx in reversed(general[1:]):
+                    del out[idx], labels[idx]
+            else:
+                out.append(rhs)
+                labels.append(label)
     return out
 
 

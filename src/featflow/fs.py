@@ -70,7 +70,8 @@ forwarding pointers.
 The op's other per-item loops keep the same rule for their items:
 tokens, stored pairs and printed nodes.  The lexer (``grammar._Lexer``)
 counts lines as it scans and builds each token in place, and the parser
-reads tokens inline inside AVMs and hands out one atom per name.
+reads tokens inline inside categories and AVMs and hands out one atom per
+name.
 ``firstfollow.PairSet.add`` walks its buckets in place, with no list of
 candidates, and keeps the index lists each label's pairs join.
 ``grammar.format_roots`` prints a space in one walk, and counts
@@ -323,9 +324,9 @@ def unify_copy(a: Node, b: Node, keep, restrictor=frozenset(), prune=False, tree
     unify.  The inputs come back unchanged.
 
     Nothing is copied before unifying: ``a`` and ``b`` are merged in place
-    with their bindings on a trail, then only the kept roots are copied (so
-    ``keep=()`` is a unifiability test), and the trail is undone on every
-    exit, by return, UnificationFailed or RecursionError alike.
+    with their bindings on a trail, then only the kept roots are copied,
+    and the trail is undone on every exit, by return, UnificationFailed or
+    RecursionError alike.  ``unifiable`` is the test that copies nothing.
 
     The result is checked for cycles as ``unify_in_place`` does: always,
     unless the caller passes ``tree`` to say that ``a`` and ``b`` lie in

@@ -21,7 +21,6 @@ output reparses.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import re
 from dataclasses import dataclass, replace
@@ -129,7 +128,6 @@ _WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*(?:\.[A-Za-z][A-Za-z0-9_]*)*")
 _PUNCT = {
     "[": "LB", "]": "RB", ",": "COMMA", "=": "EQ", ":": "COLON", ".": "STOP", "+": "SYM", "-": "SYM",
 }
-_NEWLINE_RE = re.compile("\n")
 
 
 class _Tok(NamedTuple):
@@ -141,27 +139,14 @@ class _Tok(NamedTuple):
 
 class _Lexer:
     """Tokens and issues of a text.  ``_lex`` keeps the line and the index
-    of the last newline as it scans, and builds each token in place; only
-    an issue looks its position up, in a newline index made on first use."""
+    of the last newline as it scans, and places each token and each issue
+    with them; tokens are built in place."""
 
     def __init__(self, text):
         self.text = text
         self.issues = []
         self.tokens = []
-        self._newlines = None
         self._lex()
-
-    def _pos(self, index):
-        # the newlines before index give the line, the last of them the column
-        if self._newlines is None:
-            self._newlines = [m.start() for m in _NEWLINE_RE.finditer(self.text)]
-        before = bisect.bisect_left(self._newlines, index)
-        last = self._newlines[before - 1] if before else -1
-        return before + 1, index - last
-
-    def _issue(self, message, index):
-        line, col = self._pos(index)
-        self.issues.append(ParseIssue(line, col, message))
 
     def _lex(self):
         text, n = self.text, len(self.text)
@@ -201,7 +186,7 @@ class _Lexer:
                     if c == "$":
                         emit(new(_Tok, ("DOLLAR", "$", line, i - last)))
                     else:
-                        self._issue("unknown syntax: stray '#'", i)
+                        self.issues.append(ParseIssue(line, i - last, "unknown syntax: stray '#'"))
                     i += 1
             elif c == "%":
                 nl = text.find("\n", i)
@@ -220,13 +205,14 @@ class _Lexer:
                     last = text.rfind("\n", i, j)
                 i = j
             else:
-                self._issue(f"unknown syntax: unexpected character {c!r}", i)
+                self.issues.append(ParseIssue(line, i - last, f"unknown syntax: unexpected character {c!r}"))
                 i += 1
         emit(new(_Tok, ("EOF", "", line, n - last)))
 
     def _lex_string(self, i, line, col):
-        """Lex the string opening at ``i``, at ``line``/``col``; return the
-        index after it, or of the newline or end that left it open."""
+        """Lex the string opening at ``i``, at ``line``/``col``, where an
+        unterminated one is reported; return the index after it, or of the
+        newline or end that left it open."""
         text, n = self.text, len(self.text)
         j = i + 1
         out = []
@@ -243,7 +229,7 @@ class _Lexer:
                 break
             out.append(c)
             j += 1
-        self._issue("unknown syntax: unterminated string", i)
+        self.issues.append(ParseIssue(line, col, "unknown syntax: unterminated string"))
         return j
 
 
@@ -408,51 +394,52 @@ class _Parser:
                 self.issues.append(ParseIssue(t.line, t.col, f"a category is an AVM, not the atom {_atom_text(n.atom)}"))
 
     def mark_preterminal(self, cat, start):
-        """Set ``ter=+`` on ``cat``; a clash is reported at ``start``, the
-        token where the category starts."""
-        n = deref(cat)
-        if n.atom is not None:
+        """Unify ``ter=+`` into ``cat``; a clash is reported at ``start``,
+        the token where the category starts.  An atom category is left to
+        ``check_avms``."""
+        if deref(cat).atom is not None:
             return
-        have = n.arcs.get("ter")
-        if have is None:
-            n.arcs["ter"] = self.atom("+")
-        else:
-            try:
-                fs.unify_in_place(have, self.atom("+"))
-            except UnificationFailed:
-                message = "term used on a category with ter incompatible with '+'"
-                self.issues.append(ParseIssue(start.line, start.col, message))
+        try:
+            # a fresh tree sharing no complex node cannot close a cycle
+            fs.unify_in_place(Node(arcs={"ter": self.atom("+")}), cat, tree=True)
+        except UnificationFailed:
+            message = "term used on a category with ter incompatible with '+'"
+            self.issues.append(ParseIssue(start.line, start.col, message))
 
     def category(self, tags, allow_end_mark=False) -> Node:
-        t = self.peek()
-        if t.kind == "DOLLAR":
-            self.take()
-            if not allow_end_mark:
-                self.fail(t, "unknown syntax: '$' is reserved for the end marker")
-            return end_category()
-        if t.kind == "TAG":
-            return self.tag_value(tags)
-        if t.kind == "LB":
-            return Node(arcs=self.avm_body(tags, {}))
-        if t.kind == "WORD":
-            self.take()
+        """The category at the parser's token: ``Label``, ``Label[...]``,
+        ``[...]``, a ``$n`` tag or, where allowed, the end mark ``$``.
+        Tokens are read by index.  A token no category starts with is left
+        unread; one in error inside the category is taken as ``take`` would,
+        so that ``sync`` resumes where it would."""
+        toks = self.tokens
+        i = self.idx
+        t = toks[i]
+        kind = t.kind
+        if kind == "WORD":
+            i += 1
+            self.idx = i
             if "." in t.value:
                 self.fail(t, f"unknown syntax: unexpected path {t.value!r}")
             fields = {"cat": self.atom(t.value.lower())}
-            if self.peek().kind == "LB":
-                self.avm_body(tags, fields)
-            return Node(arcs=fields)
-        self.fail(t, f"unknown syntax: expected a category, found {t.value!r}")
-
-    def avm_body(self, tags, fields) -> dict:
-        """Add to ``fields`` the features of the AVM whose ``[`` the parser
-        is at.  Tokens are read inline; a token in error is taken as
-        ``take`` would, so that ``sync`` resumes where it would."""
-        toks = self.tokens
-        i = self.idx + 1
+            if toks[i].kind != "LB":
+                return Node(arcs=fields)
+        elif kind == "LB":
+            fields = {}
+        elif kind == "TAG":
+            return self.tag_value(tags)
+        elif kind == "DOLLAR":
+            self.idx = i + 1
+            if not allow_end_mark:
+                self.fail(t, "unknown syntax: '$' is reserved for the end marker")
+            return end_category()
+        else:
+            self.fail(t, f"unknown syntax: expected a category, found {t.value!r}")
+        # the features, after the '[' at i
+        i += 1
         if toks[i].kind == "RB":
             self.idx = i + 1
-            return fields
+            return Node(arcs=fields)
         while True:
             name = toks[i]
             # a WORD token matches fs._FEATURE_RE unless it is a dotted path
@@ -472,31 +459,23 @@ class _Parser:
             kind = toks[i].kind
             if kind == "RB":
                 self.idx = i + 1
-                return fields
+                return Node(arcs=fields)
             if kind != "COMMA":
                 self.fail(self.take(), "unknown syntax: expected ',' or ']'")
             i += 1
 
     def value(self, tags) -> Node:
+        """The feature value at the parser's token: an atom, read here, or
+        a category (``Label[...]``, ``[...]``, a ``$n`` tag), which a
+        dotted word is too, for ``category`` to refuse."""
         i = self.idx
         t = self.tokens[i]
         kind = t.kind
-        if kind == "WORD":
-            self.idx = i + 1
-            if "." in t.value:
-                self.fail(t, f"unknown syntax: unexpected path {t.value!r}")
-            if self.tokens[i + 1].kind == "LB":
-                fields = {"cat": self.atom(t.value.lower())}
-                self.avm_body(tags, fields)
-                return Node(arcs=fields)
-            return self.atom(t.value)
-        if kind == "STR" or kind == "SYM":
+        if kind == "STR" or kind == "SYM" or kind == "WORD" and "." not in t.value and self.tokens[i + 1].kind != "LB":
             self.idx = i + 1
             return self.atom(t.value)
-        if kind == "TAG":
-            return self.tag_value(tags)
-        if kind == "LB":
-            return Node(arcs=self.avm_body(tags, {}))
+        if kind == "WORD" or kind == "LB" or kind == "TAG":
+            return self.category(tags)
         self.fail(t, f"unknown syntax: expected a value, found {t.value!r}")
 
     def tag_value(self, tags) -> Node:

@@ -284,6 +284,20 @@ def test_guard_flags_below_one_are_usage_errors(capsys, flag, value):
     assert "must be at least 1" in err
 
 
+def test_a_malformed_restrictor_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "first", fixture_path("fig1.gr"), "--restrictor", "a..b")
+    assert code == 2
+    assert out == ""
+    assert err == "--restrictor: malformed feature path 'a..b' at character 1\n"
+
+
+def test_a_guard_flag_that_is_not_an_integer_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "first", fixture_path("fig1.gr"), "--max-pairs", "x")
+    assert code == 2
+    assert out == ""
+    assert "not an integer" in err
+
+
 def test_bench_mismatch_exit_code(capsys, monkeypatch):
     monkeypatch.setattr(ff, "pair_sets_equivalent", lambda a, b: False)
     code, out, _ = run(capsys, "bench", fixture_path("fig1.gr"))

@@ -223,6 +223,14 @@ def test_pair_sets_equivalent_ignores_insertion_order():
     assert pair_sets_equivalent(a, b) and pair_sets_equivalent(b, a)
 
 
+def test_pair_sets_of_different_sizes_are_not_equivalent():
+    a, b = PairSet(), PairSet()
+    for s in (a, b):
+        assert s.add(cat_pair("x[f=p]", "a[]"))
+    assert b.add(cat_pair("y[]", None))
+    assert not pair_sets_equivalent(a, b) and not pair_sets_equivalent(b, a)
+
+
 def test_pair_sets_differing_in_one_reentrancy_are_not_equivalent():
     a, b = PairSet(), PairSet()
     for s, (lhs, rhs) in ((a, ("x[f=$1]", "y[f=$1]")), (b, ("x[f=[]]", "y[f=[]]"))):
@@ -621,6 +629,23 @@ def test_query_dedupe_compares_values_without_cat_with_labelled_ones():
         assert format_roots(query(s, parse_category("x[]"))) == ["a[f=p]"]
 
 
+QUERY_ANTICHAIN_RULES = (
+    "A[f=one] -> term X[a=one].",
+    "A[g=one] -> term X[b=one].",
+    "A[h=one] -> term X[a=one, b=one].",
+)
+
+
+@pytest.mark.parametrize("order", [(0, 1, 2), (2, 0, 1), (1, 2, 0)])
+def test_query_answer_replaces_every_kept_value_it_is_more_specific_than(order):
+    """``x[a=one, b=one]`` is more specific than both ``x[a=one]`` and
+    ``x[b=one]``: whichever order the rules come in, it is the one answer."""
+    rules = " ".join(QUERY_ANTICHAIN_RULES[i] for i in order)
+    g = parse_grammar(f"S[] -> A[] B[]. {rules} B[] -> term Y[].")
+    first, _ = compute_first(g)
+    assert format_roots(query(first, parse_category("A[]"))) == ["x[a=one, b=one, ter=+]"]
+
+
 def test_query_includes_epsilon_and_dedupes():
     g = load_fixture("fig1.gr")
     first, _ = compute_first(g)
@@ -699,6 +724,15 @@ def holds_a_pair_set(value):
     if isinstance(value, dict):
         value = list(value.values())
     return isinstance(value, (list, tuple)) and any(map(holds_a_pair_set, value))
+
+
+def test_an_unknown_mode_is_a_value_error():
+    g = load_fixture("fig1.gr")
+    first, _ = compute_first(g)
+    with pytest.raises(ValueError, match="mode must be one of"):
+        compute_first(g, "eager")
+    with pytest.raises(ValueError, match="mode must be one of"):
+        compute_follow(g, first, "eager")
 
 
 def test_a_mode_report_keeps_verdicts_and_counters_not_pair_sets():

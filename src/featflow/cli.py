@@ -18,12 +18,16 @@ message was written.
 Diagnostics go to stderr as ``file:line:col: severity: message``.  With
 ``--format json`` stdout is strict JSON (no ``Infinity`` or ``NaN``), and
 byte-stable for identical inputs and flags, except for ``bench``'s
-``wall_time`` measurements.
+``wall_time`` measurements.  Stdout is written as UTF-8 whatever the
+locale, as RFC 8259 asks of exchanged JSON, so the bytes do not depend
+on it either.
 """
 
 from __future__ import annotations
 
 import argparse
+import codecs
+import io
 import json
 import os
 import sys
@@ -101,11 +105,8 @@ def _validated(path: str, args) -> tuple:
 # documents
 
 def _pair_json(p: ff.Pair) -> dict:
-    if p.is_epsilon:
-        rendered = gm.format_roots(p.lhs)
-        return {"lhs": rendered, "rhs": None, "epsilon": True}
-    rendered = gm.format_roots([*p.lhs, p.rhs])
-    return {"lhs": rendered[:-1], "rhs": rendered[-1], "epsilon": False}
+    lhs, rhs = ff._sides(p)
+    return {"lhs": lhs, "rhs": rhs, "epsilon": p.is_epsilon}
 
 
 def _stats_json(stats: ff.RunStats) -> list:
@@ -158,8 +159,7 @@ def _emit(doc: dict, args) -> None:
     print(header)
     print(f"pairs ({len(doc['pairs'])}):")
     for p in doc["pairs"]:
-        rhs = "ε" if p["epsilon"] else p["rhs"]
-        print(f"  ({' '.join(p['lhs'])} , {rhs})")
+        print(f"  {ff._pair_text(p['lhs'], p['rhs'])}")
     if "stats" in doc:
         print("stats:")
         _print_iterations(doc["stats"], "  ")
@@ -357,6 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    if isinstance(sys.stdout, io.TextIOWrapper) and codecs.lookup(sys.stdout.encoding).name != "utf-8":
+        sys.stdout.reconfigure(encoding="utf-8")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -23,11 +23,18 @@ nothing.  Apartness is known by construction, with no walk, for an
 empty-string pair (apart), a product whose right side was shared (apart:
 its left roots are fresh copies) and a FIRST seed (not: its two sides are
 one node); only a product whose right side was copied with its left roots
-is walked, once, on its first bind.  This keeps the invariant ``fs``
-states: nothing mutates a stored right side; a right-side node is never
-another pair's left-side node; working spaces (rules, their copies,
-cloned query strings) never hold a stored node; and ``query`` may return
-stored nodes.
+is walked, once, on its first bind.  Sharing rests on an invariant the
+engine keeps:
+
+- nothing mutates a stored right side: a bind binds a pair's right side
+  only when the sides are not apart, and only for the duration of a
+  ``fs.unify_copy``, and that right side is never shared;
+- a right-side node is never another pair's left-side node (a FIRST
+  seed's two sides are one node, so it is not apart);
+- working spaces (rules, their copies, cloned query strings) never hold
+  a stored node;
+- ``query`` may return stored nodes, which a caller treats as read-only
+  and clones before any destructive unification.
 
 FIRST and FOLLOW run one fixpoint driver, ``_fixpoint``, which keeps the
 agenda: it offers each rule visit one range of pairs, and the visit
@@ -169,6 +176,14 @@ def pair_equivalent(p: Pair, q: Pair) -> bool:
     return pair_subsumes(p, q) and pair_subsumes(q, p)
 
 
+def _key_covers(general, specific) -> bool:
+    """Whether ``Pair.key`` ``general`` covers ``specific``: the same
+    signature, and each label of ``general`` None or equal to
+    ``specific``'s.  Only a pair keyed by a covering key can subsume one
+    keyed by the covered key."""
+    return general[0] == specific[0] and all(a is None or a == b for a, b in zip(general[1], specific[1]))
+
+
 # the kinds of single-category pairs the label index lists: every one,
 # those with an empty-string right side, and the others
 _ALL, _EPS, _DRIVERS = range(3)
@@ -236,25 +251,17 @@ class PairSet:
                     self.rejected += 1
                     return False
         for k in self._wild:
-            if k[0] == signature and k != key:
-                for a, b in zip(k[1], labels):
-                    if a is not None and a != b:
-                        break
-                else:
-                    for q in buckets[k]:
-                        if subsumes(q.comparison_roots, roots):
-                            self.rejected += 1
-                            return False
+            if k != key and _key_covers(k, key):
+                for q in buckets[k]:
+                    if subsumes(q.comparison_roots, roots):
+                        self.rejected += 1
+                        return False
         doomed = [] if bucket is None else [q for q in bucket if subsumes(roots, q.comparison_roots)]
         wild = None in labels
         if wild:
             for k, other in buckets.items():
-                if k[0] == signature and k != key:
-                    for a, b in zip(labels, k[1]):
-                        if a is not None and a != b:
-                            break
-                    else:
-                        doomed += [q for q in other if subsumes(roots, q.comparison_roots)]
+                if k != key and _key_covers(key, k):
+                    doomed += [q for q in other if subsumes(roots, q.comparison_roots)]
         if doomed:
             dead = {q.serial for q in doomed}
             self.pairs = [q for q in self.pairs if q.serial not in dead]
@@ -383,7 +390,12 @@ class _Recorder:
     ``began`` of each ``_Read`` it binds; a visit tells ``passed`` of each
     it begins without a bind.  Both count the pairs a read's label passed
     over as ``filtered`` attempts, and for each kind of pair a visit
-    considered the widest range it began to read."""
+    considered the widest range it began to read.
+
+    A test may subclass it and put the subclass in its place, overriding
+    any hook as long as it calls the base method, so that the counts stay
+    whole; ``began`` alone sees only the reads that are bound.  Outside
+    the recorder, tests replace only ``_bind_each``, with a full scan."""
 
     def __init__(self):
         self.rows = []
@@ -447,12 +459,12 @@ def _bind(root, pair, kept, cut, prune):
     working space is copied as it is.
 
     Returns (kept_copies, bound_rhs, apart), or None on failure: bound_rhs
-    is the pair's right side under the binding, None for an empty-string
-    pair, and ``apart`` is what a product of the two knows of its sides, as
-    ``Pair`` takes it.  When the pair's sides are apart, the binding cannot
-    reach the right side, so bound_rhs is ``pair.rhs`` itself, already
-    restricted and pruned, and only the kept roots are copied; with none
-    kept, nothing is (``fs.unifiable``).  The kept copies are fresh, so
+    is the pair's right side under the binding, ``EPSILON`` for an
+    empty-string pair, and ``apart`` is what a product of the two knows of
+    its sides, as ``Pair`` takes it.  When the pair's sides are apart, the
+    binding cannot reach the right side, so bound_rhs is ``pair.rhs``
+    itself, already restricted and pruned, and only the kept roots are
+    copied; with none kept, nothing is (``fs.unifiable``).  The kept copies are fresh, so
     such a product is apart.  Otherwise the right side is copied out
     together with the kept roots, and whether they share a node is left to
     a walk.
@@ -466,7 +478,7 @@ def _bind(root, pair, kept, cut, prune):
     lhs = pair.lhs[0]
     tree = pair.lhs_is_tree()
     if pair.sides_apart():
-        rhs = None if pair.is_epsilon else pair.rhs
+        rhs = pair.rhs
         if not kept:
             return ([], rhs, True) if fs.unifiable(root, lhs, tree) else None
         try:
@@ -487,12 +499,12 @@ def _bind_each(space, pos, read, rec, keep=None, restrictor=None):
     roots at the indices ``keep`` (every root when None); with a
     ``restrictor`` (an empty one too) the copies are products to store.
     Yields (pair, kept_roots, bound_rhs, apart) for each success, as
-    ``_bind`` returns them.
+    ``_bind`` returns them: bound_rhs is ``EPSILON`` for an empty pair.
 
-    The read is begun on entry.  The label is read from ``space``, where
-    earlier bindings may have set it.  The pairs it passes over, whose
-    ``cat`` differs, are attempts that were ``filtered``: counted, not
-    bound.  Each bind is counted as an attempt just before it is made.
+    The read is begun on entry, so a visit a guard stops inside it counts
+    its whole range.  The label is read from ``space``, where earlier
+    bindings may have set it.  The pairs it passes over, whose ``cat``
+    differs, are attempts that were ``filtered``: counted, not bound.  Each bind is counted as an attempt just before it is made.
     What every bind of the read shares, the kept roots and the
     restriction, is set up once.
     """
@@ -527,7 +539,7 @@ def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None,
     positions before it to empty pairs and itself to a non-empty pair.
     Yields (kept_roots, bound_rhs, apart), copied out of the bound space as
     ``_bind_each`` does with ``keep`` and ``restrictor``; ``with_empty``,
-    then (space, None, True) for every way the whole span derives the
+    then (space, EPSILON, True) for every way the whole span derives the
     empty string, ``space`` the whole bound space, unrestricted: ``space``
     itself when the span is empty.
 
@@ -568,7 +580,7 @@ def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None,
     if with_empty:
         for bound, newest in level:
             if newest > fresh.lo or not fresh.lo:
-                yield bound, None, True
+                yield bound, EPSILON, True
 
 
 def _store(pset, lhs_roots, rhs, apart=None):
@@ -576,13 +588,13 @@ def _store(pset, lhs_roots, rhs, apart=None):
 
     The left roots must be a fresh copy, restricted and pruned as
     ``fs.restrict_many`` does with ``prune``: binds do that as they copy
-    out, and seeds and empty-rule mothers go through it.  Pruning drops
-    vacuous leftovers from discarded rule context, so that equal claims
-    collide under the operator.  ``rhs`` is restricted and pruned too: a
-    copy made with the left roots, or a stored right side a bind shared,
-    which is one already.  A None ``rhs`` stores ``EPSILON``; ``apart`` is
-    as ``Pair`` takes it."""
-    return pset.add(Pair(tuple(lhs_roots), EPSILON if rhs is None else rhs, apart))
+    out, and seeds, empty-rule mothers and empty-string derivations go
+    through it.  Pruning drops vacuous leftovers from discarded rule
+    context, so that equal claims collide under the operator.  ``rhs`` is
+    ``EPSILON``, or restricted and pruned too: a copy made with the left
+    roots, or a stored right side a bind shared, which is one already.
+    ``apart`` is as ``Pair`` takes it."""
+    return pset.add(Pair(lhs_roots, rhs, apart))
 
 
 def _fixpoint(function: str, g: Grammar, mode: str, seed, visit):
@@ -675,7 +687,7 @@ def compute_first(g: Grammar, mode: str = "active"):
         if rule.is_epsilon:
             # only the first store can be accepted, since a covered pair
             # stays covered, so a visit offered pairs above 0 stores nothing
-            return not offer.lo and store((fs.restrict(rule.mother, g.restrictor, prune=True),), None)
+            return not offer.lo and store((fs.restrict(rule.mother, g.restrictor, prune=True),), EPSILON)
         if not offer.n:
             return False
         first, lo, hi = offer.pset, offer.lo, offer.hi
@@ -692,7 +704,7 @@ def compute_first(g: Grammar, mode: str = "active"):
         changed = False
         products = _first_of_span(base, span, eps, drivers, rec, [0], g.restrictor, fresh, with_empty=True)
         for mother, rhs, apart in products:
-            if rhs is None:
+            if rhs is EPSILON:
                 mother = fs.restrict_many(mother[:1], g.restrictor, prune=True)
             changed |= store(mother, rhs, apart)
         return changed
@@ -733,7 +745,7 @@ def first_of_string(first: PairSet, g: Grammar, cats) -> PairSet:
     span = list(range(len(cats)))
     eps, drivers = _Read(first, _EPS, 0, hi), _Read(first, _DRIVERS, 0, hi)
     for string, rhs, apart in _first_of_span(cats, span, eps, drivers, rec, None, g.restrictor, with_empty=True):
-        if rhs is None:
+        if rhs is EPSILON:
             string = fs.restrict_many(string, g.restrictor, prune=True)
         _store(out, string, rhs, apart)
     return out
@@ -749,7 +761,9 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
     the FIRST values of the suffix after i (computed inside the rule
     instance, so bindings thread through the mother) feed FOLLOW(Yi); and
     when that suffix is empty or wholly derives the empty string, every
-    offered (M, f) whose M unifies with X' contributes (Y'i, f).
+    offered (M, f) whose M unifies with X' contributes (Y'i, f).  A visit
+    after the rule's first where the mother's label has no pair above
+    ``lo`` binds nothing.
     """
     first_hi = first._settle()
     eps, drivers = _Read(first, _EPS, 0, first_hi), _Read(first, _DRIVERS, 0, first_hi)
@@ -781,7 +795,7 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
             for i, tail in enumerate(tails):
                 products = _first_of_span(base, tail, eps, drivers, rec, [1 + i], g.restrictor, with_empty=first_visit)
                 for daughter, rhs, apart in products:
-                    if rhs is None:
+                    if rhs is EPSILON:
                         spaces.append((i, daughter))
                     else:
                         changed |= store(daughter, rhs, apart)
@@ -818,8 +832,9 @@ def query(result: PairSet, cat: Node) -> list:
     ``_bind`` requires, even when it is a node of ``result``.
 
     A value whose pair has its sides apart is the stored right side itself,
-    not a copy: the binding cannot change it.  Treat the values as
-    read-only, and clone one before any destructive unification."""
+    not a copy: the binding cannot change it.  Values are not pruned.
+    Treat them as read-only, and clone one before any destructive
+    unification."""
     cat = fs.clone(cat)
     out = []
     labels = []  # the label of each value in out; EPSILON, comparable with none, for ε
@@ -919,10 +934,21 @@ def compare_modes(g: Grammar) -> ModeReport:
 # ---------------------------------------------------------------------------
 # rendering
 
-def format_pair(p: Pair) -> str:
+def _sides(p: Pair) -> tuple:
+    """The printed sides of ``p``: one text per left root, and the right
+    side's text, None for the empty string.  Both come from one
+    ``format_roots`` walk, so a tag shared across the sides agrees."""
     if p.is_epsilon:
-        rendered = format_roots(p.lhs)
-        return f"({' '.join(rendered)} , ε)"
+        return format_roots(p.lhs), None
     rendered = format_roots([*p.lhs, p.rhs])
-    return f"({' '.join(rendered[:-1])} , {rendered[-1]})"
+    return rendered[:-1], rendered[-1]
+
+
+def _pair_text(lhs, rhs) -> str:
+    """``(lhs , rhs)`` from printed sides as ``_sides`` gives them."""
+    return f"({' '.join(lhs)} , {'ε' if rhs is None else rhs})"
+
+
+def format_pair(p: Pair) -> str:
+    return _pair_text(*_sides(p))
 

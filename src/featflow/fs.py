@@ -25,24 +25,9 @@ the caller keeps (restricted, if asked) and undoes the trail before it
 returns or raises.  The structures it is given, stored pairs and grammar
 rules included, are therefore bound during the call and restored before
 it returns.  They are safe to share between callers in one thread, but
-not across threads while such a call is running.
-
-A stored FIRST/FOLLOW right side is a shared value as well, when its
-pair's sides are *apart* (``apart``): no complex node reachable from the
-left side is reachable from the right side.  Binding such a left side
-cannot reach the right side, so ``firstfollow``'s binds hand it out as it
-is instead of copying it; new pairs and query answers then hold the very
-stored nodes.  That rests on an invariant ``firstfollow`` keeps:
-
-- nothing mutates a stored right side: a bind binds a pair's right side
-  only when the sides are not apart, and only for the duration of a
-  ``unify_copy``, and that right side is never shared;
-- a right-side node is never another pair's left-side node (a FIRST
-  seed's two sides are one node, so it is not apart);
-- working spaces (rules, their copies, cloned query strings) never hold
-  a stored node;
-- ``query`` may return stored nodes, which a caller treats as read-only
-  and clones before any destructive unification.
+not across threads while such a call is running.  ``apart`` tells when a
+stored FIRST/FOLLOW right side can be shared instead of copied; the
+invariants that rests on are listed in ``firstfollow``'s docstring.
 
 Unification checks its result for cycles, and fails with reason
 ``cycle`` on one.  The check walks everything below the merged node, so
@@ -64,31 +49,9 @@ instead of calling ``deref``, key their memos by the node itself (it
 hashes by identity) rather than by ``id``, build nodes without
 ``Node.__init__``, and use no closure or generator per node.  The
 only per-node call left is a kernel's own recursion (``_union``, and
-``_copy``'s walk ``_cp``).  ``deref`` stays the public way to read through
-forwarding pointers.
-
-The op's other per-item loops keep the same rule for their items:
-tokens, stored pairs and printed nodes.  The lexer (``grammar._Lexer``)
-counts lines as it scans and builds each token in place, and the parser
-reads tokens inline inside categories and AVMs and hands out one atom per
-name.
-``firstfollow.PairSet.add`` walks its buckets in place, with no list of
-candidates, and keeps the index lists each label's pairs join.
-``grammar.format_roots`` prints a space in one walk, and counts
-references first only for a space that shares a complex node.
-
-No nested function on the op path (parse, validate, FIRST, FOLLOW,
-rendering and the lookups) refers to itself.  Such a function is a
-reference cycle, function to closure cell to function, made anew on
-every call of the function around it.  It keeps all its closure holds
-(for a copy: the memo and every node copied) alive until CPython's
-cyclic collector runs, and that collector took about a fifth of each
-benchmark op when the walks below were closures.  So a recursive walk is
-a module-level function that takes its state as arguments (``_cp``,
-``grammar._count_refs`` and ``_render``) or a loop (``firstfollow``'s
-enumerators of empty-string bindings, which step level by level), and
-reference counting frees every temporary at once;
-``tests/test_no_cycles.py`` checks that no op leaves cyclic garbage.
+``_copy``'s walk ``_cp``), a module-level function, as the rule in
+``tests/test_no_cycles.py`` asks.  ``deref`` stays the public way to
+read through forwarding pointers.
 """
 
 from __future__ import annotations
@@ -323,10 +286,11 @@ def unify_copy(a: Node, b: Node, keep, restrictor=frozenset(), prune=False, tree
     ``restrict_many`` does; raises UnificationFailed when the two do not
     unify.  The inputs come back unchanged.
 
-    Nothing is copied before unifying: ``a`` and ``b`` are merged in place
-    with their bindings on a trail, then only the kept roots are copied,
-    and the trail is undone on every exit, by return, UnificationFailed or
-    RecursionError alike.  ``unifiable`` is the test that copies nothing.
+    Nothing is copied before unifying (nondestructive unification in the
+    manner of Wroblewski 1987 and Tomabechi 1991): ``a`` and ``b`` are
+    merged in place with their bindings on a trail, then only the kept
+    roots are copied, so a failure copies nothing, and the trail is undone
+    on every exit, by return, UnificationFailed or RecursionError alike.  ``unifiable`` is the test that copies nothing.
 
     The result is checked for cycles as ``unify_in_place`` does: always,
     unless the caller passes ``tree`` to say that ``a`` and ``b`` lie in

@@ -154,7 +154,8 @@ def test_criterion_3_cf_projection():
 def test_criterion_4_follow_binding():
     g = load_fixture("agr.gr")
     first, _ = compute_first(g)
-    follow, _ = compute_follow(g, first)
+    follow, stats = compute_follow(g, first)
+    assert stats.fixpoint
     hits = [
         p
         for p in follow
@@ -175,6 +176,9 @@ def test_criterion_5_modes_and_shape(capsys):
         rep = compare_modes(load_fixture(name))
         assert rep.first_equivalent and rep.follow_equivalent, name
         for stats in (rep.first_stats, rep.follow_stats):
+            if name == "fig1.gr":
+                assert len(stats["naive"].rows) >= 2
+                assert stats["active"].attempts < stats["naive"].attempts
             if len(stats["naive"].rows) >= 2:
                 assert stats["active"].events < stats["naive"].events, name
 
@@ -272,13 +276,14 @@ def test_criterion_7_guard(capsys):
     with pytest.raises(LimitExceeded) as err:
         compute_first(g)
     assert err.value.kind == "iterations"
+    assert err.value.stats.rows and not err.value.stats.fixpoint  # reported with the last rows
     code = main(["first", fixture_path("guard.gr")])
     capsys.readouterr()
     assert code == 5
 
     restricted = load_fixture("guard.gr", restrictor=["orth"])
     first, stats = compute_first(restricted)
-    assert stats.fixpoint
+    assert stats.fixpoint and len(stats.rows) == 2
     assert project(first)["np"] == {"det"}
     code = main(["first", fixture_path("guard.gr"), "--restrictor", "orth"])
     capsys.readouterr()

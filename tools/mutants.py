@@ -1,4 +1,4 @@
-"""Engine mutations that the engine tests must catch.
+"""Engine mutations that the engine and acceptance tests must catch.
 
     python3 tools/mutants.py
 
@@ -8,7 +8,7 @@ exactly once in its file.  For each, the tool copies ``src/``, ``tests/``
 and ``pyproject.toml`` to a temporary directory, makes the replacement
 there and runs
 
-    python -m pytest -x -q tests/test_firstfollow.py tests/test_engine_pin.py
+    python -m pytest -x -q tests/test_firstfollow.py tests/test_engine_pin.py tests/test_acceptance.py
 
 in it.  A mutant is caught when that run fails, and survives when it
 passes.  The same run on an unchanged copy must pass first, so a copy the
@@ -26,7 +26,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ENGINE = "src/featflow/firstfollow.py"
-TESTS = ("tests/test_firstfollow.py", "tests/test_engine_pin.py")
+TESTS = ("tests/test_firstfollow.py", "tests/test_engine_pin.py", "tests/test_acceptance.py")
 
 MUTANTS = (
     (
@@ -128,7 +128,7 @@ def misplaced(root: Path = ROOT) -> list:
 
 
 def run_tests(path=None, old="", new="") -> subprocess.CompletedProcess:
-    """The engine tests on a copy of this checkout in which ``old`` is
+    """The ``TESTS`` on a copy of this checkout in which ``old`` is
     replaced by ``new`` in the file ``path`` (no file when None)."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)

@@ -20,7 +20,9 @@ Diagnostics go to stderr as ``file:line:col: severity: message``.  With
 byte-stable for identical inputs and flags, except for ``bench``'s
 ``wall_time`` measurements.  Stdout is written as UTF-8 whatever the
 locale, as RFC 8259 asks of exchanged JSON, so the bytes do not depend
-on it either.
+on it either.  A grammar path is printed with each byte of it that is
+not UTF-8 written as ``\\xNN``; a category string holding such a byte is
+unreadable input.
 """
 
 from __future__ import annotations
@@ -56,19 +58,26 @@ class _Failure(Exception):
 # ---------------------------------------------------------------------------
 # loading
 
+def _shown(path: str) -> str:
+    """A path from the command line as it is printed: each byte of it that
+    is not UTF-8, which Python decodes to a lone surrogate, as ``\\xNN``."""
+    return path.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+
+
 def _load(path: str, args) -> gm.Grammar:
+    name = _shown(path)
     try:
         with open(path, encoding="utf-8") as handle:
             text = handle.read().removeprefix("\ufeff")  # a byte-order mark
     except OSError as exc:
-        raise _Failure(EXIT_INPUT, [f"{path}: cannot read: {exc.strerror or exc}"])
+        raise _Failure(EXIT_INPUT, [f"{name}: cannot read: {exc.strerror or exc}"])
     except UnicodeDecodeError as exc:
-        raise _Failure(EXIT_INPUT, [f"{path}: cannot read: not valid UTF-8 at byte offset {exc.start}"])
+        raise _Failure(EXIT_INPUT, [f"{name}: cannot read: not valid UTF-8 at byte offset {exc.start}"])
     try:
-        g = gm.parse_grammar(text, name=path)
+        g = gm.parse_grammar(text, name=name)
     except gm.GrammarSyntaxError as exc:
         raise _Failure(
-            EXIT_INPUT, [f"{path}:{i.line}:{i.col}: error: {i.message}" for i in exc.issues]
+            EXIT_INPUT, [f"{name}:{i.line}:{i.col}: error: {i.message}" for i in exc.issues]
         )
     if getattr(args, "restrictor", None) is not None:
         try:
@@ -97,7 +106,7 @@ def _validated(path: str, args) -> tuple:
     for _, text in diags:
         print(text, file=sys.stderr)
     if any(sev == "error" for sev, _ in diags):
-        raise _Failure(EXIT_INVALID, [f"{path}: validation failed"])
+        raise _Failure(EXIT_INVALID, [f"{g.name}: validation failed"])
     return g, diags
 
 
@@ -203,6 +212,11 @@ def cmd_pairs(args) -> int:
 
 def cmd_string_first(args) -> int:
     g, diags = _validated(args.grammar, args)
+    try:
+        args.string.encode("utf-8")
+    except UnicodeEncodeError as exc:  # a byte that is not UTF-8
+        offset = len(args.string[: exc.start].encode("utf-8"))
+        raise _Failure(EXIT_INPUT, [f"<string>: error: not valid UTF-8 at byte offset {offset}"])
     try:
         cats = gm.parse_category_sequence(args.string)
     except gm.GrammarSyntaxError as exc:
@@ -374,7 +388,7 @@ def main(argv=None) -> int:
         except RecursionError:
             # the feature-structure algebra recurses on nesting; the parser
             # reports too deep a category as a syntax error
-            inputs = " ".join(args.grammars) if args.command == "bench" else args.grammar
+            inputs = " ".join(map(_shown, args.grammars if args.command == "bench" else [args.grammar]))
             code, messages = EXIT_INPUT, [f"{inputs}: error: input nested too deeply to process"]
         for message in messages:
             print(message, file=sys.stderr)

@@ -356,7 +356,12 @@ def test_json_output_matches_golden_bytes(capsys, monkeypatch, name, function):
 
 
 def _featflow(*argv, hashseed="0", encoding="utf-8", stdout=subprocess.PIPE, stderr=subprocess.PIPE):
-    env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONIOENCODING=encoding)
+    """Run the CLI on ``argv`` (str or bytes) under ``PYTHONIOENCODING``
+    ``encoding``, or with it unset when None."""
+    env = dict(os.environ, PYTHONHASHSEED=hashseed)
+    env.pop("PYTHONIOENCODING", None)
+    if encoding is not None:
+        env["PYTHONIOENCODING"] = encoding
     env.pop("PYTHONUNBUFFERED", None)  # the streams buffer as they do by default
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
@@ -395,6 +400,24 @@ def test_stdout_is_utf8_whatever_the_locale(tmp_path, encoding):
         assert (other.returncode, other.stderr) == (0, b"")
         assert other.stdout == utf8.stdout
     assert "été".encode("utf-8") in utf8.stdout
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", None])
+def test_a_category_string_that_is_not_utf8_is_unreadable_input(encoding):
+    proc = _featflow("string-first", "fig1.gr", b'NP[f="\xff"]', "--format", "json", encoding=encoding)
+    assert (proc.returncode, proc.stdout) == (EXIT_INPUT, b"")
+    assert proc.stderr == b"<string>: error: not valid UTF-8 at byte offset 6\n"
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", None])
+def test_a_grammar_path_that_is_not_utf8_is_printed_as_utf8(tmp_path, encoding):
+    path = os.path.join(os.fsencode(tmp_path), b"g\xff.gr")
+    with open(path, "wb") as out:
+        out.write(Path(fixture_path("fig1.gr")).read_bytes())
+    proc = _featflow("first", path, "--format", "json", encoding=encoding)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout.decode("utf-8"))
+    assert doc["grammar"]["file"] == os.fsdecode(tmp_path) + "/g\\xff.gr"
 
 
 def test_deeply_nested_category_exits_3_without_a_traceback(tmp_path):

@@ -2,9 +2,7 @@
 
 import collections
 import dataclasses
-import json
 import random
-from pathlib import Path
 
 import pytest
 
@@ -21,7 +19,6 @@ from featflow.firstfollow import (
     UnknownCategory,
     MODES,
     _bind,
-    _first_of_span,
     _Recorder,
     compare_modes,
     compute_first,
@@ -42,7 +39,6 @@ from featflow.grammar import (
     parse_grammar,
 )
 from cf_oracle import (
-    LAYERED_EMPTY,
     leftmost_terminals,
     loosely_labelled_grammar,
     random_cf_grammar,
@@ -136,38 +132,6 @@ def test_pairs_differing_only_in_reentrancy_are_both_kept():
     s = PairSet()
     assert s.add(left) and s.add(right)
     assert len(s) == 2
-
-
-def offered(s, marks, rule_id):
-    """The pairs the active driver offers rule ``rule_id`` of ``s`` now:
-    those above ``marks[rule_id]``, the newest serial offered to it before,
-    which moves up to the newest stored pair."""
-    hi = s._settle()
-    lo, marks[rule_id] = marks.get(rule_id, 0), hi
-    listed, start, end = s._span(ff._ALL, None, lo, hi)
-    return listed[start:end]
-
-
-def test_pairs_stay_in_serial_order_through_replacement():
-    s = PairSet()
-    for lhs, rhs in (("np[agr=sg]", "det[agr=sg]"), ("vp[]", "v[]"), ("np[agr=pl]", "det[agr=pl]")):
-        assert s.add(cat_pair(lhs, rhs))
-    marks = {}
-    assert offered(s, marks, 1) == s.pairs
-    assert s.add(cat_pair("np[]", "det[]"))
-    assert s.removed == 2
-    serials = [p.serial for p in s.pairs]
-    assert serials == sorted(serials)
-    assert [format_pair(p) for p in offered(s, marks, 1)] == ["(np[] , det[])"]
-    assert offered(s, marks, 1) == []
-    assert offered(s, marks, 2) == s.pairs
-    g = load_fixture("fig1.gr")
-    first, _ = compute_first(g)
-    follow, _ = compute_follow(g, first)
-    assert follow.removed == 1
-    for pset in (first, follow):
-        serials = [p.serial for p in pset]
-        assert serials == sorted(serials)
 
 
 def linear_antichain(pairs):
@@ -739,24 +703,6 @@ def test_first_of_a_string_is_the_same_from_either_modes_first_set():
     assert outcomes[True] and outcomes[False], outcomes
 
 
-def test_choice_order_independence_of_prefix_bindings():
-    g = load_fixture("fig1.gr")
-    first, _ = compute_first(g)
-    hi = first._settle()
-    eps, drivers = ff._Read(first, ff._EPS, 0, hi), ff._Read(first, ff._DRIVERS, 0, hi)
-    rule = g.rules[1]  # two leading NP daughters before the VP
-    rec = _Recorder()
-
-    def empty_derivations(span):
-        out = _first_of_span(rule.roots(), span, eps, drivers, rec, None, None, with_empty=True)
-        return [fs.clone_many(space) for space, rhs, _ in out if rhs is EPSILON]
-
-    forward, backward = empty_derivations([1, 2]), empty_derivations([2, 1])
-    assert forward and len(forward) == len(backward)
-    for a in forward:
-        assert any(fs.equivalent_many(a, b) for b in backward)
-
-
 # ---------------------------------------------------------------------------
 # projection against the independent oracle
 
@@ -881,144 +827,6 @@ def test_antichain_holds_after_any_addition_sequence():
                 for q in pairs:
                     if p is not q:
                         assert not pair_subsumes(p, q), (format_pair(p), format_pair(q))
-
-
-def key_covers(general, specific):
-    return general[0] == specific[0] and all(a is None or a == b for a, b in zip(general[1], specific[1]))
-
-
-def compatible(pset, key, covering):
-    """The stored pairs that can subsume a pair keyed ``key``
-    (``covering``), or that such a pair can subsume, in the order
-    ``PairSet.add`` compares them."""
-    bucket = pset._buckets.get(key, ())
-    if covering:
-        others = [k for k in pset._wild if k != key and key_covers(k, key)]
-    elif None in key[1]:
-        others = [k for k in pset._buckets if k != key and key_covers(key, k)]
-    else:
-        return bucket
-    return [*bucket, *(q for k in others for q in pset._buckets[k])]
-
-
-def compatible_add(self, p):
-    """``PairSet.add`` as it was before it walked the buckets in place: it
-    listed the compatible pairs first.  Its reference."""
-    roots = p.comparison_roots
-    for q in compatible(self, p.key, covering=True):
-        if fs.subsumes_many(q.comparison_roots, roots):
-            self.rejected += 1
-            return False
-    doomed = [q for q in compatible(self, p.key, covering=False) if fs.subsumes_many(roots, q.comparison_roots)]
-    if doomed:
-        dead = {q.serial for q in doomed}
-        self.pairs = [q for q in self.pairs if q.serial not in dead]
-        for q in doomed:
-            bucket = self._buckets[q.key]
-            bucket.remove(q)
-            if not bucket:
-                del self._buckets[q.key]
-                self._wild.pop(q.key, None)
-            self.removed += 1
-        self._replaced += doomed
-    self.pairs.append(p)
-    self._buckets.setdefault(p.key, []).append(p)
-    if None in p.key[1]:
-        self._wild[p.key] = None
-    for listed, serials in self._holders(p):
-        listed.append(p)
-        serials.append(p.serial)
-    self.added += 1
-    return True
-
-
-def recorded_subsumption(monkeypatch):
-    """Record every ``fs.subsumes_many`` call, as the two spaces printed."""
-    calls = []
-    real = fs.subsumes_many
-
-    def recording(gen, spec):
-        calls.append((tuple(format_roots(list(gen))), tuple(format_roots(list(spec)))))
-        return real(gen, spec)
-
-    monkeypatch.setattr(fs, "subsumes_many", recording)
-    return calls
-
-
-def store_trace(monkeypatch, g, mode, add, strings):
-    with monkeypatch.context() as m:
-        m.setattr(PairSet, "add", add)
-        calls = recorded_subsumption(m)
-        first, _ = compute_first(g, mode)
-        follow, _ = compute_follow(g, first, mode)
-        sets = [first, follow]
-        for cats in strings:
-            try:
-                sets.append(first_of_string(first, g, cats))
-            except UnknownCategory:
-                pass
-    return [([format_pair(p) for p in s], s.added, s.rejected, s.removed) for s in sets], calls
-
-
-def test_add_matches_the_listing_reference(monkeypatch):
-    rng = random.Random(1717)
-    golden = Path(__file__).parent / "goldens" / "engine.json"
-    grammars = [load_fixture(name) for name in FIXTURES]
-    grammars.append(load_fixture("guard.gr", restrictor=["orth"]))
-    grammars += [parse_grammar(rec["grammar"]) for rec in json.loads(golden.read_text(encoding="utf-8"))]
-    grammars += [parse_grammar(random_feature_grammar(rng)) for _ in range(8)]
-    grammars += [parse_grammar(loosely_labelled_grammar(rng)) for _ in range(16)]
-    replaced = 0
-    for g in grammars:
-        cats = [c for r in g.rules for c in r.roots()]
-        strings = [[fs.clone(rng.choice(cats)) for _ in range(rng.randint(2, 3))] for _ in range(3)]
-        for mode in MODES:
-            got = store_trace(monkeypatch, g, mode, PairSet.add, strings)
-            want = store_trace(monkeypatch, g, mode, compatible_add, strings)
-            assert got == want, (g.name, mode)
-            replaced += sum(removed for *_, removed in got[0])
-    assert replaced > 50
-
-
-def test_add_matches_the_listing_reference_on_random_additions(monkeypatch):
-    """Unlabelled and labelled roots, one to three on the left, so that
-    every kind of key covers and is covered by others."""
-    rng = random.Random(17)
-
-    def rand_cat():
-        parts = [f"cat={rng.choice('ab')}"] if rng.random() < 0.6 else []
-        for f in ("f", "g"):
-            r = rng.random()
-            if r < 0.3:
-                parts.append(f"{f}={rng.choice('xy')}")
-            elif r < 0.45:
-                parts.append(f"{f}=$1")
-        return "[" + ", ".join(parts) + "]"
-
-    sequences = []
-    for _ in range(60):
-        width = rng.randint(1, 3)
-        texts = []
-        for _ in range(rng.randint(3, 14)):
-            texts.append(([rand_cat() for _ in range(width)], rand_cat() if rng.random() < 0.7 else None))
-        sequences.append(texts)
-    for texts in sequences:
-        runs = []
-        for add in (PairSet.add, compatible_add):
-            with monkeypatch.context() as m:
-                m.setattr(PairSet, "add", add)
-                calls = recorded_subsumption(m)
-                s = PairSet()
-                accepted = []
-                for lhs, rhs in texts:
-                    roots = parse_category_sequence(" ".join(lhs + ([rhs] if rhs else [])))
-                    pair = Pair(roots[: len(lhs)], roots[-1] if rhs else EPSILON)
-                    accepted.append(s.add(pair))
-                runs.append(([format_pair(p) for p in s], accepted, s.added, s.rejected, s.removed, calls))
-                if len(texts[0][0]) == 1:  # the label index lists single-category pairs
-                    s._settle()
-                    assert_index_matches_pairs(s)
-        assert runs[0] == runs[1], texts
 
 
 def test_add_idempotent_over_fixpoint_clones():
@@ -1203,54 +1011,7 @@ def test_label_pools_match_a_full_scan(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# the label index inside PairSet
-
-def test_a_read_bounded_at_hi_sees_the_set_as_the_visit_began():
-    s = PairSet()
-    for lhs, rhs in (("np[agr=sg]", "det[agr=sg]"), ("np[agr=pl]", "det[agr=pl]")):
-        assert s.add(cat_pair(lhs, rhs))
-    marks = {}
-    offer = ff._Read(s, ff._ALL, 0, s._settle())
-    assert offered(s, marks, 1) == s.pairs
-    rec = _Recorder()
-    read = ff._bind_each([parse_category("np[]")], 0, offer, rec)
-    got = [format_pair(next(read)[0])]
-    assert s.add(cat_pair("np[]", "det[]"))  # replaces both pairs
-    assert s.add(cat_pair("[agr=sg]", "n[]"))  # joins the np list, above hi
-    assert s.removed == 2 and len(s) == 2
-    got += [format_pair(p) for p, *_ in read]
-    assert got == ["(np[agr=sg] , det[agr=sg])", "(np[agr=pl] , det[agr=pl])"]
-    # the next offer drops the replaced pairs and offers the new ones
-    assert offered(s, marks, 1) == s.pairs
-    listed, start, end = s._span(ff._ALL, "np", 0, s._settle())
-    assert listed[start:end] == s.pairs
-
-
-def assert_index_matches_pairs(pset):
-    """Each label list is ``pairs`` filtered by kind and by label L or
-    None, in order; a label with no list reads the unlabelled pairs."""
-    kinds = {ff._ALL: lambda p: True, ff._EPS: lambda p: p.is_epsilon, ff._DRIVERS: lambda p: not p.is_epsilon}
-    for kind, keep in kinds.items():
-        lists = pset._lists[kind]
-        assert set(lists) >= {None} | {p.key[1][0] for p in pset if keep(p)}
-        for label in [*lists, "no-such-label"]:
-            want = [p for p in pset if keep(p) and (label is None or p.key[1][0] in (None, label))]
-            listed, serials = lists.get(label, pset._unlabelled[kind])
-            assert listed == want, label
-            assert serials == [p.serial for p in want], label
-
-
-def test_label_lists_match_the_pairs_after_every_fixpoint():
-    golden = Path(__file__).parent / "goldens" / "engine.json"
-    grammars = [load_fixture(name) for name in FIXTURES]
-    grammars += [parse_grammar(rec["grammar"]) for rec in json.loads(golden.read_text(encoding="utf-8"))]
-    for g in grammars:
-        for mode in MODES:
-            first, _ = compute_first(g, mode)
-            follow, _ = compute_follow(g, first, mode)
-            assert_index_matches_pairs(first)
-            assert_index_matches_pairs(follow)
-
+# a visit's counts
 
 def test_a_visit_considers_the_widest_range_it_began_of_each_kind():
     s = PairSet()
@@ -1384,28 +1145,3 @@ def test_follow_wakes_a_mother_for_a_pair_without_cat():
         follow, _ = compute_follow(g, first, mode)
         assert "(d[ter=+] , b[ter=+])" in [format_pair(p) for p in follow], mode
 
-
-# ---------------------------------------------------------------------------
-# kept FOLLOW tails
-
-def test_follow_enumerates_each_tail_once_and_replays_it(monkeypatch):
-    g = parse_grammar(LAYERED_EMPTY[0])
-    first, _ = compute_first(g)
-    monkeypatch.setattr(ff, "_Recorder", VisitLog)
-    for mode in MODES:
-        monkeypatch.setattr(VisitLog, "visits", [])
-        _, stats = compute_follow(g, first, mode)
-        assert len(stats.rows) > 1, mode
-        replays = collections.defaultdict(set)
-        for k, (offer, _, reads) in enumerate(VisitLog.visits):
-            rule = g.rules[k % len(g.rules)]
-            # FIRST of the suffixes is driven only on visits offered every
-            # pair: the naive mode's, and the active mode's first
-            drives = any(read.pset is first and read.kind == ff._DRIVERS for read in reads)
-            assert drives == (not offer.lo and len(rule.daughters) > 1), mode
-            # their empty-string ways are kept from the first visit, so a
-            # rule binds the offer as often on each visit that binds it
-            binds = sum(read is offer for read in reads)
-            if binds:
-                replays[rule.rule_id].add(binds)
-        assert replays and all(len(counts) == 1 for counts in replays.values()), (mode, replays)

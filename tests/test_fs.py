@@ -783,48 +783,10 @@ def subsumes_by_image(gen_roots, spec_roots):
     return all(walk(x, y) for x, y in zip(gen_roots, spec_roots))
 
 
-def subsumes_by_recursion(gen_roots, spec_roots):
-    """subsumes_many as a recursive walk that compares an atom child by
-    name: the reference for the iterative one."""
-    gen_roots = list(gen_roots)
-    spec_roots = list(spec_roots)
-    if len(gen_roots) != len(spec_roots):
-        return False
-    image = {}
-
-    def walk(x, y):
-        x = fs.deref(x)
-        y = fs.deref(y)
-        if x.atom is not None:
-            return y.atom == x.atom
-        prev = image.get(id(x))
-        if prev is not None:
-            if prev is y:
-                return True
-            return prev.atom is not None and prev.atom == y.atom
-        image[id(x)] = y
-        if x.arcs:
-            if y.atom is not None:
-                return False
-            for feat, child in x.arcs.items():
-                other = y.arcs.get(feat)
-                if other is None:
-                    return False
-                if child.atom is not None:
-                    if fs.deref(other).atom != child.atom:
-                        return False
-                elif not walk(child, other):
-                    return False
-        return True
-
-    return all(walk(x, y) for x, y in zip(gen_roots, spec_roots))
-
-
-def assert_subsumption_matches_the_references(spaces):
+def assert_subsumption_matches_the_reference(spaces):
     for x in spaces:
         for y in spaces:
-            got = subsumes_many(x, y)
-            assert got == subsumes_by_recursion(x, y) == subsumes_by_image(x, y), (x, y)
+            assert subsumes_many(x, y) == subsumes_by_image(x, y), (x, y)
 
 
 @settings(max_examples=300, deadline=None)
@@ -834,7 +796,7 @@ def test_random_iterative_subsumption_matches_the_recursive_walk(case):
     spaces = [space, [a], [b], [space[2]], clone_many(space), restrict_many(space, restrictor, prune=True)]
     if keep:
         spaces.append(keep)
-    assert_subsumption_matches_the_references(spaces)
+    assert_subsumption_matches_the_reference(spaces)
     # merged spaces read through forwarding pointers, before the undo
     trail = []
     try:
@@ -842,7 +804,7 @@ def test_random_iterative_subsumption_matches_the_recursive_walk(case):
     except UnificationFailed:
         pass  # a partly merged space is still a graph to compare
     try:
-        assert_subsumption_matches_the_references(spaces)
+        assert_subsumption_matches_the_reference(spaces)
     finally:
         fs._undo(trail)
 

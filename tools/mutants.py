@@ -4,9 +4,12 @@
 
 Each entry of ``MUTANTS`` is (name, file, old text, new text): one small
 fault in the engine, written as the replacement of a text that occurs
-exactly once in its file.  For each, the tool copies ``src/``, ``tests/``
-and ``pyproject.toml`` to a temporary directory, makes the replacement
-there and runs
+exactly once in its file.  M15-M24, faults of ``PairSet``'s buckets and
+label index and of a visit's counts, keep the evidence on which white-box
+tests of those internals retired: each fault such a test caught must
+still fail a test that remains.  For each mutant, the tool copies
+``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory,
+makes the replacement there and runs
 
     python -m pytest -x -q tests/test_firstfollow.py tests/test_engine_pin.py tests/test_acceptance.py
 
@@ -112,6 +115,66 @@ MUTANTS = (
         ENGINE,
         "self._apart = fs.apart(self.lhs, (self.rhs,))",
         "self._apart = self.rhs not in self.lhs",
+    ),
+    (
+        "M15 add looks for no subsumer in the wild buckets",
+        ENGINE,
+        "if k != key and _key_covers(k, key):",
+        "if False:",
+    ),
+    (
+        "M16 a wild incomer replaces nothing outside its own bucket",
+        ENGINE,
+        "        if wild:\n            for k, other in buckets.items():",
+        "        if False:\n            for k, other in buckets.items():",
+    ),
+    (
+        "M17 a replaced pair stays listed",
+        ENGINE,
+        "            self._replaced += doomed\n",
+        "            pass\n",
+    ),
+    (
+        "M18 an empty pair's index lists are kept as a driver's",
+        ENGINE,
+        "self._held[label, p.is_epsilon] = holders",
+        "self._held[label, False] = holders",
+    ),
+    (
+        "M19 a replacement joins the bucket it emptied",
+        ENGINE,
+        "            self._replaced += doomed\n            bucket = buckets.get(key)\n",
+        "            self._replaced += doomed\n",
+    ),
+    (
+        "M20 a new wild key is not listed as wild",
+        ENGINE,
+        "            if wild:\n                self._wild[key] = None",
+        "            if False:\n                self._wild[key] = None",
+    ),
+    (
+        "M21 settling unlists a pair but keeps its serial",
+        ENGINE,
+        "                del listed[at], serials[at]",
+        "                del listed[at]",
+    ),
+    (
+        "M22 a span ignores its upper bound",
+        ENGINE,
+        "        if end and serials[-1] > hi:",
+        "        if False:",
+    ),
+    (
+        "M23 a span starts at its lower bound, not above it",
+        ENGINE,
+        "start = bisect.bisect_right(serials, lo) if lo else 0",
+        "start = bisect.bisect_left(serials, lo) if lo else 0",
+    ),
+    (
+        "M24 a visit considers the newest read of a kind, not the widest",
+        ENGINE,
+        "if widest is not None and read.n > widest[read.kind]:",
+        "if widest is not None:",
     ),
 )
 

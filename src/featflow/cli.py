@@ -20,9 +20,9 @@ Diagnostics go to stderr as ``file:line:col: severity: message``.  With
 byte-stable for identical inputs and flags, except for ``bench``'s
 ``wall_time`` measurements.  Stdout is written as UTF-8 whatever the
 locale, as RFC 8259 asks of exchanged JSON, so the bytes do not depend
-on it either.  A grammar path is printed with each byte of it that is
-not UTF-8 written as ``\\xNN``; a category string holding such a byte is
-unreadable input.
+on it either.  A grammar path, and a value a usage error quotes, are
+printed with each byte of them that is not UTF-8 written as ``\\xNN``; a
+category string holding such a byte is unreadable input.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ import codecs
 import io
 import json
 import os
+import re
 import sys
 from dataclasses import replace
 
@@ -64,6 +65,17 @@ def _shown(path: str) -> str:
     return path.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
 
 
+# in a ``repr``, an escaped backslash or the lone surrogate that stands
+# for a byte that is not UTF-8
+_REPR_ESCAPE = re.compile(r"\\(\\|udc[89a-f][0-9a-f])")
+
+
+def _shown_in(message: str) -> str:
+    """A message that quotes command-line text with ``repr``, with each byte
+    of it that is not UTF-8 written as ``\\xNN``, as ``_shown`` writes it."""
+    return _REPR_ESCAPE.sub(lambda m: m[0] if m[1] == "\\" else "\\x" + m[1][3:], message)
+
+
 def _load(path: str, args) -> gm.Grammar:
     name = _shown(path)
     try:
@@ -83,7 +95,7 @@ def _load(path: str, args) -> gm.Grammar:
         try:
             g = g.with_restrictor(gm.parse_restrictor(args.restrictor))
         except ValueError as exc:
-            raise _Failure(EXIT_USAGE, [f"--restrictor: {exc}"])
+            raise _Failure(EXIT_USAGE, [f"--restrictor: {_shown_in(str(exc))}"])
     overrides = {}
     if getattr(args, "max_iterations", None) is not None:
         overrides["max_iterations"] = args.max_iterations
@@ -336,8 +348,16 @@ def _common(sub):
     sub.add_argument("--stats", action="store_true", help="include iteration statistics")
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Its usage errors, and so those of its subcommands, quote argument
+    values as ``_shown_in`` writes them."""
+
+    def error(self, message):
+        super().error(_shown_in(message))
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="featflow",
         description="FIRST/FOLLOW pair sets for unification grammars",
     )

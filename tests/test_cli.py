@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 from featflow import firstfollow as ff
-from featflow.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_MISMATCH, EXIT_PIPE, main
+from featflow.cli import EXIT_INPUT, EXIT_LIMIT, EXIT_MISMATCH, EXIT_PIPE, EXIT_USAGE, main
 from featflow.firstfollow import Pair, compute_first, pair_equivalent
 from featflow.grammar import parse_category_sequence, parse_grammar
 from support import fixture_path
@@ -418,6 +418,19 @@ def test_a_grammar_path_that_is_not_utf8_is_printed_as_utf8(tmp_path, encoding):
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout.decode("utf-8"))
     assert doc["grammar"]["file"] == os.fsdecode(tmp_path) + "/g\\xff.gr"
+
+
+@pytest.mark.parametrize("encoding", ["utf-8", None])
+def test_a_usage_error_quotes_a_byte_that_is_not_utf8_as_hex(encoding):
+    for argv, message in (
+        (("first", "fig1.gr", "--restrictor", b"a\xff"), b"--restrictor: malformed feature path 'a\\xff' at character 1\n"),
+        (("first", "fig1.gr", "--max-pairs", b"1\xff"), b": error: argument --max-pairs: not an integer: '1\\xff'\n"),
+        (("first", "fig1.gr", "--format", b"x\xff"), b": error: argument --format: invalid choice: 'x\\xff' (choose"),
+        ((b"fi\xff", "fig1.gr"), b": error: argument command: invalid choice: 'fi\\xff' (choose"),
+    ):
+        proc = _featflow(*argv, encoding=encoding)
+        assert (proc.returncode, proc.stdout) == (EXIT_USAGE, b""), argv
+        assert message in proc.stderr and b"\\udc" not in proc.stderr, proc.stderr
 
 
 def test_deeply_nested_category_exits_3_without_a_traceback(tmp_path):

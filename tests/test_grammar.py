@@ -1,6 +1,5 @@
 """Grammar notation: parsing, printing, round trips, validation."""
 
-import bisect
 import json
 import random
 import re
@@ -12,17 +11,12 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from featflow import fs
-from featflow import grammar as gm
 from featflow.firstfollow import compute_first, compute_follow, first_of_string, query
 from featflow.fs import atom, deref, node
 from featflow.grammar import (
     RESERVED_WORDS,
     Diagnostic,
     GrammarSyntaxError,
-    ParseIssue,
-    _Lexer,
-    _Parser,
-    _Tok,
     format_roots,
     is_preterminal,
     label_of,
@@ -611,44 +605,6 @@ def test_any_text_parses_or_raises_a_positioned_error(text):
 # ---------------------------------------------------------------------------
 # cycle checks in the parser
 
-class FullCycleCheckParser(_Parser):
-    """The parser checking every statement for cycles, tags or none: the
-    reference for checking only statements whose tag annotation failed."""
-
-    def builds_cycle(self, roots):
-        return fs._cyclic(roots)
-
-
-def sequence_with_full_cycle_check(text):
-    """``parse_category_sequence`` checking for cycles, tags or none."""
-    return gm._category_sequence(FullCycleCheckParser(text, "<category>"))
-
-
-def outcome(parse, text):
-    """What a parse gives: the printed grammar or categories, or the issues."""
-    try:
-        got = parse(text)
-    except GrammarSyntaxError as err:
-        return err.issues
-    if isinstance(got, list):
-        return format_roots(got)
-    return format_grammar(got), [r.line for r in got.rules], format_node(got.start)
-
-
-TAGGED_PIECES = (
-    "S", "a[ter=+]", "[", "]", "f=", "g=", ", ", " -> ", ". ", "$1", "$2", "$1:", "$2:", "x", "term ",
-)
-TAGGED_TEXTS = st.lists(st.sampled_from(TAGGED_PIECES), max_size=30).map("".join)
-
-
-@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.one_of(TEXTS, TAGGED_TEXTS))
-def test_cycle_check_only_on_tagged_statements_matches_a_full_check(text):
-    full = outcome(lambda t: FullCycleCheckParser(t, "<string>").parse(), text)
-    assert outcome(parse_grammar, text) == full
-    assert outcome(parse_category_sequence, text) == outcome(sequence_with_full_cycle_check, text)
-
-
 def test_cyclic_tags_still_rejected_and_tag_free_texts_parse():
     for parse, text, message in (
         (parse_grammar, "S[f=$1:[g=$1]] -> a[ter=+].", "rule builds a cyclic structure"),
@@ -684,23 +640,12 @@ def test_a_failed_tag_annotation_still_gets_the_cycle_check():
             parse_grammar(text)
         got = [i.message for i in err.value.issues]
         assert len(got) == len(messages) and all(m in g for m, g in zip(messages, got)), got
-        assert outcome(parse_grammar, text) == outcome(lambda t: FullCycleCheckParser(t, "<string>").parse(), text)
 
 
 # ---------------------------------------------------------------------------
-# the one-walk printer against counting references first
+# printed spaces read back
 
-def counting_format_roots(roots):
-    """``format_roots`` without its one walk: the references are counted
-    first, and the space rendered once with tags.  Its reference."""
-    counts = {}
-    for r in roots:
-        gm._count_refs(r, counts)
-    tag_ids = {}
-    return [gm._render(r, counts, tag_ids) for r in roots]
-
-
-def test_one_walk_printer_matches_the_counting_printer_on_rules_and_pairs():
+def test_printed_rules_and_pairs_read_back_with_and_without_tags():
     golden = Path(__file__).parent / "goldens" / "engine.json"
     grammars = [load_fixture(name, restrictor=["orth"] if name == "guard.gr" else None) for name in FIXTURES]
     grammars += [parse_grammar(rec["grammar"]) for rec in json.loads(golden.read_text(encoding="utf-8"))]
@@ -712,9 +657,9 @@ def test_one_walk_printer_matches_the_counting_printer_on_rules_and_pairs():
         for p in [*first, *follow]:
             spaces.append(list(p.lhs) if p.is_epsilon else [*p.lhs, p.rhs])
         for space in spaces:
-            want = counting_format_roots(space)
-            assert format_roots(space) == want, want
-            if any("#" in text for text in want):
+            texts = format_roots(space)
+            assert fs.equivalent_many(parse_category_sequence(" ".join(texts)), space), texts
+            if any("#" in text for text in texts):
                 shared += 1
             else:
                 alone += 1
@@ -746,189 +691,25 @@ def tagged_category_texts(draw):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(tagged_category_texts())
-def test_one_walk_printer_matches_the_counting_printer_on_tagged_strings(text):
+def test_printed_tagged_strings_read_back(text):
     try:
         cats = parse_category_sequence(text)
     except GrammarSyntaxError:
         return
-    assert format_roots(cats) == counting_format_roots(cats)
     assert fs.equivalent_many(parse_category_sequence(" ".join(format_roots(cats))), cats)
 
 
 # ---------------------------------------------------------------------------
 # token positions
 
-class EmittingLexer:
-    """The lexer as it was before it tracked lines while scanning: each
-    token goes through ``_emit``, which places it with ``_pos``, a bisect
-    over a newline index made up front.  The reference for ``_Lexer``."""
-
-    def __init__(self, text):
-        self.text = text
-        self.issues = []
-        self.tokens = []
-        self._newlines = [m.start() for m in re.finditer("\n", text)]
-        self._lex()
-
-    def _pos(self, index):
-        before = bisect.bisect_left(self._newlines, index)
-        last = self._newlines[before - 1] if before else -1
-        return before + 1, index - last
-
-    def _emit(self, kind, value, index):
-        line, col = self._pos(index)
-        self.tokens.append(_Tok(kind, value, line, col))
-
-    def _issue(self, message, index):
-        line, col = self._pos(index)
-        self.issues.append(ParseIssue(line, col, message))
-
-    def _lex(self):
-        text, n = self.text, len(self.text)
-        word_start = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-        word_chars = word_start | set("0123456789_")
-        i = 0
-        while i < n:
-            c = text[i]
-            if c in " \t\r\n":
-                i += 1
-                continue
-            if c == "%":
-                nl = text.find("\n", i)
-                i = n if nl < 0 else nl + 1
-                continue
-            if c == '"':
-                i = self._lex_string(i)
-                continue
-            if c == "-" and i + 1 < n and text[i + 1] == ">":
-                self._emit("ARROW", "->", i)
-                i += 2
-                continue
-            if c in "+-":
-                self._emit("SYM", c, i)
-                i += 1
-                continue
-            if c in "[],=:":
-                self._emit({"[": "LB", "]": "RB", ",": "COMMA", "=": "EQ", ":": "COLON"}[c], c, i)
-                i += 1
-                continue
-            if c == ".":
-                self._emit("STOP", ".", i)
-                i += 1
-                continue
-            if c in "$#":
-                j = i + 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                if j > i + 1:
-                    self._emit("TAG", text[i + 1 : j], i)
-                elif c == "$":
-                    self._emit("DOLLAR", "$", i)
-                else:
-                    self._issue("unknown syntax: stray '#'", i)
-                i = j if j > i + 1 else i + 1
-                continue
-            if c in word_start:
-                j = i + 1
-                while j < n and text[j] in word_chars:
-                    j += 1
-                while j + 1 < n and text[j] == "." and text[j + 1] in word_start:
-                    j += 2
-                    while j < n and text[j] in word_chars:
-                        j += 1
-                self._emit("WORD", text[i:j], i)
-                i = j
-                continue
-            self._issue(f"unknown syntax: unexpected character {c!r}", i)
-            i += 1
-        self._emit("EOF", "", n)
-
-    def _lex_string(self, i):
-        text, n = self.text, len(self.text)
-        j = i + 1
-        out = []
-        while j < n:
-            c = text[j]
-            if c == "\\" and j + 1 < n:
-                out.append(text[j + 1])
-                j += 2
-                continue
-            if c == '"':
-                self._emit("STR", "".join(out), i)
-                return j + 1
-            if c == "\n":
-                break
-            out.append(c)
-            j += 1
-        self._issue("unknown syntax: unterminated string", i)
-        return j
-
-
-class RescanningLexer(EmittingLexer):
-    """The emitting lexer with positions found by rescanning the text up
-    to each token: the reference for both ways of tracking lines."""
-
-    def _pos(self, index):
-        line = self.text.count("\n", 0, index) + 1
-        last = self.text.rfind("\n", 0, index)
-        return line, index - last
-
-
-@settings(max_examples=300, deadline=None)
-@given(TEXTS)
-def test_lexer_positions_match_rescanning_the_text(text):
-    got, want = _Lexer(text), RescanningLexer(text)
-    assert got.tokens == want.tokens
-    assert got.issues == want.issues
-
-
-def assert_lexes_as_the_reference(text):
-    got, want = _Lexer(text), EmittingLexer(text)
-    assert got.tokens == want.tokens, text
-    assert got.issues == want.issues, text
-
-
-# strings that swallow newlines through escapes, among other lines
-STRING_PIECES = ('"', '\\', '\\\n', '\\"', "\n", "\r\n", "a", "NP[", "f=", "]", " ", ".", "%", "#", "$1")
-STRING_TEXTS = st.lists(st.sampled_from(STRING_PIECES), max_size=40).map("".join)
-
-
-@settings(max_examples=400, deadline=None)
-@given(st.one_of(TEXTS, STRING_TEXTS))
-def test_lexer_matches_the_emitting_reference(text):
-    assert_lexes_as_the_reference(text)
-
-
 def test_an_escaped_newline_inside_a_string_moves_later_tokens_down():
     text = 'S[f="a\\\nb"] -> x[\ng="\\\n"].\n$'
-    assert_lexes_as_the_reference(text)
-    assert [(t.kind, t.line, t.col) for t in _Lexer(text).tokens[-4:]] == [
-        ("RB", 4, 2), ("STOP", 4, 3), ("DOLLAR", 5, 1), ("EOF", 5, 2)
-    ]
-
-
-def pool_grammar_texts(monkeypatch):
-    """The benchmark's pool grammars and, for its query grammar, the
-    category strings it queries."""
-    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    import workloads
-
-    texts = []
-    for workload in workloads.NAMES:
-        for entry in workloads.load_goldens(workload)["pool"]:
-            cand = workloads.candidate(workload, entry["index"])
-            texts.append(cand.text)
-            if workload == workloads.QUERIES:
-                texts += workloads.query_texts(entry["index"], cand)
-    return texts
-
-
-def test_lexer_matches_the_emitting_reference_on_fixtures_and_pools(monkeypatch):
-    texts = [(Path(gm.__file__).parent / "fixtures" / name).read_text(encoding="utf-8") for name in FIXTURES]
-    texts += pool_grammar_texts(monkeypatch)
-    assert len(texts) > 500
-    for text in texts:
-        assert_lexes_as_the_reference(text)
+    with pytest.raises(GrammarSyntaxError) as err:
+        parse_grammar(text)
+    (issue,) = err.value.issues
+    assert (issue.line, issue.col) == (5, 1)
+    assert issue.message == "unknown syntax: '$' is reserved for the end marker"
+    assert [r.line for r in parse_grammar(text[:-1]).rules] == [1]
 
 
 def test_parsing_time_grows_linearly_with_the_text():

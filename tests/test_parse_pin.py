@@ -8,10 +8,10 @@ restrictor, or the printed categories; on failure it is every issue's
 
 ``corpus()`` is about 8,500 texts, the same on every run:
 
-- 5,000 strings of ``test_grammar``'s ``NOTATION_PIECES``,
-  ``TAGGED_PIECES`` and ``STRING_PIECES``, and 500 of ``TERM_PIECES``
-  below, which can put ``term`` before a category whose ``ter`` is not
-  ``+``, drawn with ``random.Random``;
+- 5,000 strings of ``test_grammar``'s ``NOTATION_PIECES`` and of
+  ``TAGGED_PIECES`` and ``STRING_PIECES`` below, and 500 of
+  ``TERM_PIECES``, which can put ``term`` before a category whose ``ter``
+  is not ``+``, drawn with ``random.Random``;
 - the six fixtures, the benchmark's pool grammars and its query strings;
 - 3,000 single-token deletions, insertions and replacements of those,
   half of them in the grammars and half in the query strings.
@@ -34,12 +34,18 @@ from pathlib import Path
 
 from featflow.grammar import GrammarSyntaxError, format_roots, parse_category_sequence, parse_grammar
 from support import fixture_path
-from test_grammar import FIXTURES, NOTATION_PIECES, STRING_PIECES, TAGGED_PIECES
+from test_grammar import FIXTURES, NOTATION_PIECES
 
 DIGESTS = Path(__file__).parent / "goldens" / "parse_digests.json"
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 BATCH = 100
 MUTATIONS = 3_000
+# tags that close cycles, or meet a failed annotation
+TAGGED_PIECES = (
+    "S", "a[ter=+]", "[", "]", "f=", "g=", ", ", " -> ", ". ", "$1", "$2", "$1:", "$2:", "x", "term ",
+)
+# strings that swallow newlines through escapes, among other lines
+STRING_PIECES = ('"', '\\', '\\\n', '\\"', "\n", "\r\n", "a", "NP[", "f=", "]", " ", ".", "%", "#", "$1")
 TERM_PIECES = (
     "S[] -> ", "term ", "X[]", "X[ter=+]", "X[ter=-]", "X[ter=$1:-]", "X[f=$1, ter=$1]", "$1:X[ter=-]", "$1", "a", ". ", "\n",
 )

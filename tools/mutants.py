@@ -1,24 +1,29 @@
-"""Engine mutations that the engine and acceptance tests must catch.
+"""Mutations of the engine and of the front end that the tests must catch.
 
     python3 tools/mutants.py
 
 Each entry of ``MUTANTS`` is (name, file, old text, new text): one small
-fault in the engine, written as the replacement of a text that occurs
-exactly once in its file.  M15-M24, faults of ``PairSet``'s buckets and
-label index and of a visit's counts, keep the evidence on which white-box
-tests of those internals retired: each fault such a test caught must
-still fail a test that remains.  For each mutant, the tool copies
-``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory,
-makes the replacement there and runs
+fault, written as the replacement of a text that occurs exactly once in
+its file.  M1-M24 are faults of the engine, ``firstfollow.py``; M25-M41
+are faults of the front end, ``grammar.py``: token and issue positions in
+the lexer (M25-M35), the parser's cycle check (M36, M37) and the printer's
+two walks (M38-M41).  M15-M41 keep the evidence on which white-box tests
+of those internals retired: each fault such a test caught must still fail
+a test that remains.  For each mutant, the tool copies ``src/``,
+``tests/``, ``perfbench/`` (whose pool grammars the parse pin reads) and
+``pyproject.toml`` to a temporary directory, makes the replacement there
+and runs the ``TESTS`` of the mutated file,
 
     python -m pytest -x -q tests/test_firstfollow.py tests/test_engine_pin.py tests/test_acceptance.py
+    python -m pytest -x -q tests/test_parse_pin.py tests/test_grammar.py tests/test_engine_pin.py
 
-in it.  A mutant is caught when that run fails, and survives when it
-passes.  The same run on an unchanged copy must pass first, so a copy the
-tests cannot run in does not pass for a catch.  Prints one line per
-mutant, with the first test that failed.  Stdlib only.  Exits 1 when the
-unchanged copy fails, when a mutant survives, or when an old text does
-not occur exactly once in its file of this checkout.
+for the engine and for the front end, in it.  A mutant is caught when
+that run fails, and survives when it passes.  The same runs on an
+unchanged copy must pass first, so a copy the tests cannot run in does
+not pass for a catch.  Prints one line per mutant, with the first test
+that failed.  Stdlib only.  Exits 1 when the unchanged copy fails, when a
+mutant survives, or when an old text does not occur exactly once in its
+file of this checkout.
 """
 
 import shutil
@@ -29,7 +34,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 ENGINE = "src/featflow/firstfollow.py"
-TESTS = ("tests/test_firstfollow.py", "tests/test_engine_pin.py", "tests/test_acceptance.py")
+FRONT_END = "src/featflow/grammar.py"
+TESTS = {
+    ENGINE: ("tests/test_firstfollow.py", "tests/test_engine_pin.py", "tests/test_acceptance.py"),
+    FRONT_END: ("tests/test_parse_pin.py", "tests/test_grammar.py", "tests/test_engine_pin.py"),
+}
 
 MUTANTS = (
     (
@@ -176,6 +185,108 @@ MUTANTS = (
         "if widest is not None and read.n > widest[read.kind]:",
         "if widest is not None:",
     ),
+    (
+        "M25 a word's column one too far right",
+        FRONT_END,
+        '("WORD", text[i:j], line, i - last)',
+        '("WORD", text[i:j], line, i - last + 1)',
+    ),
+    (
+        "M26 an arrow's column one too far right",
+        FRONT_END,
+        '("ARROW", "->", line, i - last)',
+        '("ARROW", "->", line, i - last + 1)',
+    ),
+    (
+        "M27 a punctuation mark's column one too far right",
+        FRONT_END,
+        "(punct[c], c, line, i - last)",
+        "(punct[c], c, line, i - last + 1)",
+    ),
+    (
+        "M28 a tag's column one too far right",
+        FRONT_END,
+        '("TAG", text[i + 1 : j], line, i - last)',
+        '("TAG", text[i + 1 : j], line, i - last + 1)',
+    ),
+    (
+        "M29 an end mark's column one too far right",
+        FRONT_END,
+        '("DOLLAR", "$", line, i - last)',
+        '("DOLLAR", "$", line, i - last + 1)',
+    ),
+    (
+        "M30 a comment's newline is not counted",
+        FRONT_END,
+        "else:\n                    line += 1\n                    last = nl",
+        "else:\n                    last = nl",
+    ),
+    (
+        "M31 an escaped newline inside a string is not counted",
+        FRONT_END,
+        "if inside:",
+        "if False:",
+    ),
+    (
+        "M32 the end of the text one column too far left",
+        FRONT_END,
+        '("EOF", "", line, n - last)',
+        '("EOF", "", line, n - last - 1)',
+    ),
+    (
+        "M33 a string's column one too far right",
+        FRONT_END,
+        '_Tok("STR", "".join(out), line, col)',
+        '_Tok("STR", "".join(out), line, col + 1)',
+    ),
+    (
+        "M34 a newline does not move the column back",
+        FRONT_END,
+        "line += 1\n                last = i\n                i += 1",
+        "line += 1\n                i += 1",
+    ),
+    (
+        "M35 an unterminated string reported one column too far right",
+        FRONT_END,
+        'ParseIssue(line, col, "unknown syntax: unterminated string")',
+        'ParseIssue(line, col + 1, "unknown syntax: unterminated string")',
+    ),
+    (
+        "M36 no statement is checked for cycles",
+        FRONT_END,
+        "return self.tag_failed and fs._cyclic(roots)",
+        "return False",
+    ),
+    (
+        "M37 a failed tag annotation does not ask for the cycle check",
+        FRONT_END,
+        "self.tag_failed = True",
+        "pass",
+    ),
+    (
+        "M38 the one-walk printer never gives up on a shared node",
+        FRONT_END,
+        "if n in refs:\n            raise _Shared",
+        "if False:\n            raise _Shared",
+    ),
+    (
+        "M39 the counting printer counts each node once",
+        FRONT_END,
+        "counts[n] = seen + 1",
+        "counts[n] = 1",
+    ),
+    (
+        "M40 tags numbered from 0",
+        FRONT_END,
+        "tag_ids[n] = len(tag_ids) + 1",
+        "tag_ids[n] = len(tag_ids)",
+    ),
+    (
+        "M41 the counting printer enters a node's children at every reference",
+        FRONT_END,
+        "if not seen:\n        for child",
+        "if True:\n        for child",
+    ),
 )
 
 
@@ -190,19 +301,20 @@ def misplaced(root: Path = ROOT) -> list:
     return out
 
 
-def run_tests(path=None, old="", new="") -> subprocess.CompletedProcess:
-    """The ``TESTS`` on a copy of this checkout in which ``old`` is
-    replaced by ``new`` in the file ``path`` (no file when None)."""
+def run_tests(path, old=None, new=None) -> subprocess.CompletedProcess:
+    """The ``TESTS`` of the file ``path`` on a copy of this checkout in
+    which ``old`` is replaced by ``new`` in that file, or on an unchanged
+    copy when ``old`` is None."""
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
-        for name in ("src", "tests"):
+        for name in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / name, tmp / name, ignore=skip)
         shutil.copy2(ROOT / "pyproject.toml", tmp)
-        if path is not None:
+        if old is not None:
             target = tmp / path
             target.write_text(target.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
-        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS]
+        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *TESTS[path]]
         return subprocess.run(cmd, cwd=tmp, capture_output=True, text=True)
 
 
@@ -215,11 +327,12 @@ def main() -> int:
     bad = dict(misplaced())
     for name, count in bad.items():
         print(f"MISPLACED {name}: its old text occurs {count} times")
-    control = run_tests()
-    if control.returncode:
-        print(f"the unchanged copy fails: {first_failure(control)}")
-        print(control.stdout[-2000:])
-        return 1
+    for path in TESTS:
+        control = run_tests(path)
+        if control.returncode:
+            print(f"the unchanged copy fails: {first_failure(control)}")
+            print(control.stdout[-2000:])
+            return 1
     survived = 0
     for name, path, old, new in MUTANTS:
         if name in bad:

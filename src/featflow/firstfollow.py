@@ -128,6 +128,16 @@ class Pair:
     atomic ``cat``); ``PairSet`` buckets pairs by it.  All are set once
     here, and ``lhs`` and ``rhs`` are never reassigned.
 
+    A pair the engine adds to a ``PairSet`` is made from a product.  Its
+    left roots must be a fresh copy, restricted and pruned as
+    ``fs.restrict_many`` does with ``prune``: binds do that as they copy
+    out, and seeds, empty-rule mothers and empty-string derivations go
+    through it.  Pruning drops vacuous leftovers from discarded rule
+    context, so that equal claims collide under the antichain operator.
+    ``rhs`` is ``EPSILON``, or restricted and pruned too: a copy made with
+    the left roots, or a stored right side a bind shared, which is one
+    already.
+
     ``apart`` says whether the two sides are apart (``sides_apart``): True
     or False where the maker knows it, None to have it walked on the
     first call.  An empty-string pair is always apart.
@@ -583,20 +593,6 @@ def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None,
                 yield bound, EPSILON, True
 
 
-def _store(pset, lhs_roots, rhs, apart=None):
-    """Add a product through the antichain operator.
-
-    The left roots must be a fresh copy, restricted and pruned as
-    ``fs.restrict_many`` does with ``prune``: binds do that as they copy
-    out, and seeds, empty-rule mothers and empty-string derivations go
-    through it.  Pruning drops vacuous leftovers from discarded rule
-    context, so that equal claims collide under the operator.  ``rhs`` is
-    ``EPSILON``, or restricted and pruned too: a copy made with the left
-    roots, or a stored right side a bind shared, which is one already.
-    ``apart`` is as ``Pair`` takes it."""
-    return pset.add(Pair(lhs_roots, rhs, apart))
-
-
 def _fixpoint(function: str, g: Grammar, mode: str, seed, visit):
     """The fixpoint loop of ``function``, FIRST or FOLLOW; returns
     (PairSet, RunStats).
@@ -608,9 +604,9 @@ def _fixpoint(function: str, g: Grammar, mode: str, seed, visit):
     serial ``hi`` and examines the pairs above ``lo``, every stored pair in
     naive mode (lo is 0), those not yet offered to the rule in active mode.
     ``rec`` is the run's recorder, which the visit tells of each ``_Read``
-    it begins.  ``store(lhs_roots, rhs, apart)`` is ``_store`` into the set; the
-    insertion that takes the set past ``g.max_pairs`` raises LimitExceeded,
-    as does a pass beyond ``g.max_iterations``.
+    it begins.  ``store(lhs_roots, rhs, apart)`` adds that ``Pair`` to the
+    set; the insertion that takes the set past ``g.max_pairs`` raises
+    LimitExceeded, as does a pass beyond ``g.max_iterations``.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, not {mode!r}")
@@ -624,7 +620,7 @@ def _fixpoint(function: str, g: Grammar, mode: str, seed, visit):
         return rec.finish(fixpoint, time.perf_counter() - started, pset)
 
     def store(lhs_roots, rhs, apart=None):
-        added = _store(out, lhs_roots, rhs, apart)
+        added = out.add(Pair(lhs_roots, rhs, apart))
         if added and len(out) > g.max_pairs:
             raise LimitExceeded(function, "pairs", g.max_pairs, finish(False, out))
         return added
@@ -747,7 +743,7 @@ def first_of_string(first: PairSet, g: Grammar, cats) -> PairSet:
     for string, rhs, apart in _first_of_span(cats, span, eps, drivers, rec, None, g.restrictor, with_empty=True):
         if rhs is EPSILON:
             string = fs.restrict_many(string, g.restrictor, prune=True)
-        _store(out, string, rhs, apart)
+        out.add(Pair(string, rhs, apart))
     return out
 
 

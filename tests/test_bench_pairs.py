@@ -13,10 +13,10 @@ _spec.loader.exec_module(bench_pairs)
 END_TO_END = [{"name": "op_ms", "better": "lower"}, {"name": "ops_per_s", "better": "higher"}]
 
 
-def result(op_ms, correct=True):
+def result(op_ms, correct=True, attempted=100):
     """The last line of a perfbench run, as bench_trajectory.run returns it."""
     metrics = {"op_ms": {"value": op_ms}, "ops_per_s": {"value": 1000 / op_ms}} if correct else {}
-    return {"seed": 1, "trace": 0, "correct": correct, "metrics": metrics}
+    return {"seed": 1, "trace": 0, "correct": correct, "attempted": attempted, "metrics": metrics}
 
 
 def test_quartiles_interpolate_and_take_one_value_as_all_three():
@@ -64,8 +64,26 @@ def test_an_incorrect_run_on_either_side_fails_the_summary():
     assert bench_pairs.summarize(good + [(result(10.0), result(9.0, correct=False))], END_TO_END) is None
 
 
+def test_ops_run_is_each_sides_median_attempted():
+    pairs = [(result(10.0, attempted=a), result(9.0, attempted=c)) for a, c in ((100, 110), (90, 130), (95, 120))]
+    assert bench_pairs.ops_run(pairs) == {"base": 95, "change": 120}
+
+
 def test_report_lines_give_medians_quartiles_wins_and_verdict():
     summary = bench_pairs.summarize([(result(10.0), result(8.0)), (result(12.0), result(9.0))], END_TO_END)
-    lines = bench_pairs.report_lines("w", summary)
+    lines = bench_pairs.report_lines("w", summary, {"base": 100, "change": 120}, [])
     assert lines[0] == "w op_ms: base 11 [10.5, 11.5]  change 8.5 [8.25, 8.75]  change won 2/2  claim holds"
     assert lines[1].startswith("w ops_per_s: ") and lines[1].endswith("change won 2/2  claim holds")
+    assert lines[2:] == ["w: 0 per-layer counts moved"]
+
+
+def test_report_lines_put_the_op_counts_beside_peak_rss_and_list_moved_counts():
+    end_to_end = [{"name": "peak_rss_mb", "better": "lower"}, {"name": "op_ms", "better": "lower"}]
+    run = {"correct": True, "attempted": 0, "metrics": {"peak_rss_mb": {"value": 24.0}, "op_ms": {"value": 1.0}}}
+    summary = bench_pairs.summarize([(run, run)], end_to_end)
+    moved = ["w fs.restrict_many.calls: 6846 -> 6063"]
+    lines = bench_pairs.report_lines("w", summary, {"base": 20000, "change": 24000.5}, moved)
+    assert lines[0].startswith("w peak_rss_mb: base 24 ")
+    assert lines[1] == "w ops per run: base 20000  change 24000.5"
+    assert lines[2].startswith("w op_ms: ")
+    assert lines[3:] == [*moved, "w: 1 per-layer counts moved"]

@@ -1,4 +1,4 @@
-"""tools/bench_trajectory.py: comparing per-layer counts with an earlier file."""
+"""tools/bench_trajectory.py: comparing the per-layer counts of two traced runs."""
 
 import importlib.util
 from pathlib import Path
@@ -9,28 +9,22 @@ bench_trajectory = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(bench_trajectory)
 
 
-def report(**workloads):
-    """A BENCH file holding only per-layer metrics: name -> (value, unit)."""
-    return {
-        "workloads": {
-            name: {"per_layer": {m: {"value": v, "unit": u} for m, (v, u) in metrics.items()}}
-            for name, metrics in workloads.items()
-        }
-    }
+def metrics(values):
+    """A traced run's per-layer metrics: name -> (value, unit)."""
+    return {m: {"value": v, "unit": u} for m, (v, u) in values.items()}
 
 
 def test_only_counts_that_moved_are_listed():
-    old = report(
-        w={"a.calls": (3, "count"), "a.self_s": (0.1, "s"), "b.calls": (5, "count"), "gone.calls": (2, "count")},
-    )
-    new = report(
-        w={"a.calls": (3, "count"), "a.self_s": (0.2, "s"), "b.calls": (6, "count"), "c.calls": (1, "count")},
-        fresh={"a.calls": (4, "count"), "a.ratio": (0.5, "ratio")},
-    )
-    assert bench_trajectory.count_differences(new, old) == [
+    base = metrics({
+        "a.calls": (3, "count"), "a.self_s": (0.1, "s"), "b.calls": (5, "count"), "gone.calls": (2, "count"),
+    })
+    change = metrics({
+        "a.calls": (3, "count"), "a.self_s": (0.2, "s"), "b.calls": (6, "count"), "c.calls": (1, "count"),
+        "a.ratio": (0.5, "ratio"),
+    })
+    assert bench_trajectory.count_differences("w", base, change) == [
         "w b.calls: 5 -> 6",
         "w c.calls: absent -> 1",
         "w gone.calls: 2 -> absent",
-        "fresh a.calls: absent -> 4",
     ]
-    assert bench_trajectory.count_differences(new, new) == []
+    assert bench_trajectory.count_differences("w", change, change) == []

@@ -1,5 +1,14 @@
-"""Command line surface: exit codes, formats, determinism, round trips."""
+"""Command line surface: exit codes, formats, determinism, round trips.
 
+The twelve fixture goldens ``tests/goldens/NAME.FUNCTION.json`` hold the
+bytes of ``GOLDEN_RUNS``.  Re-record them, only for a change meant to alter
+that output, with
+
+    PYTHONPATH=src python tests/test_cli.py
+"""
+
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -336,21 +345,26 @@ def test_bench_reports_filtered_attempts(capsys):
     assert out.count(" filtered ") == 4
 
 
-# Recorded with ``featflow first|follow NAME.gr --format json --stats`` run
-# from the fixtures directory (guard.gr with ``--restrictor orth``).  The
-# bytes pin the output order of the pair sets and the attempt counts.
+# The bytes pin the output order of the pair sets and the attempt counts.
 GOLDEN_RUNS = [
     (name, function)
     for name in ("fig1", "cf-intro", "agr", "guard", "bench13", "bench21")
     for function in ("first", "follow")
 ]
+FIXTURES = Path(fixture_path("fig1.gr")).parent
+
+
+def golden_argv(name, function):
+    """The command line of a golden, run from ``FIXTURES``: guard.gr only
+    reaches a fixpoint with ``orth`` restricted."""
+    extra = ["--restrictor", "orth"] if name == "guard" else []
+    return [function, f"{name}.gr", "--format", "json", "--stats", *extra]
 
 
 @pytest.mark.parametrize("name,function", GOLDEN_RUNS)
 def test_json_output_matches_golden_bytes(capsys, monkeypatch, name, function):
-    monkeypatch.chdir(Path(fixture_path(f"{name}.gr")).parent)
-    extra = ["--restrictor", "orth"] if name == "guard" else []
-    code, out, _ = run(capsys, function, f"{name}.gr", "--format", "json", "--stats", *extra)
+    monkeypatch.chdir(FIXTURES)
+    code, out, _ = run(capsys, *golden_argv(name, function))
     assert code == 0
     assert out.encode("utf-8") == (GOLDENS / f"{name}.{function}.json").read_bytes()
 
@@ -366,7 +380,7 @@ def _featflow(*argv, hashseed="0", encoding="utf-8", stdout=subprocess.PIPE, std
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
         [sys.executable, "-m", "featflow", *argv],
-        cwd=Path(fixture_path("bench21.gr")).parent,
+        cwd=FIXTURES,
         env=env,
         stdout=stdout,
         stderr=stderr,
@@ -475,3 +489,14 @@ def test_stderr_closed_before_a_failure_message_exits_quietly(argv, code):
         os.close(write)
     assert proc.returncode == EXIT_PIPE
     assert proc.stdout == b""
+
+
+if __name__ == "__main__":
+    os.chdir(FIXTURES)
+    for name, function in GOLDEN_RUNS:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = main(golden_argv(name, function))
+        if code:
+            sys.exit(f"{name} {function}: exit {code}")
+        (GOLDENS / f"{name}.{function}.json").write_bytes(out.getvalue().encode("utf-8"))

@@ -15,10 +15,20 @@ For each end-to-end metric it prints each side's median and quartiles,
 the number of pairs the change won (was better in, by the metric's
 ``better``), and whether a speed claim on that metric holds: the change
 won at least nine pairs in ten, and its median is better than the base's
-by more than the base's interquartile range.  With ``--out`` the summary
-is written into FILE under the key ``pairs``, one entry per workload,
-keeping whatever else the file holds.  Stdlib only.  Exits 1 when any
-run is incorrect; the worktree is removed on exit either way.
+by more than the base's interquartile range.  Beside ``peak_rss_mb`` it
+prints each side's median ``attempted``, the ops a run made: perfbench
+keeps one sample per op, so a faster side reads a higher peak.
+
+Each side then makes one ``--trace 1`` run per workload at
+``bench_trajectory.TRACE_SEED``.  Traced runs make a fixed number of ops,
+so their per-layer counts repeat exactly, and every count that differs
+between the two sides is printed; a change that leaves the work the same
+prints none.
+
+With ``--out`` the summary, op counts and moved counts are written into
+FILE under the key ``pairs``, one entry per workload, keeping whatever
+else the file holds.  Stdlib only.  Exits 1 when any run is incorrect;
+the worktree is removed on exit either way.
 """
 
 import argparse
@@ -31,7 +41,9 @@ import tempfile
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_trajectory import ROOT, run  # noqa: E402
+from bench_trajectory import ROOT, TRACE_SEED, count_differences, run  # noqa: E402
+
+SIDES = ("base", "change")
 
 
 def quartiles(values: list) -> tuple:
@@ -73,7 +85,12 @@ def summarize(pairs: list, end_to_end: list):
     return out
 
 
-def report_lines(workload: str, summary: dict) -> list:
+def ops_run(pairs: list) -> dict:
+    """Each side's median ``attempted`` over ``pairs``: the ops its runs made."""
+    return {side: statistics.median(pair[i]["attempted"] for pair in pairs) for i, side in enumerate(SIDES)}
+
+
+def report_lines(workload: str, summary: dict, ops: dict, moved: list) -> list:
     lines = []
     for name, m in summary.items():
         b, c = m["base"], m["change"]
@@ -83,6 +100,10 @@ def report_lines(workload: str, summary: dict) -> list:
             f"  change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]"
             f"  change won {m['wins']}/{m['pairs']}  claim {verdict}"
         )
+        if name == "peak_rss_mb":
+            lines.append(f"{workload} ops per run: base {ops['base']:.10g}  change {ops['change']:.10g}")
+    lines.extend(moved)
+    lines.append(f"{workload}: {len(moved)} per-layer counts moved")
     return lines
 
 
@@ -90,7 +111,8 @@ def git(*args) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
 
-def measure(workload: str, base_root: Path, pairs: int, seconds: float, seed: int) -> list:
+def measure(workload: str, base_root: Path, pairs: int, seconds: float, seed: int) -> tuple:
+    """(the untraced pairs, the traced pair), each pair (base run, change run)."""
     out = []
     for i in range(pairs):
         sides = [("base", base_root), ("change", ROOT)]
@@ -99,7 +121,8 @@ def measure(workload: str, base_root: Path, pairs: int, seconds: float, seed: in
         got = {side: run(workload, seed + i, seconds, 0, root) for side, root in sides}
         out.append((got["base"], got["change"]))
         print(f"{workload}: pair {i + 1}/{pairs} at seed {seed + i} done", file=sys.stderr)
-    return out
+    traced = tuple(run(workload, TRACE_SEED, seconds, 1, root) for root in (base_root, ROOT))
+    return out, traced
 
 
 def main(argv=None) -> int:
@@ -132,17 +155,19 @@ def main(argv=None) -> int:
     try:
         git("worktree", "add", "--detach", str(base_root), commit)
         for w in workloads:
-            pairs = measure(w, base_root, args.pairs, seconds, args.seed)
+            pairs, traced = measure(w, base_root, args.pairs, seconds, args.seed)
             summary = summarize(pairs, bench["end_to_end"])
-            if summary is None:
+            if summary is None or not all(r["correct"] for r in traced):
                 correct = False
-                for side, r in ((s, r) for pair in pairs for s, r in zip(("base", "change"), pair)):
+                for side, r in ((s, r) for pair in (*pairs, traced) for s, r in zip(SIDES, pair)):
                     if not r["correct"]:
-                        print(f"{w}: {side} run at seed {r['seed']} is incorrect", file=sys.stderr)
+                        print(f"{w}: {side} run at seed {r['seed']}, trace {r['trace']}, is incorrect", file=sys.stderr)
                         for line in r.get("stderr", []):
                             print(f"  {line}", file=sys.stderr)
                 continue
-            for line in report_lines(w, summary):
+            ops = ops_run(pairs)
+            moved = count_differences(w, traced[0]["metrics"], traced[1]["metrics"])
+            for line in report_lines(w, summary, ops, moved):
                 print(line)
             summaries[w] = {
                 "base": args.base,
@@ -150,6 +175,9 @@ def main(argv=None) -> int:
                 "seconds": seconds,
                 "seeds": [args.seed + i for i in range(args.pairs)],
                 "metrics": summary,
+                "ops_per_run": ops,
+                "trace_seed": TRACE_SEED,
+                "moved_counts": moved,
             }
     finally:
         subprocess.run(["git", "worktree", "remove", "--force", str(base_root)], cwd=ROOT, capture_output=True)

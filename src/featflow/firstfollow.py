@@ -68,6 +68,7 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -113,6 +114,7 @@ EPSILON = EpsilonMark()
 
 
 _serials = itertools.count(1)
+_serial = operator.attrgetter("serial")  # the key the label index is bisected by
 
 
 class Pair:
@@ -224,9 +226,9 @@ class PairSet:
         self.added = 0
         self.rejected = 0
         self.removed = 0
-        # per kind: label -> (pairs, their serials), and the unlabelled pairs
-        self._lists = tuple({None: ([], [])} for _ in range(3))
-        self._unlabelled = (([], []), ([], []), ([], []))
+        # per kind: label -> its pairs in serial order, and the unlabelled pairs
+        self._lists = tuple({None: []} for _ in range(3))
+        self._unlabelled = ([], [], [])
         self._replaced = []  # pairs replaced since the last _settle, still listed
         # (label, is_epsilon) -> the index lists a labelled pair joins: lists
         # are never replaced, only appended to and settled
@@ -298,15 +300,13 @@ class PairSet:
                 holders = self._holders(p)
                 if label is not None:
                     self._held[label, p.is_epsilon] = holders
-            for listed, serials in holders:
+            for listed in holders:
                 listed.append(p)
-                serials.append(p.serial)
         self.added += 1
         return True
 
     def _holders(self, p: Pair) -> list:
-        """The index lists that hold, or are to hold, pair ``p``, each as
-        (pairs, serials)."""
+        """The index lists that hold, or are to hold, pair ``p``."""
         if len(p.lhs) != 1:
             return []
         label = p.key[1][0]
@@ -317,8 +317,7 @@ class PairSet:
                 out += [*lists.values(), self._unlabelled[kind]]
             else:
                 if label not in lists:
-                    listed, serials = self._unlabelled[kind]
-                    lists[label] = (list(listed), list(serials))
+                    lists[label] = list(self._unlabelled[kind])
                 out += [lists[None], lists[label]]
         return out
 
@@ -327,9 +326,8 @@ class PairSet:
         return the newest serial (0 for an empty set): ``add`` never deletes
         the newest pair, so a range (lo, hi] up to it is empty iff lo == hi."""
         for q in self._replaced:
-            for listed, serials in self._holders(q):
-                at = bisect.bisect_left(serials, q.serial)
-                del listed[at], serials[at]
+            for listed in self._holders(q):
+                del listed[bisect.bisect_left(listed, q.serial, key=_serial)]
         self._replaced.clear()
         return self.pairs[-1].serial if self.pairs else 0
 
@@ -337,11 +335,11 @@ class PairSet:
         """The index list of the ``kind`` pairs a category labelled
         ``label`` can unify with (the whole kind when None), and the bounds
         (start, end) of its pairs with serials in (lo, hi]."""
-        listed, serials = self._lists[kind].get(label, self._unlabelled[kind])
-        start = bisect.bisect_right(serials, lo) if lo else 0
-        end = len(serials)
-        if end and serials[-1] > hi:
-            end = bisect.bisect_right(serials, hi)
+        listed = self._lists[kind].get(label, self._unlabelled[kind])
+        start = bisect.bisect_right(listed, lo, key=_serial) if lo else 0
+        end = len(listed)
+        if end and listed[-1].serial > hi:
+            end = bisect.bisect_right(listed, hi, key=_serial)
         return listed, start, end
 
     def _woken(self, labels, lo: int) -> bool:
@@ -351,8 +349,8 @@ class PairSet:
         replaced left a pair above it that holds its label or none."""
         lists, unlabelled = self._lists[_ALL], self._unlabelled[_ALL]
         for label in labels:
-            serials = lists.get(label, unlabelled)[1]
-            if serials and serials[-1] > lo:
+            listed = lists.get(label, unlabelled)
+            if listed and listed[-1].serial > lo:
                 return True
         return False
 

@@ -1,80 +1,23 @@
-"""Independent context-free FIRST/FOLLOW oracle, and the test grammars.
+"""Leftmost derivations of plain context-free grammars, and the test
+grammars.
 
-The oracle works on plain symbol tuples and never touches the package's
-pair machinery, so it can cross-check the engine's projection onto bare
-labels.  FIRST follows the textbook iterate-until-stable procedure;
-FOLLOW applies the standard rules to every grammar symbol (terminals
-included, since the pair engine computes those too).
+``leftmost_terminals`` works on plain symbol tuples and never touches the
+package's pair machinery, so it can cross-check the engine's projection
+onto bare labels; the textbook FIRST and FOLLOW are the benchmark's
+``oracle.CFTables``, which ``support`` imports.
 
-The generators below give the oracle its random CF grammars and the engine
-tests their fixed-seed feature grammars.
+The generators below give the oracles their random CF grammars and the
+engine tests their fixed-seed feature grammars.
 """
 
 import random
 import re
 
-EPSILON = "<eps>"
-END = "$"
-
-
-def cf_first(rules, terminals):
-    symbols = set(terminals)
-    for lhs, rhs in rules:
-        symbols.add(lhs)
-        symbols.update(rhs)
-    first = {s: set() for s in symbols}
-    for t in terminals:
-        first[t].add(t)
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in rules:
-            target = first[lhs]
-            before = len(target)
-            if not rhs:
-                target.add(EPSILON)
-            else:
-                for sym in rhs:
-                    target |= first[sym] - {EPSILON}
-                    if EPSILON not in first[sym]:
-                        break
-                else:
-                    target.add(EPSILON)
-            changed |= len(target) != before
-    return first
-
-
-def cf_first_string(first, syms):
-    out = set()
-    for sym in syms:
-        out |= first[sym] - {EPSILON}
-        if EPSILON not in first[sym]:
-            return out
-    out.add(EPSILON)
-    return out
-
-
-def cf_follow(rules, start, first):
-    symbols = set(first)
-    follow = {s: set() for s in symbols}
-    follow[start].add(END)
-    changed = True
-    while changed:
-        changed = False
-        for lhs, rhs in rules:
-            for i, sym in enumerate(rhs):
-                target = follow[sym]
-                before = len(target)
-                tail_first = cf_first_string(first, rhs[i + 1 :])
-                target |= tail_first - {EPSILON}
-                if EPSILON in tail_first:
-                    target |= follow[lhs]
-                changed |= len(target) != before
-    return follow
+from support import EPS
 
 
 def leftmost_terminals(rules, symbol, terminals, max_steps=50000):
-    """Terminals (or EPSILON) derivable leftmost from ``symbol``, by
+    """Terminals (or EPS) derivable leftmost from ``symbol``, by
     breadth-first leftmost rewriting; short witnesses come first, so small
     grammars saturate well inside the step budget."""
     from collections import deque
@@ -93,7 +36,7 @@ def leftmost_terminals(rules, symbol, terminals, max_steps=50000):
             continue
         seen.add(form)
         if not form:
-            out.add(EPSILON)
+            out.add(EPS)
             continue
         head = form[0]
         if head in terminals:

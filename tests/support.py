@@ -1,12 +1,31 @@
 """Shared helpers for the test suite."""
 
+import importlib
+import sys
 from pathlib import Path
 
 import featflow
 from featflow import clone_many, format_roots, label_of, parse_grammar
 from featflow.fs import deref
 from featflow.grammar import Rule
-from cf_oracle import END, EPSILON
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def perfbench_module(name):
+    """A module of the benchmark under ``perfbench/``, which is not a
+    package: ``gen`` for its label skeletons, ``oracle`` for its context-free
+    FIRST and FOLLOW, ``workloads`` for its pools."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module(name)
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+gen = perfbench_module("gen")
+oracle = perfbench_module("oracle")
+END, EPS = oracle.END, oracle.EPS
 
 
 def fixture_path(name):
@@ -44,14 +63,14 @@ def node_state(roots):
 
 def project(pairset):
     """Collapse a pair set onto bare labels: {lhs label: set of rhs labels,
-    EPSILON for empty marks, END for the end-of-input category}."""
+    EPS for empty marks, END for the end-of-input category}."""
     out = {}
     for p in pairset:
         if len(p.lhs) != 1:
             continue
         lhs = label_of(p.lhs[0])
         if p.is_epsilon:
-            rhs = EPSILON
+            rhs = EPS
         else:
             rhs = END if label_of(p.rhs) == "$" else label_of(p.rhs)
         out.setdefault(lhs, set()).add(rhs)

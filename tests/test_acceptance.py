@@ -30,15 +30,9 @@ from featflow.grammar import (
     parse_category_sequence,
     parse_grammar,
 )
-from cf_oracle import (
-    END,
-    cf_first,
-    cf_follow,
-    random_cf_grammar,
-    random_feature_grammar,
-)
+from cf_oracle import random_cf_grammar, random_feature_grammar
 import lattice_tools as lt
-from support import fixture_path, has_path, load_fixture, project
+from support import END, fixture_path, gen, has_path, load_fixture, oracle, project
 
 
 def criterion(num, title):
@@ -139,12 +133,11 @@ def test_criterion_3_cf_projection():
         eng = parse_grammar(text)
         fset, _ = compute_first(eng)
         oset, _ = compute_follow(eng, fset)
-        oracle_first = cf_first(rules, terminals)
-        oracle_follow = cf_follow(rules, start, oracle_first)
+        tables = oracle.CFTables(gen.Skeleton(tuple(rules), frozenset(terminals), start))
         eng_first, eng_follow = project(fset), project(oset)
         for sym in {lhs for lhs, _ in rules} | terminals:
-            assert eng_first.get(sym, set()) == oracle_first[sym], (text, sym)
-            assert eng_follow.get(sym, set()) == oracle_follow[sym], (text, sym)
+            assert eng_first.get(sym, set()) == tables.first[sym], (text, sym)
+            assert eng_follow.get(sym, set()) == tables.follow[sym], (text, sym)
     assert empty_rules > 50, "the sample must exercise empty rules"
     elapsed = time.monotonic() - started
     assert elapsed < 30.0, f"took {elapsed:.1f}s"

@@ -1,4 +1,4 @@
-"""tools/bench_pairs.py: statistics and verdict on canned run outputs."""
+"""tools/bench_pairs.py: statistics, verdict and moved counts on canned run outputs."""
 
 import importlib.util
 from pathlib import Path
@@ -14,7 +14,7 @@ END_TO_END = [{"name": "op_ms", "better": "lower"}, {"name": "ops_per_s", "bette
 
 
 def result(op_ms, correct=True, attempted=100):
-    """The last line of a perfbench run, as bench_trajectory.run returns it."""
+    """The last line of a perfbench run, as bench_pairs.run returns it."""
     metrics = {"op_ms": {"value": op_ms}, "ops_per_s": {"value": 1000 / op_ms}} if correct else {}
     return {"seed": 1, "trace": 0, "correct": correct, "attempted": attempted, "metrics": metrics}
 
@@ -57,6 +57,20 @@ def test_a_claim_needs_a_median_gap_wider_than_the_base_spread():
     assert verdict["wins"] == 0 and not verdict["claim_holds"]
 
 
+def test_a_claim_needs_ten_pairs():
+    base = [10.0, 10.2, 9.9, 10.1, 10.3, 9.8, 10.0, 10.4, 10.1, 9.9]
+    pairs = [(result(b), result(b * 0.5)) for b in base]
+    for n in (1, 2, 9):
+        summary = bench_pairs.summarize(pairs[:n], END_TO_END)
+        assert summary["op_ms"]["wins"] == n and not summary["op_ms"]["claim_holds"]
+        line = bench_pairs.report_lines("w", summary, {"base": 100, "change": 200}, [])[0]
+        assert line.endswith(f"change won {n}/{n}  too few pairs for a verdict")
+    summary = bench_pairs.summarize(pairs, END_TO_END)
+    assert summary["op_ms"]["claim_holds"]
+    line = bench_pairs.report_lines("w", summary, {"base": 100, "change": 200}, [])[0]
+    assert line.endswith("change won 10/10  claim holds")
+
+
 def test_an_incorrect_run_on_either_side_fails_the_summary():
     good = [(result(10.0), result(9.0)) for _ in range(3)]
     assert bench_pairs.summarize(good, END_TO_END) is not None
@@ -70,11 +84,15 @@ def test_ops_run_is_each_sides_median_attempted():
 
 
 def test_report_lines_give_medians_quartiles_wins_and_verdict():
-    summary = bench_pairs.summarize([(result(10.0), result(8.0)), (result(12.0), result(9.0))], END_TO_END)
+    pairs = [(result(10.0), result(8.0)), (result(12.0), result(9.0))] * 5
+    summary = bench_pairs.summarize(pairs, END_TO_END)
     lines = bench_pairs.report_lines("w", summary, {"base": 100, "change": 120}, [])
-    assert lines[0] == "w op_ms: base 11 [10.5, 11.5]  change 8.5 [8.25, 8.75]  change won 2/2  claim holds"
-    assert lines[1].startswith("w ops_per_s: ") and lines[1].endswith("change won 2/2  claim holds")
+    assert lines[0] == "w op_ms: base 11 [10, 12]  change 8.5 [8, 9]  change won 10/10  claim holds"
+    assert lines[1].startswith("w ops_per_s: ") and lines[1].endswith("change won 10/10  claim holds")
     assert lines[2:] == ["w: 0 per-layer counts moved"]
+    summary = bench_pairs.summarize(pairs[:9] + [(result(10.0), result(11.0))], END_TO_END)
+    line = bench_pairs.report_lines("w", summary, {"base": 100, "change": 120}, [])[0]
+    assert line.endswith("change won 9/10  claim does not hold")
 
 
 def test_report_lines_put_the_op_counts_beside_peak_rss_and_list_moved_counts():
@@ -87,3 +105,24 @@ def test_report_lines_put_the_op_counts_beside_peak_rss_and_list_moved_counts():
     assert lines[1] == "w ops per run: base 20000  change 24000.5"
     assert lines[2].startswith("w op_ms: ")
     assert lines[3:] == [*moved, "w: 1 per-layer counts moved"]
+
+
+def metrics(values):
+    """A traced run's per-layer metrics: name -> (value, unit)."""
+    return {m: {"value": v, "unit": u} for m, (v, u) in values.items()}
+
+
+def test_only_counts_that_moved_are_listed():
+    base = metrics({
+        "a.calls": (3, "count"), "a.self_s": (0.1, "s"), "b.calls": (5, "count"), "gone.calls": (2, "count"),
+    })
+    change = metrics({
+        "a.calls": (3, "count"), "a.self_s": (0.2, "s"), "b.calls": (6, "count"), "c.calls": (1, "count"),
+        "a.ratio": (0.5, "ratio"),
+    })
+    assert bench_pairs.count_differences("w", base, change) == [
+        "w b.calls: 5 -> 6",
+        "w c.calls: absent -> 1",
+        "w gone.calls: 2 -> absent",
+    ]
+    assert bench_pairs.count_differences("w", change, change) == []

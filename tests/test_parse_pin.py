@@ -29,15 +29,13 @@ import hashlib
 import json
 import random
 import re
-import sys
 from pathlib import Path
 
 from featflow.grammar import GrammarSyntaxError, format_roots, parse_category_sequence, parse_grammar
-from support import fixture_path
+from support import fixture_path, perfbench_module
 from test_grammar import FIXTURES, NOTATION_PIECES
 
 DIGESTS = Path(__file__).parent / "goldens" / "parse_digests.json"
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 BATCH = 100
 MUTATIONS = 3_000
 # tags that close cycles, or meet a failed annotation
@@ -60,11 +58,7 @@ def real_texts():
     strings it queries its query grammars with."""
     grammars = [Path(fixture_path(name)).read_text(encoding="utf-8") for name in FIXTURES]
     strings = []
-    sys.path.insert(0, str(PERFBENCH))
-    try:
-        import workloads
-    finally:
-        sys.path.remove(str(PERFBENCH))
+    workloads = perfbench_module("workloads")
     for workload in workloads.NAMES:
         for entry in workloads.load_goldens(workload)["pool"]:
             cand = workloads.candidate(workload, entry["index"])

@@ -1,4 +1,5 @@
-"""Alternating benchmark pairs: this checkout against a base revision.
+"""The benchmark command: this checkout against a base revision, in
+alternating pairs of runs.
 
     python3 tools/bench_pairs.py BASE_REV [--workloads W [W ...]] [--pairs N]
         [--seconds S] [--seed K] [--out FILE]
@@ -6,33 +7,46 @@
 Makes a ``git worktree`` of ``BASE_REV`` in a temporary directory and, for
 each workload (default: every one ``BENCHMARK.json`` lists), runs
 ``perfbench/run.py --trace 0`` of the base and of this checkout, one run
-at a time, ``--pairs`` times (default 10).  Pair i runs both sides at seed
-K + i (default K = 1) and puts the base first when i is even and the
+at a time, ``--pairs`` times (default 10), each run ``--seconds`` long
+(default: the benchmark's ``run_seconds``).  Pair i runs both sides at
+seed K + i (default K = 1) and puts the base first when i is even and the
 change first when it is odd, so a drift in the host's speed favours
 neither side.
 
 For each end-to-end metric it prints each side's median and quartiles,
 the number of pairs the change won (was better in, by the metric's
-``better``), and whether a speed claim on that metric holds: the change
-won at least nine pairs in ten, and its median is better than the base's
-by more than the base's interquartile range.  Beside ``peak_rss_mb`` it
-prints each side's median ``attempted``, the ops a run made: perfbench
-keeps one sample per op, so a faster side reads a higher peak.
+``better``), and whether a speed claim on that metric holds: over at
+least ten pairs, the change won at least nine pairs in ten, and its median
+is better than the base's by more than the base's interquartile range.
+With fewer pairs the line says there were too few for a verdict.  Beside
+``peak_rss_mb`` it prints each side's median ``attempted``, the ops a run
+made: perfbench keeps one sample per op, so a faster side reads a higher
+peak.
 
-Each side then makes one ``--trace 1`` run per workload at
-``bench_trajectory.TRACE_SEED``.  Traced runs make a fixed number of ops,
-so their per-layer counts repeat exactly, and every count that differs
-between the two sides is printed; a change that leaves the work the same
-prints none.
+The rule treats the pairs as independent, but neighbouring pairs share the
+host's drift over minutes.  On a change that only removed one call per
+store, layered-wide ``op_norm_ms.p75`` lost 9 of 10 pairs at seeds 1-10,
+by a median gap wider than the base's interquartile range, and won 6 of
+10 at seeds 11-20.  So a verdict from one batch of seeds is confirmed at a
+fresh batch (``--seed 11``) before a claim quotes it.
 
-With ``--out`` the summary, op counts and moved counts are written into
-FILE under the key ``pairs``, one entry per workload, keeping whatever
-else the file holds.  Stdlib only.  Exits 1 when any run is incorrect;
-the worktree is removed on exit either way.
+Each side then makes one ``--trace 1`` run per workload at ``TRACE_SEED``.
+Traced runs make a fixed number of ops, so their per-layer counts repeat
+exactly, and every count that differs between the two sides is printed; a
+change that leaves the work the same prints none.
+
+``--out`` writes the run's record, the file a speed claim quotes
+(``--out BENCH_<PR>.json``): the Python version, the base revision and
+its commit, the run length, the seeds and whether every run was correct;
+and per workload the end-to-end summary, each side's median ops per run,
+both sides' traced per-layer metrics and the counts that moved.  Stdlib
+only.  Exits 1 when any run is incorrect; the worktree is removed on exit
+either way.
 """
 
 import argparse
 import json
+import platform
 import shutil
 import statistics
 import subprocess
@@ -40,10 +54,43 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent))
-from bench_trajectory import ROOT, TRACE_SEED, count_differences, run  # noqa: E402
-
+ROOT = Path(__file__).resolve().parent.parent
+TRACE_SEED = 7
 SIDES = ("base", "change")
+MIN_PAIRS = 10  # the fewest pairs a verdict is given on
+
+
+def run(workload: str, seed: int, seconds: float, trace: int, root: Path = ROOT) -> dict:
+    """One benchmark run of the checkout at ``root``; its last line of
+    output, or a failed verdict."""
+    cmd = [
+        sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+        "--seconds", str(seconds), "--trace", str(trace),
+    ]
+    proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = {"correct": False, "attempted": 0, "failed": 0, "metrics": {}}
+    result["exit"] = proc.returncode
+    if proc.returncode:
+        result["correct"] = False
+        result["stderr"] = proc.stderr.strip().splitlines()[-20:]
+    return {"seed": seed, "trace": trace, **result}
+
+
+def count_differences(workload: str, base: dict, change: dict) -> list:
+    """One line per per-layer count (a metric with unit ``count``) whose
+    value differs between the metrics of two traced runs of ``workload``,
+    or that only one of them has.  Traced runs make a fixed number of ops,
+    so two runs that do the same work give none."""
+    lines = []
+    for metric in sorted(set(base) | set(change)):
+        was, now = base.get(metric, {}), change.get(metric, {})
+        if "count" in (was.get("unit"), now.get("unit")) and was.get("value") != now.get("value"):
+            lines.append(f"{workload} {metric}: {was.get('value', 'absent')} -> {now.get('value', 'absent')}")
+    return lines
 
 
 def quartiles(values: list) -> tuple:
@@ -61,19 +108,20 @@ def compare(base: list, change: list, better: str) -> dict:
     wins = sum(sign * (b - c) > 0 for b, c in zip(base, change))
     bq, cq = quartiles(base), quartiles(change)
     gap = sign * (bq[1] - cq[1])  # above 0 when the change's median is better
+    pairs = len(base)
     return {
         "base": {"q1": bq[0], "median": bq[1], "q3": bq[2], "runs": base},
         "change": {"q1": cq[0], "median": cq[1], "q3": cq[2], "runs": change},
         "wins": wins,
-        "pairs": len(base),
-        "claim_holds": wins * 10 >= 9 * len(base) and gap > bq[2] - bq[0],
+        "pairs": pairs,
+        "claim_holds": pairs >= MIN_PAIRS and wins * 10 >= 9 * pairs and gap > bq[2] - bq[0],
     }
 
 
 def summarize(pairs: list, end_to_end: list):
     """``compare`` for each end-to-end metric over ``pairs``, a list of
-    (base run, change run) as ``bench_trajectory.run`` returns them; None
-    when any run is incorrect."""
+    (base run, change run) as ``run`` returns them; None when any run is
+    incorrect."""
     if not all(r["correct"] for pair in pairs for r in pair):
         return None
     out = {}
@@ -94,11 +142,14 @@ def report_lines(workload: str, summary: dict, ops: dict, moved: list) -> list:
     lines = []
     for name, m in summary.items():
         b, c = m["base"], m["change"]
-        verdict = "holds" if m["claim_holds"] else "does not hold"
+        if m["pairs"] < MIN_PAIRS:
+            verdict = "too few pairs for a verdict"
+        else:
+            verdict = "claim holds" if m["claim_holds"] else "claim does not hold"
         lines.append(
             f"{workload} {name}: base {b['median']:.4g} [{b['q1']:.4g}, {b['q3']:.4g}]"
             f"  change {c['median']:.4g} [{c['q1']:.4g}, {c['q3']:.4g}]"
-            f"  change won {m['wins']}/{m['pairs']}  claim {verdict}"
+            f"  change won {m['wins']}/{m['pairs']}  {verdict}"
         )
         if name == "peak_rss_mb":
             lines.append(f"{workload} ops per run: base {ops['base']:.10g}  change {ops['change']:.10g}")
@@ -132,7 +183,7 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=10, help="pairs of runs per workload (default 10)")
     ap.add_argument("--seconds", type=float, help="length of each run (default: run_seconds)")
     ap.add_argument("--seed", type=int, default=1, help="seed of the first pair (default 1)")
-    ap.add_argument("--out", type=Path, help="JSON file to write the summary into, under 'pairs'")
+    ap.add_argument("--out", type=Path, help="JSON file to write the run's record to")
     args = ap.parse_args(argv)
     with open(ROOT / "BENCHMARK.json", encoding="utf-8") as fh:
         bench = json.load(fh)
@@ -151,7 +202,7 @@ def main(argv=None) -> int:
 
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
     base_root = tmp / "base"
-    summaries, correct = {}, True
+    entries, correct = {}, True
     try:
         git("worktree", "add", "--detach", str(base_root), commit)
         for w in workloads:
@@ -166,28 +217,28 @@ def main(argv=None) -> int:
                             print(f"  {line}", file=sys.stderr)
                 continue
             ops = ops_run(pairs)
-            moved = count_differences(w, traced[0]["metrics"], traced[1]["metrics"])
+            per_layer = {side: r["metrics"] for side, r in zip(SIDES, traced)}
+            moved = count_differences(w, per_layer["base"], per_layer["change"])
             for line in report_lines(w, summary, ops, moved):
                 print(line)
-            summaries[w] = {
-                "base": args.base,
-                "base_commit": commit,
-                "seconds": seconds,
-                "seeds": [args.seed + i for i in range(args.pairs)],
-                "metrics": summary,
-                "ops_per_run": ops,
-                "trace_seed": TRACE_SEED,
-                "moved_counts": moved,
-            }
+            entries[w] = {"end_to_end": summary, "ops_per_run": ops, "per_layer": per_layer, "moved_counts": moved}
     finally:
         subprocess.run(["git", "worktree", "remove", "--force", str(base_root)], cwd=ROOT, capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
         subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
 
-    if args.out is not None and summaries:
-        doc = json.loads(args.out.read_text(encoding="utf-8")) if args.out.exists() else {}
-        doc.setdefault("pairs", {}).update(summaries)
-        args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
+    if args.out is not None:
+        record = {
+            "python": platform.python_version(),
+            "base": args.base,
+            "base_commit": commit,
+            "seconds": seconds,
+            "seeds": [args.seed + i for i in range(args.pairs)],
+            "trace_seed": TRACE_SEED,
+            "correct": correct,
+            "workloads": entries,
+        }
+        args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
         print(f"wrote {args.out}", file=sys.stderr)
     return 0 if correct else 1
 

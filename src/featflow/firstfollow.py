@@ -23,14 +23,25 @@ nothing.  Apartness is known by construction, with no walk, for an
 empty-string pair (apart), a product whose right side was shared (apart:
 its left roots are fresh copies) and a FIRST seed (not: its two sides are
 one node); only a product whose right side was copied with its left roots
-is walked, once, on its first bind.  Sharing rests on an invariant the
+is walked, once, on its first bind.
+
+Pairs whose sides are apart and whose left sides are equivalent bind
+alike.  So each such pair has a left-side class, worked out on its first
+read from ``fs.canonical_key`` of its left side, and a read binds, or
+tests, once per class: ``_bind_each`` binds the first pair of a class and
+hands the same kept copies to every later pair of it, with that pair's
+own right side; ``query`` and ``first_of_string``'s check of unknown
+categories call ``fs.unifiable`` once per class.  Every pair still counts
+as an attempt.  The products of one grouped bind share their left-side
+copy, as right sides are shared.  Sharing rests on an invariant the
 engine keeps:
 
 - nothing mutates a stored right side: a bind binds a pair's right side
   only when the sides are not apart, and only for the duration of a
   ``fs.unify_copy``, and that right side is never shared;
 - a right-side node is never another pair's left-side node (a FIRST
-  seed's two sides are one node, so it is not apart);
+  seed's two sides are one node, so it is not apart), and a left-side
+  node is reached only from the left roots of one bind's products;
 - working spaces (rules, their copies, cloned query strings) never hold
   a stored node;
 - ``query`` may return stored nodes, which a caller treats as read-only
@@ -138,14 +149,18 @@ class Pair:
     context, so that equal claims collide under the antichain operator.
     ``rhs`` is ``EPSILON``, or restricted and pruned too: a copy made with
     the left roots, or a stored right side a bind shared, which is one
-    already.
+    already.  The products of one grouped bind (``_bind_each``) share
+    their left-side copy, as right sides are shared: each left-side node
+    is reached from the left roots of one bind only.
 
     ``apart`` says whether the two sides are apart (``sides_apart``): True
     or False where the maker knows it, None to have it walked on the
-    first call.  An empty-string pair is always apart.
+    first call.  An empty-string pair is always apart.  A pair whose sides
+    are apart has a left-side class, which the set that first reads it
+    works out (``PairSet._classify``), once; a pair is stored in one set.
     """
 
-    __slots__ = ("serial", "lhs", "rhs", "is_epsilon", "comparison_roots", "key", "_tree", "_apart")
+    __slots__ = ("serial", "lhs", "rhs", "is_epsilon", "comparison_roots", "key", "_tree", "_apart", "_class")
 
     def __init__(self, lhs, rhs, apart=None):
         self.serial = next(_serials)
@@ -158,6 +173,7 @@ class Pair:
         self.key = (signature, tuple(map(label_of, self.comparison_roots)))
         self._tree = None
         self._apart = True if self.is_epsilon else apart
+        self._class = None
 
     def lhs_is_tree(self) -> bool:
         """``fs.is_tree`` of the first left root, worked out on the first
@@ -217,6 +233,11 @@ class PairSet:
     ``hi`` that ``_settle`` returned: ``add`` appends above it, and a pair
     it replaces stays listed until the next ``_settle``, which the driver
     calls before every visit; the driver, not the set, keeps the marks.
+
+    A single-category pair whose sides are apart belongs to a left-side
+    class, a number that the set's pairs with equivalent left sides share:
+    a read binds, or tests, once per class (``_bind_each``, ``query``,
+    ``first_of_string``).
     """
 
     def __init__(self):
@@ -233,6 +254,8 @@ class PairSet:
         # (label, is_epsilon) -> the index lists a labelled pair joins: lists
         # are never replaced, only appended to and settled
         self._held = {}
+        self._classes = {}  # fs.canonical_key of a left side -> its class
+        self._rooted = {}  # left root -> its class, so that each is keyed once
 
     def __len__(self):
         return len(self.pairs)
@@ -341,6 +364,23 @@ class PairSet:
         if end and listed[-1].serial > hi:
             end = bisect.bisect_right(listed, hi, key=_serial)
         return listed, start, end
+
+    def _classify(self, p: Pair) -> int:
+        """Set and return the left-side class of ``p``, a single-category
+        pair of this set: -1 when its sides are not apart, so that it binds
+        alone, and otherwise the class of its left side's
+        ``fs.canonical_key``, whose keys equal exactly when the left sides
+        are equivalent.  Called on the pair's first read."""
+        if not p.sides_apart():
+            p._class = -1
+            return -1
+        root = p.lhs[0]
+        c = self._rooted.get(root)
+        if c is None:
+            classes = self._classes
+            c = self._rooted[root] = classes.setdefault(fs.canonical_key(p.lhs), len(classes))
+        p._class = c
+        return c
 
     def _woken(self, labels, lo: int) -> bool:
         """Whether some pair above serial ``lo`` may have a left side that
@@ -472,10 +512,9 @@ def _bind(root, pair, kept, cut, prune):
     its sides, as ``Pair`` takes it.  When the pair's sides are apart, the
     binding cannot reach the right side, so bound_rhs is ``pair.rhs``
     itself, already restricted and pruned, and only the kept roots are
-    copied; with none kept, nothing is (``fs.unifiable``).  The kept copies are fresh, so
-    such a product is apart.  Otherwise the right side is copied out
-    together with the kept roots, and whether they share a node is left to
-    a walk.
+    copied.  The kept copies are fresh, so such a product is apart.
+    Otherwise the right side is copied out together with the kept roots,
+    and whether they share a node is left to a walk.
 
     A clash, on ``cat`` too, is found by the one unification, which binds
     the inputs only for the duration of the call, so they come back
@@ -486,11 +525,8 @@ def _bind(root, pair, kept, cut, prune):
     lhs = pair.lhs[0]
     tree = pair.lhs_is_tree()
     if pair.sides_apart():
-        rhs = pair.rhs
-        if not kept:
-            return ([], rhs, True) if fs.unifiable(root, lhs, tree) else None
         try:
-            return fs.unify_copy(root, lhs, kept, cut, prune, tree), rhs, True
+            return fs.unify_copy(root, lhs, kept, cut, prune, tree), pair.rhs, True
         except UnificationFailed:
             return None
     try:
@@ -512,22 +548,42 @@ def _bind_each(space, pos, read, rec, keep=None, restrictor=None):
     The read is begun on entry, so a visit a guard stops inside it counts
     its whole range.  The label is read from ``space``, where earlier
     bindings may have set it.  The pairs it passes over, whose ``cat``
-    differs, are attempts that were ``filtered``: counted, not bound.  Each bind is counted as an attempt just before it is made.
-    What every bind of the read shares, the kept roots and the
-    restriction, is set up once.
+    differs, are attempts that were ``filtered``: counted, not bound.
+    Each pair it tries is counted as an attempt.  What every bind of the
+    read shares, the kept roots and the restriction, is set up once.
+
+    Pairs of one left-side class (``PairSet._classify``) bind alike, so
+    the read binds only the first pair of each class it tries.  A later
+    pair of that class fails if the first failed, and otherwise yields the
+    same kept copies, with its own right side: its sides are apart, so the
+    binding cannot reach it.  A pair whose sides are not apart binds
+    alone.
     """
     root = space[pos]
-    listed, start, end = read.pset._span(read.kind, label_of(root), read.lo, read.hi)
+    pset = read.pset
+    listed, start, end = pset._span(read.kind, label_of(root), read.lo, read.hi)
     rec.began(read, read.n - (end - start))
     if start == end:
         return
     kept = space if keep is None else [space[i] for i in keep]
     cut, prune = restrictor or frozenset(), restrictor is not None
+    made = {}  # left-side class -> the kept copies its first bind made, None if it failed
     for p in listed[start:end]:
         rec.attempts += 1
-        got = _bind(root, p, kept, cut, prune)
-        if got is not None:
-            yield p, *got
+        c = p._class
+        if c is None:
+            c = pset._classify(p)
+        if c < 0:
+            got = _bind(root, p, kept, cut, prune)
+            if got is not None:
+                yield p, *got
+            continue
+        copies = made.get(c, False)
+        if copies is False:
+            got = _bind(root, p, kept, cut, prune)
+            copies = made[c] = None if got is None else got[0]
+        if copies is not None:
+            yield p, copies, p.rhs, True
 
 
 def _eps_step(level, pos, eps, rec):
@@ -715,11 +771,13 @@ def first_of_string(first: PairSet, g: Grammar, cats) -> PairSet:
     The sequence lives in one fresh space, so bindings across positions
     and into the result are preserved.  Results are restricted and
     antichain-combined; the left side of every result pair is the whole
-    (possibly further bound) sequence, a fresh copy; the right side is a
-    copy, or a right side of ``first`` itself, shared, where the FIRST
-    pair it came from has its sides apart.  ``cats`` is copied first, so
-    that it shares no node with the pairs it binds or tests, as ``_bind``
-    requires.
+    (possibly further bound) sequence, a fresh copy, which the results of
+    one grouped bind share; the right side is a copy, or a right side of
+    ``first`` itself, shared, where the FIRST pair it came from has its
+    sides apart.  ``cats`` is copied first, so that it shares no node with
+    the pairs it binds or tests, as ``_bind`` requires.  A category that
+    is not preterminal must unify with some FIRST left side; that check,
+    too, tests each left-side class once.
     """
     cats = fs.clone_many(cats)
     if not cats:
@@ -729,7 +787,18 @@ def first_of_string(first: PairSet, g: Grammar, cats) -> PairSet:
         if is_preterminal(c):
             continue
         listed, start, end = first._span(_ALL, label_of(c), 0, hi)
-        if not any(fs.unifiable(c, p.lhs[0], tree=p.lhs_is_tree()) for p in listed[start:end]):
+        failed = set()  # the left-side classes c does not unify with
+        for p in listed[start:end]:
+            k = p._class
+            if k is None:
+                k = first._classify(p)
+            if k in failed:
+                continue
+            if fs.unifiable(c, p.lhs[0], tree=p.lhs_is_tree()):
+                break
+            if k >= 0:
+                failed.add(k)
+        else:
             raise UnknownCategory(
                 f"position {idx + 1}: {format_roots([c])[0]} is neither preterminal "
                 "nor unifiable with any FIRST left side"
@@ -826,26 +895,39 @@ def query(result: PairSet, cat: Node) -> list:
     ``_bind`` requires, even when it is a node of ``result``.
 
     A value whose pair has its sides apart is the stored right side itself,
-    not a copy: the binding cannot change it.  Values are not pruned.
+    not a copy: the binding cannot change it, so such pairs are tested with
+    ``fs.unifiable``, once per left-side class.  Values are not pruned.
     Treat them as read-only, and clone one before any destructive
     unification."""
     cat = fs.clone(cat)
     out = []
     labels = []  # the label of each value in out; EPSILON, comparable with none, for ε
     have_eps = False
+    unifies = {}  # left-side class -> whether cat unifies with its left sides
     listed, start, end = result._span(_ALL, label_of(cat), 0, result._settle())
     for p in listed[start:end]:
         if p.is_epsilon and have_eps:
             continue  # only the first empty-string answer is kept; bind no more empty pairs
-        got = _bind(cat, p, (), frozenset(), False)
-        if got is None:
-            continue
+        c = p._class
+        if c is None:
+            c = result._classify(p)
+        if c < 0:
+            got = _bind(cat, p, (), frozenset(), False)
+            if got is None:
+                continue
+            rhs = got[1]
+        else:
+            ok = unifies.get(c)
+            if ok is None:
+                ok = unifies[c] = fs.unifiable(cat, p.lhs[0], p.lhs_is_tree())
+            if not ok:
+                continue
+            rhs = p.rhs
         if p.is_epsilon:
-            out.append(p.rhs)
+            out.append(rhs)
             labels.append(EPSILON)
             have_eps = True
             continue
-        rhs = got[1]
         label = label_of(rhs)
         general = []  # the places of the kept values rhs is more specific than
         for idx, have in enumerate(out):

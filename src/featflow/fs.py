@@ -26,8 +26,10 @@ returns or raises.  The structures it is given, stored pairs and grammar
 rules included, are therefore bound during the call and restored before
 it returns.  They are safe to share between callers in one thread, but
 not across threads while such a call is running.  ``apart`` tells when a
-stored FIRST/FOLLOW right side can be shared instead of copied; the
-invariants that rests on are listed in ``firstfollow``'s docstring.
+stored FIRST/FOLLOW right side can be shared instead of copied, and
+``canonical_key`` names the class of equivalent spaces a left side
+belongs to, so that equivalent left sides are bound once; the invariants
+these rest on are listed in ``firstfollow``'s docstring.
 
 Unification checks its result for cycles, and fails with reason
 ``cycle`` on one.  The check walks everything below the merged node, so
@@ -502,6 +504,41 @@ def equivalent_many(a_roots, b_roots) -> bool:
 
 def equivalent(a: Node, b: Node) -> bool:
     return equivalent_many([a], [b])
+
+
+def canonical_key(roots) -> tuple:
+    """A tuple that two spaces share exactly when ``equivalent_many``
+    holds of them: the roots walked in order, depth first, through one
+    numbering.  An atom is written as its name, so atoms of one name
+    count as one value, as subsumption counts them.  A complex node is
+    numbered at its first visit and written as ``-1 - len(arcs)`` followed
+    by each feature, in sorted order, and its value; a later visit writes
+    its number alone, so sharing is part of the key.  One loop over a
+    stack, so depth costs no recursion."""
+    number = {}
+    out = []
+    stack = list(reversed(roots))
+    while stack:
+        n = stack.pop()
+        if n.__class__ is str:  # a feature, written before its value
+            out.append(n)
+            continue
+        while n.forward is not None:
+            n = n.forward
+        if n.atom is not None:
+            out.append(n.atom)
+            continue
+        k = number.get(n)
+        if k is not None:
+            out.append(k)
+            continue
+        number[n] = len(number)
+        arcs = n.arcs
+        out.append(-1 - len(arcs))
+        for feat in sorted(arcs, reverse=True):
+            stack.append(arcs[feat])
+            stack.append(feat)
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------

@@ -935,6 +935,75 @@ def test_random_subsumption_matches_the_image_reference(a, b, c):
             assert subsumes_many(x, y) == subsumes_by_image(x, y)
 
 
+# ---------------------------------------------------------------------------
+# canonical keys
+
+def lattice_spaces(rng, count):
+    """Spaces of one and two roots over the depth-two universe of
+    ``lattice_tools``, whose structures hold reentrancies, same-named atoms
+    on two paths, shared or not, and shared empty nodes.  Some spaces share
+    a node across their roots, or hold one root twice."""
+    universe = lt.exhaustive_universe(depth=2)
+    spaces = [[a] for a in universe]
+    for _ in range(count):
+        a, b = rng.choice(universe), rng.choice(universe)
+        spaces += [[a, b], [a, node(f=a, g=b)], [b, b], [b, clone(b)]]
+    return spaces
+
+
+def test_canonical_keys_are_equal_exactly_when_spaces_are_equivalent():
+    spaces = lattice_spaces(random.Random(20261020), 300)
+    classes = {}
+    for space in spaces:
+        key = fs.canonical_key(space)
+        assert fs.canonical_key(clone_many(space)) == key
+        classes.setdefault(key, []).append(space)
+    # equal keys: every space of a class is equivalent to its first
+    for members in classes.values():
+        assert all(fs.equivalent_many(members[0], s) for s in members[1:]), lt.fs_repr(members[0][0])
+    merged = sum(len(members) > 1 for members in classes.values())
+    assert merged > 100  # many classes hold spaces that are distinct objects
+    # different keys: neighbours in key order differ least, so check those,
+    # and pairs drawn at random
+    firsts = sorted((members[0] for members in classes.values()), key=lambda s: repr(fs.canonical_key(s)))
+    rng = random.Random(7)
+    pairs = list(zip(firsts, firsts[1:])) + [tuple(rng.sample(firsts, 2)) for _ in range(2000)]
+    for x, y in pairs:
+        assert not fs.equivalent_many(x, y), (format_roots(x), format_roots(y))
+
+
+@settings(max_examples=300, deadline=None)
+@given(unify_cases(), structures())
+def test_random_canonical_keys_match_equivalence(case, other):
+    space, a, b, keep, restrictor = case
+    for x, y in ([a], [b]), ([a], [other]), (space, clone_many(space)), ([space[2]], [other]):
+        assert (fs.canonical_key(x) == fs.canonical_key(y)) == fs.equivalent_many(x, y)
+    # a merged space is read through its forwarding pointers
+    trail = []
+    try:
+        unify_in_place(a, b, trail)
+        assert fs.canonical_key(space) == fs.canonical_key(clone_many(space))
+    except UnificationFailed:
+        pass
+    finally:
+        fs._undo(trail)
+
+
+def test_canonical_keys_of_reentrancies_atoms_and_empty_nodes():
+    key = fs.canonical_key
+    shared_empty = parse_category("[f=$1:[], g=$1]")
+    assert key([shared_empty]) != key([parse_category("[f=[], g=[]]")])
+    # atoms of one name count as one value, shared or not
+    assert key([parse_category("[f=$1:x, g=$1]")]) == key([parse_category("[f=x, g=x]")])
+    assert key([parse_category("[f=x]")]) != key([parse_category("[f=y]")])
+    assert key([parse_category("[f=x]")]) != key([parse_category("[f=[]]")])
+    # features in sorted order, so the order they were written in is lost
+    assert key([parse_category("[g=y, f=x]")]) == key([parse_category("[f=x, g=y]")])
+    # sharing across roots is part of a space's key
+    a = parse_category("[f=x]")
+    assert key([a, a]) != key([a, clone(a)]) and key([a, a]) == key(clone_many([a, a]))
+
+
 CAT_ATOMS = ("np", "Np", "term", "start", "v_2", "$", "a b")
 
 

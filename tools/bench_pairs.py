@@ -4,9 +4,12 @@ alternating pairs of runs.
     python3 tools/bench_pairs.py BASE_REV [--workloads W [W ...]] [--pairs N]
         [--seconds S] [--seed K] [--out FILE]
 
-Makes a ``git worktree`` of ``BASE_REV`` in a temporary directory and, for
-each workload (default: every one ``BENCHMARK.json`` lists), runs
-``perfbench/run.py --trace 0`` of the base and of this checkout, one run
+Makes a ``git worktree`` of ``BASE_REV`` and a snapshot of this
+checkout in a temporary directory: a copy of its files as they stand,
+tracked or untracked but not ignored, so that the two sides differ only in
+code, not in where they run from or what earlier runs left in them.  For
+each workload (default: every one ``BENCHMARK.json`` lists), it runs
+``perfbench/run.py --trace 0`` of the base and of the snapshot, one run
 at a time, ``--pairs`` times (default 10), each run ``--seconds`` long
 (default: the benchmark's ``run_seconds``).  Pair i runs both sides at
 seed K + i (default K = 1) and puts the base first when i is even and the
@@ -40,8 +43,8 @@ change that leaves the work the same prints none.
 its commit, the run length, the seeds and whether every run was correct;
 and per workload the end-to-end summary, each side's median ops per run,
 both sides' traced per-layer metrics and the counts that moved.  Stdlib
-only.  Exits 1 when any run is incorrect; the worktree is removed on exit
-either way.
+only.  Exits 1 when any run is incorrect; the worktree and the snapshot
+are removed on exit either way.
 """
 
 import argparse
@@ -60,7 +63,7 @@ SIDES = ("base", "change")
 MIN_PAIRS = 10  # the fewest pairs a verdict is given on
 
 
-def run(workload: str, seed: int, seconds: float, trace: int, root: Path = ROOT) -> dict:
+def run(workload: str, seed: int, seconds: float, trace: int, root: Path) -> dict:
     """One benchmark run of the checkout at ``root``; its last line of
     output, or a failed verdict."""
     cmd = [
@@ -162,17 +165,29 @@ def git(*args) -> str:
     return subprocess.run(["git", *args], cwd=ROOT, capture_output=True, text=True, check=True).stdout.strip()
 
 
-def measure(workload: str, base_root: Path, pairs: int, seconds: float, seed: int) -> tuple:
-    """(the untraced pairs, the traced pair), each pair (base run, change run)."""
+def snapshot(dest: Path) -> None:
+    """Copy this checkout's files that git tracks or would track, as they
+    stand on disk, to ``dest``."""
+    listed = git("ls-files", "-z", "--cached", "--others", "--exclude-standard")
+    for name in dict.fromkeys(listed.split("\0")):
+        source = ROOT / name
+        if name and source.is_file():  # a tracked file may have been deleted
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
+
+
+def measure(workload: str, roots: tuple, pairs: int, seconds: float, seed: int) -> tuple:
+    """(the untraced pairs, the traced pair), each pair (base run, change
+    run); ``roots`` are the base's and the change's checkouts."""
     out = []
     for i in range(pairs):
-        sides = [("base", base_root), ("change", ROOT)]
+        sides = list(zip(SIDES, roots))
         if i % 2:
             sides.reverse()
         got = {side: run(workload, seed + i, seconds, 0, root) for side, root in sides}
         out.append((got["base"], got["change"]))
         print(f"{workload}: pair {i + 1}/{pairs} at seed {seed + i} done", file=sys.stderr)
-    traced = tuple(run(workload, TRACE_SEED, seconds, 1, root) for root in (base_root, ROOT))
+    traced = tuple(run(workload, TRACE_SEED, seconds, 1, root) for root in roots)
     return out, traced
 
 
@@ -201,12 +216,13 @@ def main(argv=None) -> int:
         ap.error(f"not a revision: {args.base}")
 
     tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
-    base_root = tmp / "base"
+    roots = (tmp / "base", tmp / "change")
     entries, correct = {}, True
     try:
-        git("worktree", "add", "--detach", str(base_root), commit)
+        git("worktree", "add", "--detach", str(roots[0]), commit)
+        snapshot(roots[1])
         for w in workloads:
-            pairs, traced = measure(w, base_root, args.pairs, seconds, args.seed)
+            pairs, traced = measure(w, roots, args.pairs, seconds, args.seed)
             summary = summarize(pairs, bench["end_to_end"])
             if summary is None or not all(r["correct"] for r in traced):
                 correct = False
@@ -223,7 +239,7 @@ def main(argv=None) -> int:
                 print(line)
             entries[w] = {"end_to_end": summary, "ops_per_run": ops, "per_layer": per_layer, "moved_counts": moved}
     finally:
-        subprocess.run(["git", "worktree", "remove", "--force", str(base_root)], cwd=ROOT, capture_output=True)
+        subprocess.run(["git", "worktree", "remove", "--force", str(roots[0])], cwd=ROOT, capture_output=True)
         shutil.rmtree(tmp, ignore_errors=True)
         subprocess.run(["git", "worktree", "prune"], cwd=ROOT, capture_output=True)
 

@@ -1,4 +1,5 @@
-"""Mutations of the engine and of the front end that the tests must catch.
+"""Mutations of the engine, the front end and the algebra that the tests
+must catch.
 
     python3 tools/mutants.py
 
@@ -9,7 +10,9 @@ M21, which is retired: each label's index list holds its pairs alone, so
 no list of serials can fall out of step with it.  M25-M41 are faults of
 the front end, ``grammar.py``: token and issue positions in the lexer
 (M25-M35), the parser's cycle check (M36, M37) and the printer's two
-walks (M38-M41).  M15-M41 keep the evidence on which white-box tests
+walks (M38-M41).  M42-M44 are faults of binding once per left-side
+class: in the engine's grouping (M42) and in the algebra's canonical key,
+``fs.py`` (M43, M44).  M15-M41 keep the evidence on which white-box tests
 of those internals retired: each fault such a test caught must still fail
 a test that remains.  For each mutant, the tool copies ``src/``,
 ``tests/``, ``perfbench/`` (whose pool grammars the parse pin reads) and
@@ -18,12 +21,13 @@ and runs the ``TESTS`` of the mutated file,
 
     python -m pytest -x -q tests/test_firstfollow.py tests/test_engine_pin.py tests/test_acceptance.py
     python -m pytest -x -q tests/test_parse_pin.py tests/test_grammar.py tests/test_engine_pin.py
+    python -m pytest -x -q tests/test_fs.py tests/test_firstfollow.py tests/test_engine_pin.py tests/test_acceptance.py
 
-for the engine and for the front end, in it.  A mutant is caught when
-that run fails, and survives when it passes.  The same runs on an
-unchanged copy must pass first, so a copy the tests cannot run in does
-not pass for a catch.  Prints one line per mutant, with the first test
-that failed.  Stdlib only.  Exits 1 when the unchanged copy fails, when a
+for the engine, for the front end and for the algebra, in it.  A mutant
+is caught when that run fails, and survives when it passes.  The same
+runs on an unchanged copy must pass first, so a copy the tests cannot run
+in does not pass for a catch.  Prints one line per mutant, with the first
+test that failed.  Stdlib only.  Exits 1 when the unchanged copy fails, when a
 mutant survives, or when an old text does not occur exactly once in its
 file of this checkout.
 """
@@ -37,9 +41,11 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 ENGINE = "src/featflow/firstfollow.py"
 FRONT_END = "src/featflow/grammar.py"
+ALGEBRA = "src/featflow/fs.py"
 TESTS = {
     ENGINE: ("tests/test_firstfollow.py", "tests/test_engine_pin.py", "tests/test_acceptance.py"),
     FRONT_END: ("tests/test_parse_pin.py", "tests/test_grammar.py", "tests/test_engine_pin.py"),
+    ALGEBRA: ("tests/test_fs.py", "tests/test_firstfollow.py", "tests/test_engine_pin.py", "tests/test_acceptance.py"),
 }
 
 MUTANTS = (
@@ -282,6 +288,24 @@ MUTANTS = (
         FRONT_END,
         "if not seen:\n        for child",
         "if True:\n        for child",
+    ),
+    (
+        "M42 grouping ignores apartness",
+        ENGINE,
+        "if not p.sides_apart():",
+        "if False:",
+    ),
+    (
+        "M43 the canonical key does not number revisited nodes",
+        ALGEBRA,
+        "k = number.get(n)",
+        "k = None",
+    ),
+    (
+        "M44 the canonical key drops atom names",
+        ALGEBRA,
+        "out.append(n.atom)",
+        'out.append("")',
     ),
 )
 

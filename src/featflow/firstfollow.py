@@ -434,7 +434,8 @@ class _Read:
 class _Recorder:
     """The counters of one run, and the one place tests watch it from.
     ``_fixpoint`` opens iterations and visits; ``events`` is the size of
-    each offer.  ``_bind_each`` counts each bind as an attempt and tells
+    each offer.  ``_bind_each`` counts each pair it tries as an attempt,
+    one of a left-side class it has already bound too, and tells
     ``began`` of each ``_Read`` it binds; a visit tells ``passed`` of each
     it begins without a bind.  Both count the pairs a read's label passed
     over as ``filtered`` attempts, and for each kind of pair a visit

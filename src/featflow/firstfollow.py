@@ -125,6 +125,7 @@ EPSILON = EpsilonMark()
 
 
 _serials = itertools.count(1)
+_class_ids = itertools.count()  # left-side classes, numbered across every set
 _serial = operator.attrgetter("serial")  # the key the label index is bisected by
 
 
@@ -157,7 +158,7 @@ class Pair:
     or False where the maker knows it, None to have it walked on the
     first call.  An empty-string pair is always apart.  A pair whose sides
     are apart has a left-side class, which the set that first reads it
-    works out (``PairSet._classify``), once; a pair is stored in one set.
+    works out (``PairSet._classify``), once.
     """
 
     __slots__ = ("serial", "lhs", "rhs", "is_epsilon", "comparison_roots", "key", "_tree", "_apart", "_class")
@@ -235,9 +236,11 @@ class PairSet:
     calls before every visit; the driver, not the set, keeps the marks.
 
     A single-category pair whose sides are apart belongs to a left-side
-    class, a number that the set's pairs with equivalent left sides share:
-    a read binds, or tests, once per class (``_bind_each``, ``query``,
-    ``first_of_string``).
+    class, a number that only pairs with equivalent left sides share: a
+    read binds, or tests, once per class (``_bind_each``, ``query``,
+    ``first_of_string``).  A set numbers each left side at its first sight,
+    from one count for the whole process, so a pair, which more than one
+    set may hold, keeps a class that no other left side has.
     """
 
     def __init__(self):
@@ -370,15 +373,19 @@ class PairSet:
         pair of this set: -1 when its sides are not apart, so that it binds
         alone, and otherwise the class of its left side's
         ``fs.canonical_key``, whose keys equal exactly when the left sides
-        are equivalent.  Called on the pair's first read."""
+        are equivalent, numbered here at the key's first sight.  Called on
+        the pair's first read, in whichever set that is."""
         if not p.sides_apart():
             p._class = -1
             return -1
         root = p.lhs[0]
         c = self._rooted.get(root)
         if c is None:
-            classes = self._classes
-            c = self._rooted[root] = classes.setdefault(fs.canonical_key(p.lhs), len(classes))
+            key = fs.canonical_key(p.lhs)
+            c = self._classes.get(key)
+            if c is None:
+                c = self._classes[key] = next(_class_ids)
+            self._rooted[root] = c
         p._class = c
         return c
 

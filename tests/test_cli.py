@@ -369,9 +369,15 @@ def test_json_output_matches_golden_bytes(capsys, monkeypatch, name, function):
     assert out.encode("utf-8") == (GOLDENS / f"{name}.{function}.json").read_bytes()
 
 
-def _featflow(*argv, hashseed="0", encoding="utf-8", stdout=subprocess.PIPE, stderr=subprocess.PIPE):
-    """Run the CLI on ``argv`` (str or bytes) under ``PYTHONIOENCODING``
-    ``encoding``, or with it unset when None."""
+def _featflow(*argv, **how):
+    """Run the CLI on ``argv`` (str or bytes) in a child process, as
+    ``_python`` runs it."""
+    return _python("-m", "featflow", *argv, **how)
+
+
+def _python(*args, hashseed="0", encoding="utf-8", stdout=subprocess.PIPE, stderr=subprocess.PIPE):
+    """Run Python on ``args`` in ``FIXTURES``, with this checkout's package,
+    under ``PYTHONIOENCODING`` ``encoding``, or with it unset when None."""
     env = dict(os.environ, PYTHONHASHSEED=hashseed)
     env.pop("PYTHONIOENCODING", None)
     if encoding is not None:
@@ -379,7 +385,7 @@ def _featflow(*argv, hashseed="0", encoding="utf-8", stdout=subprocess.PIPE, std
     env.pop("PYTHONUNBUFFERED", None)  # the streams buffer as they do by default
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, "-m", "featflow", *argv],
+        [sys.executable, *args],
         cwd=FIXTURES,
         env=env,
         stdout=stdout,
@@ -388,13 +394,59 @@ def _featflow(*argv, hashseed="0", encoding="utf-8", stdout=subprocess.PIPE, std
     )
 
 
+# Each fixture's FIRST and FOLLOW (guard.gr unrestricted, so that it stops
+# at its iteration guard), bench21.gr's pair guard stopping inside a FIRST
+# visit and inside a FOLLOW visit, a string query with an empty-string
+# pair, and bench.
+HASH_SEED_RUNS = [
+    *([function, f"{name}.gr", "--format", "json", "--stats"] for name, function in GOLDEN_RUNS),
+    ["first", "bench21.gr", "--max-pairs", "20", "--format", "json", "--stats"],
+    ["follow", "bench21.gr", "--max-pairs", "41", "--format", "json", "--stats"],
+    ["string-first", "fig1.gr", "NP[slash=NP[]]", "--format", "json"],
+    ["bench", "bench21.gr", "--format", "json"],
+]
+
+# runs each command line of the JSON list argv[1] through ``main`` and
+# writes [exit code, stdout, stderr] of each as JSON
+RUN_EACH = """
+import contextlib, io, json, sys
+from featflow.cli import main
+
+def run(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+json.dump([run(argv) for argv in json.loads(sys.argv[1])], sys.stdout)
+"""
+
+
+def _without_wall_times(doc):
+    if isinstance(doc, dict):
+        return {k: _without_wall_times(v) for k, v in doc.items() if k != "wall_time"}
+    return [_without_wall_times(v) for v in doc] if isinstance(doc, list) else doc
+
+
 def test_json_output_is_independent_of_the_hash_seed():
-    argv = ("follow", "bench21.gr", "--format", "json", "--stats")
-    runs = [_featflow(*argv, hashseed=seed) for seed in ("0", "1")]
-    for proc in runs:
+    """Pairs, iteration rows, attempt counts, diagnostics and exit codes are
+    the same under two hash seeds, one child process each; bench's
+    ``wall_time`` measurements are dropped."""
+    seeded = []
+    for seed in ("0", "1"):
+        proc = _python("-c", RUN_EACH, json.dumps(HASH_SEED_RUNS), hashseed=seed)
         assert proc.returncode == 0, proc.stderr
-    assert runs[0].stdout == runs[1].stdout
-    assert runs[0].stdout == (GOLDENS / "bench21.follow.json").read_bytes()
+        results = json.loads(proc.stdout)
+        code, out, err = results[-1]
+        results[-1] = code, _without_wall_times(json.loads(out)), err
+        seeded.append(results)
+    assert seeded[0] == seeded[1]
+    stops = ["guard.gr" in argv or "--max-pairs" in argv for argv in HASH_SEED_RUNS]
+    assert [code for code, _, _ in seeded[0]] == [EXIT_LIMIT if stop else 0 for stop in stops]
+    follow = HASH_SEED_RUNS.index(golden_argv("bench21", "follow"))
+    assert seeded[0][follow][1].encode("utf-8") == (GOLDENS / "bench21.follow.json").read_bytes()
+    string = json.loads(seeded[0][-2][1])
+    assert [item["epsilon"] for item in string["pairs"]].count(True) == 1
 
 
 def test_python_dash_m_runs_the_cli():

@@ -511,6 +511,22 @@ def test_query_dedupe_compares_values_without_cat_with_labelled_ones():
         assert format_roots(query(s, parse_category("x[]"))) == ["a[f=p]"]
 
 
+def test_a_left_side_class_holds_in_every_set_that_holds_the_pair():
+    # the X[f=a] pair is classed in a first set, then held by a second one
+    # whose own first class is X[f=b]'s: the two must not share a class
+    shared = cat_pair("X[f=a]", "r1[ter=+]")
+    first = PairSet()
+    for p in (shared, cat_pair("X[f=b]", "r2[ter=+]")):
+        assert first.add(p)
+    assert format_roots(query(first, parse_category("X[f=a]"))) == ["r1[ter=+]"]
+    second = PairSet()
+    for p in (cat_pair("X[f=b]", "r3[ter=+]"), shared):
+        assert second.add(p)
+    assert format_roots(query(second, parse_category("X[f=b]"))) == ["r3[ter=+]"]
+    got = first_of_string(second, parse_grammar("S[] -> X[]."), [parse_category("X[f=a]")])
+    assert [format_pair(p) for p in got] == ["(x[f=a] , r1[ter=+])"]
+
+
 QUERY_ANTICHAIN_RULES = (
     "A[f=one] -> term X[a=one].",
     "A[g=one] -> term X[b=one].",

@@ -277,38 +277,6 @@ def test_prune_empty_leaves_keeps_shared_and_roots():
 
 
 # ---------------------------------------------------------------------------
-# brute force at depth <= 2, exhaustive where the matrix stays small
-
-def test_laws_exhaustive_depth_one():
-    universe = lt.exhaustive_universe(depth=1)
-    pairs = [(a, b) for a in universe for b in universe]
-    triples = [
-        (a, b, c)
-        for a in universe[::2]
-        for b in universe[::2]
-        for c in universe[::2]
-    ]
-    assert lt.check_idempotence(universe) == []
-    assert lt.check_commutativity(pairs) == []
-    assert lt.check_associativity(triples) == []
-    assert lt.check_unify_bounds(pairs) == []
-    assert lt.check_common_extension(pairs, universe) == []
-    assert lt.check_partial_order(universe, pairs, triples) == []
-
-
-def test_laws_sampled_depth_two():
-    universe = lt.exhaustive_universe(depth=2)
-    rng = random.Random(20240817)
-    pairs = [(rng.choice(universe), rng.choice(universe)) for _ in range(1500)]
-    triples = [tuple(rng.choice(universe) for _ in range(3)) for _ in range(700)]
-    assert lt.check_idempotence(universe) == []
-    assert lt.check_commutativity(pairs) == []
-    assert lt.check_associativity(triples) == []
-    assert lt.check_unify_bounds(pairs) == []
-    assert lt.check_partial_order(universe, pairs, triples) == []
-
-
-# ---------------------------------------------------------------------------
 # randomized structures with sharing, depth <= 4
 
 FEATS = ("f", "g", "h")

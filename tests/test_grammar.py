@@ -7,7 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from featflow import fs
@@ -691,6 +691,10 @@ def tagged_category_texts(draw):
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(tagged_category_texts())
+# a root that a tag binds to an atom, which hypothesis found at seed 7: the
+# parser refuses it, where the printer once wrote it as a bare atom that
+# read back as a category
+@example("$1 [] [] np[f=$2:[f=$1, g=a], g=a, h=$2:[f=a]]")
 def test_printed_tagged_strings_read_back(text):
     try:
         cats = parse_category_sequence(text)

@@ -5,17 +5,23 @@ must catch.
 
 Each entry of ``MUTANTS`` is (name, file, old text, new text): one small
 fault, written as the replacement of a text that occurs exactly once in
-its file.  M1-M24 are faults of the engine, ``firstfollow.py``, but for
-M21, which is retired: each label's index list holds its pairs alone, so
-no list of serials can fall out of step with it.  M25-M41 are faults of
-the front end, ``grammar.py``: token and issue positions in the lexer
-(M25-M35), the parser's cycle check (M36, M37) and the printer's two
-walks (M38-M41).  M42-M44 are faults of binding once per left-side
-class: in the engine's grouping (M42) and in the algebra's canonical key,
-``fs.py`` (M43, M44).  M15-M41 keep the evidence on which white-box tests
-of those internals retired: each fault such a test caught must still fail
-a test that remains.  For each mutant, the tool copies ``src/``,
-``tests/``, ``perfbench/`` (whose pool grammars the parse pin reads) and
+its file.  This docstring is the one place that says which faults there
+are and which tests must catch them:
+
+- M1-M24, faults of the engine, ``firstfollow.py``, but for M21, which is
+  retired: each label's index list holds its pairs alone, so no list of
+  serials can fall out of step with it.
+- M25-M41, faults of the front end, ``grammar.py``: token and issue
+  positions in the lexer (M25-M35), the parser's cycle check (M36, M37)
+  and the printer's two walks (M38-M41).
+- M42-M45, faults of binding once per left-side class: in the engine's
+  grouping (M42) and class numbering (M45), and in the algebra's
+  canonical key, ``fs.py`` (M43, M44).
+
+M15-M41 keep the evidence on which white-box tests of those internals
+retired: each fault such a test caught must still fail a test that
+remains.  For each mutant, the tool copies ``src/``, ``tests/``,
+``perfbench/`` (whose pool grammars the parse pin reads) and
 ``pyproject.toml`` to a temporary directory, makes the replacement there
 and runs the ``TESTS`` of the mutated file,
 
@@ -27,9 +33,9 @@ for the engine, for the front end and for the algebra, in it.  A mutant
 is caught when that run fails, and survives when it passes.  The same
 runs on an unchanged copy must pass first, so a copy the tests cannot run
 in does not pass for a catch.  Prints one line per mutant, with the first
-test that failed.  Stdlib only.  Exits 1 when the unchanged copy fails, when a
-mutant survives, or when an old text does not occur exactly once in its
-file of this checkout.
+test that failed.  Stdlib only.  Exits 1 when the unchanged copy fails,
+when a mutant survives, or when an old text does not occur exactly once
+in its file of this checkout.
 """
 
 import shutil
@@ -306,6 +312,12 @@ MUTANTS = (
         ALGEBRA,
         "out.append(n.atom)",
         'out.append("")',
+    ),
+    (
+        "M45 class ids restart per set",
+        ENGINE,
+        "c = self._classes[key] = next(_class_ids)",
+        "c = self._classes[key] = len(self._classes)",
     ),
 )
 

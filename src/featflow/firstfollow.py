@@ -31,17 +31,26 @@ read from ``fs.canonical_key`` of its left side, and a read binds, or
 tests, once per class: ``_bind_each`` binds the first pair of a class and
 hands the same kept copies to every later pair of it, with that pair's
 own right side; ``query`` and ``first_of_string``'s check of unknown
-categories call ``fs.unifiable`` once per class.  Every pair still counts
-as an attempt.  The products of one grouped bind share their left-side
-copy, as right sides are shared.  Sharing rests on an invariant the
+categories call ``fs.unifiable`` once per class.  Where the bound space
+lasts for the whole run, a FIRST rule's own roots at its first daughter
+and each of FOLLOW's kept tail spaces, the outcome of a class is kept for
+the run, so the class is bound there once.  Those kept copies are
+interned per run, so that equivalent ones from different rules and
+classes are one node, and a product that repeats an earlier offer node
+for node is rejected by identity (``_fixpoint``).  Every pair still
+counts as an attempt.  So products share their left-side copies across a
+whole run, as right sides are shared.  Sharing rests on an invariant the
 engine keeps:
 
 - nothing mutates a stored right side: a bind binds a pair's right side
   only when the sides are not apart, and only for the duration of a
   ``fs.unify_copy``, and that right side is never shared;
+- nothing binds a stored left side outside ``fs.unify_copy``, which
+  undoes every binding it made before it returns;
 - a right-side node is never another pair's left-side node (a FIRST
   seed's two sides are one node, so it is not apart), and a left-side
-  node is reached only from the left roots of one bind's products;
+  node is reached only from the left roots of the products that share
+  its copy;
 - working spaces (rules, their copies, cloned query strings) never hold
   a stored node;
 - ``query`` may return stored nodes, which a caller treats as read-only
@@ -85,7 +94,7 @@ from dataclasses import dataclass, field
 
 from . import fs
 from .fs import Node, UnificationFailed
-from .grammar import Grammar, end_category, format_roots, is_preterminal, label_of
+from .grammar import Grammar, end_category, format_roots, format_unshared, is_preterminal, label_of
 
 MODES = ("naive", "active")
 
@@ -143,16 +152,20 @@ class Pair:
     here, and ``lhs`` and ``rhs`` are never reassigned.
 
     A pair the engine adds to a ``PairSet`` is made from a product.  Its
-    left roots must be a fresh copy, restricted and pruned as
+    left roots must be a copy the run made, restricted and pruned as
     ``fs.restrict_many`` does with ``prune``: binds do that as they copy
     out, and seeds, empty-rule mothers and empty-string derivations go
     through it.  Pruning drops vacuous leftovers from discarded rule
     context, so that equal claims collide under the antichain operator.
     ``rhs`` is ``EPSILON``, or restricted and pruned too: a copy made with
     the left roots, or a stored right side a bind shared, which is one
-    already.  The products of one grouped bind (``_bind_each``) share
-    their left-side copy, as right sides are shared: each left-side node
-    is reached from the left roots of one bind only.
+    already.  Products share left-side copies across a whole run, as
+    right sides are shared: the kept copies of a class's bind serve every
+    later product of that class in the same space, and a run interns
+    them, one node per equivalent copy (``_bind_each``).  Each left-side
+    node is reached only from the left roots of the products that share
+    its copy, and nothing binds a stored left side outside
+    ``fs.unify_copy``, which undoes the binding before it returns.
 
     ``apart`` says whether the two sides are apart (``sides_apart``): True
     or False where the maker knows it, None to have it walked on the
@@ -161,7 +174,7 @@ class Pair:
     works out (``PairSet._classify``), once.
     """
 
-    __slots__ = ("serial", "lhs", "rhs", "is_epsilon", "comparison_roots", "key", "_tree", "_apart", "_class")
+    __slots__ = ("serial", "lhs", "rhs", "is_epsilon", "comparison_roots", "key", "_tree", "_apart", "_class", "_texts")
 
     def __init__(self, lhs, rhs, apart=None):
         self.serial = next(_serials)
@@ -175,6 +188,7 @@ class Pair:
         self._tree = None
         self._apart = True if self.is_epsilon else apart
         self._class = None
+        self._texts = None  # the print memo of the set that stored the pair, if it has one
 
     def lhs_is_tree(self) -> bool:
         """``fs.is_tree`` of the first left root, worked out on the first
@@ -241,9 +255,15 @@ class PairSet:
     ``first_of_string``).  A set numbers each left side at its first sight,
     from one count for the whole process, so a pair, which more than one
     set may hold, keeps a class that no other left side has.
+
+    ``texts``, a dict the set owns, keeps the printed text of each side
+    that ``format_pair`` printed on its own, by node, so that a side many
+    of the set's pairs share is printed once.  Only a set of
+    single-category pairs, which ``_fixpoint`` builds, is given one; a
+    pair takes it from the set that stores it.
     """
 
-    def __init__(self):
+    def __init__(self, texts=None):
         self.pairs = []  # insertion order, which is the output order
         self._buckets = {}  # Pair.key -> stored pairs with that key
         self._wild = {}  # the keys in _buckets that hold None, as an ordered set
@@ -259,6 +279,7 @@ class PairSet:
         self._held = {}
         self._classes = {}  # fs.canonical_key of a left side -> its class
         self._rooted = {}  # left root -> its class, so that each is keyed once
+        self._texts = texts
 
     def __len__(self):
         return len(self.pairs)
@@ -328,6 +349,7 @@ class PairSet:
                     self._held[label, p.is_epsilon] = holders
             for listed in holders:
                 listed.append(p)
+        p._texts = self._texts
         self.added += 1
         return True
 
@@ -381,13 +403,28 @@ class PairSet:
         root = p.lhs[0]
         c = self._rooted.get(root)
         if c is None:
-            key = fs.canonical_key(p.lhs)
-            c = self._classes.get(key)
-            if c is None:
-                c = self._classes[key] = next(_class_ids)
-            self._rooted[root] = c
+            c = self._rooted[root] = self._key_class(fs.canonical_key(p.lhs))
         p._class = c
         return c
+
+    def _key_class(self, key) -> int:
+        """The class of the left sides whose ``fs.canonical_key`` is
+        ``key``, numbered at the key's first sight."""
+        c = self._classes.get(key)
+        if c is None:
+            c = self._classes[key] = next(_class_ids)
+        return c
+
+    def _intern(self, copies, interned: dict):
+        """The copy that ``interned`` keeps, by ``fs.canonical_key``, of
+        the left side ``copies``, a fresh copy of one root: ``copies``
+        itself at its key's first sight, when this set also classes its
+        root, so that its first read keys it no more."""
+        key = fs.canonical_key(copies)
+        kept = interned.setdefault(key, copies)
+        if kept is copies:
+            self._rooted[copies[0]] = self._key_class(key)
+        return kept
 
     def _woken(self, labels, lo: int) -> bool:
         """Whether some pair above serial ``lo`` may have a left side that
@@ -545,7 +582,7 @@ def _bind(root, pair, kept, cut, prune):
     return out, rhs, None
 
 
-def _bind_each(space, pos, read, rec, keep=None, restrictor=None):
+def _bind_each(space, pos, read, rec, keep=None, restrictor=None, made=None, interned=None):
     """``_bind`` the root at ``pos`` of ``space`` to each pair of ``read``,
     a ``_Read``, that its label allows, in serial order, copying out the
     roots at the indices ``keep`` (every root when None); with a
@@ -561,11 +598,18 @@ def _bind_each(space, pos, read, rec, keep=None, restrictor=None):
     read shares, the kept roots and the restriction, is set up once.
 
     Pairs of one left-side class (``PairSet._classify``) bind alike, so
-    the read binds only the first pair of each class it tries.  A later
-    pair of that class fails if the first failed, and otherwise yields the
-    same kept copies, with its own right side: its sides are apart, so the
-    binding cannot reach it.  A pair whose sides are not apart binds
-    alone.
+    only the first pair of each class is bound.  A later pair of that
+    class fails if the first failed, and otherwise yields the same kept
+    copies, with its own right side: its sides are apart, so the binding
+    cannot reach it.  A pair whose sides are not apart binds alone.
+
+    ``made`` maps each class bound so far to its kept copies, or to None
+    if the bind failed.  A caller whose ``space``, ``pos``, ``keep`` and
+    ``restrictor`` recur over a run passes one ``made`` for all of them,
+    so a class is bound once per run there; otherwise each call starts
+    its own.  With ``interned``, a dict from ``fs.canonical_key`` to
+    copies, a copy entering ``made`` is replaced by an equivalent one
+    made before, so that equivalent products share one node.
     """
     root = space[pos]
     pset = read.pset
@@ -575,7 +619,8 @@ def _bind_each(space, pos, read, rec, keep=None, restrictor=None):
         return
     kept = space if keep is None else [space[i] for i in keep]
     cut, prune = restrictor or frozenset(), restrictor is not None
-    made = {}  # left-side class -> the kept copies its first bind made, None if it failed
+    if made is None:
+        made = {}
     for p in listed[start:end]:
         rec.attempts += 1
         c = p._class
@@ -589,7 +634,10 @@ def _bind_each(space, pos, read, rec, keep=None, restrictor=None):
         copies = made.get(c, False)
         if copies is False:
             got = _bind(root, p, kept, cut, prune)
-            copies = made[c] = None if got is None else got[0]
+            copies = None if got is None else got[0]
+            if copies is not None and interned is not None:
+                copies = pset._intern(copies, interned)
+            made[c] = copies
         if copies is not None:
             yield p, copies, p.rhs, True
 
@@ -604,7 +652,9 @@ def _eps_step(level, pos, eps, rec):
             yield bound, max(newest, e.serial)
 
 
-def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None, with_empty=False):
+def _first_of_span(
+    space, span, eps, drivers, rec, keep, restrictor, fresh=None, with_empty=False, made=None, interned=None
+):
     """FIRST of the positions ``span`` of ``space`` under the empty pairs
     read by ``eps`` and the others read by ``drivers``, two ``_Read`` of one
     set up to one serial: for each position, every way to bind the
@@ -630,6 +680,10 @@ def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None,
     it, and an empty-string derivation that binds none is left out, so
     every one uses a pair above ``lo``; when ``lo`` is 0, every pair is
     above it, and so is a derivation that binds nothing.
+
+    ``made`` and ``interned`` go to the binds of the first position, the
+    only ones made in ``space`` itself (``_bind_each``); later positions
+    bind ε-bound prefixes, new copies on every call.
     """
     fresh = fresh or drivers
     last = len(span) - 1
@@ -639,8 +693,9 @@ def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None,
         for bound, newest in level:
             prefixes.append((bound, newest))
             pool = drivers if newest > fresh.lo else fresh
-            for _, kept, rhs, apart in _bind_each(bound, pos, pool, rec, keep, restrictor):
+            for _, kept, rhs, apart in _bind_each(bound, pos, pool, rec, keep, restrictor, made, interned):
                 yield kept, rhs, apart
+        made = interned = None
         if not prefixes or (j == last and not with_empty):
             return
         # an atomic cat stays in every prefix; empty reads start at 0
@@ -669,19 +724,33 @@ def _fixpoint(function: str, g: Grammar, mode: str, seed, visit):
     it begins.  ``store(lhs_roots, rhs, apart)`` adds that ``Pair`` to the
     set; the insertion that takes the set past ``g.max_pairs`` raises
     LimitExceeded, as does a pass beyond ``g.max_iterations``.
+
+    Products whose sides are apart share left copies (``_bind_each``), so
+    one may be the very (left root, right side) node pair of an earlier
+    offer.  That offer was stored or subsumed, and the set still holds a
+    subsumer of it, since a pair is replaced only by one that subsumes it:
+    so ``store`` rejects the repeat, counted as ``PairSet.add`` would
+    count it, without a ``Pair`` or a scan.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, not {mode!r}")
-    out = PairSet()
+    out = PairSet(texts={})
     rec = _Recorder()
     started = time.perf_counter()  # the engine's one clock, for wall_time
     active = mode == "active"
     marks = {}  # rule id -> the newest serial offered to the rule, in active mode
+    offered = set()  # (left root, right side) of each product offered with its sides apart
 
     def finish(fixpoint, pset=None):
         return rec.finish(fixpoint, time.perf_counter() - started, pset)
 
     def store(lhs_roots, rhs, apart=None):
+        if apart:
+            sides = (lhs_roots[0], rhs)
+            if sides in offered:
+                out.rejected += 1
+                return False
+            offered.add(sides)
         added = out.add(Pair(lhs_roots, rhs, apart))
         if added and len(out) > g.max_pairs:
             raise LimitExceeded(function, "pairs", g.max_pairs, finish(False, out))
@@ -728,11 +797,13 @@ def compute_first(g: Grammar, mode: str = "active"):
     when all k daughters do.  A combination must use an offered pair, so a
     visit where no daughter's label has a pair above ``lo`` reads nothing.
     """
-    # rule id -> (the rule's space, the positions of its daughters, their wake labels)
+    # rule id -> (the rule's space, the positions of its daughters, their
+    # wake labels, and the first daughter's binds in that space, by class)
     plans = {
-        r.rule_id: (r.roots(), list(range(1, 1 + len(r.daughters))), _wake_labels(r.daughters))
+        r.rule_id: (r.roots(), list(range(1, 1 + len(r.daughters))), _wake_labels(r.daughters), {})
         for r in g.rules
     }
+    interned = {}  # fs.canonical_key -> the one copy kept of it, for the whole run
 
     def seed(store):
         for r in g.rules:
@@ -749,7 +820,7 @@ def compute_first(g: Grammar, mode: str = "active"):
         if not offer.n:
             return False
         first, lo, hi = offer.pset, offer.lo, offer.hi
-        base, span, labels = plans[rule.rule_id]
+        base, span, labels, made = plans[rule.rule_id]
         eps = _Read(first, _EPS, 0, hi)
         fresh = _Read(first, _DRIVERS, lo, hi)
         if labels is not None and not first._woken(labels, lo):
@@ -760,7 +831,9 @@ def compute_first(g: Grammar, mode: str = "active"):
             return False
         drivers = _Read(first, _DRIVERS, 0, hi) if lo else fresh
         changed = False
-        products = _first_of_span(base, span, eps, drivers, rec, [0], g.restrictor, fresh, with_empty=True)
+        products = _first_of_span(
+            base, span, eps, drivers, rec, [0], g.restrictor, fresh, with_empty=True, made=made, interned=interned
+        )
         for mother, rhs, apart in products:
             if rhs is EPSILON:
                 mother = fs.restrict_many(mother[:1], g.restrictor, prune=True)
@@ -843,9 +916,11 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
     for r in g.rules:
         k = len(r.daughters)
         plans[r.rule_id] = (r.roots(), [list(range(2 + i, 1 + k)) for i in range(k)], _wake_labels([r.mother]))
-    # rule id -> (i, space) for each daughter i and each way to bind its
-    # suffix to empty pairs, enumerated on the rule's first visit
+    # rule id -> (i, space, made) for each daughter i and each way to bind
+    # its suffix to empty pairs, enumerated on the rule's first visit, with
+    # the binds of the mother in that space, by class
     kept = {}
+    interned = {}  # fs.canonical_key -> the one copy kept of it, for the whole run
 
     def seed(store):
         start, end = fs.restrict_many([g.start, end_category()], g.restrictor, prune=True)
@@ -867,7 +942,7 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
                 products = _first_of_span(base, tail, eps, drivers, rec, [1 + i], g.restrictor, with_empty=first_visit)
                 for daughter, rhs, apart in products:
                     if rhs is EPSILON:
-                        spaces.append((i, daughter))
+                        spaces.append((i, daughter, {}))
                     else:
                         changed |= store(daughter, rhs, apart)
         elif labels is not None:
@@ -882,8 +957,8 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
                 # avail
                 rec.passed(offer, 0)
                 return False
-            for i, space in spaces:
-                for _, daughter, rhs, apart in _bind_each(space, 0, offer, rec, [1 + i], g.restrictor):
+            for i, space, made in spaces:
+                for _, daughter, rhs, apart in _bind_each(space, 0, offer, rec, [1 + i], g.restrictor, made, interned):
                     changed |= store(daughter, rhs, apart)
         return changed
 
@@ -1020,12 +1095,40 @@ def compare_modes(g: Grammar) -> ModeReport:
 
 def _sides(p: Pair) -> tuple:
     """The printed sides of ``p``: one text per left root, and the right
-    side's text, None for the empty string.  Both come from one
-    ``format_roots`` walk, so a tag shared across the sides agrees."""
+    side's text, None for the empty string.  Both are what one
+    ``format_roots`` walk of the two gives, so a tag shared across the
+    sides agrees.
+
+    A side that shares no complex node with the other, nor within itself,
+    has no tag, and prints alone as it does there.  So when the sides of a
+    single-category pair are apart, each is taken from the print memo of
+    the set that stored the pair, printed there on first sight; a side
+    with a shared node is noted there as False and the pair printed
+    jointly."""
+    texts = p._texts
+    if texts is not None and len(p.lhs) == 1 and p.sides_apart():
+        lhs = _side_text(texts, p.lhs[0])
+        if lhs is not False:
+            if p.is_epsilon:
+                return [lhs], None
+            rhs = _side_text(texts, p.rhs)
+            if rhs is not False:
+                return [lhs], rhs
     if p.is_epsilon:
         return format_roots(p.lhs), None
     rendered = format_roots([*p.lhs, p.rhs])
     return rendered[:-1], rendered[-1]
+
+
+def _side_text(texts: dict, root) -> str:
+    """The text of ``root`` kept in ``texts``, printed and kept there on
+    first sight: ``format_unshared``'s, or False when ``root`` reaches a
+    complex node twice."""
+    text = texts.get(root)
+    if text is None:
+        text = format_unshared(root)
+        text = texts[root] = False if text is None else text
+    return text
 
 
 def _pair_text(lhs, rhs) -> str:

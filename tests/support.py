@@ -1,6 +1,7 @@
 """Shared helpers for the test suite."""
 
 import importlib
+import random
 import sys
 from pathlib import Path
 
@@ -26,6 +27,19 @@ def perfbench_module(name):
 gen = perfbench_module("gen")
 oracle = perfbench_module("oracle")
 END, EPS = oracle.END, oracle.EPS
+
+
+def scale_grammars():
+    """Four of the benchmark's generated grammars at fixed seeds, far
+    larger than the random ones: ``layered_wide`` and ``dense_features``
+    at 200 and 800 rules each."""
+    out = []
+    for n in (200, 800):
+        rng = random.Random(f"scale/layered_wide/{n}")
+        out.append(gen.layered_wide(rng, f"layered_wide/{n}", n, max(12, n // 8)))
+        rng = random.Random(f"scale/dense_features/{n}")
+        out.append(gen.dense_features(rng, f"dense_features/{n}", n))
+    return out
 
 
 def fixture_path(name):

@@ -32,7 +32,7 @@ from featflow.grammar import (
 )
 from cf_oracle import random_cf_grammar, random_feature_grammar
 import lattice_tools as lt
-from support import END, fixture_path, gen, has_path, load_fixture, oracle, project
+from support import END, fixture_path, gen, has_path, load_fixture, oracle, project, scale_grammars
 
 
 def criterion(num, title):
@@ -184,6 +184,17 @@ def test_criterion_5_modes_and_shape(capsys):
         for stats in (rep.first_stats, rep.follow_stats):
             if len(stats["naive"].rows) >= 2:
                 assert stats["active"].events < stats["naive"].events
+
+    # agreement far past the random grammars' sizes, and with the
+    # context-free FIRST and FOLLOW of each grammar's label skeleton
+    for made in scale_grammars():
+        g = parse_grammar(made.text, made.name)
+        rep = compare_modes(g)
+        assert rep.first_equivalent and rep.follow_equivalent, made.name
+        first, _ = compute_first(g)
+        follow, _ = compute_follow(g, first)
+        tables = oracle.CFTables(made.skeleton)
+        assert oracle.check_pairs(tables, first, "first") + oracle.check_pairs(tables, follow, "follow") == [], made.name
 
     g21 = load_fixture("bench21.gr")
     _, stats = compute_first(g21, "active")

@@ -3,7 +3,9 @@
 import collections
 import dataclasses
 import functools
+import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -45,7 +47,9 @@ from cf_oracle import (
     random_cf_grammar,
     random_feature_grammar,
 )
-from support import gen, has_path, load_fixture, node_state, project
+from support import gen, has_path, load_fixture, node_state, project, scale_grammars
+
+ENGINE_GOLDEN = Path(__file__).parent / "goldens" / "engine.json"
 
 
 def cat_pair(lhs_text, rhs_text):
@@ -865,6 +869,40 @@ def test_add_idempotent_over_fixpoint_clones():
     assert len(first) == 8
 
 
+def joint_text(p):
+    """``p`` printed from one ``format_roots`` walk of both its sides."""
+    texts = format_roots([*p.lhs] if p.is_epsilon else [*p.lhs, p.rhs])
+    rhs = "ε" if p.is_epsilon else texts.pop()
+    return f"({' '.join(texts)} , {rhs})"
+
+
+def test_each_pair_prints_as_its_sides_print_together():
+    # sides that share a node, a left side and a right side with a tag of
+    # their own, and a side that prints alone but sits in such a pair
+    tagged = parse_grammar(
+        "S[f=$1:[h=x], g=$1] -> A[] B[f=$2:[h=y], g=$2, ter=+] C[]. A[] -> a[ter=+]. C[] -> c[ter=+]."
+    )
+    grammars = [load_fixture(name) for name in FIXTURES] + [load_fixture("guard.gr", restrictor=["orth"]), tagged]
+    grammars += [parse_grammar(record["grammar"]) for record in json.loads(ENGINE_GOLDEN.read_text(encoding="utf-8"))]
+    grammars += [parse_grammar(made.text, made.name) for made in scale_grammars()]
+    shown = set()
+    for g in grammars:
+        first, _ = compute_first(g)
+        follow, _ = compute_follow(g, first)
+        for s in (first, follow):
+            for p in s:
+                text = format_pair(p)
+                assert text == joint_text(p) == format_pair(p), (g.name, text, joint_text(p))
+                shown.add(text)
+    assert {
+        "(#1:det[ter=+] , #1)",
+        "(vp[agr=#1:[]] , vtra[agr=#1, ter=+])",
+        "(s[f=#1:[h=x], g=#1] , a[ter=+])",
+        "(a[] , b[f=#1:[h=y], g=#1, ter=+])",
+        "(b[f=#1:[h=y], g=#1, ter=+] , c[ter=+])",
+    } <= shown
+
+
 # ---------------------------------------------------------------------------
 # label-indexed pools against a full scan
 
@@ -882,12 +920,13 @@ def labels_clash(a, b):
     return x is not None and y is not None and x != y
 
 
-def full_scan_bind_each(space, pos, read, rec, keep=None, restrictor=None, grouped=None):
+def full_scan_bind_each(space, pos, read, rec, keep=None, restrictor=None, made=None, interned=None, grouped=None):
     """The loop the label index and the left-side classes replaced: go
     through every pair of the read's serial range, note each serial in the
-    visit, and bind each whose label does not differ, on its own.  The read
-    is begun on entry with the count of the others, as ``_bind_each`` says,
-    and each bind is an attempt.
+    visit, and bind each whose label does not differ, on its own, into a
+    fresh copy: ``made`` and ``interned`` are not read.  The read is begun
+    on entry with the count of the others, as ``_bind_each`` says, and
+    each bind is an attempt.
 
     Given a Counter as ``grouped``, it counts by outcome (True for a bind)
     the binds ``_bind_each`` groups: those of a pair whose sides are apart

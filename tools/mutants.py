@@ -17,6 +17,10 @@ are and which tests must catch them:
 - M42-M45, faults of binding once per left-side class: in the engine's
   grouping (M42) and class numbering (M45), and in the algebra's
   canonical key, ``fs.py`` (M43, M44).
+- M46-M50, faults of doing a shared side's work once per run, in the
+  engine: grouped binds kept past the space they were made in (M46, M47),
+  a side printed alone where it shares a node with the other (M48), and
+  the rejection of a repeated product by identity (M49, M50).
 
 M15-M41 keep the evidence on which white-box tests of those internals
 retired: each fault such a test caught must still fail a test that
@@ -100,8 +104,8 @@ MUTANTS = (
     (
         "M8 FOLLOW keeps only the first daughter's tail spaces",
         ENGINE,
-        "spaces.append((i, daughter))",
-        "spaces.append((i, daughter)) if i == 0 else None",
+        "spaces.append((i, daughter, {}))",
+        "spaces.append((i, daughter, {})) if i == 0 else None",
     ),
     (
         "M9 eager empty-prefix levels",
@@ -318,6 +322,36 @@ MUTANTS = (
         ENGINE,
         "c = self._classes[key] = next(_class_ids)",
         "c = self._classes[key] = len(self._classes)",
+    ),
+    (
+        "M46 FIRST's kept binds used past the first position",
+        ENGINE,
+        "        made = interned = None\n",
+        "",
+    ),
+    (
+        "M47 one memo shared by all of a rule's tail spaces",
+        ENGINE,
+        "spaces.append((i, daughter, {}))",
+        "spaces.append((i, daughter, spaces[0][2] if spaces else {}))",
+    ),
+    (
+        "M48 the print-once memo used when the sides are not apart",
+        ENGINE,
+        "if texts is not None and len(p.lhs) == 1 and p.sides_apart():",
+        "if texts is not None and len(p.lhs) == 1:",
+    ),
+    (
+        "M49 a repeated product is known by its left root alone",
+        ENGINE,
+        "sides = (lhs_roots[0], rhs)",
+        "sides = lhs_roots[0]",
+    ),
+    (
+        "M50 a repeated product is rejected uncounted",
+        ENGINE,
+        "                out.rejected += 1\n                return False\n",
+        "                return False\n",
     ),
 )
 

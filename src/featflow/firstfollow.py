@@ -27,20 +27,21 @@ is walked, once, on its first bind.
 
 Pairs whose sides are apart and whose left sides are equivalent bind
 alike.  So each such pair has a left-side class, worked out on its first
-read from ``fs.canonical_key`` of its left side, and a read binds, or
-tests, once per class: ``_bind_each`` binds the first pair of a class and
-hands the same kept copies to every later pair of it, with that pair's
-own right side; ``query`` and ``first_of_string``'s check of unknown
-categories call ``fs.unifiable`` once per class.  Where the bound space
-lasts for the whole run, a FIRST rule's own roots at its first daughter
-and each of FOLLOW's kept tail spaces, the outcome of a class is kept for
-the run, so the class is bound there once.  Those kept copies are
-interned per run, so that equivalent ones from different rules and
-classes are one node, and a product that repeats an earlier offer node
-for node is rejected by identity (``_fixpoint``).  Every pair still
-counts as an attempt.  So products share their left-side copies across a
-whole run, as right sides are shared.  Sharing rests on an invariant the
-engine keeps:
+read from ``fs.canonical_key`` of its left side.  A class is a node: the
+root that the set first saw with that key (``PairSet._classify``).  A
+read binds once per class: ``_bind_each`` binds the first pair of a class
+and hands the same kept copies to every later pair of it, with that
+pair's own right side; ``query`` calls ``fs.unifiable`` once per class.
+Where the bound space lasts for the whole run, a FIRST rule's own roots
+at its first daughter and each of FOLLOW's kept tail spaces, the outcome
+of a class is kept for the run, so the class is bound there once.  The
+set the run builds interns those kept copies in the same map of classes
+(``PairSet._intern``): an equivalent copy from another rule or class, or
+a stored left root, is one node with them.  So a product that repeats an
+earlier offer node for node is rejected by identity (``_fixpoint``).
+Every pair still counts as an attempt.  So products share their
+left-side copies across a whole run, as right sides are shared.  Sharing
+rests on an invariant the engine keeps:
 
 - nothing mutates a stored right side: a bind binds a pair's right side
   only when the sides are not apart, and only for the duration of a
@@ -49,8 +50,7 @@ engine keeps:
   undoes every binding it made before it returns;
 - a right-side node is never another pair's left-side node (a FIRST
   seed's two sides are one node, so it is not apart), and a left-side
-  node is reached only from the left roots of the products that share
-  its copy;
+  node is reached only from the left roots of the pairs that share it;
 - working spaces (rules, their copies, cloned query strings) never hold
   a stored node;
 - ``query`` may return stored nodes, which a caller treats as read-only
@@ -134,7 +134,6 @@ EPSILON = EpsilonMark()
 
 
 _serials = itertools.count(1)
-_class_ids = itertools.count()  # left-side classes, numbered across every set
 _serial = operator.attrgetter("serial")  # the key the label index is bisected by
 
 
@@ -161,17 +160,19 @@ class Pair:
     the left roots, or a stored right side a bind shared, which is one
     already.  Products share left-side copies across a whole run, as
     right sides are shared: the kept copies of a class's bind serve every
-    later product of that class in the same space, and a run interns
-    them, one node per equivalent copy (``_bind_each``).  Each left-side
-    node is reached only from the left roots of the products that share
-    its copy, and nothing binds a stored left side outside
-    ``fs.unify_copy``, which undoes the binding before it returns.
+    later product of that class in the same space, and the set the run
+    builds interns them, one node per equivalent left side
+    (``PairSet._intern``).  Each left-side node is reached only from the
+    left roots of the pairs that share it, and nothing binds a stored left
+    side outside ``fs.unify_copy``, which undoes the binding before it
+    returns.
 
     ``apart`` says whether the two sides are apart (``sides_apart``): True
     or False where the maker knows it, None to have it walked on the
-    first call.  An empty-string pair is always apart.  A pair whose sides
-    are apart has a left-side class, which the set that first reads it
-    works out (``PairSet._classify``), once.
+    first call.  An empty-string pair is always apart.  ``_class`` is set
+    once, by the set that first reads the pair (``PairSet._classify``):
+    the root of its left-side class when its sides are apart, and False
+    when they are not.
     """
 
     __slots__ = ("serial", "lhs", "rhs", "is_epsilon", "comparison_roots", "key", "_tree", "_apart", "_class", "_texts")
@@ -188,7 +189,7 @@ class Pair:
         self._tree = None
         self._apart = True if self.is_epsilon else apart
         self._class = None
-        self._texts = None  # the print memo of the set that stored the pair, if it has one
+        self._texts = None  # the print memo of the set that last stored the pair
 
     def lhs_is_tree(self) -> bool:
         """``fs.is_tree`` of the first left root, worked out on the first
@@ -250,20 +251,21 @@ class PairSet:
     calls before every visit; the driver, not the set, keeps the marks.
 
     A single-category pair whose sides are apart belongs to a left-side
-    class, a number that only pairs with equivalent left sides share: a
-    read binds, or tests, once per class (``_bind_each``, ``query``,
-    ``first_of_string``).  A set numbers each left side at its first sight,
-    from one count for the whole process, so a pair, which more than one
-    set may hold, keeps a class that no other left side has.
+    class, and a read binds, or tests, once per class (``_bind_each``,
+    ``query``).  A class is the root that founded it: the first left side
+    with its ``fs.canonical_key`` that the set saw, in a read
+    (``_classify``) or as a copy it interns (``_intern``).  ``_classes``
+    is the one map of both.  Two roots with one key are equivalent, so a
+    class root is a valid class in every set: a pair, which more than one
+    set may hold, keeps the class that the first set to read it gave it.
 
-    ``texts``, a dict the set owns, keeps the printed text of each side
+    Each set owns a print memo, which keeps the printed text of each side
     that ``format_pair`` printed on its own, by node, so that a side many
-    of the set's pairs share is printed once.  Only a set of
-    single-category pairs, which ``_fixpoint`` builds, is given one; a
-    pair takes it from the set that stores it.
+    of the set's pairs share is printed once; a pair takes it from the set
+    that stores it.
     """
 
-    def __init__(self, texts=None):
+    def __init__(self):
         self.pairs = []  # insertion order, which is the output order
         self._buckets = {}  # Pair.key -> stored pairs with that key
         self._wild = {}  # the keys in _buckets that hold None, as an ordered set
@@ -277,9 +279,9 @@ class PairSet:
         # (label, is_epsilon) -> the index lists a labelled pair joins: lists
         # are never replaced, only appended to and settled
         self._held = {}
-        self._classes = {}  # fs.canonical_key of a left side -> its class
-        self._rooted = {}  # left root -> its class, so that each is keyed once
-        self._texts = texts
+        self._classes = {}  # fs.canonical_key of a left side -> its class root
+        self._rooted = {}  # left root -> its class root, so that each is keyed once
+        self._texts = {}  # node -> its printed text, or False (``_side_text``)
 
     def __len__(self):
         return len(self.pairs)
@@ -390,41 +392,34 @@ class PairSet:
             end = bisect.bisect_right(listed, hi, key=_serial)
         return listed, start, end
 
-    def _classify(self, p: Pair) -> int:
+    def _classify(self, p: Pair):
         """Set and return the left-side class of ``p``, a single-category
-        pair of this set: -1 when its sides are not apart, so that it binds
-        alone, and otherwise the class of its left side's
+        pair of this set: False when its sides are not apart, so that it
+        binds alone, and otherwise the class root of its left side's
         ``fs.canonical_key``, whose keys equal exactly when the left sides
-        are equivalent, numbered here at the key's first sight.  Called on
-        the pair's first read, in whichever set that is."""
+        are equivalent.  Called on the pair's first read, in whichever set
+        that is."""
         if not p.sides_apart():
-            p._class = -1
-            return -1
+            p._class = False
+            return False
         root = p.lhs[0]
         c = self._rooted.get(root)
         if c is None:
-            c = self._rooted[root] = self._key_class(fs.canonical_key(p.lhs))
+            c = self._rooted[root] = self._classes.setdefault(fs.canonical_key(p.lhs), root)
         p._class = c
         return c
 
-    def _key_class(self, key) -> int:
-        """The class of the left sides whose ``fs.canonical_key`` is
-        ``key``, numbered at the key's first sight."""
-        c = self._classes.get(key)
-        if c is None:
-            c = self._classes[key] = next(_class_ids)
-        return c
-
-    def _intern(self, copies, interned: dict):
-        """The copy that ``interned`` keeps, by ``fs.canonical_key``, of
-        the left side ``copies``, a fresh copy of one root: ``copies``
-        itself at its key's first sight, when this set also classes its
-        root, so that its first read keys it no more."""
-        key = fs.canonical_key(copies)
-        kept = interned.setdefault(key, copies)
-        if kept is copies:
-            self._rooted[copies[0]] = self._key_class(key)
-        return kept
+    def _intern(self, copies):
+        """The left side ``copies``, a fresh copy of one root, as this set
+        keeps it: the class root of its ``fs.canonical_key`` when the set
+        has one, and otherwise ``copies`` itself, whose root then founds
+        the class, so that its first read keys it no more."""
+        root = copies[0]
+        c = self._classes.setdefault(fs.canonical_key(copies), root)
+        if c is root:
+            self._rooted[root] = root
+            return copies
+        return [c]
 
     def _woken(self, labels, lo: int) -> bool:
         """Whether some pair above serial ``lo`` may have a left side that
@@ -582,7 +577,7 @@ def _bind(root, pair, kept, cut, prune):
     return out, rhs, None
 
 
-def _bind_each(space, pos, read, rec, keep=None, restrictor=None, made=None, interned=None):
+def _bind_each(space, pos, read, rec, keep=None, restrictor=None, made=None):
     """``_bind`` the root at ``pos`` of ``space`` to each pair of ``read``,
     a ``_Read``, that its label allows, in serial order, copying out the
     roots at the indices ``keep`` (every root when None); with a
@@ -607,9 +602,10 @@ def _bind_each(space, pos, read, rec, keep=None, restrictor=None, made=None, int
     if the bind failed.  A caller whose ``space``, ``pos``, ``keep`` and
     ``restrictor`` recur over a run passes one ``made`` for all of them,
     so a class is bound once per run there; otherwise each call starts
-    its own.  With ``interned``, a dict from ``fs.canonical_key`` to
-    copies, a copy entering ``made`` is replaced by an equivalent one
-    made before, so that equivalent products share one node.
+    its own.  Copies kept for the run, those of a caller's ``made``, are
+    of one kept root, and the read's set interns each as it enters
+    ``made`` (``PairSet._intern``), so that equivalent products share one
+    node: the set's class root where it has an equivalent one.
     """
     root = space[pos]
     pset = read.pset
@@ -619,14 +615,15 @@ def _bind_each(space, pos, read, rec, keep=None, restrictor=None, made=None, int
         return
     kept = space if keep is None else [space[i] for i in keep]
     cut, prune = restrictor or frozenset(), restrictor is not None
-    if made is None:
+    kept_for_run = made is not None
+    if not kept_for_run:
         made = {}
     for p in listed[start:end]:
         rec.attempts += 1
         c = p._class
         if c is None:
             c = pset._classify(p)
-        if c < 0:
+        if c is False:
             got = _bind(root, p, kept, cut, prune)
             if got is not None:
                 yield p, *got
@@ -635,8 +632,8 @@ def _bind_each(space, pos, read, rec, keep=None, restrictor=None, made=None, int
         if copies is False:
             got = _bind(root, p, kept, cut, prune)
             copies = None if got is None else got[0]
-            if copies is not None and interned is not None:
-                copies = pset._intern(copies, interned)
+            if copies is not None and kept_for_run:
+                copies = pset._intern(copies)
             made[c] = copies
         if copies is not None:
             yield p, copies, p.rhs, True
@@ -652,9 +649,7 @@ def _eps_step(level, pos, eps, rec):
             yield bound, max(newest, e.serial)
 
 
-def _first_of_span(
-    space, span, eps, drivers, rec, keep, restrictor, fresh=None, with_empty=False, made=None, interned=None
-):
+def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None, with_empty=False, made=None):
     """FIRST of the positions ``span`` of ``space`` under the empty pairs
     read by ``eps`` and the others read by ``drivers``, two ``_Read`` of one
     set up to one serial: for each position, every way to bind the
@@ -681,9 +676,9 @@ def _first_of_span(
     every one uses a pair above ``lo``; when ``lo`` is 0, every pair is
     above it, and so is a derivation that binds nothing.
 
-    ``made`` and ``interned`` go to the binds of the first position, the
-    only ones made in ``space`` itself (``_bind_each``); later positions
-    bind ε-bound prefixes, new copies on every call.
+    ``made`` goes to the binds of the first position, the only ones made
+    in ``space`` itself (``_bind_each``); later positions bind ε-bound
+    prefixes, new copies on every call.
     """
     fresh = fresh or drivers
     last = len(span) - 1
@@ -693,9 +688,9 @@ def _first_of_span(
         for bound, newest in level:
             prefixes.append((bound, newest))
             pool = drivers if newest > fresh.lo else fresh
-            for _, kept, rhs, apart in _bind_each(bound, pos, pool, rec, keep, restrictor, made, interned):
+            for _, kept, rhs, apart in _bind_each(bound, pos, pool, rec, keep, restrictor, made):
                 yield kept, rhs, apart
-        made = interned = None
+        made = None
         if not prefixes or (j == last and not with_empty):
             return
         # an atomic cat stays in every prefix; empty reads start at 0
@@ -734,7 +729,7 @@ def _fixpoint(function: str, g: Grammar, mode: str, seed, visit):
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, not {mode!r}")
-    out = PairSet(texts={})
+    out = PairSet()
     rec = _Recorder()
     started = time.perf_counter()  # the engine's one clock, for wall_time
     active = mode == "active"
@@ -803,7 +798,6 @@ def compute_first(g: Grammar, mode: str = "active"):
         r.rule_id: (r.roots(), list(range(1, 1 + len(r.daughters))), _wake_labels(r.daughters), {})
         for r in g.rules
     }
-    interned = {}  # fs.canonical_key -> the one copy kept of it, for the whole run
 
     def seed(store):
         for r in g.rules:
@@ -831,9 +825,7 @@ def compute_first(g: Grammar, mode: str = "active"):
             return False
         drivers = _Read(first, _DRIVERS, 0, hi) if lo else fresh
         changed = False
-        products = _first_of_span(
-            base, span, eps, drivers, rec, [0], g.restrictor, fresh, with_empty=True, made=made, interned=interned
-        )
+        products = _first_of_span(base, span, eps, drivers, rec, [0], g.restrictor, fresh, with_empty=True, made=made)
         for mother, rhs, apart in products:
             if rhs is EPSILON:
                 mother = fs.restrict_many(mother[:1], g.restrictor, prune=True)
@@ -857,8 +849,9 @@ def first_of_string(first: PairSet, g: Grammar, cats) -> PairSet:
     ``first`` itself, shared, where the FIRST pair it came from has its
     sides apart.  ``cats`` is copied first, so that it shares no node with
     the pairs it binds or tests, as ``_bind`` requires.  A category that
-    is not preterminal must unify with some FIRST left side; that check,
-    too, tests each left-side class once.
+    is not preterminal must unify with some FIRST left side: the check
+    tests the pairs its label allows, each on its own, up to the first
+    that unifies.  The result set prints through its own memo.
     """
     cats = fs.clone_many(cats)
     if not cats:
@@ -868,18 +861,7 @@ def first_of_string(first: PairSet, g: Grammar, cats) -> PairSet:
         if is_preterminal(c):
             continue
         listed, start, end = first._span(_ALL, label_of(c), 0, hi)
-        failed = set()  # the left-side classes c does not unify with
-        for p in listed[start:end]:
-            k = p._class
-            if k is None:
-                k = first._classify(p)
-            if k in failed:
-                continue
-            if fs.unifiable(c, p.lhs[0], tree=p.lhs_is_tree()):
-                break
-            if k >= 0:
-                failed.add(k)
-        else:
+        if not any(fs.unifiable(c, p.lhs[0], tree=p.lhs_is_tree()) for p in listed[start:end]):
             raise UnknownCategory(
                 f"position {idx + 1}: {format_roots([c])[0]} is neither preterminal "
                 "nor unifiable with any FIRST left side"
@@ -920,7 +902,6 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
     # its suffix to empty pairs, enumerated on the rule's first visit, with
     # the binds of the mother in that space, by class
     kept = {}
-    interned = {}  # fs.canonical_key -> the one copy kept of it, for the whole run
 
     def seed(store):
         start, end = fs.restrict_many([g.start, end_category()], g.restrictor, prune=True)
@@ -958,7 +939,7 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
                 rec.passed(offer, 0)
                 return False
             for i, space, made in spaces:
-                for _, daughter, rhs, apart in _bind_each(space, 0, offer, rec, [1 + i], g.restrictor, made, interned):
+                for _, daughter, rhs, apart in _bind_each(space, 0, offer, rec, [1 + i], g.restrictor, made):
                     changed |= store(daughter, rhs, apart)
         return changed
 
@@ -994,7 +975,7 @@ def query(result: PairSet, cat: Node) -> list:
         c = p._class
         if c is None:
             c = result._classify(p)
-        if c < 0:
+        if c is False:
             got = _bind(cat, p, (), frozenset(), False)
             if got is None:
                 continue

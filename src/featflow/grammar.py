@@ -83,6 +83,9 @@ class Grammar:
         return replace(self, restrictor=fs.make_restrictor(restrictor))
 
     def rule(self, rule_id: int) -> Rule:
+        """The rule numbered ``rule_id``, from 1; IndexError for any other."""
+        if not 1 <= rule_id <= len(self.rules):
+            raise IndexError(f"no rule {rule_id}: rules are numbered 1 to {len(self.rules)}")
         return self.rules[rule_id - 1]
 
 

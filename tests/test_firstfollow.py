@@ -882,24 +882,46 @@ def test_each_pair_prints_as_its_sides_print_together():
     tagged = parse_grammar(
         "S[f=$1:[h=x], g=$1] -> A[] B[f=$2:[h=y], g=$2, ter=+] C[]. A[] -> a[ter=+]. C[] -> c[ter=+]."
     )
-    grammars = [load_fixture(name) for name in FIXTURES] + [load_fixture("guard.gr", restrictor=["orth"]), tagged]
-    grammars += [parse_grammar(record["grammar"]) for record in json.loads(ENGINE_GOLDEN.read_text(encoding="utf-8"))]
+    fixtures = [load_fixture(name) for name in FIXTURES] + [load_fixture("guard.gr", restrictor=["orth"]), tagged]
+    grammars = fixtures + [parse_grammar(r["grammar"]) for r in json.loads(ENGINE_GOLDEN.read_text(encoding="utf-8"))]
     grammars += [parse_grammar(made.text, made.name) for made in scale_grammars()]
-    shown = set()
-    for g in grammars:
+    # a set built by hand prints through its memo as the engine's sets do
+    by_hand = PairSet()
+    for lhs, rhs in (
+        ("x[f=$1:[h=a], g=$1]", "a[]"),
+        ("y[f=$1:[]]", "b[f=$1]"),
+        ("z[]", "c[g=$1:[], h=$1]"),
+        ("w[]", None),
+    ):
+        assert by_hand.add(cat_pair(lhs, rhs))
+    sets = [("by hand", by_hand)]
+    for idx, g in enumerate(grammars):
         first, _ = compute_first(g)
         follow, _ = compute_follow(g, first)
-        for s in (first, follow):
-            for p in s:
-                text = format_pair(p)
-                assert text == joint_text(p) == format_pair(p), (g.name, text, joint_text(p))
-                shown.add(text)
+        sets += [(g.name, first), (g.name, follow)]
+        if idx < len(fixtures):
+            # FIRST of each category of a rule, as a one-category query string
+            for c in (c for r in g.rules for c in r.roots()):
+                try:
+                    sets.append((g.name, first_of_string(first, g, [c])))
+                except UnknownCategory:
+                    pass
+    shown = set()
+    for name, s in sets:
+        for p in s:
+            text = format_pair(p)
+            assert text == joint_text(p) == format_pair(p), (name, text, joint_text(p))
+            shown.add(text)
     assert {
         "(#1:det[ter=+] , #1)",
         "(vp[agr=#1:[]] , vtra[agr=#1, ter=+])",
         "(s[f=#1:[h=x], g=#1] , a[ter=+])",
         "(a[] , b[f=#1:[h=y], g=#1, ter=+])",
         "(b[f=#1:[h=y], g=#1, ter=+] , c[ter=+])",
+        "(x[f=#1:[h=a], g=#1] , a[])",
+        "(y[f=#1:[]] , b[f=#1])",
+        "(z[] , c[g=#1:[], h=#1])",
+        "(w[] , ε)",
     } <= shown
 
 
@@ -920,11 +942,11 @@ def labels_clash(a, b):
     return x is not None and y is not None and x != y
 
 
-def full_scan_bind_each(space, pos, read, rec, keep=None, restrictor=None, made=None, interned=None, grouped=None):
+def full_scan_bind_each(space, pos, read, rec, keep=None, restrictor=None, made=None, grouped=None):
     """The loop the label index and the left-side classes replaced: go
     through every pair of the read's serial range, note each serial in the
     visit, and bind each whose label does not differ, on its own, into a
-    fresh copy: ``made`` and ``interned`` are not read.  The read is begun
+    fresh copy: ``made`` is not read.  The read is begun
     on entry with the count of the others, as ``_bind_each`` says, and
     each bind is an attempt.
 

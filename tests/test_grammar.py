@@ -53,6 +53,14 @@ def test_fig1_parses_to_five_rules_with_final_epsilon():
     assert not is_preterminal(g.rules[2].mother)
 
 
+def test_rule_ids_run_from_one_to_the_rule_count():
+    g = parse_grammar(FIG1)
+    assert [g.rule(i) for i in range(1, 6)] == list(g.rules)
+    for bad in (0, -1, 6):
+        with pytest.raises(IndexError):
+            g.rule(bad)
+
+
 def test_minimal_epsilon_grammar():
     g = parse_grammar("restrict slash. S -> .")
     assert len(g.rules) == 1

@@ -14,13 +14,15 @@ are and which tests must catch them:
 - M25-M41, faults of the front end, ``grammar.py``: token and issue
   positions in the lexer (M25-M35), the parser's cycle check (M36, M37)
   and the printer's two walks (M38-M41).
-- M42-M45, faults of binding once per left-side class: in the engine's
-  grouping (M42) and class numbering (M45), and in the algebra's
-  canonical key, ``fs.py`` (M43, M44).
-- M46-M50, faults of doing a shared side's work once per run, in the
+- M42-M44, faults of binding once per left-side class: in the engine's
+  grouping (M42), and in the algebra's canonical key, ``fs.py`` (M43,
+  M44).  M45 is retired: a class is the root that founded it, so no
+  class number can restart per set.
+- M46-M51, faults of doing a shared side's work once per run, in the
   engine: grouped binds kept past the space they were made in (M46, M47),
-  a side printed alone where it shares a node with the other (M48), and
-  the rejection of a repeated product by identity (M49, M50).
+  a side printed alone where it shares a node with the other (M48), the
+  rejection of a repeated product by identity (M49, M50), and copies
+  interned where their space does not last (M51).
 
 M15-M41 keep the evidence on which white-box tests of those internals
 retired: each fault such a test caught must still fail a test that
@@ -318,15 +320,9 @@ MUTANTS = (
         'out.append("")',
     ),
     (
-        "M45 class ids restart per set",
-        ENGINE,
-        "c = self._classes[key] = next(_class_ids)",
-        "c = self._classes[key] = len(self._classes)",
-    ),
-    (
         "M46 FIRST's kept binds used past the first position",
         ENGINE,
-        "        made = interned = None\n",
+        "        made = None\n",
         "",
     ),
     (
@@ -352,6 +348,12 @@ MUTANTS = (
         ENGINE,
         "                out.rejected += 1\n                return False\n",
         "                return False\n",
+    ),
+    (
+        "M51 copies interned where their space does not last",
+        ENGINE,
+        "kept_for_run = made is not None",
+        "kept_for_run = True",
     ),
 )
 

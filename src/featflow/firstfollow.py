@@ -26,22 +26,22 @@ one node); only a product whose right side was copied with its left roots
 is walked, once, on its first bind.
 
 Pairs whose sides are apart and whose left sides are equivalent bind
-alike.  So each such pair has a left-side class, worked out on its first
-read from ``fs.canonical_key`` of its left side.  A class is a node: the
-root that the set first saw with that key (``PairSet._classify``).  A
-read binds once per class: ``_bind_each`` binds the first pair of a class
-and hands the same kept copies to every later pair of it, with that
-pair's own right side; ``query`` calls ``fs.unifiable`` once per class.
-Where the bound space lasts for the whole run, a FIRST rule's own roots
-at its first daughter and each of FOLLOW's kept tail spaces, the outcome
-of a class is kept for the run, so the class is bound there once.  The
-set the run builds interns those kept copies in the same map of classes
-(``PairSet._intern``): an equivalent copy from another rule or class, or
-a stored left root, is one node with them.  So a product that repeats an
-earlier offer node for node is rejected by identity (``_fixpoint``).
-Every pair still counts as an attempt.  So products share their
-left-side copies across a whole run, as right sides are shared.  Sharing
-rests on an invariant the engine keeps:
+alike.  So each such pair has a left-side class, looked up from
+``fs.canonical_key`` of its left side.  A class is a node: the root that
+the set first saw with that key (``PairSet._class_of``).  A read binds
+once per class: ``_bind_each`` binds the first pair of a class and hands
+the same kept copies to every later pair of it, with that pair's own
+right side; ``query`` calls ``fs.unifiable`` once per class.  Where the
+bound space lasts for the whole run, a FIRST rule's own roots at its
+first daughter and each of FOLLOW's kept tail spaces, the outcome of a
+class is kept for the run, so the class is bound there once.  The run
+interns a left side where it stores the product (``_fixpoint``): a
+product whose sides are apart takes its left side's class root, so an
+equivalent copy from another rule, class or position is one node with a
+stored left root, and a product that repeats an earlier offer node for
+node is rejected by identity.  Every pair still counts as an attempt.
+So products share their left-side nodes across a whole run, as right
+sides are shared.  Sharing rests on an invariant the engine keeps:
 
 - nothing mutates a stored right side: a bind binds a pair's right side
   only when the sides are not apart, and only for the duration of a
@@ -158,14 +158,14 @@ class Pair:
     context, so that equal claims collide under the antichain operator.
     ``rhs`` is ``EPSILON``, or restricted and pruned too: a copy made with
     the left roots, or a stored right side a bind shared, which is one
-    already.  Products share left-side copies across a whole run, as
-    right sides are shared: the kept copies of a class's bind serve every
-    later product of that class in the same space, and the set the run
-    builds interns them, one node per equivalent left side
-    (``PairSet._intern``).  Each left-side node is reached only from the
-    left roots of the pairs that share it, and nothing binds a stored left
-    side outside ``fs.unify_copy``, which undoes the binding before it
-    returns.
+    already.  Products share left-side nodes across a whole run, as right
+    sides are shared: the kept copies of a class's bind serve every later
+    product of that class in the same space, and the run stores a product
+    whose sides are apart on its left side's class root, one node per
+    equivalent left side (``PairSet._class_of``).  Each left-side node is
+    reached only from the left roots of the pairs that share it, and
+    nothing binds a stored left side outside ``fs.unify_copy``, which
+    undoes the binding before it returns.
 
     ``apart`` says whether the two sides are apart (``sides_apart``): True
     or False where the maker knows it, None to have it walked on the
@@ -253,11 +253,11 @@ class PairSet:
     A single-category pair whose sides are apart belongs to a left-side
     class, and a read binds, or tests, once per class (``_bind_each``,
     ``query``).  A class is the root that founded it: the first left side
-    with its ``fs.canonical_key`` that the set saw, in a read
-    (``_classify``) or as a copy it interns (``_intern``).  ``_classes``
-    is the one map of both.  Two roots with one key are equivalent, so a
-    class root is a valid class in every set: a pair, which more than one
-    set may hold, keeps the class that the first set to read it gave it.
+    with its ``fs.canonical_key`` that the set saw (``_class_of``), in a
+    read (``_classify``) or as the left side of a product the run stores
+    (``_fixpoint``).  Two roots with one key are equivalent, so a class
+    root is a valid class in every set: a pair, which more than one set
+    may hold, keeps the class that the first set to read it gave it.
 
     Each set owns a print memo, which keeps the printed text of each side
     that ``format_pair`` printed on its own, by node, so that a side many
@@ -395,31 +395,20 @@ class PairSet:
     def _classify(self, p: Pair):
         """Set and return the left-side class of ``p``, a single-category
         pair of this set: False when its sides are not apart, so that it
-        binds alone, and otherwise the class root of its left side's
-        ``fs.canonical_key``, whose keys equal exactly when the left sides
-        are equivalent.  Called on the pair's first read, in whichever set
-        that is."""
-        if not p.sides_apart():
-            p._class = False
-            return False
-        root = p.lhs[0]
+        binds alone, and otherwise ``_class_of`` its left root.  Called on
+        the pair's first read, in whichever set that is."""
+        p._class = self._class_of(p.lhs[0]) if p.sides_apart() else False
+        return p._class
+
+    def _class_of(self, root):
+        """The class root of the left side ``root``: the first root with
+        the same ``fs.canonical_key`` that this set saw, ``root`` itself
+        when none came before.  Keys are equal exactly when left sides are
+        equivalent.  Each root is keyed once."""
         c = self._rooted.get(root)
         if c is None:
-            c = self._rooted[root] = self._classes.setdefault(fs.canonical_key(p.lhs), root)
-        p._class = c
+            c = self._rooted[root] = self._classes.setdefault(fs.canonical_key((root,)), root)
         return c
-
-    def _intern(self, copies):
-        """The left side ``copies``, a fresh copy of one root, as this set
-        keeps it: the class root of its ``fs.canonical_key`` when the set
-        has one, and otherwise ``copies`` itself, whose root then founds
-        the class, so that its first read keys it no more."""
-        root = copies[0]
-        c = self._classes.setdefault(fs.canonical_key(copies), root)
-        if c is root:
-            self._rooted[root] = root
-            return copies
-        return [c]
 
     def _woken(self, labels, lo: int) -> bool:
         """Whether some pair above serial ``lo`` may have a left side that
@@ -602,10 +591,7 @@ def _bind_each(space, pos, read, rec, keep=None, restrictor=None, made=None):
     if the bind failed.  A caller whose ``space``, ``pos``, ``keep`` and
     ``restrictor`` recur over a run passes one ``made`` for all of them,
     so a class is bound once per run there; otherwise each call starts
-    its own.  Copies kept for the run, those of a caller's ``made``, are
-    of one kept root, and the read's set interns each as it enters
-    ``made`` (``PairSet._intern``), so that equivalent products share one
-    node: the set's class root where it has an equivalent one.
+    its own.
     """
     root = space[pos]
     pset = read.pset
@@ -615,8 +601,7 @@ def _bind_each(space, pos, read, rec, keep=None, restrictor=None, made=None):
         return
     kept = space if keep is None else [space[i] for i in keep]
     cut, prune = restrictor or frozenset(), restrictor is not None
-    kept_for_run = made is not None
-    if not kept_for_run:
+    if made is None:
         made = {}
     for p in listed[start:end]:
         rec.attempts += 1
@@ -631,10 +616,7 @@ def _bind_each(space, pos, read, rec, keep=None, restrictor=None, made=None):
         copies = made.get(c, False)
         if copies is False:
             got = _bind(root, p, kept, cut, prune)
-            copies = None if got is None else got[0]
-            if copies is not None and kept_for_run:
-                copies = pset._intern(copies)
-            made[c] = copies
+            copies = made[c] = None if got is None else got[0]
         if copies is not None:
             yield p, copies, p.rhs, True
 
@@ -676,9 +658,10 @@ def _first_of_span(space, span, eps, drivers, rec, keep, restrictor, fresh=None,
     every one uses a pair above ``lo``; when ``lo`` is 0, every pair is
     above it, and so is a derivation that binds nothing.
 
-    ``made`` goes to the binds of the first position, the only ones made
-    in ``space`` itself (``_bind_each``); later positions bind ε-bound
-    prefixes, new copies on every call.
+    ``made``, a memo of the kept copies of each class bound
+    (``_bind_each``), goes to the binds of the first position, the only
+    ones made in ``space`` itself; later positions bind ε-bound prefixes,
+    new copies on every call.
     """
     fresh = fresh or drivers
     last = len(span) - 1
@@ -720,12 +703,17 @@ def _fixpoint(function: str, g: Grammar, mode: str, seed, visit):
     set; the insertion that takes the set past ``g.max_pairs`` raises
     LimitExceeded, as does a pass beyond ``g.max_iterations``.
 
-    Products whose sides are apart share left copies (``_bind_each``), so
-    one may be the very (left root, right side) node pair of an earlier
-    offer.  That offer was stored or subsumed, and the set still holds a
-    subsumer of it, since a pair is replaced only by one that subsumes it:
-    so ``store`` rejects the repeat, counted as ``PairSet.add`` would
-    count it, without a ``Pair`` or a scan.
+    ``store`` interns the left side of a product whose sides are known to
+    be apart: it stores the product on its left side's class root
+    (``PairSet._class_of``), so products with equivalent left sides share
+    one left node, whichever bind copied them; equal class roots mean
+    equivalent left sides.  So such a product may be the very (left root,
+    right side) node pair of an earlier offer.  That offer was stored or
+    subsumed, and the set still holds a subsumer of it, since a pair is
+    replaced only by one that subsumes it: so ``store`` rejects the
+    repeat, counted as ``PairSet.add`` would count it, without a ``Pair``
+    or a scan.  A product not known to be apart is stored as it is: its
+    left side may share a node with its right side.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, not {mode!r}")
@@ -734,18 +722,20 @@ def _fixpoint(function: str, g: Grammar, mode: str, seed, visit):
     started = time.perf_counter()  # the engine's one clock, for wall_time
     active = mode == "active"
     marks = {}  # rule id -> the newest serial offered to the rule, in active mode
-    offered = set()  # (left root, right side) of each product offered with its sides apart
+    offered = set()  # (class root, right side) of each product offered with its sides apart
 
     def finish(fixpoint, pset=None):
         return rec.finish(fixpoint, time.perf_counter() - started, pset)
 
     def store(lhs_roots, rhs, apart=None):
         if apart:
-            sides = (lhs_roots[0], rhs)
+            root = out._class_of(lhs_roots[0])
+            sides = (root, rhs)
             if sides in offered:
                 out.rejected += 1
                 return False
             offered.add(sides)
+            lhs_roots = (root,)
         added = out.add(Pair(lhs_roots, rhs, apart))
         if added and len(out) > g.max_pairs:
             raise LimitExceeded(function, "pairs", g.max_pairs, finish(False, out))

@@ -336,10 +336,8 @@ class _Parser:
             t = self.take()
             if t.kind != "WORD":
                 self.fail(t, "restrictor path malformed")
-            try:
-                self.restrictor_paths.add(fs.make_path(t.value))
-            except ValueError:
-                self.fail(t, "restrictor path malformed")
+            # each dot-separated segment of a WORD token matches fs._FEATURE_RE
+            self.restrictor_paths.add(fs.make_path(t.value))
             t = self.take()
             if t.kind == "STOP":
                 return

@@ -39,6 +39,17 @@ def test_first_text_output_and_exit_zero(capsys):
     assert "pairs (8):" in out
     assert "(np[] , ε)" in out
     assert "restrictor: slash" in out
+    code, stats, err = run(capsys, "first", fixture_path("fig1.gr"), "--stats")
+    assert code == 0
+    head, table = stats.split("stats:\n")
+    assert head == out
+    rows = [line.split() for line in table.splitlines()]
+    assert rows == [
+        ["iter", "considered", "total", "attempts", "additions"],
+        ["1", "2.600", "6", "7", "3"],
+        ["2", "4.600", "8", "35", "2"],
+        ["3", "0.600", "8", "0", "0"],
+    ]
 
 
 def test_missing_file_diagnostic(capsys):
@@ -100,10 +111,15 @@ def test_validate_command(capsys, tmp_path):
     assert code == 4
 
 
-def test_limit_exit_code_and_stats_report(capsys):
-    code, out, err = run(capsys, "first", fixture_path("guard.gr"))
+@pytest.mark.parametrize(
+    "command", [["first"], ["string-first", "NP[]"], ["bench"]], ids=["first", "string-first", "bench"]
+)
+def test_limit_exit_code_and_stats_report(capsys, command):
+    name, *rest = command
+    code, out, err = run(capsys, name, fixture_path("guard.gr"), *rest)
     assert code == 5
-    assert "no fixpoint within 100 iterations" in err
+    assert out == ""
+    assert "FIRST has no fixpoint within 100 iterations" in err
     assert "iteration 100" in err
 
 

@@ -18,11 +18,12 @@ are and which tests must catch them:
   grouping (M42), and in the algebra's canonical key, ``fs.py`` (M43,
   M44).  M45 is retired: a class is the root that founded it, so no
   class number can restart per set.
-- M46-M51, faults of doing a shared side's work once per run, in the
+- M46-M52, faults of doing a shared side's work once per run, in the
   engine: grouped binds kept past the space they were made in (M46, M47),
   a side printed alone where it shares a node with the other (M48), the
-  rejection of a repeated product by identity (M49, M50), and copies
-  interned where their space does not last (M51).
+  rejection of a repeated product by identity (M49, M50), and a product
+  interned where its sides may share a node (M52).  M51 is retired: a
+  product is interned where the run stores it, and nowhere else.
 
 M15-M41 keep the evidence on which white-box tests of those internals
 retired: each fault such a test caught must still fail a test that
@@ -304,8 +305,8 @@ MUTANTS = (
     (
         "M42 grouping ignores apartness",
         ENGINE,
-        "if not p.sides_apart():",
-        "if False:",
+        "if p.sides_apart()",
+        "if True",
     ),
     (
         "M43 the canonical key does not number revisited nodes",
@@ -340,8 +341,8 @@ MUTANTS = (
     (
         "M49 a repeated product is known by its left root alone",
         ENGINE,
-        "sides = (lhs_roots[0], rhs)",
-        "sides = lhs_roots[0]",
+        "sides = (root, rhs)",
+        "sides = root",
     ),
     (
         "M50 a repeated product is rejected uncounted",
@@ -350,10 +351,10 @@ MUTANTS = (
         "                return False\n",
     ),
     (
-        "M51 copies interned where their space does not last",
+        "M52 a product not known apart is interned",
         ENGINE,
-        "kept_for_run = made is not None",
-        "kept_for_run = True",
+        "if apart:",
+        "if apart is not False:",
     ),
 )
 

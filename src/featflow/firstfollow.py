@@ -22,26 +22,24 @@ whose sides are then apart too, or to ``query``, which then copies
 nothing.  Apartness is known by construction, with no walk, for an
 empty-string pair (apart), a product whose right side was shared (apart:
 its left roots are fresh copies) and a FIRST seed (not: its two sides are
-one node); only a product whose right side was copied with its left roots
-is walked, once, on its first bind.
+one node); a product whose right side was copied with its left roots is
+walked once, where the run stores it.
 
 Pairs whose sides are apart and whose left sides are equivalent bind
-alike.  So each such pair has a left-side class, looked up from
-``fs.canonical_key`` of its left side.  A class is a node: the root that
-the set first saw with that key (``PairSet._class_of``).  A read binds
-once per class: ``_bind_each`` binds the first pair of a class and hands
-the same kept copies to every later pair of it, with that pair's own
-right side; ``query`` calls ``fs.unifiable`` once per class.  Where the
-bound space lasts for the whole run, a FIRST rule's own roots at its
-first daughter and each of FOLLOW's kept tail spaces, the outcome of a
-class is kept for the run, so the class is bound there once.  The run
-interns a left side where it stores the product (``_fixpoint``): a
-product whose sides are apart takes its left side's class root, so an
-equivalent copy from another rule, class or position is one node with a
-stored left root, and a product that repeats an earlier offer node for
-node is rejected by identity.  Every pair still counts as an attempt.
-So products share their left-side nodes across a whole run, as right
-sides are shared.  Sharing rests on an invariant the engine keeps:
+alike.  The run interns every apart left side where it stores the
+product (``_fixpoint``): it looks up the ``fs.canonical_key`` of the left
+side and stores the product on the first left root it was offered with
+that key.  So a left-side class is a node, the left root of every pair
+of the class.  A read binds once per class: ``_bind_each`` binds the
+first pair of a class and hands the same kept copies to every later pair
+of it, with that pair's own right side; ``query`` calls ``fs.unifiable``
+once per class.  Where the bound space lasts for the whole run, a FIRST
+rule's own roots at its first daughter and each of FOLLOW's kept tail
+spaces, the outcome of a class is kept for the run, so the class is
+bound there once.  A product that repeats an earlier offer node for node
+is rejected by identity.  Every pair still counts as an attempt.  So
+products share their left-side nodes across a whole run, as right sides
+are shared.  Sharing rests on an invariant the engine keeps:
 
 - nothing mutates a stored right side: a bind binds a pair's right side
   only when the sides are not apart, and only for the duration of a
@@ -160,22 +158,21 @@ class Pair:
     the left roots, or a stored right side a bind shared, which is one
     already.  Products share left-side nodes across a whole run, as right
     sides are shared: the kept copies of a class's bind serve every later
-    product of that class in the same space, and the run stores a product
-    whose sides are apart on its left side's class root, one node per
-    equivalent left side (``PairSet._class_of``).  Each left-side node is
-    reached only from the left roots of the pairs that share it, and
-    nothing binds a stored left side outside ``fs.unify_copy``, which
-    undoes the binding before it returns.
+    product of that class in the same space, and the run interns every
+    apart left side where it stores the product (``_fixpoint``), one node
+    per equivalent left side, so a left-side class is a node.  Each
+    left-side node is reached only from the left roots of the pairs that
+    share it, and nothing binds a stored left side outside
+    ``fs.unify_copy``, which undoes the binding before it returns.
 
     ``apart`` says whether the two sides are apart (``sides_apart``): True
     or False where the maker knows it, None to have it walked on the
-    first call.  An empty-string pair is always apart.  ``_class`` is set
-    once, by the set that first reads the pair (``PairSet._classify``):
-    the root of its left-side class when its sides are apart, and False
-    when they are not.
+    first call.  An empty-string pair is always apart.  The run knows it
+    for every pair it stores, so a pair of a FIRST or FOLLOW set whose
+    sides are apart has its class as its left root.
     """
 
-    __slots__ = ("serial", "lhs", "rhs", "is_epsilon", "comparison_roots", "key", "_tree", "_apart", "_class", "_texts")
+    __slots__ = ("serial", "lhs", "rhs", "is_epsilon", "comparison_roots", "key", "_tree", "_apart", "_texts")
 
     def __init__(self, lhs, rhs, apart=None):
         self.serial = next(_serials)
@@ -188,7 +185,6 @@ class Pair:
         self.key = (signature, tuple(map(label_of, self.comparison_roots)))
         self._tree = None
         self._apart = True if self.is_epsilon else apart
-        self._class = None
         self._texts = None  # the print memo of the set that last stored the pair
 
     def lhs_is_tree(self) -> bool:
@@ -250,14 +246,9 @@ class PairSet:
     it replaces stays listed until the next ``_settle``, which the driver
     calls before every visit; the driver, not the set, keeps the marks.
 
-    A single-category pair whose sides are apart belongs to a left-side
-    class, and a read binds, or tests, once per class (``_bind_each``,
-    ``query``).  A class is the root that founded it: the first left side
-    with its ``fs.canonical_key`` that the set saw (``_class_of``), in a
-    read (``_classify``) or as the left side of a product the run stores
-    (``_fixpoint``).  Two roots with one key are equivalent, so a class
-    root is a valid class in every set: a pair, which more than one set
-    may hold, keeps the class that the first set to read it gave it.
+    Left-side classes belong to the run, not the set: the run that fills
+    a set interns every apart left side where it stores the product
+    (``_fixpoint``), so a class is a node.
 
     Each set owns a print memo, which keeps the printed text of each side
     that ``format_pair`` printed on its own, by node, so that a side many
@@ -279,8 +270,6 @@ class PairSet:
         # (label, is_epsilon) -> the index lists a labelled pair joins: lists
         # are never replaced, only appended to and settled
         self._held = {}
-        self._classes = {}  # fs.canonical_key of a left side -> its class root
-        self._rooted = {}  # left root -> its class root, so that each is keyed once
         self._texts = {}  # node -> its printed text, or False (``_side_text``)
 
     def __len__(self):
@@ -391,24 +380,6 @@ class PairSet:
         if end and listed[-1].serial > hi:
             end = bisect.bisect_right(listed, hi, key=_serial)
         return listed, start, end
-
-    def _classify(self, p: Pair):
-        """Set and return the left-side class of ``p``, a single-category
-        pair of this set: False when its sides are not apart, so that it
-        binds alone, and otherwise ``_class_of`` its left root.  Called on
-        the pair's first read, in whichever set that is."""
-        p._class = self._class_of(p.lhs[0]) if p.sides_apart() else False
-        return p._class
-
-    def _class_of(self, root):
-        """The class root of the left side ``root``: the first root with
-        the same ``fs.canonical_key`` that this set saw, ``root`` itself
-        when none came before.  Keys are equal exactly when left sides are
-        equivalent.  Each root is keyed once."""
-        c = self._rooted.get(root)
-        if c is None:
-            c = self._rooted[root] = self._classes.setdefault(fs.canonical_key((root,)), root)
-        return c
 
     def _woken(self, labels, lo: int) -> bool:
         """Whether some pair above serial ``lo`` may have a left side that
@@ -581,21 +552,22 @@ def _bind_each(space, pos, read, rec, keep=None, restrictor=None, made=None):
     Each pair it tries is counted as an attempt.  What every bind of the
     read shares, the kept roots and the restriction, is set up once.
 
-    Pairs of one left-side class (``PairSet._classify``) bind alike, so
-    only the first pair of each class is bound.  A later pair of that
-    class fails if the first failed, and otherwise yields the same kept
-    copies, with its own right side: its sides are apart, so the binding
-    cannot reach it.  A pair whose sides are not apart binds alone.
+    The run interns every apart left side where it stores the product
+    (``_fixpoint``), so a left-side class is a node: pairs whose sides are
+    apart and whose left root is one node bind alike, and only the first
+    pair of each class is bound.  A later pair of that class fails if the
+    first failed, and otherwise yields the same kept copies, with its own
+    right side: its sides are apart, so the binding cannot reach it.  Any
+    other pair binds alone.
 
-    ``made`` maps each class bound so far to its kept copies, or to None
-    if the bind failed.  A caller whose ``space``, ``pos``, ``keep`` and
-    ``restrictor`` recur over a run passes one ``made`` for all of them,
-    so a class is bound once per run there; otherwise each call starts
-    its own.
+    ``made`` maps each class bound so far, by its left root, to its kept
+    copies, or to None if the bind failed.  A caller whose ``space``,
+    ``pos``, ``keep`` and ``restrictor`` recur over a run passes one
+    ``made`` for all of them, so a class is bound once per run there;
+    otherwise each call starts its own.
     """
     root = space[pos]
-    pset = read.pset
-    listed, start, end = pset._span(read.kind, label_of(root), read.lo, read.hi)
+    listed, start, end = read.pset._span(read.kind, label_of(root), read.lo, read.hi)
     rec.began(read, read.n - (end - start))
     if start == end:
         return
@@ -605,14 +577,12 @@ def _bind_each(space, pos, read, rec, keep=None, restrictor=None, made=None):
         made = {}
     for p in listed[start:end]:
         rec.attempts += 1
-        c = p._class
-        if c is None:
-            c = pset._classify(p)
-        if c is False:
+        if not p._apart:
             got = _bind(root, p, kept, cut, prune)
             if got is not None:
                 yield p, *got
             continue
+        c = p.lhs[0]
         copies = made.get(c, False)
         if copies is False:
             got = _bind(root, p, kept, cut, prune)
@@ -700,20 +670,22 @@ def _fixpoint(function: str, g: Grammar, mode: str, seed, visit):
     naive mode (lo is 0), those not yet offered to the rule in active mode.
     ``rec`` is the run's recorder, which the visit tells of each ``_Read``
     it begins.  ``store(lhs_roots, rhs, apart)`` adds that ``Pair`` to the
-    set; the insertion that takes the set past ``g.max_pairs`` raises
-    LimitExceeded, as does a pass beyond ``g.max_iterations``.
+    set, ``apart`` as ``Pair`` takes it; the insertion that takes the set
+    past ``g.max_pairs`` raises LimitExceeded, as does a pass beyond
+    ``g.max_iterations``.
 
-    ``store`` interns the left side of a product whose sides are known to
-    be apart: it stores the product on its left side's class root
-    (``PairSet._class_of``), so products with equivalent left sides share
-    one left node, whichever bind copied them; equal class roots mean
-    equivalent left sides.  So such a product may be the very (left root,
-    right side) node pair of an earlier offer.  That offer was stored or
-    subsumed, and the set still holds a subsumer of it, since a pair is
-    replaced only by one that subsumes it: so ``store`` rejects the
-    repeat, counted as ``PairSet.add`` would count it, without a ``Pair``
-    or a scan.  A product not known to be apart is stored as it is: its
-    left side may share a node with its right side.
+    ``store`` walks ``fs.apart`` once for a product whose ``apart`` is
+    None, and interns every apart left side: it stores the product on the
+    first left root it was offered with the same ``fs.canonical_key``, its
+    class root, so products with equivalent left sides share one left
+    node, whichever bind copied them, and a left-side class is a node.
+    This is the run's one class lookup; a root map keys each left root
+    once.  So an apart product may be the very (left root, right side)
+    node pair of an earlier offer.  That offer was stored or subsumed, and
+    the set still holds a subsumer of it, since a pair is replaced only by
+    one that subsumes it: so ``store`` rejects the repeat, counted as
+    ``PairSet.add`` would count it, without a ``Pair`` or a scan.  A
+    product whose sides are not apart is stored as it is.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}, not {mode!r}")
@@ -722,14 +694,21 @@ def _fixpoint(function: str, g: Grammar, mode: str, seed, visit):
     started = time.perf_counter()  # the engine's one clock, for wall_time
     active = mode == "active"
     marks = {}  # rule id -> the newest serial offered to the rule, in active mode
+    classes = {}  # fs.canonical_key of an apart left side -> its class root
+    rooted = {}  # left root -> its class root, so that each is keyed once
     offered = set()  # (class root, right side) of each product offered with its sides apart
 
     def finish(fixpoint, pset=None):
         return rec.finish(fixpoint, time.perf_counter() - started, pset)
 
-    def store(lhs_roots, rhs, apart=None):
+    def store(lhs_roots, rhs, apart):
+        if apart is None:
+            apart = fs.apart(lhs_roots, (rhs,))
         if apart:
-            root = out._class_of(lhs_roots[0])
+            left = lhs_roots[0]
+            root = rooted.get(left)
+            if root is None:
+                root = rooted[left] = classes.setdefault(fs.canonical_key((left,)), left)
             sides = (root, rhs)
             if sides in offered:
                 out.rejected += 1
@@ -800,7 +779,7 @@ def compute_first(g: Grammar, mode: str = "active"):
         if rule.is_epsilon:
             # only the first store can be accepted, since a covered pair
             # stays covered, so a visit offered pairs above 0 stores nothing
-            return not offer.lo and store((fs.restrict(rule.mother, g.restrictor, prune=True),), EPSILON)
+            return not offer.lo and store((fs.restrict(rule.mother, g.restrictor, prune=True),), EPSILON, True)
         if not offer.n:
             return False
         first, lo, hi = offer.pset, offer.lo, offer.hi
@@ -950,33 +929,33 @@ def query(result: PairSet, cat: Node) -> list:
 
     A value whose pair has its sides apart is the stored right side itself,
     not a copy: the binding cannot change it, so such pairs are tested with
-    ``fs.unifiable``, once per left-side class.  Values are not pruned.
+    ``fs.unifiable``, once per left-side class.  The run that made
+    ``result`` interned every apart left side (``_fixpoint``), so a class
+    is a left root; any other pair is bound alone.  Values are not pruned.
     Treat them as read-only, and clone one before any destructive
     unification."""
     cat = fs.clone(cat)
     out = []
     labels = []  # the label of each value in out; EPSILON, comparable with none, for ε
     have_eps = False
-    unifies = {}  # left-side class -> whether cat unifies with its left sides
+    unifies = {}  # left-side class, a left root -> whether cat unifies with it
     listed, start, end = result._span(_ALL, label_of(cat), 0, result._settle())
     for p in listed[start:end]:
         if p.is_epsilon and have_eps:
             continue  # only the first empty-string answer is kept; bind no more empty pairs
-        c = p._class
-        if c is None:
-            c = result._classify(p)
-        if c is False:
+        if p._apart:
+            c = p.lhs[0]
+            ok = unifies.get(c)
+            if ok is None:
+                ok = unifies[c] = fs.unifiable(cat, c, p.lhs_is_tree())
+            if not ok:
+                continue
+            rhs = p.rhs
+        else:
             got = _bind(cat, p, (), frozenset(), False)
             if got is None:
                 continue
             rhs = got[1]
-        else:
-            ok = unifies.get(c)
-            if ok is None:
-                ok = unifies[c] = fs.unifiable(cat, p.lhs[0], p.lhs_is_tree())
-            if not ok:
-                continue
-            rhs = p.rhs
         if p.is_epsilon:
             out.append(rhs)
             labels.append(EPSILON)
@@ -1038,6 +1017,11 @@ class ModeReport:
 
     @property
     def attempt_ratio(self) -> float | None:
+        """Naive over active ``attempts``, which ``featflow bench`` prints.
+        Not a ratio of unifications: attempts include the pairs the label
+        index passed over (``filtered``) and the pairs that reuse the bind
+        of an earlier pair of their left-side class, and neither costs
+        one."""
         return self._ratio("attempts")
 
     @property

@@ -778,13 +778,23 @@ def sharing_runs():
 
 
 def test_each_pair_knows_whether_its_sides_are_apart():
+    """Each pair's apart flag matches a walk of its sides, and a run stores
+    every apart left side on one node per class: in a FIRST or FOLLOW set,
+    two pairs whose sides are apart and whose left sides have one
+    ``fs.canonical_key`` share their left node."""
     seen = collections.Counter()
     for sets in sharing_runs():
         for p in (p for s in sets for p in s):
             walked = p.is_epsilon or not complex_nodes(p.lhs).keys() & complex_nodes([p.rhs]).keys()
             assert p.sides_apart() == walked, format_pair(p)
             seen[walked] += 1
-    assert seen[True] and seen[False], seen
+        for s in sets[:2]:
+            nodes = {}  # canonical key of an apart left side -> its node
+            for p in (p for p in s if p.sides_apart()):
+                key = fs.canonical_key(p.lhs)
+                seen["shared"] += key in nodes
+                assert nodes.setdefault(key, p.lhs[0]) is p.lhs[0], format_pair(p)
+    assert seen[True] and seen[False] and seen["shared"], seen
 
 
 def test_no_left_side_holds_a_node_of_another_pairs_right_side():

@@ -18,12 +18,15 @@ are and which tests must catch them:
   grouping (M42), and in the algebra's canonical key, ``fs.py`` (M43,
   M44).  M45 is retired: a class is the root that founded it, so no
   class number can restart per set.
-- M46-M52, faults of doing a shared side's work once per run, in the
+- M46-M53, faults of doing a shared side's work once per run, in the
   engine: grouped binds kept past the space they were made in (M46, M47),
   a side printed alone where it shares a node with the other (M48), the
   rejection of a repeated product by identity (M49, M50), and a product
-  interned where its sides may share a node (M52).  M51 is retired: a
-  product is interned where the run stores it, and nowhere else.
+  stored as apart without the walk that says so (M53).  M51 is retired: a
+  product is interned where the run stores it, and nowhere else.  M52 is
+  retired: ``store`` walks apartness where it is not known, so ``apart``
+  is never None where it is tested, and ``if apart:`` and ``if apart is
+  not False:`` are one program.
 
 M15-M41 keep the evidence on which white-box tests of those internals
 retired: each fault such a test caught must still fail a test that
@@ -305,8 +308,8 @@ MUTANTS = (
     (
         "M42 grouping ignores apartness",
         ENGINE,
-        "if p.sides_apart()",
-        "if True",
+        "if not p._apart:",
+        "if False:",
     ),
     (
         "M43 the canonical key does not number revisited nodes",
@@ -351,10 +354,10 @@ MUTANTS = (
         "                return False\n",
     ),
     (
-        "M52 a product not known apart is interned",
+        "M53 a product not known apart is stored apart without the walk",
         ENGINE,
-        "if apart:",
-        "if apart is not False:",
+        "apart = fs.apart(lhs_roots, (rhs,))",
+        "apart = True",
     ),
 )
 

@@ -16,15 +16,22 @@ atoms (identifiers, ``+``, ``-``, or quoted strings), nested AVMs, or
 ``$n`` tags; a tag's value may be constrained at any occurrence
 (``$1:NP[]``), and multiple constraints must be compatible.  ``%`` starts
 a comment.  ``#n`` tags are accepted as synonyms of ``$n`` so that printed
-output reparses.
+output reparses.  A tag's number is ASCII digits, and only space, tab,
+carriage return and newline separate tokens.
+
+The tokens of a text are the strings that one ``findall`` of a module
+regex gives, and the parser reads them by index: a text without issues
+gets no object per token.  A position is worked out only where one is
+read, for an issue or ``Rule.line`` (see ``_Parser``).
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
+import itertools
 import re
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 from . import fs
 from .fs import Node, UnificationFailed, atom, clone, deref
@@ -125,115 +132,49 @@ def end_category() -> Node:
 # ---------------------------------------------------------------------------
 # lexer
 
-_WORD_START = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-# a dot glued to a further identifier extends a feature path
-_WORD_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*(?:\.[A-Za-z][A-Za-z0-9_]*)*")
-_PUNCT = {
-    "[": "LB", "]": "RB", ",": "COMMA", "=": "EQ", ":": "COLON", ".": "STOP", "+": "SYM", "-": "SYM",
-}
+# A token is a string that one regex finds, and its kind is the token
+# itself: its first character (a letter for a word, '"' for a string, one
+# of '[]=,:.+-' for a mark), '->', a tag '$n' or '#n', the end mark '$',
+# or '' for the end of the text.  A match is a token and the blanks and
+# comments after it.  Blanks are space, tab, return and newline, not all
+# that ``\s`` takes; ``[\s\S]`` is any character, where ``.`` takes no
+# newline; and ``findall`` skips a character that no alternative takes,
+# so one takes any.
+_ONE_TOKEN = r"""
+    [\[\]=,:.+]                                        # a mark
+  | [A-Za-z][A-Za-z0-9_]*(?:\.[A-Za-z][A-Za-z0-9_]*)*  # a word; a dot glued to a further word extends a path
+  | ->?                                                # an arrow, or a minus
+  | [$#][0-9]*                                         # a tag, the end mark, or a stray '#'
+  | "(?:\\[\s\S]?|[^"\\\n])*"?                         # a string, or one a newline or the end leaves open
+  | [\s\S]                                             # any other character: an error
+  | \Z
+"""
+_BLANKS = r"[ \t\r\n]*+(?:%[^\n]*+[ \t\r\n]*+)*+"
+_LEAD = re.compile(_BLANKS)
+_TOKEN = re.compile(f"({_ONE_TOKEN}){_BLANKS}", re.VERBOSE)
+_SPAN = re.compile(f"(?:{_ONE_TOKEN}){_BLANKS}", re.VERBOSE)  # whole matches, for their lengths
+_CLOSED = re.compile(r'"((?:\\[\s\S]|[^"\\])*)"')
+_ESCAPE = re.compile(r"\\([\s\S])")
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_ONE_CHAR = _LETTERS | frozenset("[]=,:.+-$")  # the one-character tokens that are not errors
+# the one atom of a name: atoms are values, which nothing mutates, so every
+# occurrence in every parse can share one
+_atom = functools.lru_cache(maxsize=4096)(atom)
 
 
-class _Tok(NamedTuple):
-    kind: str
-    value: str
-    line: int
-    col: int
+def _string_value(t):
+    """The atom that the string token ``t`` spells, or None for one left
+    open."""
+    m = _CLOSED.fullmatch(t)
+    return None if m is None else _ESCAPE.sub(r"\1", m[1])
 
 
-class _Lexer:
-    """Tokens and issues of a text.  ``_lex`` keeps the line and the index
-    of the last newline as it scans, and places each token and each issue
-    with them; tokens are built in place."""
-
-    def __init__(self, text):
-        self.text = text
-        self.issues = []
-        self.tokens = []
-        self._lex()
-
-    def _lex(self):
-        text, n = self.text, len(self.text)
-        emit = self.tokens.append
-        new = tuple.__new__
-        punct = _PUNCT
-        word = _WORD_RE.match
-        line, last = 1, -1  # the line at i, and the index of the newline that began it
-        i = 0
-        while i < n:
-            c = text[i]
-            if c == "\n":
-                line += 1
-                last = i
-                i += 1
-            elif c in " \t\r":
-                i += 1
-            elif c in _WORD_START:
-                j = word(text, i).end()
-                emit(new(_Tok, ("WORD", text[i:j], line, i - last)))
-                i = j
-            elif c in punct:
-                if c == "-" and text.startswith(">", i + 1):
-                    emit(new(_Tok, ("ARROW", "->", line, i - last)))
-                    i += 2
-                else:
-                    emit(new(_Tok, (punct[c], c, line, i - last)))
-                    i += 1
-            elif c in "$#":
-                j = i + 1
-                while j < n and text[j].isdigit():
-                    j += 1
-                if j > i + 1:
-                    emit(new(_Tok, ("TAG", text[i + 1 : j], line, i - last)))
-                    i = j
-                else:
-                    if c == "$":
-                        emit(new(_Tok, ("DOLLAR", "$", line, i - last)))
-                    else:
-                        self.issues.append(ParseIssue(line, i - last, "unknown syntax: stray '#'"))
-                    i += 1
-            elif c == "%":
-                nl = text.find("\n", i)
-                if nl < 0:
-                    i = n
-                else:
-                    line += 1
-                    last = nl
-                    i = nl + 1
-            elif c == '"':
-                j = self._lex_string(i, line, i - last)
-                # an escaped newline is part of the string
-                inside = text.count("\n", i, j)
-                if inside:
-                    line += inside
-                    last = text.rfind("\n", i, j)
-                i = j
-            else:
-                self.issues.append(ParseIssue(line, i - last, f"unknown syntax: unexpected character {c!r}"))
-                i += 1
-        emit(new(_Tok, ("EOF", "", line, n - last)))
-
-    def _lex_string(self, i, line, col):
-        """Lex the string opening at ``i``, at ``line``/``col``, where an
-        unterminated one is reported; return the index after it, or of the
-        newline or end that left it open."""
-        text, n = self.text, len(self.text)
-        j = i + 1
-        out = []
-        while j < n:
-            c = text[j]
-            if c == "\\" and j + 1 < n:
-                out.append(text[j + 1])
-                j += 2
-                continue
-            if c == '"':
-                self.tokens.append(_Tok("STR", "".join(out), line, col))
-                return j + 1
-            if c == "\n":
-                break
-            out.append(c)
-            j += 1
-        self.issues.append(ParseIssue(line, col, "unknown syntax: unterminated string"))
-        return j
+def _shown(t):
+    """The token ``t`` as messages quote it: a tag by its number, a string
+    by its atom."""
+    if t[:1] == '"':
+        return _string_value(t)
+    return t[1:] if len(t) > 1 and t[0] in "$#" else t
 
 
 # ---------------------------------------------------------------------------
@@ -244,70 +185,108 @@ class _Abort(Exception):
 
 
 class _Parser:
-    def __init__(self, text, name):
-        lx = _Lexer(text)
-        self.tokens = lx.tokens
-        self.issues = lx.issues
+    """A parser of the tokens of a text, which it reads by index.
+
+    Without ``lexed``, the tokens are what ``_TOKEN.findall`` gives, errors
+    included: a character no token starts with, a stray '#', a string left
+    open.  No error is valid wherever the parser reads a token, so a text
+    with one gets an issue.  ``_read`` parses again, with ``lexed``, a text
+    whose first parse has issues: that parser keeps the tokens that are not
+    errors and their offsets, and reports each error, in text order, before
+    its own issues.  A position is worked out only where one is read, for an
+    issue or ``Rule.line``, from the token's offset and the newlines."""
+
+    def __init__(self, text, name, lexed=False):
+        self.text = text
         self.name = name
+        self.issues = []
+        start = _LEAD.match(text).end() if text[:1] in " \t\r\n%" else 0
+        if lexed:
+            self.lex(start)
+        else:
+            self.tokens = _TOKEN.findall(text, start)
         self.idx = 0
+        self.tag_failed = False  # a tag annotation of the statement failed to unify
+
+    def lex(self, start):
+        """Keep the tokens from ``start`` on that are not errors, with their
+        offsets, and report each error."""
+        self.tokens, self.offsets = tokens, offsets = [], []
+        for m in _TOKEN.finditer(self.text, start):
+            t = m[1]
+            if t == "#":
+                message = "unknown syntax: stray '#'"
+            elif t[:1] == '"' and _string_value(t) is None:
+                message = "unknown syntax: unterminated string"
+            elif len(t) == 1 and t not in _ONE_CHAR:
+                message = f"unknown syntax: unexpected character {t!r}"
+            else:
+                tokens.append(t)
+                offsets.append(m.start())
+                continue
+            self.issues.append(ParseIssue(*self.position(m.start()), message))
+
+    @functools.cached_property
+    def offsets(self):
+        """The offset of each token of a first parse: where the first
+        starts, then where each match ends."""
+        start = _LEAD.match(self.text).end()
+        return list(itertools.accumulate(map(len, _SPAN.findall(self.text, start)), initial=start))
+
+    @functools.cached_property
+    def newlines(self):
+        return [m.start() for m in re.finditer("\n", self.text)]
+
+    def position(self, offset):
+        """The line and column of the character at ``offset``."""
+        newlines = self.newlines
+        line = bisect.bisect_left(newlines, offset)  # the newlines before it
+        return line + 1, offset - (newlines[line - 1] if line else -1)
+
+    def issue(self, i, message):
+        """Report ``message`` at token ``i``."""
+        self.issues.append(ParseIssue(*self.position(self.offsets[i]), message))
+
+    def fail(self, i, message, read=True):
+        """Report ``message`` at token ``i`` and abort the statement.  ``sync``
+        resumes after the token, or at it where it is left unread; never
+        past the end of the text."""
+        self.issue(i, message)
+        self.idx = i + 1 if read and self.tokens[i] else i
+        raise _Abort()
+
+    def expect(self, token, what):
+        i = self.idx
+        t = self.tokens[i]
+        if t != token:
+            self.fail(i, f"unknown syntax: expected {what}, found {_shown(t)!r}")
+        self.idx = i + 1
+
+    def sync(self):
+        """Resume after the next '.', or at the end."""
+        toks, i = self.tokens, self.idx
+        while toks[i] and toks[i] != ".":
+            i += 1
+        self.idx = i + 1 if toks[i] else i
+
+    def parse(self) -> Grammar | None:
+        """The grammar of the text, or None when there are issues."""
         self.rules = []
         self.restrictor_paths = set()
         self.start_declared = None
-        self.tag_failed = False  # a tag annotation of the statement failed to unify
-        self.atoms = {}  # name -> the parse's one atom of that name
-
-    def peek(self) -> _Tok:
-        return self.tokens[self.idx]
-
-    def take(self) -> _Tok:
-        t = self.tokens[self.idx]
-        if t.kind != "EOF":
-            self.idx += 1
-        return t
-
-    def atom(self, name) -> Node:
-        """The parse's one atom named ``name``.  Atoms are values: nothing
-        mutates one, so every occurrence can share it."""
-        got = self.atoms.get(name)
-        if got is None:
-            got = self.atoms[name] = atom(name)
-        return got
-
-    def fail(self, tok, message):
-        self.issues.append(ParseIssue(tok.line, tok.col, message))
-        raise _Abort()
-
-    def expect(self, kind, what):
-        t = self.take()
-        if t.kind != kind:
-            self.fail(t, f"unknown syntax: expected {what}, found {t.value!r}")
-        return t
-
-    def too_deep(self):
-        """Report nesting deeper than the parser's recursion allows, at the
-        token it had reached."""
-        t = self.peek()
-        self.issues.append(ParseIssue(t.line, t.col, "category nested too deeply to parse"))
-
-    def sync(self):
-        while self.peek().kind not in ("STOP", "EOF"):
-            self.take()
-        if self.peek().kind == "STOP":
-            self.take()
-
-    def parse(self) -> Grammar:
-        while self.peek().kind != "EOF":
+        toks = self.tokens
+        while toks[self.idx]:
             try:
                 self.statement()
             except _Abort:
                 self.sync()
             except RecursionError:
-                self.too_deep()
+                self.issue(self.idx, "category nested too deeply to parse")
                 self.sync()
         if not self.rules and not self.issues:
             self.issues.append(ParseIssue(1, 1, "a grammar needs at least one rule"))
         if self.issues:
-            raise GrammarSyntaxError(self.issues)
+            return None
         if self.start_declared is not None:
             start = Node(arcs={"cat": atom(self.start_declared)})
         else:
@@ -321,58 +300,64 @@ class _Parser:
         )
 
     def statement(self):
-        t = self.peek()
-        if t.kind == "WORD" and t.value == "restrict":
-            self.take()
+        t = self.tokens[self.idx]
+        if t == "restrict":
+            self.idx += 1
             self.restrict_statement()
-        elif t.kind == "WORD" and t.value == "start":
-            self.take()
+        elif t == "start":
+            self.idx += 1
             self.start_statement()
         else:
             self.rule_statement()
 
     def restrict_statement(self):
+        toks = self.tokens
+        i = self.idx
         while True:
-            t = self.take()
-            if t.kind != "WORD":
-                self.fail(t, "restrictor path malformed")
-            # each dot-separated segment of a WORD token matches fs._FEATURE_RE
-            self.restrictor_paths.add(fs.make_path(t.value))
-            t = self.take()
-            if t.kind == "STOP":
+            if toks[i][:1] not in _LETTERS:
+                self.fail(i, "restrictor path malformed")
+            # each dot-separated segment of a word matches fs._FEATURE_RE
+            self.restrictor_paths.add(fs.make_path(toks[i]))
+            if toks[i + 1] == ".":
+                self.idx = i + 2
                 return
-            if t.kind != "COMMA":
-                self.fail(t, "restrictor path malformed: expected ',' or '.'")
+            if toks[i + 1] != ",":
+                self.fail(i + 1, "restrictor path malformed: expected ',' or '.'")
+            i += 2
 
     def start_statement(self):
-        t = self.take()
-        if t.kind != "WORD" or "." in t.value:
-            self.fail(t, "unknown syntax: start expects a category label")
-        self.start_declared = t.value.lower()
-        self.expect("STOP", "'.'")
+        i = self.idx
+        t = self.tokens[i]
+        if t[:1] not in _LETTERS or "." in t:
+            self.fail(i, "unknown syntax: start expects a category label")
+        self.start_declared = t.lower()
+        self.idx = i + 1
+        self.expect(".", "'.'")
 
     def rule_statement(self):
         tags = {}
         self.tag_failed = False
-        starts = [self.peek()]
+        toks = self.tokens
+        starts = [self.idx]
         mother = self.category(tags)
-        self.expect("ARROW", "'->'")
+        self.expect("->", "'->'")
         daughters = []
-        while self.peek().kind != "STOP":
-            if self.peek().kind == "EOF":
-                self.fail(self.peek(), "unknown syntax: unterminated rule")
-            preterminal_sugar = False
-            if self.peek().kind == "WORD" and self.peek().value == "term":
-                self.take()
-                preterminal_sugar = True
-            starts.append(self.peek())
+        while toks[self.idx] != ".":
+            i = self.idx
+            if not toks[i]:
+                self.fail(i, "unknown syntax: unterminated rule")
+            preterminal_sugar = toks[i] == "term"
+            if preterminal_sugar:
+                i += 1
+                self.idx = i
+            starts.append(i)
             d = self.category(tags)
             if preterminal_sugar:
-                self.mark_preterminal(d, starts[-1])
+                self.mark_preterminal(d, i)
             daughters.append(d)
-        self.take()  # STOP
+        self.idx += 1  # the '.'
         roots = [mother, *daughters]
-        line = starts[0].line
+        line = self.position(self.offsets[starts[0]])[0]
         if self.builds_cycle(roots):
             self.issues.append(ParseIssue(line, 1, "rule builds a cyclic structure"))
             return
@@ -389,80 +374,76 @@ class _Parser:
     def check_avms(self, roots, starts):
         """Report each root that is an atom, at the token where it starts:
         a category is an AVM, and a tag may bind one to an atom."""
-        for root, t in zip(roots, starts):
+        for root, i in zip(roots, starts):
             n = deref(root)
             if n.atom is not None:
-                self.issues.append(ParseIssue(t.line, t.col, f"a category is an AVM, not the atom {_atom_text(n.atom)}"))
+                self.issue(i, f"a category is an AVM, not the atom {_atom_text(n.atom)}")
 
     def mark_preterminal(self, cat, start):
-        """Unify ``ter=+`` into ``cat``; a clash is reported at ``start``,
-        the token where the category starts.  An atom category is left to
+        """Unify ``ter=+`` into ``cat``; a clash is reported at token
+        ``start``, where the category starts.  An atom category is left to
         ``check_avms``."""
         if deref(cat).atom is not None:
             return
         try:
             # a fresh tree sharing no complex node cannot close a cycle
-            fs.unify_in_place(Node(arcs={"ter": self.atom("+")}), cat, tree=True)
+            fs.unify_in_place(Node(arcs={"ter": _atom("+")}), cat, tree=True)
         except UnificationFailed:
-            message = "term used on a category with ter incompatible with '+'"
-            self.issues.append(ParseIssue(start.line, start.col, message))
+            self.issue(start, "term used on a category with ter incompatible with '+'")
 
     def category(self, tags, allow_end_mark=False) -> Node:
         """The category at the parser's token: ``Label``, ``Label[...]``,
-        ``[...]``, a ``$n`` tag or, where allowed, the end mark ``$``.
-        Tokens are read by index.  A token no category starts with is left
-        unread; one in error inside the category is taken as ``take`` would,
-        so that ``sync`` resumes where it would."""
+        ``[...]``, a ``$n`` tag or, where allowed, the end mark ``$``.  A
+        token no category starts with is left unread; one in error inside
+        the category is read, so that ``sync`` resumes after it."""
         toks = self.tokens
         i = self.idx
         t = toks[i]
-        kind = t.kind
-        if kind == "WORD":
+        c = t[:1]
+        if c in _LETTERS:
             i += 1
             self.idx = i
-            if "." in t.value:
-                self.fail(t, f"unknown syntax: unexpected path {t.value!r}")
-            fields = {"cat": self.atom(t.value.lower())}
-            if toks[i].kind != "LB":
+            if "." in t:
+                self.fail(i - 1, f"unknown syntax: unexpected path {t!r}")
+            fields = {"cat": _atom(t.lower())}
+            if toks[i] != "[":
                 return Node(arcs=fields)
-        elif kind == "LB":
+        elif t == "[":
             fields = {}
-        elif kind == "TAG":
+        elif len(t) > 1 and c in "$#":
             return self.tag_value(tags)
-        elif kind == "DOLLAR":
+        elif t == "$":
             self.idx = i + 1
             if not allow_end_mark:
-                self.fail(t, "unknown syntax: '$' is reserved for the end marker")
+                self.fail(i, "unknown syntax: '$' is reserved for the end marker")
             return end_category()
         else:
-            self.fail(t, f"unknown syntax: expected a category, found {t.value!r}")
+            self.fail(i, f"unknown syntax: expected a category, found {_shown(t)!r}", read=False)
         # the features, after the '[' at i
         i += 1
-        if toks[i].kind == "RB":
+        if toks[i] == "]":
             self.idx = i + 1
             return Node(arcs=fields)
         while True:
             name = toks[i]
-            # a WORD token matches fs._FEATURE_RE unless it is a dotted path
-            if name.kind != "WORD" or "." in name.value:
-                self.idx = i
-                self.fail(self.take(), f"unknown syntax: expected a feature name, found {name.value!r}")
-            self.idx = i + 1
-            if toks[i + 1].kind != "EQ":
-                self.expect("EQ", "'='")
+            # a word matches fs._FEATURE_RE unless it is a dotted path
+            if name[:1] not in _LETTERS or "." in name:
+                self.fail(i, f"unknown syntax: expected a feature name, found {_shown(name)!r}")
+            if toks[i + 1] != "=":
+                self.fail(i + 1, f"unknown syntax: expected '=', found {_shown(toks[i + 1])!r}")
             self.idx = i + 2
             value = self.value(tags)
-            if name.value in fields:
-                self.issues.append(ParseIssue(name.line, name.col, f"duplicate feature {name.value!r} in one AVM"))
+            if name in fields:
+                self.issue(i, f"duplicate feature {name!r} in one AVM")
             else:
-                fields[name.value] = value
+                fields[name] = value
             i = self.idx
-            kind = toks[i].kind
-            if kind == "RB":
+            t = toks[i]
+            if t == "]":
                 self.idx = i + 1
                 return Node(arcs=fields)
-            if kind != "COMMA":
-                self.fail(self.take(), "unknown syntax: expected ',' or ']'")
+            if t != ",":
+                self.fail(i, "unknown syntax: expected ',' or ']'")
             i += 1
 
     def value(self, tags) -> Node:
@@ -471,19 +452,26 @@ class _Parser:
         dotted word is too, for ``category`` to refuse."""
         i = self.idx
         t = self.tokens[i]
-        kind = t.kind
-        if kind == "STR" or kind == "SYM" or kind == "WORD" and "." not in t.value and self.tokens[i + 1].kind != "LB":
+        c = t[:1]
+        if c in _LETTERS and "." not in t and self.tokens[i + 1] != "[" or t == "+" or t == "-":
             self.idx = i + 1
-            return self.atom(t.value)
-        if kind == "WORD" or kind == "LB" or kind == "TAG":
+            return _atom(t)
+        if c == '"':
+            s = _string_value(t)
+            if s is not None:
+                self.idx = i + 1
+                return _atom(s)
+        elif c in _LETTERS or t == "[" or len(t) > 1 and c in "$#":
             return self.category(tags)
-        self.fail(t, f"unknown syntax: expected a value, found {t.value!r}")
+        self.fail(i, f"unknown syntax: expected a value, found {_shown(t)!r}", read=False)
 
     def tag_value(self, tags) -> Node:
-        t = self.take()
-        tag = tags.setdefault(t.value, fs.empty())
-        if self.peek().kind == "COLON":
-            self.take()
+        i = self.idx
+        t = self.tokens[i]
+        tag = tags.setdefault(t[1:], fs.empty())
+        self.idx = i + 1
+        if self.tokens[i + 1] == ":":
+            self.idx = i + 2
             constraint = self.value(tags)
             try:
                 fs.unify_in_place(tag, constraint)
@@ -492,15 +480,25 @@ class _Parser:
                 # rule's or sequence's own check reports it once
                 self.tag_failed = True
                 if exc.reason != "cycle":
-                    self.issues.append(
-                        ParseIssue(t.line, t.col, f"tag ${t.value} used with two incompatible value annotations ({exc})")
-                    )
+                    self.issue(i, f"tag ${t[1:]} used with two incompatible value annotations ({exc})")
         return deref(tag)
+
+
+def _read(text, name, read):
+    """What ``read`` gives on a parser of ``text``; GrammarSyntaxError,
+    with the issues of a parser that lexes the text, when it has any."""
+    p = _Parser(text, name)
+    got = read(p)
+    if p.issues:
+        p = _Parser(text, name, lexed=True)
+        read(p)
+        raise GrammarSyntaxError(p.issues)
+    return got
 
 
 def parse_grammar(text: str, name: str = "<string>") -> Grammar:
     """Parse a grammar document; raises GrammarSyntaxError listing all issues."""
-    return _Parser(text, name).parse()
+    return _read(text, name, _Parser.parse)
 
 
 def parse_category(text: str) -> Node:
@@ -510,30 +508,30 @@ def parse_category(text: str) -> Node:
 
 def parse_category_sequence(text: str) -> list:
     """Parse whitespace-separated AVMs sharing one tag space."""
-    return _category_sequence(_Parser(text, "<category>"))
+    return _read(text, "<category>", _category_sequence)
 
 
 def _category_sequence(p: _Parser) -> list:
     """The categories ``p`` parses, all of its text, as
-    ``parse_category_sequence`` gives them."""
+    ``parse_category_sequence`` gives them; its issues, if any, are in
+    ``p.issues``."""
     cats = []
     starts = []
     tags = {}
+    toks = p.tokens
     try:
-        while p.peek().kind != "EOF":
-            starts.append(p.peek())
+        while toks[p.idx]:
+            starts.append(p.idx)
             cats.append(p.category(tags, allow_end_mark=True))
     except _Abort:
         pass
     except RecursionError:
-        p.too_deep()
+        p.issue(p.idx, "category nested too deeply to parse")
     if not p.issues and not cats:
         p.issues.append(ParseIssue(1, 1, "expected at least one category"))
     if not p.issues and p.builds_cycle(cats):
         p.issues.append(ParseIssue(1, 1, "categories build a cycle"))
     p.check_avms(cats, starts)
-    if p.issues:
-        raise GrammarSyntaxError(p.issues)
     return cats
 
 

@@ -724,6 +724,47 @@ def test_an_escaped_newline_inside_a_string_moves_later_tokens_down():
     assert [r.line for r in parse_grammar(text[:-1]).rules] == [1]
 
 
+def test_a_tag_number_is_ascii_digits():
+    """``$n`` and ``#n`` take 0-9 only: any other digit after ``$``, a
+    decimal one of another script ('３', '٣') or not ('²', '①'), is an
+    unexpected character after an end mark."""
+    for text in ("A[f=$²]", "A[f=$①]", "A[f=$３]", "A[f=$٣]"):
+        with pytest.raises(GrammarSyntaxError) as err:
+            parse_category_sequence(text)
+        assert str(err.value.issues[0]) == f"1:6: unknown syntax: unexpected character {text[5]!r}", text
+    assert fs.equivalent_many(parse_category_sequence("A[f=$09] B[g=#09]"), parse_category_sequence("A[f=$1] B[g=$1]"))
+
+
+@pytest.mark.parametrize("blank", ["\f", "\v", "\xa0"])
+def test_only_space_tab_return_and_newline_separate_tokens(blank):
+    with pytest.raises(GrammarSyntaxError) as err:
+        parse_category_sequence(f"A[]{blank}B[]")
+    assert [str(i) for i in err.value.issues] == [f"1:4: unknown syntax: unexpected character {blank!r}"]
+
+
+def test_a_stray_character_in_a_grammar_of_many_lines_is_placed():
+    """Lines count the newlines of comments and escaped ones in strings; the
+    lexer reports a character no token starts with and reads on."""
+    text = 'S[] -> A[orth="x\\\ny"].  % two lines\nA[] -> .\n  B[] -> @ C[]. C[] -> ~.\n'
+    with pytest.raises(GrammarSyntaxError) as err:
+        parse_grammar(text)
+    assert [str(i) for i in err.value.issues] == [
+        "4:10: unknown syntax: unexpected character '@'",
+        "4:24: unknown syntax: unexpected character '~'",
+    ]
+    assert [r.line for r in parse_grammar(text.replace("@", "").replace("~", "")).rules] == [1, 3, 4, 4]
+
+
+def test_a_string_that_a_newline_leaves_open_is_not_a_value():
+    for parse, text, col in ((parse_category_sequence, 'A[f="x\n]', 5), (parse_grammar, 'S[] -> A[f="x\n].', 12)):
+        with pytest.raises(GrammarSyntaxError) as err:
+            parse(text)
+        assert [str(i) for i in err.value.issues] == [
+            f"1:{col}: unknown syntax: unterminated string",
+            "2:1: unknown syntax: expected a value, found ']'",
+        ]
+
+
 def test_parsing_time_grows_linearly_with_the_text():
     # 20,000 rules, 0.9 MB: a rescan of the text per token takes minutes
     text = "".join(f"S{i}[agr=$1, f=[g=a]] -> A{i}[agr=$1] b[].\n" for i in range(20_000))

@@ -11,9 +11,12 @@ are and which tests must catch them:
 - M1-M24, faults of the engine, ``firstfollow.py``, but for M21, which is
   retired: each label's index list holds its pairs alone, so no list of
   serials can fall out of step with it.
-- M25-M41, faults of the front end, ``grammar.py``: token and issue
-  positions in the lexer (M25-M35), the parser's cycle check (M36, M37)
-  and the printer's two walks (M38-M41).
+- M25-M41, faults of the front end, ``grammar.py``: positions worked out
+  from token offsets (M25-M31), the token regex where it must keep the
+  notation's lexing (M32-M35: the four blanks, ASCII tag digits, the
+  alternative that takes any other character, and an escaped newline in
+  a string), the parser's cycle check (M36, M37) and the printer's two
+  walks (M38-M41).
 - M42-M44, faults of binding once per left-side class: in the engine's
   grouping (M42), and in the algebra's canonical key, ``fs.py`` (M43,
   M44).  M45 is retired: a class is the root that founded it, so no
@@ -27,9 +30,12 @@ are and which tests must catch them:
   retired: ``store`` walks apartness where it is not known, so ``apart``
   is never None where it is tested, and ``if apart:`` and ``if apart is
   not False:`` are one program.
+- M54-M56, faults of the front end's two parses of a text with issues: a
+  token left unread taken by the resync (M54), no second parse (M55), and
+  an open string read as an atom in the first (M56).
 
-M15-M41 keep the evidence on which white-box tests of those internals
-retired: each fault such a test caught must still fail a test that
+M15-M24 and M36-M41 keep the evidence on which white-box tests of those
+internals retired: each fault such a test caught must still fail a test that
 remains.  For each mutant, the tool copies ``src/``, ``tests/``,
 ``perfbench/`` (whose pool grammars the parse pin reads) and
 ``pyproject.toml`` to a temporary directory, makes the replacement there
@@ -204,70 +210,70 @@ MUTANTS = (
         "if widest is not None:",
     ),
     (
-        "M25 a word's column one too far right",
+        "M25 a token's column one too far right",
         FRONT_END,
-        '("WORD", text[i:j], line, i - last)',
-        '("WORD", text[i:j], line, i - last + 1)',
+        "return line + 1, offset - (",
+        "return line + 1, 1 + offset - (",
     ),
     (
-        "M26 an arrow's column one too far right",
+        "M26 a column on the first line one too far left",
         FRONT_END,
-        '("ARROW", "->", line, i - last)',
-        '("ARROW", "->", line, i - last + 1)',
+        "if line else -1)",
+        "if line else 0)",
     ),
     (
-        "M27 a punctuation mark's column one too far right",
+        "M27 the first parse's offsets start at the text's start, not its first token's",
         FRONT_END,
-        "(punct[c], c, line, i - last)",
-        "(punct[c], c, line, i - last + 1)",
+        "initial=start))",
+        "initial=0))",
     ),
     (
-        "M28 a tag's column one too far right",
+        "M28 the lexer places a token at the end of its match",
         FRONT_END,
-        '("TAG", text[i + 1 : j], line, i - last)',
-        '("TAG", text[i + 1 : j], line, i - last + 1)',
+        "offsets.append(m.start())",
+        "offsets.append(m.end())",
     ),
     (
-        "M29 an end mark's column one too far right",
+        "M29 the lexer reports an error one column too far right",
         FRONT_END,
-        '("DOLLAR", "$", line, i - last)',
-        '("DOLLAR", "$", line, i - last + 1)',
+        "ParseIssue(*self.position(m.start()), message)",
+        "ParseIssue(*self.position(m.start() + 1), message)",
     ),
     (
-        "M30 a comment's newline is not counted",
+        "M30 a comment that opens the text is not skipped",
         FRONT_END,
-        "else:\n                    line += 1\n                    last = nl",
-        "else:\n                    last = nl",
+        'if text[:1] in " \\t\\r\\n%" else 0',
+        'if text[:1] in " \\t\\r\\n" else 0',
     ),
     (
-        "M31 an escaped newline inside a string is not counted",
+        "M31 an escaped newline in a string is not counted as a line",
         FRONT_END,
-        "if inside:",
-        "if False:",
+        're.finditer("\\n", self.text)',
+        're.finditer("(?<!\\\\\\\\)\\n", self.text)',
     ),
     (
-        "M32 the end of the text one column too far left",
+        "M32 blanks widened to every white space character",
         FRONT_END,
-        '("EOF", "", line, n - last)',
-        '("EOF", "", line, n - last - 1)',
+        '_BLANKS = r"[ \\t\\r\\n]*+(?:%[^\\n]*+[ \\t\\r\\n]*+)*+"',
+        '_BLANKS = r"\\s*+(?:%[^\\n]*+\\s*+)*+"',
     ),
     (
-        "M33 a string's column one too far right",
+        "M33 tag numbers widened to every digit",
         FRONT_END,
-        '_Tok("STR", "".join(out), line, col)',
-        '_Tok("STR", "".join(out), line, col + 1)',
+        "[$#][0-9]*",
+        "[$#]\\d*",
     ),
     (
-        "M34 a newline does not move the column back",
+        "M34 no alternative takes a character no token starts with",
         FRONT_END,
-        "line += 1\n                last = i\n                i += 1",
-        "line += 1\n                i += 1",
+        "  | [\\s\\S]                                             # any other character: an error\n",
+        "",
     ),
     (
-        "M35 an unterminated string reported one column too far right",
+        "M35 a string's escape does not take a newline",
         FRONT_END,
-        'ParseIssue(line, col, "unknown syntax: unterminated string")',
-        'ParseIssue(line, col + 1, "unknown syntax: unterminated string")',
+        '"(?:\\\\[\\s\\S]?|[^"\\\\\\n])*"?',
+        '"(?:\\\\.?|[^"\\\\\\n])*"?',
     ),
     (
         "M36 no statement is checked for cycles",
@@ -358,6 +364,24 @@ MUTANTS = (
         ENGINE,
         "apart = fs.apart(lhs_roots, (rhs,))",
         "apart = True",
+    ),
+    (
+        "M54 a statement resumes after a token left unread",
+        FRONT_END,
+        "self.idx = i + 1 if read and self.tokens[i] else i",
+        "self.idx = i + 1 if self.tokens[i] else i",
+    ),
+    (
+        "M55 a text whose first parse has issues is not lexed again",
+        FRONT_END,
+        "        p = _Parser(text, name, lexed=True)\n",
+        "",
+    ),
+    (
+        "M56 a string left open is read as an atom",
+        FRONT_END,
+        "            if s is not None:\n",
+        "            if True:\n",
     ),
 )
 

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import bisect
 import functools
-import itertools
 import re
 from dataclasses import dataclass, replace
 
@@ -149,17 +148,13 @@ _ONE_TOKEN = r"""
   | [\s\S]                                             # any other character: an error
   | \Z
 """
-_BLANKS = r"[ \t\r\n]*+(?:%[^\n]*+[ \t\r\n]*+)*+"
+_BLANKS = r"[ \t\r\n]*(?:%[^\n]*[ \t\r\n]*)*"
 _LEAD = re.compile(_BLANKS)
 _TOKEN = re.compile(f"({_ONE_TOKEN}){_BLANKS}", re.VERBOSE)
-_SPAN = re.compile(f"(?:{_ONE_TOKEN}){_BLANKS}", re.VERBOSE)  # whole matches, for their lengths
 _CLOSED = re.compile(r'"((?:\\[\s\S]|[^"\\])*)"')
 _ESCAPE = re.compile(r"\\([\s\S])")
 _LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
 _ONE_CHAR = _LETTERS | frozenset("[]=,:.+-$")  # the one-character tokens that are not errors
-# the one atom of a name: atoms are values, which nothing mutates, so every
-# occurrence in every parse can share one
-_atom = functools.lru_cache(maxsize=4096)(atom)
 
 
 def _string_value(t):
@@ -175,6 +170,14 @@ def _shown(t):
     if t[:1] == '"':
         return _string_value(t)
     return t[1:] if len(t) > 1 and t[0] in "$#" else t
+
+
+class _Atoms(dict):
+    """A parse's one atom of each name: nothing mutates an atom, so all share it."""
+
+    def __missing__(self, name):
+        got = self[name] = atom(name)
+        return got
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +210,7 @@ class _Parser:
             self.tokens = _TOKEN.findall(text, start)
         self.idx = 0
         self.tag_failed = False  # a tag annotation of the statement failed to unify
+        self.atoms = _Atoms()
 
     def lex(self, start):
         """Keep the tokens from ``start`` on that are not errors, with their
@@ -228,10 +232,8 @@ class _Parser:
 
     @functools.cached_property
     def offsets(self):
-        """The offset of each token of a first parse: where the first
-        starts, then where each match ends."""
-        start = _LEAD.match(self.text).end()
-        return list(itertools.accumulate(map(len, _SPAN.findall(self.text, start)), initial=start))
+        """The offset of each token of a first parse."""
+        return [m.start() for m in _TOKEN.finditer(self.text, _LEAD.match(self.text).end())]
 
     @functools.cached_property
     def newlines(self):
@@ -387,7 +389,7 @@ class _Parser:
             return
         try:
             # a fresh tree sharing no complex node cannot close a cycle
-            fs.unify_in_place(Node(arcs={"ter": _atom("+")}), cat, tree=True)
+            fs.unify_in_place(Node(arcs={"ter": self.atoms["+"]}), cat, tree=True)
         except UnificationFailed:
             self.issue(start, "term used on a category with ter incompatible with '+'")
 
@@ -405,7 +407,7 @@ class _Parser:
             self.idx = i
             if "." in t:
                 self.fail(i - 1, f"unknown syntax: unexpected path {t!r}")
-            fields = {"cat": _atom(t.lower())}
+            fields = {"cat": self.atoms[t.lower()]}
             if toks[i] != "[":
                 return Node(arcs=fields)
         elif t == "[":
@@ -455,12 +457,12 @@ class _Parser:
         c = t[:1]
         if c in _LETTERS and "." not in t and self.tokens[i + 1] != "[" or t == "+" or t == "-":
             self.idx = i + 1
-            return _atom(t)
+            return self.atoms[t]
         if c == '"':
             s = _string_value(t)
             if s is not None:
                 self.idx = i + 1
-                return _atom(s)
+                return self.atoms[s]
         elif c in _LETTERS or t == "[" or len(t) > 1 and c in "$#":
             return self.category(tags)
         self.fail(i, f"unknown syntax: expected a value, found {_shown(t)!r}", read=False)

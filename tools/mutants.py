@@ -224,8 +224,8 @@ MUTANTS = (
     (
         "M27 the first parse's offsets start at the text's start, not its first token's",
         FRONT_END,
-        "initial=start))",
-        "initial=0))",
+        "_TOKEN.finditer(self.text, _LEAD.match(self.text).end())",
+        "_TOKEN.finditer(self.text, 0)",
     ),
     (
         "M28 the lexer places a token at the end of its match",
@@ -254,8 +254,8 @@ MUTANTS = (
     (
         "M32 blanks widened to every white space character",
         FRONT_END,
-        '_BLANKS = r"[ \\t\\r\\n]*+(?:%[^\\n]*+[ \\t\\r\\n]*+)*+"',
-        '_BLANKS = r"\\s*+(?:%[^\\n]*+\\s*+)*+"',
+        '_BLANKS = r"[ \\t\\r\\n]*(?:%[^\\n]*[ \\t\\r\\n]*)*"',
+        '_BLANKS = r"\\s*(?:%[^\\n]*\\s*)*"',
     ),
     (
         "M33 tag numbers widened to every digit",

@@ -149,11 +149,12 @@ class Pair:
     here, and ``lhs`` and ``rhs`` are never reassigned.
 
     A pair the engine adds to a ``PairSet`` is made from a product.  Its
-    left roots must be a copy the run made, restricted and pruned as
-    ``fs.restrict_many`` does with ``prune``: binds do that as they copy
-    out, and seeds, empty-rule mothers and empty-string derivations go
-    through it.  Pruning drops vacuous leftovers from discarded rule
-    context, so that equal claims collide under the antichain operator.
+    left roots must be a copy the run made in the stored form, restricted
+    and pruned as ``fs.restrict_many`` makes it: binds given the grammar's
+    restrictor copy out that form, and seeds, empty-rule mothers and
+    empty-string derivations go through ``fs.restrict_many``.  Pruning
+    drops vacuous leftovers from discarded rule context, so that equal
+    claims collide under the antichain operator.
     ``rhs`` is ``EPSILON``, or restricted and pruned too: a copy made with
     the left roots, or a stored right side a bind shared, which is one
     already.  Products share left-side nodes across a whole run, as right
@@ -500,11 +501,12 @@ class _Recorder:
 # ---------------------------------------------------------------------------
 # shared machinery
 
-def _bind(root, pair, kept, cut, prune):
+def _bind(root, pair, kept, restrictor):
     """Unify ``root``, a root of a working space, with a stored pair's left
-    side, and copy out the roots ``kept`` of that space, restricted by
-    ``cut`` and, with ``prune``, pruned: a product to store is both, a
-    working space is copied as it is.
+    side, and copy out the roots ``kept`` of that space as
+    ``fs.unify_copy`` copies them: in the stored form, restricted and
+    pruned, given a ``restrictor`` (a product to store), or as a working
+    copy without one.
 
     Returns (kept_copies, bound_rhs, apart), or None on failure: bound_rhs
     is the pair's right side under the binding, ``EPSILON`` for an
@@ -526,11 +528,11 @@ def _bind(root, pair, kept, cut, prune):
     tree = pair.lhs_is_tree()
     if pair.sides_apart():
         try:
-            return fs.unify_copy(root, lhs, kept, cut, prune, tree), pair.rhs, True
+            return fs.unify_copy(root, lhs, kept, restrictor, tree), pair.rhs, True
         except UnificationFailed:
             return None
     try:
-        out = fs.unify_copy(root, lhs, [*kept, pair.rhs], cut, prune, tree)
+        out = fs.unify_copy(root, lhs, [*kept, pair.rhs], restrictor, tree)
     except UnificationFailed:
         return None
     rhs = out.pop()
@@ -541,7 +543,8 @@ def _bind_each(space, pos, read, rec, keep=None, restrictor=None, made=None):
     """``_bind`` the root at ``pos`` of ``space`` to each pair of ``read``,
     a ``_Read``, that its label allows, in serial order, copying out the
     roots at the indices ``keep`` (every root when None); with a
-    ``restrictor`` (an empty one too) the copies are products to store.
+    ``restrictor`` (an empty one too) the copies are products to store, in
+    the stored form, and without one they are a working copy.
     Yields (pair, kept_roots, bound_rhs, apart) for each success, as
     ``_bind`` returns them: bound_rhs is ``EPSILON`` for an empty pair.
 
@@ -549,8 +552,8 @@ def _bind_each(space, pos, read, rec, keep=None, restrictor=None, made=None):
     its whole range.  The label is read from ``space``, where earlier
     bindings may have set it.  The pairs it passes over, whose ``cat``
     differs, are attempts that were ``filtered``: counted, not bound.
-    Each pair it tries is counted as an attempt.  What every bind of the
-    read shares, the kept roots and the restriction, is set up once.
+    Each pair it tries is counted as an attempt.  The kept roots, which
+    every bind of the read shares, are picked once.
 
     The run interns every apart left side where it stores the product
     (``_fixpoint``), so a left-side class is a node: pairs whose sides are
@@ -572,20 +575,19 @@ def _bind_each(space, pos, read, rec, keep=None, restrictor=None, made=None):
     if start == end:
         return
     kept = space if keep is None else [space[i] for i in keep]
-    cut, prune = restrictor or frozenset(), restrictor is not None
     if made is None:
         made = {}
     for p in listed[start:end]:
         rec.attempts += 1
         if not p._apart:
-            got = _bind(root, p, kept, cut, prune)
+            got = _bind(root, p, kept, restrictor)
             if got is not None:
                 yield p, *got
             continue
         c = p.lhs[0]
         copies = made.get(c, False)
         if copies is False:
-            got = _bind(root, p, kept, cut, prune)
+            got = _bind(root, p, kept, restrictor)
             copies = made[c] = None if got is None else got[0]
         if copies is not None:
             yield p, copies, p.rhs, True
@@ -772,14 +774,14 @@ def compute_first(g: Grammar, mode: str = "active"):
         for r in g.rules:
             for d in r.daughters:
                 if is_preterminal(d):
-                    root = fs.restrict(d, g.restrictor, prune=True)
+                    root = fs.restrict(d, g.restrictor)
                     store((root,), root, False)  # one node on both sides
 
     def visit(rule, offer, rec, store):
         if rule.is_epsilon:
             # only the first store can be accepted, since a covered pair
             # stays covered, so a visit offered pairs above 0 stores nothing
-            return not offer.lo and store((fs.restrict(rule.mother, g.restrictor, prune=True),), EPSILON, True)
+            return not offer.lo and store((fs.restrict(rule.mother, g.restrictor),), EPSILON, True)
         if not offer.n:
             return False
         first, lo, hi = offer.pset, offer.lo, offer.hi
@@ -797,7 +799,7 @@ def compute_first(g: Grammar, mode: str = "active"):
         products = _first_of_span(base, span, eps, drivers, rec, [0], g.restrictor, fresh, with_empty=True, made=made)
         for mother, rhs, apart in products:
             if rhs is EPSILON:
-                mother = fs.restrict_many(mother[:1], g.restrictor, prune=True)
+                mother = fs.restrict_many(mother[:1], g.restrictor)
             changed |= store(mother, rhs, apart)
         return changed
 
@@ -841,7 +843,7 @@ def first_of_string(first: PairSet, g: Grammar, cats) -> PairSet:
     eps, drivers = _Read(first, _EPS, 0, hi), _Read(first, _DRIVERS, 0, hi)
     for string, rhs, apart in _first_of_span(cats, span, eps, drivers, rec, None, g.restrictor, with_empty=True):
         if rhs is EPSILON:
-            string = fs.restrict_many(string, g.restrictor, prune=True)
+            string = fs.restrict_many(string, g.restrictor)
         out.add(Pair(string, rhs, apart))
     return out
 
@@ -873,7 +875,7 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
     kept = {}
 
     def seed(store):
-        start, end = fs.restrict_many([g.start, end_category()], g.restrictor, prune=True)
+        start, end = fs.restrict_many([g.start, end_category()], g.restrictor)
         store((start,), end, True)  # the end category is a fresh node with an atom
 
     def visit(rule, offer, rec, store):
@@ -952,7 +954,7 @@ def query(result: PairSet, cat: Node) -> list:
                 continue
             rhs = p.rhs
         else:
-            got = _bind(cat, p, (), frozenset(), False)
+            got = _bind(cat, p, (), None)
             if got is None:
                 continue
             rhs = got[1]

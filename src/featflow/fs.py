@@ -19,13 +19,20 @@ a FIRST/FOLLOW pair).  Destructive unification (``unify_in_place``)
 propagates bindings through the whole space; on failure the space is trash
 and must be discarded.
 
+A copy is one of two kinds.  A *working copy* (``clone_many``) keeps
+everything, to be bound further.  The *stored form* (``restrict_many``,
+given a restrictor, an empty one too) is restricted and then pruned of
+vacuous leftovers (``prune_empty_leaves``), so that equal claims come out
+equal; the engine stores nothing else.
+
 ``unify_copy`` unifies without copying first: it binds the two inputs in
 place, records every binding on an undo trail, copies out only the roots
-the caller keeps (restricted, if asked) and undoes the trail before it
-returns or raises.  The structures it is given, stored pairs and grammar
-rules included, are therefore bound during the call and restored before
-it returns.  They are safe to share between callers in one thread, but
-not across threads while such a call is running.  ``apart`` tells when a
+the caller keeps (a working copy, or the stored form when given a
+restrictor) and undoes the trail before it returns or raises.  The
+structures it is given, stored pairs and grammar rules included, are
+therefore bound during the call and restored before it returns.  They
+are safe to share between callers in one thread, but not across threads
+while such a call is running.  ``apart`` tells when a
 stored FIRST/FOLLOW right side can be shared instead of copied, and
 ``canonical_key`` names the class of equivalent spaces a left side
 belongs to, so that equivalent left sides are bound once; the invariants
@@ -153,7 +160,9 @@ def make_restrictor(paths) -> frozenset:
 def _union(a: Node, b: Node, trail: list) -> None:
     """Merge two nodes and everything below them.  Each forward set goes on
     ``trail`` as (node, None) and each arc added as (arcs dict, feature),
-    for ``_undo``.
+    for ``_undo``.  An entry goes on before its binding is made, so an
+    append that raises (a ``RecursionError`` can come from any call) leaves
+    no binding off the trail.
 
     Atoms are values: two atoms of one name unify as they are, and no atom
     is ever forwarded (a variable is forwarded to the atom instead), so the
@@ -172,17 +181,17 @@ def _union(a: Node, b: Node, trail: list) -> None:
             return
         if b.arcs:
             raise UnificationFailed("kind", f"atom {a.atom} against complex node")
-        b.forward = a
         trail.append((b, None))
+        b.forward = a
         return
     if b.atom is not None:
         if a.arcs:
             raise UnificationFailed("kind", f"atom {b.atom} against complex node")
-        a.forward = b
         trail.append((a, None))
+        a.forward = b
         return
-    a.forward = b
     trail.append((a, None))
+    a.forward = b
     # a is forwarded now, so nothing reads a.arcs or adds to it below
     for feat, child in a.arcs.items():
         tgt = b  # a union below may have forwarded b
@@ -193,8 +202,8 @@ def _union(a: Node, b: Node, trail: list) -> None:
         arcs = tgt.arcs
         have = arcs.get(feat)
         if have is None:
-            arcs[feat] = child
             trail.append((arcs, feat))
+            arcs[feat] = child
         elif child.atom is not None and have.atom is not None:
             # an atom is never forwarded, so neither needs a deref
             if child.atom != have.atom:
@@ -282,11 +291,12 @@ def is_tree(root: Node) -> bool:
     return True
 
 
-def unify_copy(a: Node, b: Node, keep, restrictor=frozenset(), prune=False, tree=False) -> list:
+def unify_copy(a: Node, b: Node, keep, restrictor=None, tree=False) -> list:
     """Copies of the roots ``keep`` under the unification of ``a`` and
-    ``b``, restricted by ``restrictor`` (and pruned, with ``prune``) as
-    ``restrict_many`` does; raises UnificationFailed when the two do not
-    unify.  The inputs come back unchanged.
+    ``b``; raises UnificationFailed when the two do not unify.  The inputs
+    come back unchanged.  Without a ``restrictor`` the copies are a working
+    copy, as ``clone_many`` makes; given one, an empty one too, they are
+    the stored form, restricted and pruned as ``restrict_many`` makes it.
 
     Nothing is copied before unifying (nondestructive unification in the
     manner of Wroblewski 1987 and Tomabechi 1991): ``a`` and ``b`` are
@@ -302,7 +312,7 @@ def unify_copy(a: Node, b: Node, keep, restrictor=frozenset(), prune=False, tree
     trail = []
     try:
         unify_in_place(a, b, trail, tree)
-        return restrict_many(keep, restrictor, prune)
+        return clone_many(keep) if restrictor is None else restrict_many(keep, restrictor)
     finally:
         _undo(trail)
 
@@ -360,34 +370,37 @@ def apart(roots, others) -> bool:
 # copying
 
 def clone_many(roots) -> list:
-    """Copy a whole space: same internal sharing, fresh complex nodes.
+    """Copy a whole space: same internal sharing, fresh complex nodes.  This
+    is the working copy: nothing is restricted or pruned.
 
     Cross-root sharing is preserved because all roots go through one memo.
     Forwarding pointers are resolved away, so clones are always clean.
     Atoms are shared with the source, not copied: they are never mutated.
     """
-    return _copy(roots, {})
+    return _copy(roots, None)
 
 
 _new_node = object.__new__  # makes a Node without running Node.__init__
 
 
-def _copy(roots, cut, prune=False) -> list:
-    """``clone_many`` leaving out the arcs in ``cut``, {node: features}.
+def _copy(roots, cut) -> list:
+    """The copy of a space: a working copy when ``cut`` is None, otherwise
+    the stored form, which leaves out the arcs in ``cut``, {node:
+    features}, and is pruned.
 
     An atom is returned as it is, so the memo and the pruning bookkeeping
     below only ever hold complex nodes.  They key by the node itself, which
     hashes by identity, so no ``id`` call is needed.
 
-    With ``prune`` the copy comes out as ``prune_empty_leaves`` would leave
-    it, in the same walk: a complex copy all of whose arcs are candidates
-    goes in ``lone`` until the memo hands it out a second time, and every
-    arc to a member of ``lone`` is a candidate, listed children first.  Once
-    every reference has been seen, a candidate whose child is still in
-    ``lone`` and has no arcs left is deleted.
+    The stored form comes out as ``prune_empty_leaves`` would leave it, in
+    the same walk: a complex copy all of whose arcs are candidates goes in
+    ``lone`` until the memo hands it out a second time, and every arc to a
+    member of ``lone`` is a candidate, listed children first.  Once every
+    reference has been seen, a candidate whose child is still in ``lone``
+    and has no arcs left is deleted.
     """
     memo = {}
-    lone = set() if prune else None  # copies that may end up empty, reached once so far
+    lone = None if cut is None else set()  # copies that may end up empty, reached once so far
     hollow = []  # candidate arcs as (arcs dict, feature, child), in post-order
     out = []
     for r in roots:
@@ -399,8 +412,8 @@ def _copy(roots, cut, prune=False) -> list:
 
 
 def _cp(n, memo, cut, lone, hollow):
-    """``_copy``'s walk: the copy of ``n``.  ``lone`` is None when the copy
-    is not pruned."""
+    """``_copy``'s walk: the copy of ``n``.  ``cut`` and ``lone`` are None
+    in a working copy."""
     while n.forward is not None:
         n = n.forward
     if n.atom is not None:
@@ -544,19 +557,20 @@ def canonical_key(roots) -> tuple:
 # ---------------------------------------------------------------------------
 # restriction
 
-def restrict_many(roots, restrictor, prune=False) -> list:
-    """Copy a space, deleting the final arc of every restrictor path.
+def restrict_many(roots, restrictor) -> list:
+    """The stored form of a space: a copy that deletes the final arc of
+    every restrictor path and drops the vacuous leftovers as
+    ``prune_empty_leaves`` does.
 
     Each path is resolved from each root; deletion happens at whatever node
     the prefix reaches, so values reached through reentrancies disappear
     from every route at once.  Paths that do not resolve are ignored.
     Paths apply one after another in sorted order, so a path whose prefix
     runs through an arc an earlier path deleted does not resolve.  The
-    deletions are found on the source and left out of one copy.  With
-    ``prune`` the copy is also pruned as ``prune_empty_leaves`` prunes, in
-    the same walk.
+    deletions are found on the source and left out of one copy, which is
+    pruned in the same walk.  An empty restrictor only prunes.
     """
-    return _copy(roots, _cuts(roots, restrictor), prune)
+    return _copy(roots, _cuts(roots, restrictor))
 
 
 def _cuts(roots, restrictor) -> dict:
@@ -589,8 +603,8 @@ def _split_paths(restrictor: frozenset) -> tuple:
     return tuple((path[:-1], path[-1]) for path in sorted(restrictor))
 
 
-def restrict(root: Node, restrictor, prune=False) -> Node:
-    return restrict_many([root], restrictor, prune)[0]
+def restrict(root: Node, restrictor) -> Node:
+    return restrict_many([root], restrictor)[0]
 
 
 def prune_empty_leaves(roots) -> list:
@@ -600,10 +614,9 @@ def prune_empty_leaves(roots) -> list:
     An arc to one is dropped unless the node is reachable more than once
     (a reentrancy) or is itself a root.  Vacuous leftovers from discarded
     context carry no information: they never affect a unification outcome,
-    so stored results are canonicalized this way.  Stored results are made
-    by a pruning copy (``restrict_many`` with ``prune``), which gives the
-    same structure in its one walk; this is the reference it is tested
-    against.
+    so stored results are canonicalized this way.  ``restrict_many`` makes
+    the stored form, restricted and pruned, in its one walk; this is the
+    reference its pruning is tested against.
     """
     roots = [deref(r) for r in roots]
     refs = {}

@@ -470,7 +470,9 @@ class _Parser:
     def tag_value(self, tags) -> Node:
         i = self.idx
         t = self.tokens[i]
-        tag = tags.setdefault(t[1:], fs.empty())
+        tag = tags.get(t[1:])
+        if tag is None:  # a node only for the tag's first occurrence
+            tag = tags[t[1:]] = fs.empty()
         self.idx = i + 1
         if self.tokens[i + 1] == ":":
             self.idx = i + 2
@@ -504,19 +506,29 @@ def parse_grammar(text: str, name: str = "<string>") -> Grammar:
 
 
 def parse_category(text: str) -> Node:
-    """Parse one standalone AVM (the end marker ``$`` is accepted here)."""
-    return parse_category_sequence(text)[0]
+    """Parse one standalone AVM (the end marker ``$`` is accepted here).
+    A text that holds a second category is an error, placed there."""
+    return _read(text, "<category>", _one_category)
+
+
+def _one_category(p: _Parser) -> Node:
+    """The category ``p`` parses, as ``parse_category`` gives it; a second
+    category is an issue at the token where it starts."""
+    cats, starts = _category_sequence(p)
+    if len(starts) > 1:
+        p.issue(starts[1], "expected one category, found a second")
+    return cats[0] if cats else None
 
 
 def parse_category_sequence(text: str) -> list:
     """Parse whitespace-separated AVMs sharing one tag space."""
-    return _read(text, "<category>", _category_sequence)
+    return _read(text, "<category>", _category_sequence)[0]
 
 
-def _category_sequence(p: _Parser) -> list:
+def _category_sequence(p: _Parser) -> tuple:
     """The categories ``p`` parses, all of its text, as
-    ``parse_category_sequence`` gives them; its issues, if any, are in
-    ``p.issues``."""
+    ``parse_category_sequence`` gives them, and the token at which each
+    starts; its issues, if any, are in ``p.issues``."""
     cats = []
     starts = []
     tags = {}
@@ -534,7 +546,7 @@ def _category_sequence(p: _Parser) -> list:
     if not p.issues and p.builds_cycle(cats):
         p.issues.append(ParseIssue(1, 1, "categories build a cycle"))
     p.check_avms(cats, starts)
-    return cats
+    return cats, starts
 
 
 def parse_restrictor(text: str) -> frozenset:
@@ -723,10 +735,12 @@ def validate(g: Grammar) -> list:
 
     Every category that is not a preterminal must be rewritable, i.e. its
     restricted form must unify with some rule mother's restricted form.
-    Each mother and daughter is restricted once, and a category is tested
-    only against the mothers its label allows (``_Mothers``).  Reachability
-    is a worklist: the start category and then the daughters of each rule
-    reached, each tested once, against the mothers not reached yet.
+    Each mother and daughter is restricted once, to the stored form that
+    ``fs.restrict`` makes (its pruning changes no unification outcome), and
+    a category is tested only against the mothers its label allows
+    (``_Mothers``).  Reachability is a worklist: the start category and
+    then the daughters of each rule reached, each tested once, against the
+    mothers not reached yet.
     """
     out = []
     mothers = _Mothers([fs.restrict(r.mother, g.restrictor) for r in g.rules])

@@ -209,7 +209,7 @@ def test_pair_sets_differing_in_one_reentrancy_are_not_equivalent():
 # one bind, one unification
 
 def bind_once(site, pair):
-    return _bind(site, pair, [site], frozenset(), False)
+    return _bind(site, pair, [site], None)
 
 
 def test_a_same_label_clash_is_one_unfiltered_attempt():
@@ -940,9 +940,9 @@ def test_each_pair_prints_as_its_sides_print_together():
 
 def bind_args(space, keep, restrictor):
     """What ``_bind`` takes after the pair, as ``_bind_each`` prepares it:
-    the kept roots, the restriction and the prune flag."""
+    the kept roots and the restrictor."""
     kept = space if keep is None else [space[i] for i in keep]
-    return kept, restrictor or frozenset(), restrictor is not None
+    return kept, restrictor
 
 
 def labels_clash(a, b):

@@ -185,7 +185,8 @@ def test_pair_space_subsumption_shared_side():
 def test_restrict_drops_slash():
     sh = empty()
     out = restrict(np(agr=sh, slash=atom("null")), fs.make_restrictor(["slash"]))
-    assert equivalent(out, np(agr=empty()))
+    # the empty agr is reached once, so the stored form prunes it
+    assert equivalent(out, np())
     assert not has_path(out, ("slash",))
 
 
@@ -379,8 +380,9 @@ RESTRICTOR_PATHS = (("f",), ("g",), ("f", "g"), ("g", "h"), ("h", "f", "g"))
 
 
 def restrict_by_deleting(roots, restrictor):
-    """Restriction as a copy followed by deleting each path's last arc, one
-    path after another in sorted order: the reference for restrict_many."""
+    """The stored form as a copy followed by deleting each path's last arc,
+    one path after another in sorted order, then ``prune_empty_leaves``:
+    the reference for restrict_many."""
     out = clone_many(roots)
     for path in sorted(restrictor):
         for root in out:
@@ -395,12 +397,13 @@ def restrict_by_deleting(roots, restrictor):
                 n = fs.deref(n)
             if n is not None and n.atom is None:
                 n.arcs.pop(path[-1], None)
-    return out
+    return fs.prune_empty_leaves(out)
 
 
 def clone_unify_restrict(space, a, b, keep, restrictor):
     """What a bind did before unify_copy: clone the whole space, unify the
-    clones, restrict the kept roots.  Returns the copies, or the reason
+    clones, and take the kept roots as they are without a ``restrictor``,
+    or in the stored form with one.  Returns the copies, or the reason
     unification failed."""
     copies = clone_many(space)
     twin = dict(zip(map(id, space), copies))
@@ -408,7 +411,8 @@ def clone_unify_restrict(space, a, b, keep, restrictor):
         unify_in_place(twin[id(a)], twin[id(b)])
     except UnificationFailed as exc:
         return exc.reason
-    return restrict_by_deleting([twin[id(k)] for k in keep], restrictor)
+    kept = [twin[id(k)] for k in keep]
+    return kept if restrictor is None else restrict_by_deleting(kept, restrictor)
 
 
 def reachable(root):
@@ -440,9 +444,11 @@ def unify_cases(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(unify_cases())
-def test_random_unify_copy_matches_clone_unify_restrict(case):
+@given(unify_cases(), st.booleans())
+def test_random_unify_copy_matches_clone_unify_restrict(case, working):
     space, a, b, keep, restrictor = case
+    if working:
+        restrictor = None
     before, shown = node_state(space), format_roots(space)
     expected = clone_unify_restrict(space, a, b, keep, restrictor)
     assert node_state(space) == before
@@ -474,35 +480,36 @@ def test_random_restrict_many_matches_deleting_from_a_copy(a, paths):
 def test_random_pruning_copy_matches_copy_then_prune(case):
     space, a, b, keep, restrictor = case
     before = node_state(space)
-    want = fs.prune_empty_leaves(restrict_by_deleting(space, restrictor))
-    got = restrict_many(space, restrictor, prune=True)
+    want = restrict_by_deleting(space, restrictor)
+    got = restrict_many(space, restrictor)
     assert node_state(space) == before
     assert fs.equivalent_many(got, want)
     assert format_roots(got) == format_roots(want)
     expected = clone_unify_restrict(space, a, b, keep, restrictor)
     try:
-        got = unify_copy(a, b, keep, restrictor, prune=True)
+        got = unify_copy(a, b, keep, restrictor)
     except UnificationFailed as exc:
         got = exc.reason
     assert node_state(space) == before
     if isinstance(expected, str):
         assert got == expected
     else:
-        want = fs.prune_empty_leaves(expected)
-        assert fs.equivalent_many(got, want)
-        assert format_roots(got) == format_roots(want)
+        assert fs.equivalent_many(got, expected)
+        assert format_roots(got) == format_roots(expected)
 
 
 def test_only_the_pruning_copy_prunes():
     # the node under f is empty: reached once in a copy of the first root
     # alone, and pruned there; shared with the second root, and kept
     space = parse_category_sequence("x[f=$1, g=[h=[]]] y[k=$1]")
-    assert format_roots(restrict_many(space[:1], frozenset(), prune=True)) == ["x[]"]
-    assert format_roots(restrict_many(space, frozenset(), prune=True)) == ["x[f=#1:[]]", "y[k=#1]"]
-    assert format_roots(restrict_many(space[:1], frozenset())) == ["x[f=[], g=[h=[]]]"]
+    assert format_roots(restrict_many(space[:1], frozenset())) == ["x[]"]
+    assert format_roots(restrict_many(space, frozenset())) == ["x[f=#1:[]]", "y[k=#1]"]
+    assert format_roots(clone_many(space[:1])) == ["x[f=[], g=[h=[]]]"]
     assert format_roots([unify(space[0], parse_category("x[]"))]) == ["x[f=[], g=[h=[]]]"]
-    (got,) = unify_copy(space[1], parse_category("y[]"), [space[0]], prune=True)
+    (got,) = unify_copy(space[1], parse_category("y[]"), [space[0]], frozenset())
     assert format_roots([got]) == ["x[]"]
+    (got,) = unify_copy(space[1], parse_category("y[]"), [space[0]])
+    assert format_roots([got]) == ["x[f=[], g=[h=[]]]"]
 
 
 @pytest.mark.parametrize(
@@ -602,6 +609,45 @@ def test_unify_copy_undoes_a_recursion_error():
     with pytest.raises(RecursionError):
         unify_copy(a, b, [a])
     assert node_state([a, b]) == before
+
+
+class TrailThatFails(list):
+    """A trail whose ``append`` raises once it holds ``limit`` entries, as
+    a C call can raise ``RecursionError`` at any depth."""
+
+    def __init__(self, limit):
+        super().__init__()
+        self.limit = limit
+
+    def append(self, entry):
+        if len(self) >= self.limit:
+            raise RecursionError("trail append refused")
+        super().append(entry)
+
+
+@pytest.mark.parametrize(
+    "a, b",
+    [
+        # each kind of binding: a complex node forwarded to a complex one,
+        # an empty node forwarded to an atom on either side, an arc added
+        ("x[f=[], g=p, h=[m=q]]", "x[f=r, g=[], h=[n=s], k=t]"),
+        ("x[f=$1, g=$1:[h=p]]", "x[f=[k=q], g=[m=r]]"),
+        ("x[f=[g=[h=[]]]]", "x[f=[g=[h=[k=p], m=q], n=r]]"),
+    ],
+)
+def test_a_trail_that_fails_at_any_entry_undoes_every_binding(a, b):
+    a, b = parse_category(a), parse_category(b)
+    before = node_state([a, b])
+    full = []
+    unify_in_place(a, b, full)
+    fs._undo(full)
+    assert node_state([a, b]) == before
+    for limit in range(len(full)):
+        trail = TrailThatFails(limit)
+        with pytest.raises(RecursionError):
+            unify_in_place(a, b, trail)
+        fs._undo(trail)
+        assert node_state([a, b]) == before, limit
 
 
 def test_unify_copy_keeps_only_the_listed_roots_restricted():
@@ -711,9 +757,8 @@ def test_random_copies_share_atoms_and_no_complex_node(case):
     space, a, b, keep, restrictor = case
     assert_copied_out(space, clone_many(space))
     assert_copied_out(space, restrict_many(space, restrictor))
-    assert_copied_out(space, restrict_many(space, restrictor, prune=True))
     try:
-        got = unify_copy(a, b, keep, restrictor, prune=True)
+        got = unify_copy(a, b, keep, restrictor) + unify_copy(a, b, keep)
     except UnificationFailed:
         return
     assert_copied_out(space, got)
@@ -761,7 +806,7 @@ def assert_subsumption_matches_the_reference(spaces):
 @given(unify_cases())
 def test_random_iterative_subsumption_matches_the_recursive_walk(case):
     space, a, b, keep, restrictor = case
-    spaces = [space, [a], [b], [space[2]], clone_many(space), restrict_many(space, restrictor, prune=True)]
+    spaces = [space, [a], [b], [space[2]], clone_many(space), restrict_many(space, restrictor)]
     if keep:
         spaces.append(keep)
     assert_subsumption_matches_the_reference(spaces)

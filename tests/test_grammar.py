@@ -237,6 +237,15 @@ def test_parse_category_sequence_shares_tags():
     assert deref(deref(cats[0]).arcs["agr"]) is deref(deref(cats[1]).arcs["agr"])
 
 
+def test_parse_category_parses_exactly_one_category():
+    for text, line, col in (("A[] B[f=x]", 1, 5), ("np[agr=$1]\n  $1", 2, 3), ("A[] $", 1, 5)):
+        with pytest.raises(GrammarSyntaxError) as err:
+            parse_category(text)
+        (issue,) = err.value.issues
+        assert (issue.line, issue.col, issue.message) == (line, col, "expected one category, found a second"), text
+    assert format_node(parse_category("  A[f=$1, g=$1]  % one\n")) == "a[f=#1:[], g=#1]"
+
+
 def test_end_marker_parses_only_standalone():
     cat = parse_category("$")
     assert label_of(cat) == "$"

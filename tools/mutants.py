@@ -33,6 +33,11 @@ are and which tests must catch them:
 - M54-M56, faults of the front end's two parses of a text with issues: a
   token left unread taken by the resync (M54), no second parse (M55), and
   an open string read as an atom in the first (M56).
+- M57-M59, faults of the algebra, ``fs.py``: a binding trailed only after
+  it is made, so an append that raises leaves it in place (M57), a
+  working copy pruned (M58) and a stored form left unpruned (M59).
+- M60, a fault of the front end: ``parse_category`` returns the first of
+  several categories.
 
 M15-M24 and M36-M41 keep the evidence on which white-box tests of those
 internals retired: each fault such a test caught must still fail a test that
@@ -382,6 +387,30 @@ MUTANTS = (
         FRONT_END,
         "            if s is not None:\n",
         "            if True:\n",
+    ),
+    (
+        "M57 _union trails a binding only after making it",
+        ALGEBRA,
+        "    trail.append((a, None))\n    a.forward = b\n",
+        "    a.forward = b\n    trail.append((a, None))\n",
+    ),
+    (
+        "M58 unify_copy prunes a working copy",
+        ALGEBRA,
+        "return clone_many(keep) if restrictor is None else restrict_many(keep, restrictor)",
+        "return restrict_many(keep, restrictor or frozenset())",
+    ),
+    (
+        "M59 restrict_many leaves a stored form unpruned",
+        ALGEBRA,
+        "lone = None if cut is None else set()",
+        "lone = None",
+    ),
+    (
+        "M60 parse_category returns the first of several categories",
+        FRONT_END,
+        "    if len(starts) > 1:\n",
+        "    if False:\n",
     ),
 )
 

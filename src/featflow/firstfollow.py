@@ -92,7 +92,7 @@ from dataclasses import dataclass, field
 
 from . import fs
 from .fs import Node, UnificationFailed
-from .grammar import Grammar, end_category, format_roots, format_unshared, is_preterminal, label_of
+from .grammar import Grammar, end_category, format_roots, is_preterminal, label_of
 
 MODES = ("naive", "active")
 
@@ -186,7 +186,7 @@ class Pair:
         self.key = (signature, tuple(map(label_of, self.comparison_roots)))
         self._tree = None
         self._apart = True if self.is_epsilon else apart
-        self._texts = None  # the print memo of the set that last stored the pair
+        self._texts = None  # the print memo of the set that last stored the pair, for ``_sides``
 
     def lhs_is_tree(self) -> bool:
         """``fs.is_tree`` of the first left root, worked out on the first
@@ -252,9 +252,10 @@ class PairSet:
     (``_fixpoint``), so a class is a node.
 
     Each set owns a print memo, which keeps the printed text of each side
-    that ``format_pair`` printed on its own, by node, so that a side many
-    of the set's pairs share is printed once; a pair takes it from the set
-    that stores it.
+    of a pair whose sides are apart, as ``format_roots`` prints the side
+    alone: a left side's texts by its tuple of roots, a right side's text
+    by its node.  So a side many of the set's pairs share is printed once;
+    a pair takes the memo from the set that stores it (``_sides``).
     """
 
     def __init__(self):
@@ -271,7 +272,7 @@ class PairSet:
         # (label, is_epsilon) -> the index lists a labelled pair joins: lists
         # are never replaced, only appended to and settled
         self._held = {}
-        self._texts = {}  # node -> its printed text, or False (``_side_text``)
+        self._texts = {}  # a tuple of left roots, or a right-side node -> its printed text
 
     def __len__(self):
         return len(self.pairs)
@@ -665,8 +666,8 @@ def _fixpoint(function: str, g: Grammar, mode: str, seed, visit):
     (PairSet, RunStats).
 
     ``seed(store)`` stores the initial pairs.  Then each pass visits every
-    rule as ``visit(rule, offer, rec, store)``, which returns whether it
-    added a pair, until a pass adds none.  ``offer`` is a ``_Read`` of all
+    rule as ``visit(rule, offer, rec, store)``, until a pass whose row of
+    ``rec`` counts no additions.  ``offer`` is a ``_Read`` of all
     pairs of the set being built, in (lo, hi]: the visit reads the set up to
     serial ``hi`` and examines the pairs above ``lo``, every stored pair in
     naive mode (lo is 0), those not yet offered to the rule in active mode.
@@ -714,30 +715,27 @@ def _fixpoint(function: str, g: Grammar, mode: str, seed, visit):
             sides = (root, rhs)
             if sides in offered:
                 out.rejected += 1
-                return False
+                return
             offered.add(sides)
             lhs_roots = (root,)
-        added = out.add(Pair(lhs_roots, rhs, apart))
-        if added and len(out) > g.max_pairs:
+        if out.add(Pair(lhs_roots, rhs, apart)) and len(out) > g.max_pairs:
             raise LimitExceeded(function, "pairs", g.max_pairs, finish(False, out))
-        return added
 
     seed(store)
     for iteration in itertools.count(1):
         if iteration > g.max_iterations:
             raise LimitExceeded(function, "iterations", g.max_iterations, finish(False))
         rec.begin_iteration(out)
-        changed = False
         for r in g.rules:
             hi = out._settle()
             offer = _Read(out, _ALL, marks.get(r.rule_id, 0), hi)
             if active:
                 marks[r.rule_id] = hi
             rec.begin_visit(offer)
-            changed |= visit(r, offer, rec, store)
+            visit(r, offer, rec, store)
             rec.end_visit()
         rec.end_iteration(out)
-        if not changed:
+        if not rec.rows[-1].additions:
             return out, finish(True)
 
 
@@ -781,9 +779,11 @@ def compute_first(g: Grammar, mode: str = "active"):
         if rule.is_epsilon:
             # only the first store can be accepted, since a covered pair
             # stays covered, so a visit offered pairs above 0 stores nothing
-            return not offer.lo and store((fs.restrict(rule.mother, g.restrictor),), EPSILON, True)
+            if not offer.lo:
+                store((fs.restrict(rule.mother, g.restrictor),), EPSILON, True)
+            return
         if not offer.n:
-            return False
+            return
         first, lo, hi = offer.pset, offer.lo, offer.hi
         base, span, labels, made = plans[rule.rule_id]
         eps = _Read(first, _EPS, 0, hi)
@@ -793,15 +793,13 @@ def compute_first(g: Grammar, mode: str = "active"):
             # first daughter's empty pairs to no avail
             rec.passed(eps, 0)
             rec.passed(fresh, 0)
-            return False
+            return
         drivers = _Read(first, _DRIVERS, 0, hi) if lo else fresh
-        changed = False
         products = _first_of_span(base, span, eps, drivers, rec, [0], g.restrictor, fresh, with_empty=True, made=made)
         for mother, rhs, apart in products:
             if rhs is EPSILON:
                 mother = fs.restrict_many(mother[:1], g.restrictor)
-            changed |= store(mother, rhs, apart)
-        return changed
+            store(mother, rhs, apart)
 
     return _fixpoint("FIRST", g, mode, seed, visit)
 
@@ -880,11 +878,11 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
 
     def visit(rule, offer, rec, store):
         if rule.is_epsilon:
-            return False
+            return
         base, tails, labels = plans[rule.rule_id]
         first_visit = rule.rule_id not in kept
         spaces = kept.setdefault(rule.rule_id, [])
-        changed, woken = False, True
+        woken = True
         # FIRST of each proper suffix; its inputs never change, so only a
         # visit offered every pair runs this: any naive one, and the rule's
         # first, which is offered the seed at least and keeps the
@@ -896,7 +894,7 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
                     if rhs is EPSILON:
                         spaces.append((i, daughter, {}))
                     else:
-                        changed |= store(daughter, rhs, apart)
+                        store(daughter, rhs, apart)
         elif labels is not None:
             woken = offer.pset._woken(labels, offer.lo)
         # the mother's FOLLOW flows to any daughter whose suffix is empty or
@@ -908,11 +906,10 @@ def compute_follow(g: Grammar, first: PairSet, mode: str = "active"):
                 # a full visit would bind every kept tail space's mother to no
                 # avail
                 rec.passed(offer, 0)
-                return False
+                return
             for i, space, made in spaces:
                 for _, daughter, rhs, apart in _bind_each(space, 0, offer, rec, [1 + i], g.restrictor, made):
-                    changed |= store(daughter, rhs, apart)
-        return changed
+                    store(daughter, rhs, apart)
 
     return _fixpoint("FOLLOW", g, mode, seed, visit)
 
@@ -1056,36 +1053,31 @@ def _sides(p: Pair) -> tuple:
     ``format_roots`` walk of the two gives, so a tag shared across the
     sides agrees.
 
-    A side that shares no complex node with the other, nor within itself,
-    has no tag, and prints alone as it does there.  So when the sides of a
-    single-category pair are apart, each is taken from the print memo of
-    the set that stored the pair, printed there on first sight; a side
-    with a shared node is noted there as False and the pair printed
-    jointly."""
+    When the sides are apart, that walk counts each side's nodes as a walk
+    of the side alone does, and numbers the left side's tags first.  So
+    each side is taken from the print memo of the set that stored the
+    pair, printed alone there on first sight: the left side by its tuple
+    of roots, the right side by its node.  Only when both sides carry a
+    tag would the right side's alone be numbered from 1 rather than after
+    the left side's, so such a pair, and a pair whose sides are not apart,
+    is printed jointly.  A ``#`` that a quoted atom holds sends a pair to
+    the joint walk too, which is always right."""
     texts = p._texts
-    if texts is not None and len(p.lhs) == 1 and p.sides_apart():
-        lhs = _side_text(texts, p.lhs[0])
-        if lhs is not False:
-            if p.is_epsilon:
-                return [lhs], None
-            rhs = _side_text(texts, p.rhs)
-            if rhs is not False:
-                return [lhs], rhs
+    if texts is not None and p.sides_apart():
+        lhs = texts.get(p.lhs)
+        if lhs is None:
+            lhs = texts[p.lhs] = format_roots(p.lhs)
+        if p.is_epsilon:
+            return lhs, None
+        rhs = texts.get(p.rhs)
+        if rhs is None:
+            rhs = texts[p.rhs] = format_roots([p.rhs])[0]
+        if "#" not in rhs or not any("#" in text for text in lhs):
+            return lhs, rhs
     if p.is_epsilon:
         return format_roots(p.lhs), None
     rendered = format_roots([*p.lhs, p.rhs])
     return rendered[:-1], rendered[-1]
-
-
-def _side_text(texts: dict, root) -> str:
-    """The text of ``root`` kept in ``texts``, printed and kept there on
-    first sight: ``format_unshared``'s, or False when ``root`` reaches a
-    complex node twice."""
-    text = texts.get(root)
-    if text is None:
-        text = format_unshared(root)
-        text = texts[root] = False if text is None else text
-    return text
 
 
 def _pair_text(lhs, rhs) -> str:

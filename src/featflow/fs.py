@@ -128,8 +128,9 @@ def deref(n: Node) -> Node:
     return n
 
 
-def valid_feature(name: str) -> bool:
-    return bool(_FEATURE_RE.match(name))
+def valid_feature(name) -> bool:
+    """Whether ``name`` is a string that names a feature."""
+    return isinstance(name, str) and bool(_FEATURE_RE.match(name))
 
 
 def make_path(text: str) -> FeaturePath:
@@ -143,7 +144,7 @@ def make_path(text: str) -> FeaturePath:
 def make_restrictor(paths) -> frozenset:
     """Build a restrictor from a collection of path tuples or dotted
     strings; ``grammar.parse_restrictor`` parses restrictor text."""
-    if isinstance(paths, str):  # each character would be read as a path
+    if isinstance(paths, (str, bytes)):  # each character or byte would be read as a path
         raise TypeError(f"a restrictor is a collection of paths, not the string {paths!r}: use parse_restrictor")
     out = set()
     for p in paths:

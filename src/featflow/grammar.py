@@ -612,15 +612,6 @@ def format_roots(roots) -> list:
     return [_render(r, counts, tag_ids) for r in roots]
 
 
-def format_unshared(root):
-    """``format_roots([root])[0]`` from the one walk alone, or None when
-    ``root`` reaches a complex node twice and so needs a tag."""
-    try:
-        return _render(root, set(), None)
-    except _Shared:
-        return None
-
-
 def _count_refs(n, counts):
     """Add to ``counts`` the references to each complex node below ``n``,
     entering each node once."""

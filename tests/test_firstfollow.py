@@ -935,6 +935,37 @@ def test_each_pair_prints_as_its_sides_print_together():
     } <= shown
 
 
+def test_apart_sides_print_from_the_memo_as_the_joint_walk_does():
+    # both sides apart and tagged: alone, the right side's tag would be #1
+    both = PairSet()
+    assert both.add(cat_pair("a[f=$1:[], g=$1]", "b[h=$2:[], k=$2]"))
+    assert both.pairs[0].sides_apart()
+    assert format_pair(both.pairs[0]) == "(a[f=#1:[], g=#1] , b[h=#2:[], k=#2])"
+    # a FIRST right side with a tag of its own, apart from its left side
+    tagged = parse_grammar("S[] -> B[f=$1:[h=y], g=$1, ter=+] C[]. C[] -> c[ter=+].")
+    strings = [(tagged, ["S[f=$1:[h=z]] C[g=$1]", "S[f=$1] S[g=$1]", "C[f=$1] S[g=$1]"])]
+    for name in FIXTURES:
+        strings.append((load_fixture(name), ["A[f=$1] B[g=$1]", "NP[agr=$1] VP[agr=$1]", "S[f=$1:[]] S[g=$1]"]))
+    rng = random.Random(45)
+    strings += [(parse_grammar(random_feature_grammar(rng)), []) for _ in range(8)]
+    sets = [both]
+    for g, texts in strings:
+        first, _ = compute_first(g)
+        sets += [first, compute_follow(g, first)[0]]
+        for text in texts:
+            try:
+                sets.append(first_of_string(first, g, parse_category_sequence(text)))
+            except UnknownCategory:
+                pass
+    apart = 0
+    for s in sets:
+        for p in s:
+            want = joint_text(p)
+            assert format_pair(p) == want == format_pair(p)
+            apart += len(p.lhs) > 1 and p.sides_apart() and "#" in want
+    assert apart  # tagged strings whose results are apart
+
+
 # ---------------------------------------------------------------------------
 # label-indexed pools against a full scan
 

@@ -204,6 +204,12 @@ def test_restrict_collapses_orth_variants():
 def test_a_string_is_not_a_restrictor():
     with pytest.raises(TypeError, match="parse_restrictor"):
         fs.make_restrictor("orth")
+    with pytest.raises(TypeError, match="parse_restrictor"):
+        fs.make_restrictor(b"orth")
+    # a segment that is not a string is a malformed path
+    with pytest.raises(ValueError, match="malformed feature path"):
+        fs.make_restrictor([("a", 1)])
+    assert not fs.valid_feature(1) and not fs.valid_feature(b"a")
     assert fs.make_restrictor(["orth"]) == frozenset({("orth",)})
 
 

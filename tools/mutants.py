@@ -38,6 +38,9 @@ are and which tests must catch them:
   working copy pruned (M58) and a stored form left unpruned (M59).
 - M60, a fault of the front end: ``parse_category`` returns the first of
   several categories.
+- M61, a fault of the engine's printer: a pair whose sides are apart and
+  both tagged printed from the memo, so the right side's tags are
+  numbered from 1 and not after the left side's.
 
 M15-M24 and M36-M41 keep the evidence on which white-box tests of those
 internals retired: each fault such a test caught must still fail a test that
@@ -349,8 +352,8 @@ MUTANTS = (
     (
         "M48 the print-once memo used when the sides are not apart",
         ENGINE,
-        "if texts is not None and len(p.lhs) == 1 and p.sides_apart():",
-        "if texts is not None and len(p.lhs) == 1:",
+        "if texts is not None and p.sides_apart():",
+        "if texts is not None:",
     ),
     (
         "M49 a repeated product is known by its left root alone",
@@ -361,8 +364,8 @@ MUTANTS = (
     (
         "M50 a repeated product is rejected uncounted",
         ENGINE,
-        "                out.rejected += 1\n                return False\n",
-        "                return False\n",
+        "                out.rejected += 1\n                return\n",
+        "                return\n",
     ),
     (
         "M53 a product not known apart is stored apart without the walk",
@@ -411,6 +414,12 @@ MUTANTS = (
         FRONT_END,
         "    if len(starts) > 1:\n",
         "    if False:\n",
+    ),
+    (
+        "M61 a pair whose sides are apart and both tagged printed from the memo",
+        ENGINE,
+        'if "#" not in rhs or not any("#" in text for text in lhs):',
+        "if True:",
     ),
 )
 
